@@ -271,10 +271,8 @@ def cmd_bq(args) -> int:
     r_grid = cfg.dr * np.arange(int(round(r_max / cfg.dr)) + 1)
     params = cfg.model_params()
     tq = build_bq(q, params, t_grid, r_grid, nodes=args.nodes)
-    tq1 = build_bq(q + 1.0, params, t_grid, r_grid, nodes=args.nodes,
-                   psi_cache=None)
-    tq2 = build_bq(q + 2.0, params, t_grid, r_grid, nodes=args.nodes,
-                   psi_cache=None)
+    tq1 = build_bq(q + 1.0, params, t_grid, r_grid, nodes=args.nodes)
+    tq2 = build_bq(q + 2.0, params, t_grid, r_grid, nodes=args.nodes)
     rep = verify_bq_identities(tq, tq1, tq2)
     failed = False
     for name, res in (("dt", rep.res_dt), ("dtt", rep.res_dtt),
@@ -293,20 +291,21 @@ def cmd_bq(args) -> int:
 
 
 def _read_solution_csv(path: str):
+    """(t, r, u, ut) from a solve CSV of snapshot blocks, in time order."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 4:
         raise ConfigError(f"{path}: expected 4 columns t,r,u,ut")
-    t_col = data[:, 0]
-    t_vals, first = np.unique(t_col, return_index=True)
-    t_vals = t_vals[np.argsort(first)]  # preserve file order
-    nt = t_vals.size
+    nt = np.unique(data[:, 0]).size
     if data.shape[0] % nt != 0:
         raise ConfigError(f"{path}: rows not a whole number of snapshots")
-    nr = data.shape[0] // nt
-    r = data[:nr, 1]
-    u = data[:, 2].reshape(nt, nr)
-    ut = data[:, 3].reshape(nt, nr)
-    return np.sort(t_vals), r, u, ut
+    blocks = data.reshape(nt, data.shape[0] // nt, 4)
+    t, r = blocks[:, 0, 0], blocks[0, :, 1]
+    if np.any(blocks[:, :, 0] != t[:, None]):
+        raise ConfigError(f"{path}: rows of one snapshot are not contiguous")
+    if np.any(blocks[:, :, 1] != r):
+        raise ConfigError(f"{path}: snapshots do not share one r column")
+    order = np.argsort(t, kind="stable")
+    return t[order], r, blocks[order, :, 2], blocks[order, :, 3]
 
 
 def cmd_verify(args) -> int:

@@ -15,6 +15,14 @@ and stays bounded.  The undamped comparison profile is the plane-wave average
 and the matching constant lambda(eta) = psi_eta(r_ref)/varphi_eta(r_ref) at a
 radius where the ratio has plateaued.  For mu = 0 the ratio is constant:
 psi = varphi/|S^{n-1}| exactly (n = 3: psi = sinh(eta r)/(eta r)).
+
+One integrator serves every solve.  The equation for (s, s') is linear, so a
+classical RK4 step is a fixed 2x2 propagator matrix; _rk4_propagate forms
+the propagators of a block of steps for all eta at once with element-wise
+array algebra, multiplies those of each output interval together, and chains
+the interval products.  The near segment takes steps h <= dr aligned with the
+output grid.  The far tail, which only feeds lambda, takes graded steps
+h = min(1e-3 r, 0.1) and lands exactly on r_ref.
 """
 from __future__ import annotations
 
@@ -29,6 +37,7 @@ from .model import sphere_area
 
 PLATEAU_SLOPE = 1e-4   # |d log(psi/varphi) / dr| below this counts as flat
 DEFAULT_DR_ODE = 1e-3
+CHUNK = 64             # output intervals per propagator block (bounds memory)
 
 
 @dataclass(frozen=True)
@@ -59,144 +68,87 @@ class EigenSolution:
         return self.psi / self.lam
 
 
-def varphi(eta: float, r, n: int, scaled: bool = False):
+def varphi(eta, r, n: int, scaled: bool = False):
     """Plane-wave average; `scaled` returns e^(-eta r) * varphi (never
     overflows since every quadrature exponent becomes <= 0).
 
-    Evaluated with Gauss-Jacobi quadrature matched to the (1-th^2)^((n-3)/2)
-    endpoint weight; the node count grows with max(eta*r) so the rule stays
-    spectrally accurate.
+    eta and r broadcast, so one call gives a profile (one eta, many r) or a
+    family (many eta, one r).  Evaluated with Gauss-Jacobi quadrature matched
+    to the (1-th^2)^((n-3)/2) endpoint weight; the node count grows with
+    max(eta*r) so the rule stays spectrally accurate.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if eta < 0:
+    if np.any(np.asarray(eta) < 0):
         raise ValueError("eta must be >= 0")
-    r = np.asarray(r, dtype=float)
-    arg_max = float(eta * np.max(r, initial=0.0))
-    m = int(0.6 * arg_max) + 40
+    arg = np.asarray(eta, dtype=float) * np.asarray(r, dtype=float)
+    m = int(0.6 * float(np.max(arg, initial=0.0))) + 40
     a = (n - 3) / 2.0
     nodes, weights = roots_jacobi(m, a, a)
-    expo = np.multiply.outer(eta * r, nodes)       # (..., m)
+    expo = np.multiply.outer(arg, nodes)       # (..., m)
     if scaled:
-        expo = expo - (eta * r)[..., None]
-    vals = np.exp(expo) @ weights
-    return sphere_area(n - 1) * vals
+        expo = expo - arg[..., None]
+    return sphere_area(n - 1) * (np.exp(expo) @ weights)
 
 
-def _rk4_scalar(eta, mu, beta, n, h, n_steps, out_steps):
-    """Single-eta integration with plain floats (fast path)."""
-    bnr = n - 1.0
-    two_eta = 2.0 * eta
-    eta_bnr = eta * bnr
-
-    def rhs(r, s, sp):
-        V = mu * (1.0 + r) ** (-beta)
-        return sp, -(two_eta + bnr / r) * sp - (eta_bnr / r - eta * V) * s
-
-    n_out = len(out_steps)
-    psi = np.empty(n_out)
-    psip = np.empty(n_out)
-    j = 0
-    if j < n_out and out_steps[j] == 0:
-        psi[j], psip[j] = 1.0, 0.0
-        j += 1
-    # series start to r = h:  psi ~ 1 + c r^2/(2n), c = eta V(0) + eta^2
-    c = eta * mu + eta * eta
-    p1 = 1.0 + c * h * h / (2.0 * n)
-    pp1 = c * h / n
-    e = math.exp(-eta * h)
-    s, sp = e * p1, e * (pp1 - eta * p1)
-    if j < n_out and out_steps[j] == 1:
-        psi[j], psip[j] = p1, pp1
-        j += 1
-    h2, h6 = 0.5 * h, h / 6.0
-    for i in range(1, n_steps):
-        r0 = i * h
-        k1s, k1p = rhs(r0, s, sp)
-        k2s, k2p = rhs(r0 + h2, s + h2 * k1s, sp + h2 * k1p)
-        k3s, k3p = rhs(r0 + h2, s + h2 * k2s, sp + h2 * k2p)
-        k4s, k4p = rhs(r0 + h, s + h * k3s, sp + h * k3p)
-        s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        sp = sp + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        if j < n_out and out_steps[j] == i + 1:
-            r1 = (i + 1) * h
-            grow = math.exp(eta * r1)
-            psi[j] = grow * s
-            psip[j] = grow * (sp + eta * s)
-            j += 1
-    if j != n_out:
-        raise AssertionError("output indices beyond integration range")
-    return psi, psip
+def varphi_family(etas, r: float, n: int, scaled: bool = False):
+    """varphi at one radius for many eta (same rule for the whole family)."""
+    return varphi(np.asarray(etas, dtype=float), r, n, scaled)
 
 
-def _rk4_batch(etas, mu, beta, n, h, n_steps, out_steps, r0=0.0, state=None):
-    """Vectorized integration for a whole family of eta values at once.
+def _rk4_propagate(etas, mu, beta, n, edges, every, s, sp):
+    """Classical RK4 steps between consecutive `edges`, for all etas at once.
 
-    Starts from r0 with the given (s, s') state, or from the r = 0 series
-    start when state is None.  out_steps are node indices relative to r0.
-    Returns (psi rows, psi' rows, final state) so segments with different
-    step sizes can be chained.
+    Starts from the state (s, s') at edges[0] and returns the (s, s') rows
+    at edges[every], edges[2*every], ...  The equation is linear,
+    y' = A(r) y with y = (s, s'), so a step is the 2x2 matrix
+    P = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A(r),
+    K2 = A(r+h/2)(I + h/2 K1), K3 = A(r+h/2)(I + h/2 K2), K4 = A(r+h)(I + h K3).
     """
     etas = np.asarray(etas, dtype=float)
-    m = etas.size
     bnr = n - 1.0
-    two_eta = 2.0 * etas
-    eta_bnr = etas * bnr
+    n_int = (edges.size - 1) // every
+    out_s = np.empty((n_int, etas.size))
+    out_sp = np.empty_like(out_s)
 
-    def rhs(r, s, sp):
-        V = mu * (1.0 + r) ** (-beta)
-        dsp = -(two_eta + bnr / r) * sp - (eta_bnr / r - etas * V) * s
-        return sp, dsp
+    def times_a(x, K, tau):
+        """A(x) (I + tau K), A = [[0, 1], [c, d]]; matrices as 4-tuples."""
+        c = etas * (mu * (1.0 + x) ** (-beta) - bnr / x)
+        d = -(2.0 * etas + bnr / x)
+        b00, b01 = 1.0 + tau * K[0], tau * K[1]
+        b10, b11 = tau * K[2], 1.0 + tau * K[3]
+        return b10, b11, c * b00 + d * b10, c * b01 + d * b11
 
-    n_out = len(out_steps)
-    psi = np.empty((n_out, m))
-    psip = np.empty((n_out, m))
-    j = 0
-
-    def record(i, s, sp):
-        nonlocal j
-        if j < n_out and out_steps[j] == i:
-            grow = np.exp(etas * (r0 + i * h))
-            psi[j] = grow * s
-            psip[j] = grow * (sp + etas * s)
-            j += 1
-
-    if state is None:
-        if r0 != 0.0:
-            raise ValueError("series start requires r0 = 0")
-        if j < n_out and out_steps[j] == 0:
-            psi[j], psip[j] = 1.0, 0.0
-            j += 1
-        c = etas * mu + etas * etas
-        p1 = 1.0 + c * h * h / (2.0 * n)
-        pp1 = c * h / n
-        e = np.exp(-etas * h)
-        s, sp = e * p1, e * (pp1 - etas * p1)
-        record(1, s, sp)
-        start = 1
-    else:
-        s, sp = state
-        record(0, s, sp)
-        start = 0
-
-    h2, h6 = 0.5 * h, h / 6.0
-    for i in range(start, n_steps):
-        r = r0 + i * h
-        k1s, k1p = rhs(r, s, sp)
-        k2s, k2p = rhs(r + h2, s + h2 * k1s, sp + h2 * k1p)
-        k3s, k3p = rhs(r + h2, s + h2 * k2s, sp + h2 * k2p)
-        k4s, k4p = rhs(r + h, s + h * k3s, sp + h * k3p)
-        s = s + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        sp = sp + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        record(i + 1, s, sp)
-    if j != n_out:
-        raise AssertionError("output indices beyond integration range")
-    return psi, psip, (s, sp)
+    for lo in range(0, n_int, CHUNK):
+        hi = min(lo + CHUNK, n_int)
+        e = edges[lo * every:hi * every + 1, None]
+        r, h = e[:-1], np.diff(e, axis=0)
+        K1 = times_a(r, (0.0, 0.0, 0.0, 0.0), 0.0)
+        K2 = times_a(r + 0.5 * h, K1, 0.5 * h)
+        K3 = times_a(r + 0.5 * h, K2, 0.5 * h)
+        K4 = times_a(r + h, K3, h)
+        K = [h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+             for k1, k2, k3, k4 in zip(K1, K2, K3, K4)]
+        P = [x.reshape(hi - lo, every, -1) for x in (1.0 + K[0], K[1], K[2], 1.0 + K[3])]
+        # product over each output interval (later steps multiply from the left)
+        M = [p[:, 0] for p in P]
+        for j in range(1, every):
+            a00, a01, a10, a11 = (p[:, j] for p in P)
+            M = [a00 * M[0] + a01 * M[2], a00 * M[1] + a01 * M[3],
+                 a10 * M[0] + a11 * M[2], a10 * M[1] + a11 * M[3]]
+        for i in range(hi - lo):
+            s, sp = M[0][i] * s + M[1][i] * sp, M[2][i] * s + M[3][i] * sp
+            out_s[lo + i], out_sp[lo + i] = s, sp
+    return out_s, out_sp
 
 
-def _aligned_steps(r_out: np.ndarray, dr_target: float):
-    """ODE step h dividing the (uniform) output spacing, plus output indices."""
-    r_out = np.asarray(r_out, dtype=float)
+def _shoot(etas, mu, beta, n, r_out, dr):
+    """(psi rows, psi' rows, last (s, s') state) on r_out for every eta > 0.
+
+    RK4 steps of size h <= dr aligned with the output grid r_out (uniform,
+    starting at 0); the state at r = h comes from the series
+    psi ~ 1 + (eta V(0) + eta^2) r^2 / (2n).
+    """
     if r_out.ndim != 1 or r_out.size < 2:
         raise ValueError("r_out must be a 1-d grid with at least two nodes")
     spac = np.diff(r_out)
@@ -204,11 +156,21 @@ def _aligned_steps(r_out: np.ndarray, dr_target: float):
         raise ValueError("r_out must be uniformly spaced")
     if abs(r_out[0]) > 1e-12:
         raise ValueError("r_out must start at 0")
-    spacing = float(spac[0])
-    k = max(1, int(math.ceil(spacing / dr_target - 1e-12)))
-    h = spacing / k
-    out_steps = [i * k for i in range(r_out.size)]
-    return h, out_steps
+    k = max(1, int(math.ceil(spac[0] / dr - 1e-12)))
+    h = float(spac[0]) / k
+    c = etas * mu + etas * etas
+    p1 = 1.0 + c * h * h / (2.0 * n)
+    e = np.exp(-etas * h)
+    # the series gives the state at r = h, so the first step has length 0
+    edges = np.maximum(np.arange((r_out.size - 1) * k + 1) * h, h)
+    s, sp = _rk4_propagate(etas, mu, beta, n, edges, k,
+                           e * p1, e * (c * h / n - etas * p1))
+    grow = np.exp(etas * edges[k::k, None])
+    psi = np.vstack([np.ones_like(etas), grow * s])
+    if np.any(psi <= 0.0):
+        raise ArithmeticError("integration fault: psi lost positivity")
+    psip = np.vstack([np.zeros_like(etas), grow * (sp + etas * s)])
+    return psi, psip, (s[-1], sp[-1])
 
 
 def solve_psi(eta: float, mu: float, beta: float, n: int, r_max: float,
@@ -237,10 +199,8 @@ def solve_psi(eta: float, mu: float, beta: float, n: int, r_max: float,
         return EigenSolution(eta=0.0, mu=mu, beta=beta, n=n, r=r_out,
                              psi=ones, psi_prime=np.zeros_like(r_out),
                              w=(1.0 + r_out) ** ((n - 1) / 2.0))
-    h, out_steps = _aligned_steps(r_out, dr)
-    psi, psip = _rk4_scalar(eta, mu, beta, n, h, out_steps[-1], out_steps)
-    if np.any(psi <= 0.0):
-        raise ArithmeticError("integration fault: psi lost positivity")
+    psi, psip, _ = _shoot(np.array([eta]), mu, beta, n, r_out, dr)
+    psi, psip = psi[:, 0], psip[:, 0]
     w = (1.0 + r_out) ** ((n - 1) / 2.0) * np.exp(-eta * r_out) * psi
     return EigenSolution(eta=eta, mu=mu, beta=beta, n=n, r=r_out,
                          psi=psi, psi_prime=psip, w=w)
@@ -308,41 +268,24 @@ def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
     r_norm_max = max(r_norm_max, 1.05 * float(r_out[-1]))
     if r_ref is None:
         r_ref = 0.8 * r_norm_max
-    h, out_steps = _aligned_steps(r_out, dr)
-    psi, psip, state = _rk4_batch(etas, mu, beta, n, h, out_steps[-1], out_steps)
-    if np.any(psi <= 0.0):
-        raise ArithmeticError("integration fault: psi lost positivity")
+    psi, psip, state = _shoot(etas, mu, beta, n, r_out, dr)
     if r_ref <= r_out[-1] + 1e-12:
         i_ref = int(np.argmin(np.abs(r_out - r_ref)))
         r_ref = float(r_out[i_ref])
         s_ref = np.exp(-etas * r_ref) * psi[i_ref]
     else:
-        # the tail only feeds the matching constant, so a coarser RK4 step
-        # (error ~ h^4) is plenty there
-        h_far = max(dr, 4e-3)
-        n_far = int(math.ceil((r_ref - r_out[-1]) / h_far))
-        h_far = (r_ref - r_out[-1]) / n_far
-        _, _, (s, _) = _rk4_batch(etas, mu, beta, n, h_far, n_far, [],
-                                  r0=float(r_out[-1]), state=state)
-        s_ref = s
+        # graded tail: the coefficients vary on the scale r, and h/r <= 1e-3
+        # keeps the undamped error of the s' ~ -2 eta s mode near r_ref small
+        edges = [float(r_out[-1])]
+        while edges[-1] < r_ref:
+            edges.append(min(edges[-1] + min(1e-3 * edges[-1], 0.1), r_ref))
+        s_ref = _rk4_propagate(etas, mu, beta, n, np.array(edges), 1,
+                               *state)[0][-1]
     phi_ref = varphi_family(etas, r_ref, n, scaled=True)
     lam = s_ref / phi_ref
     return (psi.T / lam[:, None],
             psip.T / lam[:, None],
             lam)
-
-
-def varphi_family(etas, r: float, n: int, scaled: bool = False):
-    """varphi at one radius for many eta (same rule for the whole family)."""
-    etas = np.asarray(etas, dtype=float)
-    arg_max = float(np.max(etas) * r)
-    m = int(0.6 * arg_max) + 40
-    a = (n - 3) / 2.0
-    nodes, weights = roots_jacobi(m, a, a)
-    expo = np.multiply.outer(etas * r, nodes)
-    if scaled:
-        expo = expo - (etas * r)[:, None]
-    return sphere_area(n - 1) * (np.exp(expo) @ weights)
 
 
 def lemma31_ratio(alpha: float, decay: float, t: float, R: float = 2.0) -> float:

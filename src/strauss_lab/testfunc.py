@@ -129,7 +129,7 @@ def build_bq(q: float, params: ModelParams, t_grid, r_grid, R: float = 2.0,
 
 
 def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable,
-                         block: int = 512) -> IdentityReport:
+                         block: int = 256) -> IdentityReport:
     """Centered-difference residuals of the b_q identities.
 
     The three tables must share one grid and satisfy q1 = q+1, q2 = q+2.
@@ -220,58 +220,76 @@ def verify_bq_asymptotics(table: BqTable, t_min: float = 1.0) -> AsymptoticRepor
                             ratio_max=float(vals.max()))
 
 
-def _hyper2f1_series(a: float, b: float, c: float, z: float,
-                     rtol: float = 1e-15, max_terms: int = 6000) -> float:
-    term, total = 1.0, 1.0
+def _hyper2f1_series(a: float, b: float, c: float, z,
+                     rtol: float = 1e-15, max_terms: int = 6000) -> np.ndarray:
+    """Power series at every z of a 1-d array; each point stops at its own rtol."""
+    total = np.ones_like(z)
+    idx = np.arange(z.size)  # points still summing
+    zk, term, part = z, np.ones_like(z), np.ones_like(z)
     for k in range(max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
-        total += term
-        if abs(term) <= rtol * abs(total):
+        term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k)) * zk)
+        part = part + term
+        done = np.abs(term) <= rtol * np.abs(part)
+        total[idx[done]] = part[done]
+        idx, zk, term, part = idx[~done], zk[~done], term[~done], part[~done]
+        if not idx.size:
             return total
     raise ArithmeticError("hypergeometric series did not converge")
 
 
-def _euler_node_count(z: float) -> int:
+def _euler_node_count(z: np.ndarray) -> np.ndarray:
     """Gauss node count from the Bernstein-ellipse distance of the pole 1/z.
 
     Kept as small as accuracy allows: roots_jacobi weight noise grows with m,
     so oversizing the rule actively hurts near-singular exponents.
     """
-    if z <= 0.5:
-        return 40
-    xi = 2.0 / z - 1.0  # pole position after mapping [0,1] -> [-1,1]
-    rho = xi + math.sqrt(xi * xi - 1.0)
-    return min(600, max(40, int(8.0 / math.log10(rho)) + 10))
+    xi = 2.0 / np.maximum(z, 0.5) - 1.0  # pole position after mapping [0,1] -> [-1,1]
+    rho = xi + np.sqrt(xi * xi - 1.0)
+    m = np.minimum(600, np.maximum(40, (8.0 / np.log10(rho)).astype(int) + 10))
+    return np.where(z <= 0.5, 40, m)
 
 
-def _hyper2f1_euler(a: float, b: float, c: float, z: float) -> float:
-    # Gamma(c)/(Gamma(b)Gamma(c-b)) int_0^1 x^{b-1}(1-x)^{c-b-1}(1-zx)^{-a} dx
-    # with the beta weight absorbed into a Gauss-Jacobi rule
-    m = _euler_node_count(z)
-    x, w = roots_jacobi(m, c - b - 1.0, b - 1.0)
-    xs = 0.5 * (x + 1.0)
-    integral = float(w @ (1.0 - z * xs) ** (-a)) * 0.5 ** (c - 1.0)
-    return math.gamma(c) / (math.gamma(b) * math.gamma(c - b)) * integral
+def _hyper2f1_euler(a: float, b: float, c: float, z) -> np.ndarray:
+    """Euler integral at every z of a 1-d array, one Gauss rule per node count.
+
+    Gamma(c)/(Gamma(b)Gamma(c-b)) int_0^1 x^{b-1}(1-x)^{c-b-1}(1-zx)^{-a} dx
+    with the beta weight absorbed into a Gauss-Jacobi rule; points go in
+    blocks of 2048 so the (points, nodes) array stays below 10 MB.
+    """
+    out = np.empty_like(z)
+    counts = _euler_node_count(z)
+    scale = 0.5 ** (c - 1.0) * math.gamma(c) / (math.gamma(b) * math.gamma(c - b))
+    for m in np.unique(counts):
+        x, w = roots_jacobi(int(m), c - b - 1.0, b - 1.0)
+        xs = 0.5 * (x + 1.0)
+        where = np.flatnonzero(counts == m)
+        for lo in range(0, where.size, 2048):
+            sel = where[lo:lo + 2048]
+            out[sel] = (1.0 - np.multiply.outer(z[sel], xs)) ** (-a) @ w * scale
+    return out
 
 
-def hyper2f1(a: float, b: float, c: float, z: float,
-             agree_tol: float = 1e-10) -> float:
+def hyper2f1(a: float, b: float, c: float, z, agree_tol: float = 1e-10):
     """Gauss hypergeometric 2F1 by two independent routes.
 
     Evaluates both the power series and the Euler integral representation
-    (valid for c > b > 0, |z| < 1) and demands they agree to agree_tol
-    relative; returns the series value.
+    (valid for c > b > 0, |z| < 1) at every z and demands they agree to
+    agree_tol relative; returns the series value (a float for scalar z).
     """
     if not c > b > 0.0:
         raise ValueError("integral representation needs c > b > 0")
-    if abs(z) >= 1.0:
+    zs = np.asarray(z, dtype=float)
+    flat = zs.ravel()
+    if np.any(np.abs(flat) >= 1.0):
         raise ValueError("|z| must be below 1")
-    s = _hyper2f1_series(a, b, c, z)
-    e = _hyper2f1_euler(a, b, c, z)
-    if abs(s - e) > agree_tol * max(abs(s), abs(e), 1.0):
+    s = _hyper2f1_series(a, b, c, flat)
+    e = _hyper2f1_euler(a, b, c, flat)
+    bad = np.abs(s - e) > agree_tol * np.maximum(np.maximum(np.abs(s), np.abs(e)), 1.0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise ArithmeticError(
-            f"2F1 routes disagree: series={s!r} euler={e!r}")
-    return s
+            f"2F1 routes disagree at z={flat[i]!r}: series={s[i]!r} euler={e[i]!r}")
+    return float(s[0]) if zs.ndim == 0 else s.reshape(zs.shape)
 
 
 def hyper2f1_compensation(table: BqTable, t_min: float = 1.0):
@@ -279,20 +297,16 @@ def hyper2f1_compensation(table: BqTable, t_min: float = 1.0):
 
     The hypergeometric profile captures the full r-dependence of the
     far-field b_q, so this ratio should bracket tighter than the plain
-    power compensation.  Returns (ratio_min, ratio_max).
+    power compensation.  Both 2F1 routes are checked at every cone point.
+    Returns (ratio_min, ratio_max).
     """
     q, n, R = table.q, table.n, table.R
-    lo, hi = math.inf, -math.inf
-    for i, t in enumerate(table.t_grid):
-        if t < t_min:
-            continue
-        for j, r in enumerate(table.r_grid):
-            if r > t + 1.0:
-                break
-            z = 2.0 * r / (t + R + r)
-            f = hyper2f1(q, (n - 1) / 2.0, n - 1.0, z)
-            ratio = table.values[i, j] * (t + R + r) ** q / f
-            lo, hi = min(lo, ratio), max(hi, ratio)
-    if not math.isfinite(lo):
+    t = table.t_grid[:, None]
+    r = table.r_grid[None, :]
+    cone = (r <= t + 1.0) & (t >= t_min)
+    if not np.any(cone):
         raise ValueError("no samples in the cone")
-    return lo, hi
+    tr = (t + R + r)[cone]
+    z = 2.0 * np.broadcast_to(r, cone.shape)[cone] / tr
+    ratio = table.values[cone] * tr ** q / hyper2f1(q, (n - 1) / 2.0, n - 1.0, z)
+    return float(ratio.min()), float(ratio.max())

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from strauss_lab.cli import main
+from strauss_lab.cli import _read_solution_csv, main
 from strauss_lab.sweep import write_csv
 
 P_STRAUSS3 = "2.414213562373095"
@@ -257,6 +257,36 @@ def test_verify_malformed_solution(tmp_path, capsys):
     bad.write_text("t,r,u\n0.0,0.0,1.0\n")
     assert main(["verify", "--solution", str(bad), "--checks", "5.1"]) == 2
     capsys.readouterr()
+
+
+def _snapshot_csv(path, t_vals, r_blocks):
+    rows = [(t, r, t + 10.0 * r, -r) for t, r_col in zip(t_vals, r_blocks)
+            for r in r_col]
+    write_csv(str(path), ("t", "r", "u", "ut"), rows)
+
+
+def test_solution_csv_time_order(tmp_path):
+    # snapshot blocks stored out of time order read back like the sorted file
+    r = [0.0, 0.1, 0.2]
+    _snapshot_csv(tmp_path / "sorted.csv", [0.0, 0.5, 1.0], [r] * 3)
+    _snapshot_csv(tmp_path / "shuffled.csv", [1.0, 0.0, 0.5], [r] * 3)
+    ref = _read_solution_csv(str(tmp_path / "sorted.csv"))
+    got = _read_solution_csv(str(tmp_path / "shuffled.csv"))
+    for a, b in zip(ref, got):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got[2][:, 1], [1.0, 1.5, 2.0])  # u = t + 10 r
+
+
+def test_verify_mismatched_r_blocks(tmp_path, capsys):
+    path = tmp_path / "bad_r.csv"
+    _snapshot_csv(path, [0.0, 0.5], [[0.0, 0.1, 0.2], [0.0, 0.1, 0.3]])
+    assert main(["verify", "--solution", str(path), "--checks", "5.1"]) == 2
+    assert "r column" in capsys.readouterr().err
+    # rows of two snapshots interleaved instead of stored block by block
+    write_csv(str(path), ("t", "r", "u", "ut"),
+              [(t, r, 1.0, 0.0) for r in (0.0, 0.1) for t in (0.0, 0.5)])
+    assert main(["verify", "--solution", str(path), "--checks", "5.1"]) == 2
+    assert "not contiguous" in capsys.readouterr().err
 
 
 # --- odelemma ---------------------------------------------------------------------

@@ -4,8 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from strauss_lab import eigen
 from strauss_lab.eigen import (lemma31_ratio, normalize, psi_hat_batch,
                                solve_psi, varphi, varphi_family)
+from strauss_lab.functionals import phi_profile
+from strauss_lab.model import ModelParams, build_grid
+from strauss_lab.testfunc import eta_rule
 
 
 def test_undamped_sinh_oracle():
@@ -106,3 +110,52 @@ def test_lemma31_ratio_bounded_in_t():
     assert max(vals) / min(vals) < 3.0
     with pytest.raises(ValueError):
         lemma31_ratio(1.0, 0.0, 1.0)
+
+
+# Regression pins, recorded with the step-by-step RK4 integrator (fixed 4e-3
+# far-tail step) that the propagator form replaced.  Criterion-3 family:
+# q = 0.5, 64 nodes, mu = 1, beta = 2.5, n = 3, r in [0, 20], dr = 0.01.
+PIN_NODES = [0, 21, 42, 63]
+PIN_RADII = [50, 500, 2000]  # r = 0.5, 5, 20
+PIN_LAM = [0.07959050936721149, 0.08913680391435727,
+           0.09581507426619688, 0.09775299363648747]
+PIN_PSI_HAT = [
+    [12.564358515129555, 12.564935698332816, 12.565586669105176],
+    [11.318416509436771, 15.565799336140824, 191.0564929438797],
+    [10.873820333409773, 67.45551317392726, 1195112.4267373192],
+    [10.922257045617116, 181.4087979498996, 150878459.30746883],
+]
+# phi_profile on the Strauss-critical run's grid at r = 0, 1, 5, 10, 17.02
+PIN_PHI_IDX = [0, 100, 500, 1000, 1702]
+PIN_PHI = [10.256891010958215, 12.828872902549676, 182.1475565706248,
+           13741.850938324957, 9080921.760927938]
+PIN_PHI_PRIME = [0.0, 4.963827372515123, 147.0764886932225,
+                 12387.1101706149, 8550924.66861327]
+
+
+def test_criterion3_family_pinned(monkeypatch):
+    steps = []
+    propagate = eigen._rk4_propagate
+
+    def counting(etas, mu, beta, n, edges, every, s, sp):
+        steps.append(edges.size - 1)
+        return propagate(etas, mu, beta, n, edges, every, s, sp)
+
+    monkeypatch.setattr(eigen, "_rk4_propagate", counting)
+    eta, _ = eta_rule(0.5, 64)
+    psi_hat, _, lam = psi_hat_batch(eta, 1.0, 2.5, 3, 0.01 * np.arange(2001))
+    np.testing.assert_allclose(lam[PIN_NODES], PIN_LAM, rtol=1e-10)
+    np.testing.assert_allclose(psi_hat[np.ix_(PIN_NODES, PIN_RADII)],
+                               PIN_PSI_HAT, rtol=1e-10)
+    near, tail = steps
+    assert near == 20000  # h = dr_ode = 1e-3 out to r = 20
+    assert 1e3 < tail < 1e4  # graded steps from r = 20 to r_ref = 240
+
+
+def test_phi_profile_pinned():
+    params = ModelParams(n=3, p=1.0 + np.sqrt(2.0), mu=1.0, beta=2.5,
+                         nonlinearity="power_u", eps=1.0, f_amp=6.8,
+                         g_amp=6.8)
+    phi, phip = phi_profile(params, build_grid(16.0, 0.01, 0.5).r)
+    np.testing.assert_allclose(phi[PIN_PHI_IDX], PIN_PHI, rtol=1e-10)
+    np.testing.assert_allclose(phip[PIN_PHI_IDX], PIN_PHI_PRIME, rtol=1e-10)

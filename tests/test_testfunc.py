@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from dataclasses import replace
 from scipy.special import exp1, gammainc, hyp2f1
 
+from strauss_lab import testfunc
 from strauss_lab.model import ModelParams
 from strauss_lab.testfunc import (build_bq, eta_rule, hyper2f1,
                                   hyper2f1_compensation,
@@ -194,6 +196,49 @@ def test_hyper2f1_scipy_crosscheck():
         z = rng.uniform(-0.8, 0.95)
         assert hyper2f1(a, b, c, z) == pytest.approx(
             float(hyp2f1(a, b, c, z)), rel=1e-9)
+
+
+@pytest.mark.parametrize("a, b, c", [(0.5, 1.0, 2.0), (2.5, 1.0, 2.0),
+                                     (0.7, 1.3, 2.1), (1.2, 0.4, 2.5)])
+def test_hyper2f1_routes_match_mpmath(a, b, c):
+    # z up to 0.98 covers the cone's 2r/(t+R+r) <= 42/43 ~ 0.977 at t = 20
+    z = np.array([-0.8, -0.3, 0.0, 0.2, 0.5, 0.7, 0.9, 0.95, 42.0 / 43.0, 0.98])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.hyp2f1(a, b, c, zi)) for zi in z])
+    np.testing.assert_allclose(testfunc._hyper2f1_series(a, b, c, z), ref,
+                               rtol=1e-12)
+    np.testing.assert_allclose(testfunc._hyper2f1_euler(a, b, c, z), ref,
+                               rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def small_table():
+    t = 1.0 + 0.5 * np.arange(21)
+    r = 0.5 * np.arange(25)
+    return build_bq(0.5, _params(), t, r, nodes=32)
+
+
+def test_compensation_matches_pointwise_loop(small_table):
+    tab = small_table
+    ratios = [tab.values[i, j] * (t + tab.R + r) ** tab.q
+              / hyper2f1(tab.q, 1.0, 2.0, 2.0 * r / (t + tab.R + r))
+              for i, t in enumerate(tab.t_grid)
+              for j, r in enumerate(tab.r_grid) if r <= t + 1.0]
+    lo, hi = hyper2f1_compensation(tab)
+    assert lo == pytest.approx(min(ratios), rel=1e-14)
+    assert hi == pytest.approx(max(ratios), rel=1e-14)
+
+
+def test_compensation_checks_every_point(small_table, monkeypatch):
+    # one cone point's Euler value off by 1e-8 must fail the whole check
+    euler = testfunc._hyper2f1_euler
+
+    def off_at_max(a, b, c, z):
+        return euler(a, b, c, z) * np.where(z == z.max(), 1.0 + 1e-8, 1.0)
+
+    monkeypatch.setattr(testfunc, "_hyper2f1_euler", off_at_max)
+    with pytest.raises(ArithmeticError):
+        hyper2f1_compensation(small_table)
 
 
 def test_hyper2f1_validation():
