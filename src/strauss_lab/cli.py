@@ -137,11 +137,7 @@ def cmd_solve(args) -> int:
           f"max|u|={float(np.max(out.max_abs_u)):.6g} "
           f"snapshots={len(out.snapshots)}")
     if args.out:
-        rows = []
-        for t_s, u_s, v_s in out.snapshots:
-            for j in range(grid.r.size):
-                rows.append((t_s, grid.r[j], u_s[j], v_s[j]))
-        write_csv(args.out, ("t", "r", "u", "ut"), rows)
+        _write_solution_csv(args.out, grid.r, out.snapshots)
     if args.summary:
         write_csv(args.summary,
                   ("eps", "status", "t_end", "dr", "dt", "threshold"),
@@ -288,6 +284,18 @@ def cmd_bq(args) -> int:
                 rows.append((t_grid[i], r_grid[j], tq.values[i, j]))
         write_csv(args.out, ("t", "r", "bq"), rows)
     return 1 if failed else 0
+
+
+def _write_solution_csv(path: str, r, snapshots) -> None:
+    """write_csv(path, ("t", "r", "u", "ut"), rows) for the snapshot blocks
+    [(t, u, u_t), ...] of a solve on the radii r, one format call per row."""
+    r_cells = ["%.17g" % x for x in r.tolist()]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,r,u,ut\n")
+        for t, u, ut in snapshots:
+            row = "%.17g" % t + ",%s,%.17g,%.17g\n"  # "%.17g" spells NaN "nan"
+            fh.write("".join(map(row.__mod__, zip(r_cells, u.tolist(), ut.tolist())))
+                     .replace("nan", "NaN"))
 
 
 def _read_solution_csv(path: str):

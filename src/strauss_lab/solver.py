@@ -22,26 +22,19 @@ the physical speed; the values it would place beyond r = t + 1 + 2dr are a
 spurious tail far below scheme accuracy.  run() zeroes that band each step
 (enforce_support=True), which is also what keeps the active window small; a
 test runs with enforcement off and checks the tail really is negligible.
+
+run_block advances problems that differ only in their data (a sweep level's
+eps values) as one (rows, nr) array per time level; run() is its one-row case.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import mmap
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, RadialGrid, build_grid, initial_data, potential, sphere_area
-
-
-@dataclass
-class WaveState:
-    """One leapfrog level: u at time t, u at t-dt (None at t=0) and the
-    initial velocity needed for the Taylor start."""
-
-    t: float
-    u: np.ndarray
-    u_prev: np.ndarray | None
-    v0: np.ndarray | None
+from .model import ModelParams, RadialGrid, build_grid, bump, initial_data, potential, sphere_area
 
 
 @dataclass
@@ -71,28 +64,49 @@ class LifespanResult:
 def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
     """Discrete radial Laplacian; last node uses a zero Dirichlet ghost."""
     nr = u.size
-    out = np.empty_like(u)
-    _lap_prefix(u, nr, dr, n, np.arange(nr) * dr, out)
-    return out
+    padded = np.append(u, 0.0)[None, :]
+    out = np.empty_like(padded)
+    _laplacian(padded, nr, dr, n, (n - 1.0) / (np.arange(1, nr) * dr), out,
+               np.empty_like(padded))
+    return out[0, :nr]
 
 
-def _lap_prefix(u, m, dr, n, r, out):
-    """Laplacian on nodes 0..m-1 of u (u[m] is read as the right neighbour;
-    for m == len(u) a zero ghost is used).  Writes into out[:m]."""
+def _laplacian(u, m, dr, n, c, out, tmp):
+    """Laplacian of u (one row or a block of rows) on nodes 0..m-1 into
+    out[..., :m]; u[..., m] is the right neighbour, c = (n-1)/r[1:] and tmp
+    is scratch."""
     dr2 = dr * dr
-    out[0] = 2.0 * n * (u[1] - u[0]) / dr2
-    if m < u.size:
-        up = u[2:m + 1]
+    out[..., 0] = 2.0 * n * (u[..., 1] - u[..., 0]) / dr2
+    up, uc, um = u[..., 2:m + 1], u[..., 1:m], u[..., :m - 1]
+    lap, s = out[..., 1:m], tmp[..., 1:m]
+    np.multiply(uc, 2.0, out=lap)
+    np.subtract(up, lap, out=lap)
+    lap += um
+    lap /= dr2
+    np.subtract(up, um, out=s)
+    np.multiply(c[:m - 1], s, out=s)
+    s /= 2.0 * dr
+    lap += s
+
+
+def _add_source(out, base, x, p, mode, F, tmp):
+    """out = base + N (+ F): N = |x|^p with x = u or a u_t estimate, or the
+    scalar 0.0 when mode is "none"; F is the forcing or None."""
+    if mode == "none":
+        np.add(base, 0.0, out=out)
     else:
-        up = np.append(u[2:m], 0.0)
-    uc = u[1:m]
-    um = u[0:m - 1]
-    out[1:m] = (up - 2.0 * uc + um) / dr2 \
-        + (n - 1.0) / r[1:m] * (up - um) / (2.0 * dr)
+        np.abs(x, out=tmp)
+        tmp **= p
+        np.add(base, tmp, out=out)
+    if F is not None:
+        out += F
 
 
-def _nonlinearity_u(u, p):
-    return np.abs(u) ** p
+def _fresh_zeros(shape) -> np.ndarray:
+    """Zeros on fresh anonymous pages, so only the pages a block writes (its
+    rows' active windows) take memory; np.zeros may reuse a heap chunk and
+    clear all of it."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
 
 
 def energy_functional(u: np.ndarray, v: np.ndarray, dr: float, n: int) -> float:
@@ -116,17 +130,39 @@ def run(params: ModelParams, grid: RadialGrid, *,
     term (manufactured-solution runs).  Snapshots record (t, u, u_t) with a
     centered u_t; energy_stride > 0 records the energy every that many steps.
     """
-    r = grid.r
-    nr = r.size
-    dr, dt = grid.dr, grid.dt
-    n, p = params.n, params.p
-    V = potential(r, params.mu, params.beta)
-    mode = params.nonlinearity
+    return run_block([params], grid, threshold=threshold,
+                     snapshot_times=snapshot_times, forcing=forcing,
+                     initial=None if initial is None else [initial],
+                     enforce_support=enforce_support,
+                     energy_stride=energy_stride)[0]
 
-    if initial is None:
-        u0, v0 = initial_data(params, r)
-    else:
-        u0, v0 = (np.array(a, dtype=float) for a in initial)
+
+def run_block(params_list, grid: RadialGrid, *,
+              threshold: float = 1e6,
+              snapshot_times=None,
+              forcing=None,
+              initial=None,
+              enforce_support: bool = True,
+              energy_stride: int = 0) -> list[SolveOutcome]:
+    """run() for a block of problems that differ only in their data.
+
+    The problems share n, mu, beta, p and the nonlinearity, hence V and the
+    active window.  Each time level is one (rows, nr) array and every row goes
+    through exactly the floating-point operations of its own run().  A row
+    leaves the block at its own blow-up or instability.  initial is None or
+    one (u0, v0) pair per problem.
+    """
+    params_list = list(params_list)
+    first = params_list[0]
+    shared = (first.n, first.mu, first.beta, first.p, first.nonlinearity)
+    if any((q.n, q.mu, q.beta, q.p, q.nonlinearity) != shared for q in params_list):
+        raise ValueError("a block's problems must share n, mu, beta, p and nonlinearity")
+    r = grid.r
+    nr, k = r.size, len(params_list)
+    dr, dt = grid.dr, grid.dt
+    n, p, mode = first.n, first.p, first.nonlinearity
+    V = potential(r, first.mu, first.beta)
+    c = (n - 1.0) / r[1:]
     n_steps = grid.n_steps
 
     # implicit-damping update: u+ = (A*u - B*u_prev + lap + N + F) / D
@@ -140,218 +176,187 @@ def run(params: ModelParams, grid: RadialGrid, *,
             idx = int(round(ts / dt))
             if 0 <= idx <= n_steps:
                 snap_steps.setdefault(idx, ts)
-    snapshots = []
-    energies = []
-
-    max_hist = np.empty(n_steps + 1)
-    max_hist[0] = np.max(np.abs(u0))
-    if 0 in snap_steps:
-        snapshots.append((0.0, u0.copy(), v0.copy()))
-    if energy_stride:
-        energies.append((0.0, energy_functional(u0, v0, dr, n)))
+    snapshots = [[] for _ in range(k)]
+    energies = [[] for _ in range(k)]
+    status, t_end, last = ["completed"] * k, [grid.t_max] * k, [n_steps] * k
+    support_violation = np.zeros(k)
+    max_hist = _fresh_zeros((k, n_steps + 1))
 
     def window(t):
         # active nodes: r <= t + 1 + 2dr, last node stays Dirichlet
         m = int(math.floor((t + 1.0 + 2.0 * dr) / dr + 1e-9)) + 1
         return min(m, nr - 1)
 
-    lap = np.empty(nr)
-    support_violation = 0.0
+    def check_support(block, t, ids):
+        if not enforce_support:
+            tail = np.max(np.abs(block[..., window(t):]), axis=-1)
+            seen = support_violation[ids]
+            support_violation[ids] = np.where(tail > seen, tail, seen)
+
+    # the data block; model data vanish for r >= 1, inside the first window
+    u_prev, v0 = _fresh_zeros((k, nr)), _fresh_zeros((k, nr))
+    ext = nr if initial is not None else window(0.0)
+    for i, q in enumerate(params_list):
+        if initial is None:
+            u0_i, v0_i = initial_data(q, r)
+        else:
+            u0_i, v0_i = (np.array(a, dtype=float) for a in initial[i])
+        max_hist[i, 0] = np.max(np.abs(u0_i))
+        if 0 in snap_steps:
+            snapshots[i].append((0.0, u0_i, v0_i))
+        if energy_stride:
+            energies[i].append((0.0, energy_functional(u0_i, v0_i, dr, n)))
+        u_prev[i, :ext], v0[i, :ext] = u0_i[:ext], v0_i[:ext]
 
     # Taylor start: u1 = u0 + dt*v0 + dt^2/2 * (lap - V*v0 + N + F)
-    m1 = window(dt) if enforce_support else nr - 1
-    _lap_prefix(u0, m1, dr, n, r, lap)
-    if mode == "power_u":
-        N0 = _nonlinearity_u(u0[:m1], p)
-    elif mode == "power_ut":
-        N0 = _nonlinearity_u(v0[:m1], p)
-    else:
-        N0 = 0.0
-    rhs0 = lap[:m1] - V[:m1] * v0[:m1] + N0
-    if forcing is not None:
-        rhs0 = rhs0 + forcing(0.0, r[:m1])
-    u1 = np.zeros(nr)
-    u1[:m1] = u0[:m1] + dt * v0[:m1] + 0.5 * dt * dt * rhs0
-    u1[nr - 1] = 0.0
-    if not enforce_support:
-        mb = window(dt)
-        support_violation = max(support_violation, float(np.max(np.abs(u1[mb:]))) if mb < nr else 0.0)
-
-    u_prev, u = u0, u1
-    status = "completed"
-    t_end = grid.t_max
-    max_hist[1] = np.max(np.abs(u1))
-    last_step = 1
+    u, u_next, lap_b, tmp_b = (_fresh_zeros((k, nr)) for _ in range(4))
+    m = window(dt) if enforce_support else nr - 1
+    _laplacian(u_prev, m, dr, n, c, lap_b, tmp_b)
+    lap, tmp, u1 = lap_b[:, :m], tmp_b[:, :m], u[:, :m]
+    np.multiply(V[:m], v0[:, :m], out=tmp)
+    lap -= tmp
+    _add_source(lap, lap, (u_prev if mode == "power_u" else v0)[:, :m], p,
+                mode, None if forcing is None else forcing(0.0, r[:m]), tmp)
+    np.multiply(v0[:, :m], dt, out=u1)
+    np.add(u_prev[:, :m], u1, out=u1)
+    lap *= 0.5 * dt * dt
+    u1 += lap
+    del v0
+    ids = np.arange(k)  # block row -> problem index
+    check_support(u, dt, ids)
+    np.abs(u1, out=tmp)
+    max_hist[:, 1] = tmp.max(axis=1)
 
     for step in range(1, n_steps):
         t = step * dt
         t_next = t + dt
         m = window(t_next) if enforce_support else nr - 1
-        _lap_prefix(u, m, dr, n, r, lap)
-
-        if mode == "power_u":
-            N = _nonlinearity_u(u[:m], p)
-        elif mode == "power_ut":
-            v_pred = (u[:m] - u_prev[:m]) / dt
-            N = _nonlinearity_u(v_pred, p)
-        else:
-            N = 0.0
-        rhs = A * u[:m] - B[:m] * u_prev[:m] + lap[:m] + N
-        if forcing is not None:
-            rhs = rhs + forcing(t, r[:m])
-        u_next = np.zeros(nr)
-        u_next[:m] = rhs / D[:m]
-
+        rows = 0 if ids.size == 1 else slice(0, ids.size)  # 1-d views are cheaper
+        _laplacian(u[rows], m, dr, n, c, lap_b[rows], tmp_b[rows])
+        lap, tmp = lap_b[rows, :m], tmp_b[rows, :m]
+        um, upm, un = u[rows, :m], u_prev[rows, :m], u_next[rows, :m]
+        F = None if forcing is None else forcing(t, r[:m])
+        np.multiply(um, A, out=un)
+        np.multiply(upm, B[:m], out=tmp)
+        un -= tmp
+        lap += un  # the rhs without N and F
         if mode == "power_ut":
-            # one corrector pass with the centered velocity
-            v_corr = (u_next[:m] - u_prev[:m]) / (2.0 * dt)
-            N = _nonlinearity_u(v_corr, p)
-            rhs = A * u[:m] - B[:m] * u_prev[:m] + lap[:m] + N
-            if forcing is not None:
-                rhs = rhs + forcing(t, r[:m])
-            u_next[:m] = rhs / D[:m]
-        u_next[nr - 1] = 0.0
+            # backward-difference predictor, then one corrector pass with
+            # the centered velocity
+            np.subtract(um, upm, out=tmp)
+            tmp /= dt
+            _add_source(un, lap, tmp, p, mode, F, tmp)
+            un /= D[:m]
+            np.subtract(un, upm, out=tmp)
+            tmp /= 2.0 * dt
+        _add_source(un, lap, um if mode == "power_u" else tmp, p, mode, F, tmp)
+        un /= D[:m]
+        check_support(u_next[rows], t_next, ids)
 
-        if not enforce_support:
-            mb = window(t_next)
-            if mb < nr:
-                tail = float(np.max(np.abs(u_next[mb:])))
-                support_violation = max(support_violation, tail)
+        want_energy = energy_stride and step % energy_stride == 0
+        if step in snap_steps or want_energy:
+            for j, i in enumerate(ids):
+                v_c = (u_next[j] - u_prev[j]) / (2.0 * dt)
+                if step in snap_steps:
+                    snapshots[i].append((t, u[j].copy(), v_c))
+                if want_energy:
+                    energies[i].append((t, energy_functional(u[j], v_c, dr, n)))
 
-        if step in snap_steps:
-            v_c = (u_next - u_prev) / (2.0 * dt)
-            snapshots.append((t, u.copy(), v_c))
-        if energy_stride and step % energy_stride == 0:
-            v_c = (u_next - u_prev) / (2.0 * dt)
-            energies.append((t, energy_functional(u, v_c, dr, n)))
+        np.abs(un, out=tmp)
+        mx = tmp.max(axis=-1)
+        max_hist[ids, step + 1] = mx
+        if not mx.max() <= threshold:  # NaN and inf fail this too
+            mx = mx.reshape(-1)
+            stop = ~(mx <= threshold)
+            for j in np.flatnonzero(stop):
+                i = ids[j]
+                status[i] = "blew_up" if np.isfinite(mx[j]) else "unstable"
+                t_end[i], last[i] = t_next, step + 1
+                if status[i] == "blew_up" and (step + 1) in snap_steps:
+                    snapshots[i].append((t_next, u_next[j].copy(),
+                                         (u_next[j] - u[j]) / dt))
+            ids = ids[~stop]
+            if ids.size == 0:
+                break
+            if stop[:ids.size].any():  # move the live rows up
+                u[:ids.size, :m] = um[~stop]
+                u_next[:ids.size, :m] = un[~stop]
+        if step == 1:
+            u_prev[:, m:ext] = 0.0  # the data block becomes a state buffer
+        u_prev, u, u_next = u, u_next, u_prev
 
-        mx = float(np.max(np.abs(u_next)))
-        max_hist[step + 1] = mx
-        last_step = step + 1
-        if not np.isfinite(mx):
-            status = "unstable"
-            t_end = t_next
-            break
-        if mx > threshold:
-            status = "blew_up"
-            t_end = t_next
-            if (step + 1) in snap_steps:
-                v_b = (u_next - u) / dt
-                snapshots.append((t_next, u_next.copy(), v_b))
-            break
-        u_prev, u = u, u_next
+    # rows that reached t_max; final snapshot with backward velocity
+    if n_steps in snap_steps and n_steps >= 1:
+        for j, i in enumerate(ids):
+            snapshots[i].append((n_steps * dt, u[j].copy(), (u[j] - u_prev[j]) / dt))
 
-    else:
-        # completed all steps; allow a final snapshot with backward velocity
-        if n_steps in snap_steps and n_steps >= 1:
-            v_b = (u - u_prev) / dt
-            snapshots.append((n_steps * dt, u.copy(), v_b))
-
-    return SolveOutcome(
-        status=status,
-        t_end=t_end,
-        max_abs_u=max_hist[:last_step + 1],
-        snapshots=snapshots,
-        params=params,
+    return [SolveOutcome(
+        status=status[i],
+        t_end=t_end[i],
+        max_abs_u=max_hist[i, :last[i] + 1],
+        snapshots=snapshots[i],
+        params=params_list[i],
         grid=grid,
         threshold=threshold,
-        support_violation=support_violation,
-        energy=np.array(energies) if energy_stride else None,
-    )
-
-
-def advance(state: WaveState, params: ModelParams, grid: RadialGrid,
-            forcing=None) -> WaveState:
-    """Single leapfrog step (Taylor start when state.u_prev is None)."""
-    r = grid.r
-    nr = r.size
-    dr, dt = grid.dr, grid.dt
-    n, p = params.n, params.p
-    V = potential(r, params.mu, params.beta)
-    lap = np.empty(nr)
-    m = nr - 1
-    _lap_prefix(state.u, m, dr, n, r, lap)
-    mode = params.nonlinearity
-
-    if state.u_prev is None:
-        v0 = state.v0
-        if mode == "power_u":
-            N = _nonlinearity_u(state.u[:m], p)
-        elif mode == "power_ut":
-            N = _nonlinearity_u(v0[:m], p)
-        else:
-            N = 0.0
-        rhs = lap[:m] - V[:m] * v0[:m] + N
-        if forcing is not None:
-            rhs = rhs + forcing(state.t, r[:m])
-        u_next = np.zeros(nr)
-        u_next[:m] = state.u[:m] + dt * v0[:m] + 0.5 * dt * dt * rhs
-        return WaveState(t=state.t + dt, u=u_next, u_prev=state.u.copy(), v0=None)
-
-    D = 1.0 / dt ** 2 + V / (2.0 * dt)
-    A = 2.0 / dt ** 2
-    B = 1.0 / dt ** 2 - V / (2.0 * dt)
-    if mode == "power_u":
-        N = _nonlinearity_u(state.u[:m], p)
-    elif mode == "power_ut":
-        N = _nonlinearity_u((state.u[:m] - state.u_prev[:m]) / dt, p)
-    else:
-        N = 0.0
-    rhs = A * state.u[:m] - B[:m] * state.u_prev[:m] + lap[:m] + N
-    if forcing is not None:
-        rhs = rhs + forcing(state.t, r[:m])
-    u_next = np.zeros(nr)
-    u_next[:m] = rhs / D[:m]
-    if mode == "power_ut":
-        v_corr = (u_next[:m] - state.u_prev[:m]) / (2.0 * dt)
-        rhs = A * state.u[:m] - B[:m] * state.u_prev[:m] + lap[:m] \
-            + _nonlinearity_u(v_corr, p)
-        if forcing is not None:
-            rhs = rhs + forcing(state.t, r[:m])
-        u_next[:m] = rhs / D[:m]
-    return WaveState(t=state.t + dt, u=u_next, u_prev=state.u.copy(), v0=None)
+        support_violation=float(support_violation[i]),
+        energy=np.array(energies[i]) if energy_stride else None,
+    ) for i in range(k)]
 
 
 # --- lifespan estimation ------------------------------------------------------
 
-def estimate_lifespan(params: ModelParams, *, t_max: float, dr: float,
-                      levels: int = 2, cfl: float = 0.5,
-                      threshold: float = 1e6) -> LifespanResult:
+def _blowup_times(params_list, grid: RadialGrid, threshold: float) -> list[float]:
+    """Blow-up time of each problem on one grid, NaN where it did not blow up."""
+    return [out.t_end if out.status == "blew_up" else math.nan
+            for out in run_block(params_list, grid, threshold=threshold)]
+
+
+def estimate_lifespans(params_list, *, t_max: float, dr: float,
+                       levels: int = 2, cfl: float = 0.5,
+                       threshold: float = 1e6,
+                       mapper=map) -> list[LifespanResult]:
     """Blow-up time at `levels` refinements of dr plus Richardson value.
 
-    The scheme is second order, so halving dr (with dt locked to it) gives
+    Each level runs all problems as one run_block; mapper(f, *iterables)
+    runs the levels (a process pool's map runs them in parallel).  The
+    scheme is second order, so halving dr (with dt locked to it) gives
     T* ~ T_fine + (T_fine - T_prev)/3.  censored: some level reached t_max
     without blow-up.  unreliable: consecutive levels moved by > 20%.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    drs, Ts = [], []
-    censored = False
-    for lev in range(levels):
-        dr_l = dr / 2 ** lev
-        grid = build_grid(t_max, dr_l, cfl)
-        out = run(params, grid, threshold=threshold)
-        drs.append(dr_l)
-        if out.status == "blew_up":
-            Ts.append(out.t_end)
+    params_list = list(params_list)
+    drs = tuple(dr / 2 ** lev for lev in range(levels))
+    grids = [build_grid(t_max, dr_l, cfl) for dr_l in drs]
+    per_level = list(mapper(_blowup_times, [params_list] * levels, grids,
+                            [threshold] * levels))
+    results = []
+    for i, params in enumerate(params_list):
+        Ts = [T_level[i] for T_level in per_level]
+        censored = any(math.isnan(T) for T in Ts)
+        if censored or levels == 1:
+            T_ext = Ts[-1]
+            unc = math.nan
+            unreliable = censored and not all(math.isnan(T) for T in Ts)
         else:
-            Ts.append(math.nan)
-            censored = True
+            T_ext = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0
+            unc = abs(Ts[-1] - Ts[-2])
+            unreliable = any(
+                abs(Ts[i + 1] - Ts[i]) > 0.2 * abs(Ts[i + 1])
+                for i in range(levels - 1))
+        results.append(LifespanResult(
+            eps=params.eps, drs=drs, T_levels=tuple(Ts),
+            T_extrapolated=T_ext, uncertainty=unc,
+            censored=censored, unreliable=unreliable))
+    return results
 
-    if censored or levels == 1:
-        T_ext = Ts[-1]
-        unc = math.nan
-        unreliable = censored and not all(math.isnan(T) for T in Ts)
-    else:
-        T_ext = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0
-        unc = abs(Ts[-1] - Ts[-2])
-        unreliable = any(
-            abs(Ts[i + 1] - Ts[i]) > 0.2 * abs(Ts[i + 1])
-            for i in range(levels - 1))
-    return LifespanResult(
-        eps=params.eps, drs=tuple(drs), T_levels=tuple(Ts),
-        T_extrapolated=T_ext, uncertainty=unc,
-        censored=censored, unreliable=unreliable)
+
+def estimate_lifespan(params: ModelParams, *, t_max: float, dr: float,
+                      levels: int = 2, cfl: float = 0.5,
+                      threshold: float = 1e6) -> LifespanResult:
+    """estimate_lifespans for one problem."""
+    return estimate_lifespans([params], t_max=t_max, dr=dr, levels=levels,
+                              cfl=cfl, threshold=threshold)[0]
 
 
 # --- exact solution of the undamped 3d problem (oracle) -----------------------
@@ -452,14 +457,6 @@ class MmsReport:
     order: float
 
 
-def _mms_profile(r, k):
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = r < 1.0
-    out[inside] = (1.0 - r[inside] ** 2) ** k
-    return out
-
-
 def _mms_profile_lap(r, k, n):
     # Lap of (1-r^2)^k:  -2kn(1-r^2)^(k-1) + 4k(k-1)r^2(1-r^2)^(k-2)
     r = np.asarray(r, dtype=float)
@@ -496,7 +493,7 @@ def mms_order(case: str, drs=(0.02, 0.01, 0.005), t_final: float = 1.0,
     mode = params.nonlinearity
 
     def forcing(t, r):
-        B = _mms_profile(r, k)
+        B = bump(r, k, 1.0)
         lapB = _mms_profile_lap(r, k, n)
         V = potential(r, params.mu, params.beta)
         base = math.exp(-t) * (B - lapB - V * B)
@@ -507,12 +504,12 @@ def mms_order(case: str, drs=(0.02, 0.01, 0.005), t_final: float = 1.0,
     errors = []
     for dr in drs:
         grid = build_grid(t_final, dr, cfl)
-        B = _mms_profile(grid.r, k)
+        B = bump(grid.r, k, 1.0)
         out = run(params, grid, initial=(B, -B), forcing=forcing,
                   enforce_support=False, threshold=1e12,
                   snapshot_times=[t_final])
         t_s, u_s, _ = out.snapshots[-1]
-        exact = math.exp(-t_s) * _mms_profile(grid.r, k)
+        exact = math.exp(-t_s) * bump(grid.r, k, 1.0)
         errors.append(float(np.max(np.abs(u_s - exact))))
 
     slope = np.polyfit(np.log(drs), np.log(errors), 1)[0]

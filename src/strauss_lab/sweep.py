@@ -1,8 +1,9 @@
 """Parallel lifespan sweeps, scaling-law fits and deterministic CSV/SVG output.
 
-A sweep runs estimate_lifespan over a geometric eps grid.  Every run is a pure
-function of (config, eps), so the table is identical no matter how many worker
-processes computed it; the writer collects results in input order.
+A sweep runs estimate_lifespans over a geometric eps grid: each refinement
+level advances all eps as one solver block.  Every row is a pure function of
+(config, eps, level), so the table is identical no matter how many worker
+processes computed the levels; results come back in eps order.
 
 fit_powerlaw regresses log T on log(1/eps) and compares the slope with the
 exponent of the proved polynomial bound.  Critical and supercritical cases
@@ -26,7 +27,7 @@ import numpy as np
 
 from .exponents import TheoryBound, theory_lifespan
 from .model import RunConfig
-from .solver import LifespanResult, estimate_lifespan
+from .solver import LifespanResult, estimate_lifespans
 
 FIT_MIN_POINTS = 4
 SWEEP_HEADER = ("eps", "T", "uncertainty", "censored", "unreliable")
@@ -98,21 +99,21 @@ class SweepSpec:
         return np.geomspace(self.eps_min, self.eps_max, self.eps_count)
 
 
-def _lifespan_task(args) -> LifespanResult:
-    config, eps = args
-    params = replace(config, eps=eps).model_params()
-    return estimate_lifespan(params, t_max=config.t_max, dr=config.dr,
-                             levels=config.refine_levels, cfl=config.cfl,
-                             threshold=config.u_threshold)
-
-
 def run_sweep(spec: SweepSpec) -> list[LifespanResult]:
-    """One LifespanResult per eps, in grid order, worker-count independent."""
-    tasks = [(spec.config, float(eps)) for eps in spec.eps_grid]
-    if spec.jobs == 1:
-        return [_lifespan_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-        return list(pool.map(_lifespan_task, tasks))
+    """One LifespanResult per eps, in grid order, worker-count independent.
+
+    Each refinement level runs every eps as one solver block; with jobs > 1
+    the levels run in worker processes.
+    """
+    cfg = spec.config
+    params = [replace(cfg, eps=float(eps)).model_params() for eps in spec.eps_grid]
+    kw = dict(t_max=cfg.t_max, dr=cfg.dr, levels=cfg.refine_levels,
+              cfl=cfg.cfl, threshold=cfg.u_threshold)
+    workers = min(spec.jobs, cfg.refine_levels)
+    if workers <= 1:
+        return estimate_lifespans(params, **kw)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return estimate_lifespans(params, mapper=pool.map, **kw)
 
 
 def sweep_rows(results: list[LifespanResult]) -> list[tuple]:

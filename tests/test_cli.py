@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from strauss_lab.cli import _read_solution_csv, main
-from strauss_lab.sweep import write_csv
+from strauss_lab.cli import _read_solution_csv, _write_solution_csv, main
+from strauss_lab.sweep import csv_text, write_csv
 
 P_STRAUSS3 = "2.414213562373095"
 
@@ -275,6 +275,22 @@ def test_solution_csv_time_order(tmp_path):
     for a, b in zip(ref, got):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(got[2][:, 1], [1.0, 1.5, 2.0])  # u = t + 10 r
+
+
+def test_snapshot_csv_matches_csv_text(tmp_path):
+    r = np.linspace(0.0, 0.4, 5)
+    snapshots = [
+        (0.0, np.array([1.0, 0.1, -0.0, 1e-300, 0.0]), np.zeros(5)),
+        (0.25, np.array([np.nan, 2.5, np.inf, -np.inf, 1.0 / 3.0]),
+         np.array([0.5, np.nan, -1e20, 7.0, -np.nan])),
+    ]
+    rows = [(t, r[j], u[j], ut[j]) for t, u, ut in snapshots
+            for j in range(r.size)]
+    path = tmp_path / "sol.csv"
+    _write_solution_csv(str(path), r, snapshots)
+    text = csv_text(("t", "r", "u", "ut"), rows)
+    assert "NaN" in text and "inf" in text
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_verify_mismatched_r_blocks(tmp_path, capsys):

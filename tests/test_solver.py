@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from strauss_lab.model import ModelParams, build_grid
 from strauss_lab.solver import (energy_functional, estimate_lifespan,
                                 exact_undamped_radial3d, mms_order,
-                                radial_laplacian, run)
+                                radial_laplacian, run, run_block)
 
 
 def _oracle_params(**kw):
@@ -159,3 +160,67 @@ def test_lifespan_censored():
     res = estimate_lifespan(params, t_max=3.0, dr=0.05, levels=1)
     assert res.censored
     assert math.isnan(res.T_extrapolated)
+
+
+# --- block runs -------------------------------------------------------------------
+
+def _assert_same_outcome(a, b):
+    assert a.status == b.status and a.t_end == b.t_end
+    assert np.array_equal(a.max_abs_u, b.max_abs_u)
+    assert a.support_violation == b.support_violation
+    assert len(a.snapshots) == len(b.snapshots)
+    for (ta, ua, va), (tb, ub, vb) in zip(a.snapshots, b.snapshots):
+        assert ta == tb and np.array_equal(ua, ub) and np.array_equal(va, vb)
+    assert (a.energy is None) == (b.energy is None)
+    if a.energy is not None:
+        assert np.array_equal(a.energy, b.energy)
+
+
+@pytest.mark.parametrize("mode, p, amp, eps, statuses", [
+    # rows blow up at different steps; the first rows leave the block first
+    ("power_u", 2.0, 20.0, (1.0, 0.7, 0.5), ("blew_up",) * 3),
+    ("power_ut", 1.5, 2.0, (3.0, 2.0, 2.5), ("blew_up",) * 3),
+    # the middle row is censored at t_max
+    ("power_u", 2.2, 20.0, (0.7, 0.05, 1.0), ("blew_up", "completed", "blew_up")),
+])
+def test_block_rows_match_single_runs(mode, p, amp, eps, statuses):
+    grid = build_grid(6.0, 0.04)
+    base = ModelParams(n=3, p=p, mu=1.0, beta=3.0, nonlinearity=mode,
+                       f_amp=amp, g_amp=amp)
+    params = [replace(base, eps=e) for e in eps]
+    # a snapshot every step catches the blow-up and the final snapshots
+    kw = dict(threshold=1e4, energy_stride=7,
+              snapshot_times=grid.dt * np.arange(grid.n_steps + 1))
+    block = run_block(params, grid, **kw)
+    assert tuple(out.status for out in block) == statuses
+    assert len({out.t_end for out in block}) == len(eps)
+    for q, out in zip(params, block):
+        _assert_same_outcome(out, run(q, grid, **kw))
+
+
+def test_block_without_support_enforcement():
+    grid = build_grid(3.0, 0.05)
+    params = [_oracle_params(mu=1.0, eps=e) for e in (1.0, 0.3)]
+    block = run_block(params, grid, enforce_support=False, energy_stride=5,
+                      snapshot_times=[0.0, 1.5, 3.0])
+    assert block[0].support_violation > 0.0
+    for q, out in zip(params, block):
+        _assert_same_outcome(out, run(q, grid, enforce_support=False,
+                                      energy_stride=5,
+                                      snapshot_times=[0.0, 1.5, 3.0]))
+
+
+def test_block_rejects_mixed_problems():
+    grid = build_grid(1.0, 0.1)
+    with pytest.raises(ValueError):
+        run_block([ModelParams(p=2.0), ModelParams(p=3.0)], grid)
+
+
+def test_wide_initial_data_cut_to_window():
+    # data reaching past the first active window are cut like the scheme's tail
+    grid = build_grid(1.0, 0.05)
+    u0 = (1.0 - np.minimum(grid.r / 2.0, 1.0) ** 2) ** 4
+    out = run(_oracle_params(), grid, initial=(u0, 0.0 * u0),
+              snapshot_times=grid.dt * np.arange(1, grid.n_steps + 1))
+    for t_s, u_s, _ in out.snapshots:
+        assert np.all(u_s[grid.r > t_s + 1.0 + 2.0 * grid.dr] == 0.0)

@@ -1,6 +1,7 @@
 """Sweep orchestration, CSV cells, power-law fits, and SVG plots."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -90,6 +91,27 @@ def test_run_sweep_worker_count_invariant():
     T = [r.T_extrapolated for r in res1]
     assert all(not r.censored for r in res1)
     assert all(a > b for a, b in zip(T, T[1:]))  # larger eps dies sooner
+
+
+# SHA-256 of the sweep CSV text, computed with the per-eps solver loop that
+# preceded the block solver; the rows must not change by a bit
+@pytest.mark.parametrize("config, eps_min, eps_max, count, digest", [
+    (dict(mu=0.0, p=2.2, f_amp=20.0, g_amp=20.0, t_max=8.0, dr=0.04),
+     0.5, 1.0, 4,
+     "4e44275006f07bb2216f37aa8222362673970730b4fdcaab571b212829726204"),
+    (dict(p=1.5, nonlinearity="power_ut", f_amp=2.0, g_amp=2.0, t_max=12.0,
+          dr=0.04), 0.6, 1.5, 4,
+     "e7deb07ab812147936752f789a71736ce3842e2d95e079d177a2692fe5cebbac"),
+    (dict(p=2.0, f_amp=20.0, g_amp=20.0, t_max=4.0, dr=0.04,
+          refine_levels=3), 0.3, 1.0, 5,
+     "e66599130a71847e6de6055cb82807d042d2c00b22cde12aa2220e0ac6ce72c6"),
+])
+def test_sweep_csv_pinned(config, eps_min, eps_max, count, digest):
+    cfg = RunConfig(**{"mu": 1.0, "beta": 3.0, **config})
+    spec = SweepSpec(config=cfg, eps_min=eps_min, eps_max=eps_max,
+                     eps_count=count)
+    text = csv_text(SWEEP_HEADER, sweep_rows(run_sweep(spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_sweep_rows_censored_to_nan():
