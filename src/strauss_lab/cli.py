@@ -76,9 +76,14 @@ def resolve_config(args) -> RunConfig:
             f"nonlinearity must be one of {NONLINEARITIES}, "
             f"got {overrides['nonlinearity']!r}")
     try:
-        return replace(cfg, **overrides)
+        cfg = replace(cfg, **overrides)
+        cfg.model_params()  # a bad value is a usage error here, not a
+        cfg.grid()          # traceback in the command
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.refine_levels < 1:
+        raise ConfigError(f"refine_levels must be >= 1, got {cfg.refine_levels}")
+    return cfg
 
 
 def _float_list(raw: str, what: str) -> list[float]:
@@ -162,8 +167,11 @@ def cmd_lifespan(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    spec = SweepSpec(config=cfg, eps_min=args.eps_min, eps_max=args.eps_max,
-                     eps_count=args.eps_count, jobs=jobs)
+    try:
+        spec = SweepSpec(config=cfg, eps_min=args.eps_min, eps_max=args.eps_max,
+                         eps_count=args.eps_count, jobs=jobs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     results = run_sweep(spec)
     write_csv(args.out, SWEEP_HEADER, sweep_rows(results))
     for res in results:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -207,6 +208,34 @@ class SolutionSamples:
     def p_conj(self) -> float:
         return self.params.p / (self.params.p - 1.0)
 
+    # inputs that several checks share, computed on first use; read-only,
+    # since every check gets the same arrays.  |u|^p itself is not kept: it
+    # would add a whole (t, r) array to the b_q build's memory peak
+
+    @cached_property
+    def phi(self) -> tuple[np.ndarray, np.ndarray]:
+        """phi_profile (phi, phi') on the sample radii."""
+        return tuple(_read_only(a) for a in phi_profile(self.params, self.r))
+
+    @cached_property
+    def u_pow_mass(self) -> np.ndarray:
+        """int |u|^p dx at each sample time (checks 3.4, 3.16)."""
+        rw = sphere_area(self.params.n) * self.r ** (self.params.n - 1)
+        return _read_only(np.trapezoid(np.abs(self.u) ** self.params.p * rw,
+                                       self.r, axis=1))
+
+    @cached_property
+    def bq_u_pow(self) -> np.ndarray:
+        """b_q |u|^p with q = (n-1)/2 - 1/p (checks 4.9, 4.15)."""
+        n, p = self.params.n, self.params.p
+        table = build_bq((n - 1.0) / 2.0 - 1.0 / p, self.params, self.t, self.r)
+        return _read_only(table.values * np.abs(self.u) ** p)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 def samples_from_outcome(outcome) -> SolutionSamples:
     """Stack a solver outcome's snapshots into a SolutionSamples."""
@@ -250,7 +279,7 @@ def data_constants(samples: SolutionSamples,
     u0, v0 = initial_data(params, r)
     f, g = u0 / params.eps, v0 / params.eps
     if phi is None:
-        phi, _ = phi_profile(params, r)
+        phi, _ = samples.phi
     V = potential(r, params.mu, params.beta)
     rw = sphere_area(params.n) * r ** (params.n - 1)
     C1 = float(np.trapezoid((g + V * f) * rw, r))
@@ -302,7 +331,7 @@ def weak_residual(samples: SolutionSamples, test_kind: str, T: float,
         Psi_r = np.zeros_like(samples.u)
     else:
         if phi is None:
-            phi, phi_prime = phi_profile(params, r)
+            phi, phi_prime = samples.phi
         elif phi_prime is None:
             raise ValueError("phi_prime must accompany phi")
         emt = np.exp(-t)
@@ -412,12 +441,11 @@ def inequality_check(samples: SolutionSamples, which: str,
     grid = np.asarray(grid, dtype=float)
     if grid[-1] > t[-1] + 1e-12:
         raise ValueError("grid exceeds the stored trajectory")
-    rw = sphere_area(n) * r ** (n - 1)
 
     if which in ("ineq_3_4", "ineq_3_16"):
         if params.nonlinearity != "power_u":
             raise CheckNotApplicable(f"{which} applies to power_u runs")
-        w_t = np.trapezoid(np.abs(samples.u) ** p * rw, r, axis=1)
+        w_t = samples.u_pow_mass
         C1, C2 = data_constants(samples)
         if which == "ineq_3_4":
             if p <= n / (n - 1.0):
@@ -433,10 +461,7 @@ def inequality_check(samples: SolutionSamples, which: str,
     if which in ("ineq_4_9", "ineq_4_15"):
         if params.nonlinearity != "power_u":
             raise CheckNotApplicable(f"{which} applies to power_u runs")
-        q = (n - 1.0) / 2.0 - 1.0 / p
-        table = build_bq(q, params, t, r)
-        series = y_series(table.values * np.abs(samples.u) ** p, t, r, n,
-                          p_conj, grid)
+        series = y_series(samples.bq_u_pow, t, r, n, p_conj, grid)
         if which == "ineq_4_9":
             lhs = grid * series.dY_direct
             rhs = np.full_like(grid, eps**p)
@@ -445,7 +470,7 @@ def inequality_check(samples: SolutionSamples, which: str,
             rhs = series.Y_values ** p
         return RatioSeries(which=which, grid=grid, lhs=lhs, rhs=rhs)
 
-    phi, _ = phi_profile(params, r)
+    phi, _ = samples.phi
     Phi = np.exp(-t)[:, None] * phi[None, :]
     if which == "ineq_5_1":
         pp = 2.0 * p_conj

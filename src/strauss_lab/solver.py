@@ -17,6 +17,13 @@ solution away from it.
 N(u) = |u|^p, or |u_t|^p with a backward-difference predictor and one centered
 corrector pass, or zero.
 
+Each step runs in folded form, u+_i = P_i u_{i+1} + C_i u_i + M_i u_{i-1}
+- Bd_i u-_i + (N_i + F_i)/D_i with D = 1/dt^2 + V/(2dt): the stencil, the
+damping and 1/D sit in per-node coefficients built once per run (the origin
+rule in P_0 and C_0, M_0 = 0).  It is the scheme above in another order of
+operations: u agrees with the unfolded update to round-off (tests pin it at
+1e-11 relative).
+
 The raw stencil widens discrete support by one node per step, i.e. faster than
 the physical speed; the values it would place beyond r = t + 1 + 2dr are a
 spurious tail far below scheme accuracy.  run() zeroes that band each step
@@ -64,42 +71,19 @@ class LifespanResult:
 def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
     """Discrete radial Laplacian; last node uses a zero Dirichlet ghost."""
     nr = u.size
-    padded = np.append(u, 0.0)[None, :]
-    out = np.empty_like(padded)
-    _laplacian(padded, nr, dr, n, (n - 1.0) / (np.arange(1, nr) * dr), out,
-               np.empty_like(padded))
-    return out[0, :nr]
+    return _laplacian(np.append(u, 0.0), nr, dr, n,
+                      (n - 1.0) / (np.arange(1, nr) * dr))
 
 
-def _laplacian(u, m, dr, n, c, out, tmp):
-    """Laplacian of u (one row or a block of rows) on nodes 0..m-1 into
-    out[..., :m]; u[..., m] is the right neighbour, c = (n-1)/r[1:] and tmp
-    is scratch."""
+def _laplacian(u, m, dr, n, c):
+    """Laplacian of u (one row or a block of rows) on nodes 0..m-1; u[..., m]
+    is the right neighbour and c = (n-1)/r[1:]."""
     dr2 = dr * dr
-    out[..., 0] = 2.0 * n * (u[..., 1] - u[..., 0]) / dr2
     up, uc, um = u[..., 2:m + 1], u[..., 1:m], u[..., :m - 1]
-    lap, s = out[..., 1:m], tmp[..., 1:m]
-    np.multiply(uc, 2.0, out=lap)
-    np.subtract(up, lap, out=lap)
-    lap += um
-    lap /= dr2
-    np.subtract(up, um, out=s)
-    np.multiply(c[:m - 1], s, out=s)
-    s /= 2.0 * dr
-    lap += s
-
-
-def _add_source(out, base, x, p, mode, F, tmp):
-    """out = base + N (+ F): N = |x|^p with x = u or a u_t estimate, or the
-    scalar 0.0 when mode is "none"; F is the forcing or None."""
-    if mode == "none":
-        np.add(base, 0.0, out=out)
-    else:
-        np.abs(x, out=tmp)
-        tmp **= p
-        np.add(base, tmp, out=out)
-    if F is not None:
-        out += F
+    lap = np.empty(u.shape[:-1] + (m,))
+    lap[..., 0] = 2.0 * n * (u[..., 1] - u[..., 0]) / dr2
+    lap[..., 1:] = (up - uc * 2.0 + um) / dr2 + c[:m - 1] * (up - um) / (2.0 * dr)
+    return lap
 
 
 def _fresh_zeros(shape) -> np.ndarray:
@@ -165,10 +149,16 @@ def run_block(params_list, grid: RadialGrid, *,
     c = (n - 1.0) / r[1:]
     n_steps = grid.n_steps
 
-    # implicit-damping update: u+ = (A*u - B*u_prev + lap + N + F) / D
-    D = 1.0 / dt ** 2 + V / (2.0 * dt)
-    A = 2.0 / dt ** 2
-    B = 1.0 / dt ** 2 - V / (2.0 * dt)
+    # folded coefficients of u+ = P u[i+1] + C u[i] + M u[i-1] - Bd u_prev
+    # + (N + F) invD on nodes 0..nr-2; the origin rule has no u[i-1]
+    D = 1.0 / dt ** 2 + V[:-1] / (2.0 * dt)
+    Bd = (1.0 / dt ** 2 - V[:-1] / (2.0 * dt)) / D
+    P = np.append(2.0 * n / dr ** 2, 1.0 / dr ** 2 + c[:-1] / (2.0 * dr)) / D
+    C = (2.0 / dt ** 2 - np.append(2.0 * n, np.full(nr - 2, 2.0)) / dr ** 2) / D
+    M = np.append(0.0, 1.0 / dr ** 2 - c[:-1] / (2.0 * dr)) / D
+    invD = np.divide(1.0, D, out=D)
+    if mode == "power_ut":  # |u_t|^p from u differences: predictor, corrector
+        invD_pred, invD_corr = invD / dt ** p, invD / (2.0 * dt) ** p
 
     snap_steps = {}
     if snapshot_times is not None:
@@ -209,48 +199,65 @@ def run_block(params_list, grid: RadialGrid, *,
         u_prev[i, :ext], v0[i, :ext] = u0_i[:ext], v0_i[:ext]
 
     # Taylor start: u1 = u0 + dt*v0 + dt^2/2 * (lap - V*v0 + N + F)
-    u, u_next, lap_b, tmp_b = (_fresh_zeros((k, nr)) for _ in range(4))
+    u, u_next, lin_b, tmp_b = (_fresh_zeros((k, nr)) for _ in range(4))
     m = window(dt) if enforce_support else nr - 1
-    _laplacian(u_prev, m, dr, n, c, lap_b, tmp_b)
-    lap, tmp, u1 = lap_b[:, :m], tmp_b[:, :m], u[:, :m]
-    np.multiply(V[:m], v0[:, :m], out=tmp)
-    lap -= tmp
-    _add_source(lap, lap, (u_prev if mode == "power_u" else v0)[:, :m], p,
-                mode, None if forcing is None else forcing(0.0, r[:m]), tmp)
-    np.multiply(v0[:, :m], dt, out=u1)
-    np.add(u_prev[:, :m], u1, out=u1)
-    lap *= 0.5 * dt * dt
-    u1 += lap
+    lap = _laplacian(u_prev, m, dr, n, c) - V[:m] * v0[:, :m]
+    if mode != "none":
+        lap += np.abs((u_prev if mode == "power_u" else v0)[:, :m]) ** p
+    if forcing is not None:
+        lap += forcing(0.0, r[:m])
+    u[:, :m] = u_prev[:, :m] + v0[:, :m] * dt + lap * (0.5 * dt * dt)
     del v0
     ids = np.arange(k)  # block row -> problem index
     check_support(u, dt, ids)
-    np.abs(u1, out=tmp)
-    max_hist[:, 1] = tmp.max(axis=1)
+    max_hist[:, 1] = np.abs(u[:, :m]).max(axis=1)
 
+    def views(x):
+        # the live rows' nodes 0..m-1, their right and left neighbours, and
+        # nodes 1..m-1 (the ones with a left neighbour)
+        x = x[rows]
+        return x[..., :m], x[..., 1:m + 1], x[..., :m - 1], x[..., 1:m]
+
+    live = None  # (m, live rows) of the views and coefficient slices
     for step in range(1, n_steps):
         t = step * dt
         t_next = t + dt
         m = window(t_next) if enforce_support else nr - 1
-        rows = 0 if ids.size == 1 else slice(0, ids.size)  # 1-d views are cheaper
-        _laplacian(u[rows], m, dr, n, c, lap_b[rows], tmp_b[rows])
-        lap, tmp = lap_b[rows, :m], tmp_b[rows, :m]
-        um, upm, un = u[rows, :m], u_prev[rows, :m], u_next[rows, :m]
-        F = None if forcing is None else forcing(t, r[:m])
-        np.multiply(um, A, out=un)
-        np.multiply(upm, B[:m], out=tmp)
-        un -= tmp
-        lap += un  # the rhs without N and F
-        if mode == "power_ut":
+        if (m, ids.size) != live:
+            live = (m, ids.size)
+            rows = 0 if ids.size == 1 else slice(0, ids.size)  # 1-d views are cheaper
+            hist_rows = ids[0] if rows == 0 else ids
+            vp, vu, vn, (tmp, _, _, tmp1), (lin, _, _, lin1) = map(
+                views, (u_prev, u, u_next, tmp_b, lin_b))
+            Pm, Cm, Mm, Bm, Im = P[:m], C[:m], M[1:m], Bd[:m], invD[:m]
+            if mode == "power_ut":
+                Ipred, Icorr = invD_pred[:m], invD_corr[:m]
+        (um, ur, ul, _), (upm, *_), (un, _, _, un1) = vu, vp, vn
+        # power_ut keeps the part without N for its predictor and corrector
+        out, out1 = (lin, lin1) if mode == "power_ut" else (un, un1)
+        np.multiply(ur, Pm, out=out)
+        np.multiply(um, Cm, out=tmp)
+        out += tmp
+        np.multiply(ul, Mm, out=tmp1)
+        out1 += tmp1
+        np.multiply(upm, Bm, out=tmp)
+        out -= tmp
+        if forcing is not None:
+            out += forcing(t, r[:m]) * Im
+        if mode == "power_u":
+            np.abs(um, out=tmp)
+            tmp **= p
+            tmp *= Im
+            un += tmp
+        elif mode == "power_ut":
             # backward-difference predictor, then one corrector pass with
             # the centered velocity
-            np.subtract(um, upm, out=tmp)
-            tmp /= dt
-            _add_source(un, lap, tmp, p, mode, F, tmp)
-            un /= D[:m]
-            np.subtract(un, upm, out=tmp)
-            tmp /= 2.0 * dt
-        _add_source(un, lap, um if mode == "power_u" else tmp, p, mode, F, tmp)
-        un /= D[:m]
+            for x, scale in ((um, Ipred), (un, Icorr)):
+                np.subtract(x, upm, out=tmp)
+                np.abs(tmp, out=tmp)
+                tmp **= p
+                tmp *= scale
+                np.add(lin, tmp, out=un)
         check_support(u_next[rows], t_next, ids)
 
         want_energy = energy_stride and step % energy_stride == 0
@@ -264,8 +271,8 @@ def run_block(params_list, grid: RadialGrid, *,
 
         np.abs(un, out=tmp)
         mx = tmp.max(axis=-1)
-        max_hist[ids, step + 1] = mx
-        if not mx.max() <= threshold:  # NaN and inf fail this too
+        max_hist[hist_rows, step + 1] = mx
+        if not (mx if rows == 0 else mx.max()) <= threshold:  # NaN and inf fail this too
             mx = mx.reshape(-1)
             stop = ~(mx <= threshold)
             for j in np.flatnonzero(stop):
@@ -284,6 +291,7 @@ def run_block(params_list, grid: RadialGrid, *,
         if step == 1:
             u_prev[:, m:ext] = 0.0  # the data block becomes a state buffer
         u_prev, u, u_next = u, u_next, u_prev
+        vp, vu, vn = vu, vn, vp
 
     # rows that reached t_max; final snapshot with backward velocity
     if n_steps in snap_steps and n_steps >= 1:

@@ -94,6 +94,20 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["lifespan", "--refine-levels", "0", "--dr", "0.1"],
+    ["solve", "--p", "0.5", "--dr", "0.1"],
+    ["solve", "--dr", "-1"],
+    ["solve", "--cfl", "2", "--dr", "0.1"],
+    ["sweep", "--eps-min", "2", "--eps-max", "1", "--dr", "0.1"],
+    ["sweep", "--jobs", "0", "--dr", "0.1"],
+])
+def test_bad_values_exit_2(argv, tmp_path, capsys):
+    # a short coarse run, should a check be missed
+    assert main([*argv, "--t-max", "1", "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 # --- lifespan / sweep / fit -------------------------------------------------------
 
 def test_lifespan_cmd(tmp_path, capsys):
@@ -236,6 +250,40 @@ def test_verify_all_checks(crit_solution_csv, tmp_path, capsys):
                                               "5.1"}
     sign_rows = [row for row in rows if row["check"] == "5.1"]
     assert all(row["ratio"] == "NaN" for row in sign_rows)
+
+
+def test_verify_builds_shared_inputs_once(crit_solution_csv, tmp_path,
+                                          monkeypatch, capsys):
+    from strauss_lab import functionals, testfunc
+    calls = {"psi_hat_batch": [], "build_bq": []}
+
+    def counting(name, fn):
+        def wrapped(*args, **kw):
+            calls[name].append(tuple(
+                a.tobytes() if isinstance(a, np.ndarray) else a
+                for a in (*args, *sorted(kw.items()))))
+            return fn(*args, **kw)
+        return wrapped
+
+    for mod in (functionals, testfunc):
+        monkeypatch.setattr(mod, "psi_hat_batch",
+                            counting("psi_hat_batch", mod.psi_hat_batch))
+    monkeypatch.setattr(functionals, "build_bq",
+                        counting("build_bq", functionals.build_bq))
+    both = tmp_path / "all.csv"
+    assert main(["verify", "--solution", crit_solution_csv, *VERIFY_FLAGS,
+                 "--points", "8", "--out", str(both)]) == 0
+    for name, keys in calls.items():
+        assert keys and len(keys) == len(set(keys)), name
+    # a run of one check computes its inputs afresh: same rows, same bytes
+    rows = []
+    for tok in ("3.4", "3.16", "4.9", "4.15", "5.1"):
+        one = tmp_path / f"{tok}.csv"
+        assert main(["verify", "--solution", crit_solution_csv, *VERIFY_FLAGS,
+                     "--points", "8", "--checks", tok, "--out", str(one)]) == 0
+        rows += one.read_text().splitlines()[1:]
+    assert both.read_text().splitlines()[1:] == rows
+    capsys.readouterr()
 
 
 def test_verify_tight_tolerance_fails(crit_solution_csv, capsys):

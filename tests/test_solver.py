@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +161,45 @@ def test_lifespan_censored():
     res = estimate_lifespan(params, t_max=3.0, dr=0.05, levels=1)
     assert res.censored
     assert math.isnan(res.T_extrapolated)
+
+
+# --- the folded step against the unfolded arithmetic --------------------------------
+
+# u snapshots at t = 1, 2, 3 and max |u| over the first 90% of the steps,
+# recorded with the update evaluated unfolded, node by node, as
+# u+ = (2u/dt^2 - (1/dt^2 - V/(2dt)) u- + Lap_h(u) + N)/D
+UNFOLDED_RUNS = Path(__file__).parent / "data" / "unfolded_step.npz"
+
+
+@pytest.mark.parametrize("mode, p, amp, status, t_end", [
+    ("none", 2.0, 1.0, "completed", 6.0),
+    ("power_u", 2.0, 20.0, "blew_up", 5.85),
+    ("power_ut", 1.5, 1.0, "completed", 6.0),
+])
+def test_folded_step_matches_unfolded_arithmetic(mode, p, amp, status, t_end):
+    params = ModelParams(n=3, mu=1.0, beta=3.0, p=p, nonlinearity=mode,
+                         eps=0.5, f_amp=amp, g_amp=amp)
+    out = run(params, build_grid(6.0, 0.02), snapshot_times=[1.0, 2.0, 3.0])
+    assert out.status == status and out.t_end == t_end
+    with np.load(UNFOLDED_RUNS) as ref:
+        ref_u, ref_max = ref[f"{mode}_u"], ref[f"{mode}_max"]
+    assert [t for t, _, _ in out.snapshots] == [1.0, 2.0, 3.0]
+    # round-off is relative to the snapshot's scale, not to each node's value
+    u = np.stack([u for _, u, _ in out.snapshots])
+    err = np.max(np.abs(u - ref_u), axis=1)
+    assert np.all(err <= 1e-11 * np.max(np.abs(ref_u), axis=1))
+    np.testing.assert_allclose(out.max_abs_u[:ref_max.size], ref_max,
+                               rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("case, order", [
+    # observed with the unfolded arithmetic
+    ("linear", 2.012567359632484),
+    ("power_u", 2.012163282839351),
+    ("power_ut", 2.0100324880069564),
+])
+def test_mms_orders_match_unfolded_arithmetic(case, order):
+    assert mms_order(case).order == pytest.approx(order, abs=1e-6)
 
 
 # --- block runs -------------------------------------------------------------------
