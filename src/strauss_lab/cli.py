@@ -18,7 +18,7 @@ from .eigen import normalize, solve_psi
 from .exponents import critical_exponents, gamma, theory_lifespan
 from .functionals import (CheckNotApplicable, SolutionSamples,
                           inequality_check, ode_lemma_fit)
-from .model import ConfigError, NONLINEARITIES, RunConfig, load_config
+from .model import CONFIG_TYPES, ConfigError, RunConfig, load_config
 from .solver import estimate_lifespan, run
 from .sweep import (SweepSpec, default_jobs, emit_plot, fit_powerlaw,
                     fit_sweep, run_sweep, sweep_rows, write_csv, csv_text,
@@ -35,46 +35,21 @@ CHECK_TOKENS = {
     "5.11": "ineq_5_11",
 }
 
-_CONFIG_FLAGS = (
-    # (flag, dest/config key, type)
-    ("--n", "n", int),
-    ("--mu", "mu", float),
-    ("--beta", "beta", float),
-    ("--p", "p", float),
-    ("--nonlinearity", "nonlinearity", str),
-    ("--eps", "eps", float),
-    ("--data-k", "data_k", int),
-    ("--f-amp", "f_amp", float),
-    ("--g-amp", "g_amp", float),
-    ("--t-max", "t_max", float),
-    ("--dr", "dr", float),
-    ("--cfl", "cfl", float),
-    ("--u-threshold", "u_threshold", float),
-    ("--refine-levels", "refine_levels", int),
-)
-
 
 def _config_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--config", metavar="FILE",
                         help="flat key=value config file")
-    for flag, key, typ in _CONFIG_FLAGS:
-        parent.add_argument(flag, dest=key, type=typ, default=None,
-                            help=f"override config key {key}")
+    for key, typ in CONFIG_TYPES.items():
+        parent.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
+                            default=None, help=f"override config key {key}")
     return parent
 
 
 def resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for _, key, _typ in _CONFIG_FLAGS:
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    if "nonlinearity" in overrides and overrides["nonlinearity"] not in NONLINEARITIES:
-        raise ConfigError(
-            f"nonlinearity must be one of {NONLINEARITIES}, "
-            f"got {overrides['nonlinearity']!r}")
+    overrides = {key: val for key in CONFIG_TYPES
+                 if (val := getattr(args, key, None)) is not None}
     try:
         cfg = replace(cfg, **overrides)
         cfg.model_params()  # a bad value is a usage error here, not a
@@ -105,14 +80,13 @@ def cmd_exponents(args) -> int:
     mode = {"u": "power_u", "ut": "power_ut"}[args.mode] if args.mode else cfg.nonlinearity
     if mode == "none":
         mode = "power_u"
-    p = args.p if args.p is not None else cfg.p
-    bound = theory_lifespan(n, p, mode)
-    g = gamma(p, n)
+    bound = theory_lifespan(n, cfg.p, mode)
+    g = gamma(cfg.p, n)
     print(f"n            = {n}")
     print(f"p_strauss    = {exps.p_strauss:.15g}")
     print(f"p_fujita     = {exps.p_fujita:.15g}")
     print(f"p_glassey    = {exps.p_glassey:.15g}")
-    print(f"p            = {p:.15g}  ({mode})")
+    print(f"p            = {cfg.p:.15g}  ({mode})")
     print(f"gamma(p, n)  = {g:.15g}")
     if bound.kind == "polynomial":
         shape = f"T <= C eps^-{bound.exponent:.15g}"
@@ -142,7 +116,8 @@ def cmd_solve(args) -> int:
           f"max|u|={float(np.max(out.max_abs_u)):.6g} "
           f"snapshots={len(out.snapshots)}")
     if args.out:
-        _write_solution_csv(args.out, grid.r, out.snapshots)
+        write_csv(args.out, ("t", "r", "u", "ut"),
+                  ((t, grid.r, u, ut) for t, u, ut in out.snapshots))
     if args.summary:
         write_csv(args.summary,
                   ("eps", "status", "t_end", "dr", "dt", "threshold"),
@@ -197,6 +172,8 @@ def cmd_sweep(args) -> int:
 def _read_sweep_csv(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ConfigError(f"{path}: empty file")
     header = lines[0].split(",")
     idx = {name: header.index(name) for name in SWEEP_HEADER
            if name in header}
@@ -204,10 +181,16 @@ def _read_sweep_csv(path: str):
         if need not in idx:
             raise ConfigError(f"{path}: missing column {need!r}")
     rows = []
-    for ln in lines[1:]:
+    for k, ln in enumerate(lines[1:], start=1):
         cells = ln.split(",")
-        eps = float(cells[idx["eps"]])
-        T = float(cells[idx["T"]])
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}: row {k} has {len(cells)} cells, "
+                              f"header has {len(header)}")
+        try:
+            eps = float(cells[idx["eps"]])
+            T = float(cells[idx["T"]])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: row {k}: {exc}") from exc
         censored = cells[idx["censored"]] == "true" if "censored" in idx else False
         unreliable = cells[idx["unreliable"]] == "true" if "unreliable" in idx else False
         rows.append((eps, T, censored, unreliable))
@@ -257,8 +240,7 @@ def cmd_eigen(args) -> int:
             sol = normalize(solve_psi(eta, cfg.mu, cfg.beta, cfg.n, args.r_max))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for j in range(sol.r.size):
-            rows.append((eta, sol.r[j], sol.psi[j], sol.w[j], sol.lam))
+        rows.append((eta, sol.r, sol.psi, sol.w, sol.lam))
         print(f"eta={eta:.6g} lambda={sol.lam:.12g} sup|w|={float(np.max(np.abs(sol.w))):.6g}")
     if args.out:
         write_csv(args.out, ("eta", "r", "psi", "w", "lambda"), rows)
@@ -286,29 +268,17 @@ def cmd_bq(args) -> int:
         print(f"identity {name}: max residual {res:.3e} "
               f"{'pass' if ok else 'FAIL'} (threshold {args.threshold:g})")
     if args.out:
-        rows = []
-        for i in range(t_grid.size):
-            for j in range(r_grid.size):
-                rows.append((t_grid[i], r_grid[j], tq.values[i, j]))
-        write_csv(args.out, ("t", "r", "bq"), rows)
+        write_csv(args.out, ("t", "r", "bq"),
+                  ((t, r_grid, row) for t, row in zip(t_grid, tq.values)))
     return 1 if failed else 0
-
-
-def _write_solution_csv(path: str, r, snapshots) -> None:
-    """write_csv(path, ("t", "r", "u", "ut"), rows) for the snapshot blocks
-    [(t, u, u_t), ...] of a solve on the radii r, one format call per row."""
-    r_cells = ["%.17g" % x for x in r.tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,r,u,ut\n")
-        for t, u, ut in snapshots:
-            row = "%.17g" % t + ",%s,%.17g,%.17g\n"  # "%.17g" spells NaN "nan"
-            fh.write("".join(map(row.__mod__, zip(r_cells, u.tolist(), ut.tolist())))
-                     .replace("nan", "NaN"))
 
 
 def _read_solution_csv(path: str):
     """(t, r, u, ut) from a solve CSV of snapshot blocks, in time order."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if data.shape[1] != 4:
         raise ConfigError(f"{path}: expected 4 columns t,r,u,ut")
     nt = np.unique(data[:, 0]).size
@@ -342,16 +312,13 @@ def cmd_verify(args) -> int:
         except CheckNotApplicable as exc:
             print(f"check {tok}: skipped ({exc})")
             continue
+        ok = series.passed(args.spread_tol)
         if series.mode == "sign":
-            ok = bool(np.all(series.lhs >= 0.0))
             detail = f"min margin {float(series.lhs.min()):.3e} >= 0"
-            for g, lhs in zip(series.grid, series.lhs):
-                rows.append((tok, g, lhs, 0.0, math.nan))
+            rows.append((tok, series.grid, series.lhs, 0.0, math.nan))
         else:
-            ok = series.passed(args.spread_tol)
             detail = f"ratio spread {series.spread:.3g} <= {args.spread_tol:g}"
-            for g, lhs, rhs in zip(series.grid, series.lhs, series.rhs):
-                rows.append((tok, g, lhs, rhs, lhs / rhs))
+            rows.append((tok, series.grid, series.lhs, series.rhs, series.ratio))
         print(f"check {tok}: {'pass' if ok else 'FAIL'} ({detail})")
         if not ok:
             failed.append(tok)

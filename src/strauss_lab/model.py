@@ -11,7 +11,8 @@ beta is allowed for experiments but flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -176,8 +177,10 @@ class RunConfig:
         return build_grid(self.t_max, self.dr, self.cfl)
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"n", "data_k", "refine_levels"}
+# key -> type of every RunConfig field, in field order: the config-file keys
+# and the CLI's override flags
+CONFIG_TYPES = get_type_hints(RunConfig)
+_INT_KEYS = {key for key, typ in CONFIG_TYPES.items() if typ is int}
 
 
 def _convert(key: str, raw: str):
@@ -204,7 +207,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
+        if key not in CONFIG_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         updates[key] = _convert(key, raw)
     try:

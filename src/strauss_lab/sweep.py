@@ -13,8 +13,11 @@ meaningless number.
 
 CSV rules used everywhere: header row mandatory, floats at full round-trip
 precision (%.17g), NaN spelled literally, booleans as true/false, LF endings.
-SVG plots are assembled from strings only, so identical input gives identical
-bytes.
+write_csv is the one CSV writer.  A row may hold equal-length 1-d float arrays
+beside scalars: it stands for one line per array element, with its scalars
+repeated on every line, and gives the same bytes as those lines written as
+scalar rows.  SVG plots are assembled from strings only, so identical input
+gives identical bytes.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -46,18 +50,46 @@ def format_value(v) -> str:
     return str(v)
 
 
-def csv_text(header, rows) -> str:
-    lines = [",".join(header)]
+def _csv_chunks(header, rows):
+    """The header line, then the lines of each row as one string.
+
+    A row's lines come from one template in one % call.  An array goes in as
+    floats under "%.17g", or as format_value cells when it holds a NaN ("%.17g"
+    spells it "nan") or repeats its cell one row up, like r: cells are reused.
+    """
+    yield ",".join(header) + "\n"
+    last = {}  # cell index -> (dtype, bytes) of its array and that array's cells
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join(format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+        fields, cols = [], []
+        for k, v in enumerate(row):
+            if not (isinstance(v, np.ndarray) and v.ndim == 1):
+                fields.append(format_value(v).replace("%", "%%"))
+                continue
+            key = (v.dtype.str, v.tobytes())
+            seen, cells = last.get(k, (None, None))
+            if key != seen or cells is None:
+                cells = ([format_value(x) for x in v.tolist()]
+                         if key == seen or np.isnan(v).any() else None)
+            last[k] = (key, cells)
+            fields.append("%.17g" if cells is None else "%s")
+            cols.append(v.tolist() if cells is None else cells)
+        sizes = {len(c) for c in cols}
+        if len(sizes) > 1:
+            raise ValueError(f"array cells of different lengths {sorted(sizes)}")
+        lines = (",".join(fields) + "\n") * (sizes.pop() if sizes else 1)
+        yield lines % tuple(chain.from_iterable(zip(*cols)))
+
+
+def csv_text(header, rows) -> str:
+    return "".join(_csv_chunks(header, rows))
 
 
 def write_csv(path: str, header, rows) -> None:
+    """Write header and rows to path one row (block of lines) at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(header, rows))
+        fh.writelines(_csv_chunks(header, rows))
 
 
 # --- sweep --------------------------------------------------------------------

@@ -5,12 +5,16 @@ import csv
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from strauss_lab.cli import _read_solution_csv, _write_solution_csv, main
+from strauss_lab.cli import _read_solution_csv, build_parser, main, resolve_config
+from strauss_lab.eigen import normalize, solve_psi
+from strauss_lab.model import RunConfig
 from strauss_lab.sweep import csv_text, write_csv
+from strauss_lab.testfunc import build_bq
 
 P_STRAUSS3 = "2.414213562373095"
 
@@ -101,11 +105,42 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ["solve", "--cfl", "2", "--dr", "0.1"],
     ["sweep", "--eps-min", "2", "--eps-max", "1", "--dr", "0.1"],
     ["sweep", "--jobs", "0", "--dr", "0.1"],
+    ["solve", "--nonlinearity", "cubic", "--dr", "0.1"],
 ])
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     # a short coarse run, should a check be missed
     assert main([*argv, "--t-max", "1", "--out", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_every_config_key_has_a_flag(tmp_path):
+    # a value for every RunConfig field that differs from its default
+    other = dict(n=4, mu=2.0, beta=2.5, p=3.0, nonlinearity="power_ut",
+                 eps=0.25, data_k=5, f_amp=2.0, g_amp=3.0, t_max=5.0, dr=0.02,
+                 cfl=0.25, u_threshold=1e5, refine_levels=3)
+    assert list(other) == [f.name for f in fields(RunConfig)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {val}\n" for key, val in other.items()))
+    flags = [tok for f in fields(RunConfig)
+             for tok in ("--" + f.name.replace("_", "-"), str(f.default))]
+    args = build_parser().parse_args(["solve", "--config", str(cfg)])
+    assert resolve_config(args) == RunConfig(**other)
+    args = build_parser().parse_args(["solve", "--config", str(cfg), *flags])
+    assert resolve_config(args) == RunConfig()
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["fit", "--in"], "eps,T\n0.5,abc\n"),
+    (["fit", "--in"], "eps,uncertainty,T\n0.5,0.1\n"),
+    (["fit", "--in"], ""),
+    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n0,0,x,1\n"),
+], ids=["fit-non-numeric", "fit-short-row", "fit-empty", "verify-non-numeric"])
+def test_malformed_csv_exits_2(argv, text, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
 
 
 # --- lifespan / sweep / fit -------------------------------------------------------
@@ -199,6 +234,13 @@ def test_eigen_cmd(tmp_path, capsys):
     rows = _read_rows(out)
     assert set(rows[0]) == {"eta", "r", "psi", "w", "lambda"}
     assert len({row["eta"] for row in rows}) == 2
+    cells = []
+    for eta in (1.0, 2.0):
+        sol = normalize(solve_psi(eta, 1.0, 2.5, 3, 40.0))
+        cells += [(eta, sol.r[j], sol.psi[j], sol.w[j], sol.lam)
+                  for j in range(sol.r.size)]
+    assert out.read_bytes() == csv_text(("eta", "r", "psi", "w", "lambda"),
+                                        cells).encode()
 
 
 def test_eigen_guards_exit_2(capsys):
@@ -221,6 +263,12 @@ def test_bq_cmd(tmp_path, capsys):
     data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     assert data.shape[1] == 3
     assert np.all(data[:, 2] > 0.0)
+    t_grid = 1.0 + 0.05 * np.arange(101)
+    r_grid = 0.05 * np.arange(121)
+    tq = build_bq(1.0, RunConfig().model_params(), t_grid, r_grid, nodes=48)
+    cells = [(t, r, tq.values[i, j]) for i, t in enumerate(t_grid)
+             for j, r in enumerate(r_grid)]
+    assert out.read_bytes() == csv_text(("t", "r", "bq"), cells).encode()
 
 
 def test_bq_threshold_failure(capsys):
@@ -323,22 +371,6 @@ def test_solution_csv_time_order(tmp_path):
     for a, b in zip(ref, got):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(got[2][:, 1], [1.0, 1.5, 2.0])  # u = t + 10 r
-
-
-def test_snapshot_csv_matches_csv_text(tmp_path):
-    r = np.linspace(0.0, 0.4, 5)
-    snapshots = [
-        (0.0, np.array([1.0, 0.1, -0.0, 1e-300, 0.0]), np.zeros(5)),
-        (0.25, np.array([np.nan, 2.5, np.inf, -np.inf, 1.0 / 3.0]),
-         np.array([0.5, np.nan, -1e20, 7.0, -np.nan])),
-    ]
-    rows = [(t, r[j], u[j], ut[j]) for t, u, ut in snapshots
-            for j in range(r.size)]
-    path = tmp_path / "sol.csv"
-    _write_solution_csv(str(path), r, snapshots)
-    text = csv_text(("t", "r", "u", "ut"), rows)
-    assert "NaN" in text and "inf" in text
-    assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_verify_mismatched_r_blocks(tmp_path, capsys):

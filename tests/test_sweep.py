@@ -13,7 +13,7 @@ from strauss_lab.solver import LifespanResult
 from strauss_lab.sweep import (FIT_MIN_POINTS, SWEEP_HEADER, ScalingFit,
                                SweepSpec, csv_text, default_jobs, emit_plot,
                                fit_powerlaw, fit_sweep, format_value,
-                               run_sweep, sweep_rows)
+                               run_sweep, sweep_rows, write_csv)
 
 
 def _blowup_config(**kw):
@@ -45,6 +45,43 @@ def test_csv_text_shape():
     assert text.endswith("\n") and "\r" not in text
     with pytest.raises(ValueError):
         csv_text(("a", "b"), [(1.0,)])
+
+
+_R = np.linspace(0.0, 0.4, 5)
+_X = np.array([np.nan, -0.0, 1.5])
+ARRAY_ROWS = {
+    # solve snapshots (t, r, u, ut): r repeats, u and ut hold NaN, inf, -0.0
+    "snapshots": (("t", "r", "u", "ut"), [
+        (0.0, _R, np.array([1.0, 0.1, -0.0, 1e-300, 0.0]), np.zeros(5)),
+        (0.25, _R, np.array([np.nan, 2.5, np.inf, -np.inf, 1.0 / 3.0]),
+         np.array([0.5, np.nan, -1e20, 7.0, -np.nan])),
+    ]),
+    # str (with "nan" and "%"), bool and NaN scalars beside array columns;
+    # x repeats, then changes
+    "mixed": (("name", "flag", "missing", "x", "y"), [
+        ("banana nan 5%", True, math.nan, _X, np.array([1e-300, -np.inf, 2.0])),
+        ("nan", np.False_, np.float64(np.nan), _X, np.array([0.1, 0.2, np.nan])),
+        ("", 7, -0.0, _X + 1.0, _X),
+    ]),
+    "ragged": (("a", "b", "c"), [(1.0, np.zeros(2), np.zeros(3))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_ROWS))
+def test_write_csv_array_cells_match_csv_text(case, tmp_path):
+    header, rows = ARRAY_ROWS[case]
+    path = tmp_path / "out.csv"
+    if case == "ragged":
+        with pytest.raises(ValueError, match="different lengths"):
+            write_csv(str(path), header, rows)
+        return
+    size = next(v.size for v in rows[0] if isinstance(v, np.ndarray))
+    cells = [tuple(v[j] if isinstance(v, np.ndarray) else v for v in row)
+             for row in rows for j in range(size)]
+    text = csv_text(header, cells)
+    assert "NaN" in text and "inf" in text
+    write_csv(str(path), header, rows)
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_default_jobs(monkeypatch):
