@@ -16,24 +16,19 @@ import numpy as np
 
 from .eigen import normalize, solve_psi
 from .exponents import critical_exponents, gamma, theory_lifespan
-from .functionals import (CheckNotApplicable, SolutionSamples,
+from .functionals import (CHECK_NAMES, CheckNotApplicable, SolutionSamples,
                           inequality_check, ode_lemma_fit)
 from .model import CONFIG_TYPES, ConfigError, RunConfig, load_config
 from .solver import estimate_lifespan, run
-from .sweep import (SweepSpec, default_jobs, emit_plot, fit_powerlaw,
+from .sweep import (SweepSpec, emit_plot, fit_powerlaw,
                     fit_sweep, run_sweep, sweep_rows, write_csv, csv_text,
                     SWEEP_HEADER)
 from .testfunc import build_bq, verify_bq_identities
 
-# verify-subcommand tokens (external interface) -> internal check names
-CHECK_TOKENS = {
-    "3.4": "ineq_3_4",
-    "3.16": "ineq_3_16",
-    "4.9": "ineq_4_9",
-    "4.15": "ineq_4_15",
-    "5.1": "ineq_5_1",
-    "5.11": "ineq_5_11",
-}
+# verify-subcommand tokens (external interface) -> internal check names:
+# "3.4" -> "ineq_3_4"
+CHECK_TOKENS = {name.removeprefix("ineq_").replace("_", "."): name
+                for name in CHECK_NAMES}
 
 
 def _config_parent() -> argparse.ArgumentParser:
@@ -52,8 +47,7 @@ def resolve_config(args) -> RunConfig:
                  if (val := getattr(args, key, None)) is not None}
     try:
         cfg = replace(cfg, **overrides)
-        cfg.model_params()  # a bad value is a usage error here, not a
-        cfg.grid()          # traceback in the command
+        cfg.grid()  # a bad value is a usage error here, not a traceback
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.refine_levels < 1:
@@ -77,9 +71,7 @@ def cmd_exponents(args) -> int:
     cfg = resolve_config(args)
     n = cfg.n
     exps = critical_exponents(n)
-    mode = {"u": "power_u", "ut": "power_ut"}[args.mode] if args.mode else cfg.nonlinearity
-    if mode == "none":
-        mode = "power_u"
+    mode = "power_u" if cfg.nonlinearity == "none" else cfg.nonlinearity
     bound = theory_lifespan(n, cfg.p, mode)
     g = gamma(cfg.p, n)
     print(f"n            = {n}")
@@ -141,10 +133,9 @@ def cmd_lifespan(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     try:
         spec = SweepSpec(config=cfg, eps_min=args.eps_min, eps_max=args.eps_max,
-                         eps_count=args.eps_count, jobs=jobs)
+                         eps_count=args.eps_count, jobs=args.jobs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     results = run_sweep(spec)
@@ -251,15 +242,20 @@ def cmd_bq(args) -> int:
     cfg = resolve_config(args)
     q = args.q
     dt = args.dt if args.dt is not None else cfg.dr
+    if dt <= 0.0:
+        raise ConfigError(f"dt must be > 0, got {dt}")
     t_max = cfg.t_max
     r_max = args.r_max if args.r_max is not None else t_max
     t_grid = 1.0 + dt * np.arange(int(round((t_max - 1.0) / dt)) + 1)
     r_grid = cfg.dr * np.arange(int(round(r_max / cfg.dr)) + 1)
     params = cfg.model_params()
-    tq = build_bq(q, params, t_grid, r_grid, nodes=args.nodes)
-    tq1 = build_bq(q + 1.0, params, t_grid, r_grid, nodes=args.nodes)
-    tq2 = build_bq(q + 2.0, params, t_grid, r_grid, nodes=args.nodes)
-    rep = verify_bq_identities(tq, tq1, tq2)
+    try:
+        tq = build_bq(q, params, t_grid, r_grid, nodes=args.nodes)
+        tq1 = build_bq(q + 1.0, params, t_grid, r_grid, nodes=args.nodes)
+        tq2 = build_bq(q + 2.0, params, t_grid, r_grid, nodes=args.nodes)
+        rep = verify_bq_identities(tq, tq1, tq2)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     failed = False
     for name, res in (("dt", rep.res_dt), ("dtt", rep.res_dtt),
                       ("lap", rep.res_lap), ("wave", rep.res_wave)):
@@ -333,9 +329,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_odelemma(args) -> int:
-    deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_count)
-    result = ode_lemma_fit(args.p1, args.p2, K1=args.k1, K2=args.k2,
-                           delta_grid=deltas, cap=args.cap)
+    if args.delta_count < 2:
+        raise ConfigError(f"delta-count must be >= 2 to fit a slope, "
+                          f"got {args.delta_count}")
+    try:
+        deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_count)
+        result = ode_lemma_fit(args.p1, args.p2, K1=args.k1, K2=args.k2,
+                               delta_grid=deltas, cap=args.cap)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = []
     for d, logT in zip(result.delta_grid, result.logT_grid):
         try:
@@ -364,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exponents", parents=[parent],
                        help="critical exponents and proved bound shape")
-    p.add_argument("--mode", choices=("u", "ut"), default=None,
-                   help="nonlinearity landscape (default from config)")
     p.add_argument("--out", help="write the CSV row here")
     p.set_defaults(func=cmd_exponents)
 
@@ -385,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-min", type=float, default=0.2)
     p.add_argument("--eps-max", type=float, default=1.0)
     p.add_argument("--eps-count", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default STRAUSS_LAB_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--tolerance", type=float, default=0.3,
                    help="|slope - theory| tolerance for the verdict")
     p.add_argument("--out", required=True, help="sweep table CSV")
@@ -425,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[parent],
                        help="inequality checks along a stored solution")
     p.add_argument("--solution", required=True, help="snapshot CSV from solve")
-    p.add_argument("--checks", default="3.4,3.16,4.9,4.15,5.1,5.11",
-                   help="comma list out of 3.4,3.16,4.9,4.15,5.1,5.11")
+    p.add_argument("--checks", default=",".join(CHECK_TOKENS),
+                   help=f"comma list out of {','.join(CHECK_TOKENS)}")
     p.add_argument("--points", type=int, default=12,
                    help="number of T (or M) grid points per check")
     p.add_argument("--spread-tol", type=float, default=20.0)

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from .model import sphere_area
@@ -89,11 +88,6 @@ def varphi(eta, r, n: int, scaled: bool = False):
     if scaled:
         expo = expo - arg[..., None]
     return sphere_area(n - 1) * (np.exp(expo) @ weights)
-
-
-def varphi_family(etas, r: float, n: int, scaled: bool = False):
-    """varphi at one radius for many eta (same rule for the whole family)."""
-    return varphi(np.asarray(etas, dtype=float), r, n, scaled)
 
 
 def _rk4_propagate(etas, mu, beta, n, edges, every, s, sp):
@@ -281,28 +275,9 @@ def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
             edges.append(min(edges[-1] + min(1e-3 * edges[-1], 0.1), r_ref))
         s_ref = _rk4_propagate(etas, mu, beta, n, np.array(edges), 1,
                                *state)[0][-1]
-    phi_ref = varphi_family(etas, r_ref, n, scaled=True)
+    phi_ref = varphi(etas, r_ref, n, scaled=True)
     lam = s_ref / phi_ref
     return (psi.T / lam[:, None],
             psip.T / lam[:, None],
             lam)
 
-
-def lemma31_ratio(alpha: float, decay: float, t: float, R: float = 2.0) -> float:
-    """int_0^(t+R) (1+r)^alpha e^(-decay*(t-r)) dr / (t+R)^alpha.
-
-    The exponential weight concentrates the integral near r = t+R; bounded in
-    t for every fixed alpha, decay > 0.  Substituting x = t+R-r makes the
-    integrand decay from x = 0, which adaptive quadrature handles uniformly
-    in t.
-    """
-    if decay <= 0:
-        raise ValueError("decay must be > 0")
-    if t < 0 or t + R <= 0:
-        raise ValueError("need t >= 0 and t + R > 0")
-
-    def integrand(x):
-        return (1.0 + t + R - x) ** alpha * math.exp(decay * (R - x))
-
-    val, _ = quad(integrand, 0.0, t + R, limit=200)
-    return val / (t + R) ** alpha

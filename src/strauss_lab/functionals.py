@@ -1,7 +1,7 @@
-"""Cut-off families, the Y[w](M) functional, and solution-level checks.
+"""Cutoffs, the Y[w](M) functional, and solution-level checks.
 
-Everything here consumes immutable solution samples: the smooth-step cutoffs
-and their scalings, the layered functional Y[w](M) with its differentiation
+Everything here consumes immutable solution samples: the smooth-step cutoff
+and its falling half, the layered functional Y[w](M) with its differentiation
 identity, weak-form residuals of the space-time identity defining energy
 solutions, the inequality chain evaluated along blow-up runs, and the
 extremal-ODE scaling experiment behind the critical-case lifespan bounds.
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import brentq
 
 from .eigen import psi_hat_batch
 from .model import ModelParams, initial_data, potential, sphere_area
@@ -60,33 +58,10 @@ def cutoff(t):
     return eta, d1, d2
 
 
-class CutoffFamily:
-    """Stateless namespace for the cutoff family and its scalings."""
-
-    @staticmethod
-    def eta(t):
-        return cutoff(t)[0]
-
-    @staticmethod
-    def eta_T(t, T: float):
-        return cutoff(np.asarray(t, dtype=float) / T)[0]
-
-    @staticmethod
-    def theta(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= 0.5, cutoff(t)[0], 0.0)
-
-    @staticmethod
-    def theta_M(t, M: float):
-        return CutoffFamily.theta(np.asarray(t, dtype=float) / M)
-
-    @staticmethod
-    def measured_bounds(samples: int = 200001) -> dict[str, float]:
-        """Sampled sup of |eta'| and |eta''| on the transition interval."""
-        tt = np.linspace(0.5, 1.0, samples)
-        _, d1, d2 = cutoff(tt)
-        return {"sup_eta_prime": float(np.max(np.abs(d1))),
-                "sup_eta_double_prime": float(np.max(np.abs(d2)))}
+def theta(t):
+    """The cutoff's falling half: eta(t) for t >= 1/2, zero below."""
+    t = np.asarray(t, dtype=float)
+    return np.where(t >= 0.5, cutoff(t)[0], 0.0)
 
 
 # --- the Y functional --------------------------------------------------------
@@ -98,8 +73,8 @@ def _y_table(p_conj: float, resolution: int = 4097):
     key = (float(p_conj), resolution)
     if key not in _YTABLE_CACHE:
         s = np.linspace(0.5, 1.0, resolution)
-        integrand = CutoffFamily.theta(s) ** (2.0 * p_conj) / s
-        cum = np.concatenate(([0.0], cumulative_trapezoid(integrand, s)))
+        y = theta(s) ** (2.0 * p_conj) / s
+        cum = np.concatenate(([0.0], np.cumsum(np.diff(s) * (y[1:] + y[:-1]) / 2.0)))
         _YTABLE_CACHE[key] = (s, cum)
     return _YTABLE_CACHE[key]
 
@@ -153,7 +128,7 @@ def _theta_weighted(w_t: np.ndarray, t: np.ndarray, M: float,
     if cut >= t[-1]:
         return 0.0
     idx = int(np.searchsorted(t, cut, side="right"))
-    weight = CutoffFamily.theta(t[idx:] / M) ** (2.0 * p_conj)
+    weight = theta(t[idx:] / M) ** (2.0 * p_conj)
     t_sub = np.concatenate(([cut], t[idx:]))
     y_sub = np.concatenate(([np.interp(cut, t, w_t)], w_t[idx:] * weight))
     return float(np.trapezoid(y_sub, t_sub))
@@ -525,10 +500,10 @@ def ode_escape_logT(p1: float, p2: float, K1: float, K2: float, delta: float,
     second phase integrates d tau/d phi with RK4 on a log-phi ladder, plus
     the frozen-tau analytic tail beyond the cap.
     """
-    if delta <= 0.0 or K1 <= 0.0 or K2 <= 0.0:
-        raise ValueError("delta, K1, K2 must be positive")
-    if p2 >= p1 + 1.0:
-        raise ValueError("lemma hypothesis requires p2 < p1 + 1")
+    if delta <= 0.0 or K1 <= 0.0 or K2 <= 0.0 or cap <= 0.0:
+        raise ValueError("delta, K1, K2 and cap must be positive")
+    if not (p1 > 1.0 and p2 < p1 + 1.0):
+        raise ValueError("lemma hypothesis requires p1 > 1 and p2 < p1 + 1")
 
     def crossing_gap(tau):
         # log of (phi-branch slope / linear-branch slope) along phase 1
@@ -538,11 +513,18 @@ def ode_escape_logT(p1: float, p2: float, K1: float, K2: float, delta: float,
 
     lo = 1.0 + 1e-9
     hi = 4.0
+    if crossing_gap(lo) >= 0.0:
+        raise ValueError("delta too large: no slope crossing after t0")
     while crossing_gap(hi) < 0.0:
         hi *= 4.0
         if hi > 1e30:
             raise ArithmeticError("no slope crossing found")
-    tau_c = brentq(crossing_gap, lo, hi, xtol=1e-12, rtol=1e-14)
+    # the gap increases strictly in tau (p2 < p1 + 1): bisect to the last bit
+    while (tau_c := 0.5 * (lo + hi)) not in (lo, hi):
+        if crossing_gap(tau_c) < 0.0:
+            lo = tau_c
+        else:
+            hi = tau_c
     phi_c = delta * (tau_c - 1.0) / K1
 
     def dtau_dx(x, tau):

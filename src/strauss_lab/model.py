@@ -11,7 +11,7 @@ beta is allowed for experiments but flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -150,18 +150,10 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Flat key=value run configuration; unknown keys fail closed."""
+class RunConfig(ModelParams):
+    """Flat key=value run configuration: the model's fields (validated as in
+    ModelParams) and the numerics'; unknown keys fail closed."""
 
-    n: int = 3
-    mu: float = 1.0
-    beta: float = 3.0
-    p: float = 2.0
-    nonlinearity: str = "power_u"
-    eps: float = 0.5
-    data_k: int = 4
-    f_amp: float = 1.0
-    g_amp: float = 1.0
     t_max: float = 10.0
     dr: float = 0.01
     cfl: float = 0.5
@@ -169,9 +161,8 @@ class RunConfig:
     refine_levels: int = 2
 
     def model_params(self) -> ModelParams:
-        return ModelParams(n=self.n, mu=self.mu, beta=self.beta, p=self.p,
-                           nonlinearity=self.nonlinearity, eps=self.eps,
-                           data_k=self.data_k, f_amp=self.f_amp, g_amp=self.g_amp)
+        return ModelParams(**{f.name: getattr(self, f.name)
+                              for f in fields(ModelParams)})
 
     def grid(self) -> RadialGrid:
         return build_grid(self.t_max, self.dr, self.cfl)
@@ -180,20 +171,6 @@ class RunConfig:
 # key -> type of every RunConfig field, in field order: the config-file keys
 # and the CLI's override flags
 CONFIG_TYPES = get_type_hints(RunConfig)
-_INT_KEYS = {key for key, typ in CONFIG_TYPES.items() if typ is int}
-
-
-def _convert(key: str, raw: str):
-    if key == "nonlinearity":
-        if raw not in NONLINEARITIES:
-            raise ConfigError(f"nonlinearity must be one of {NONLINEARITIES}, got {raw!r}")
-        return raw
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -209,7 +186,10 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        updates[key] = _convert(key, raw)
+        try:
+            updates[key] = CONFIG_TYPES[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     try:
         return replace(cfg, **updates)
     except ValueError as exc:

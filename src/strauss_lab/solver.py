@@ -378,80 +378,31 @@ def exact_undamped_radial3d(params: ModelParams, r, t: float):
     """
     if params.n != 3 or params.mu != 0.0:
         raise ValueError("oracle requires n=3, mu=0")
-    eps, k = params.eps, params.data_k
-    fa, ga = params.f_amp, params.g_amp
+    k = params.data_k
+    A, B = params.eps * params.f_amp, params.eps * params.g_amp  # f = A b, g = B b
 
-    def F(s):
-        s = np.abs(s)
-        out = np.zeros_like(s)
-        inside = s < 1.0
-        out[inside] = eps * fa * (1.0 - s[inside] ** 2) ** k
-        return out
+    def jet(s):
+        # (b, b', b'') of the evenly extended bump b(s) = (1-s^2)^k_+
+        w = np.where(np.abs(s) < 1.0, 1.0 - s * s, 0.0)
+        return (w ** k, -2.0 * k * s * w ** (k - 1),
+                -2.0 * k * w ** (k - 1) + 4.0 * k * (k - 1) * s * s * w ** (k - 2))
 
-    def Fp(s):
-        sa = np.abs(s)
-        out = np.zeros_like(sa)
-        inside = sa < 1.0
-        out[inside] = -2.0 * k * sa[inside] * eps * fa * (1.0 - sa[inside] ** 2) ** (k - 1)
-        return out * np.sign(s)   # derivative of even F
-
-    def Fpp(s):
-        s = np.abs(s)
-        out = np.zeros_like(s)
-        inside = s < 1.0
-        si = s[inside]
-        out[inside] = eps * fa * (-2.0 * k * (1.0 - si ** 2) ** (k - 1)
-                                  + 4.0 * k * (k - 1) * si ** 2 * (1.0 - si ** 2) ** (k - 2))
-        return out
-
-    def G(s):
-        s = np.abs(s)
-        out = np.zeros_like(s)
-        inside = s < 1.0
-        out[inside] = eps * ga * (1.0 - s[inside] ** 2) ** k
-        return out
-
-    def Gp(s):
-        sa = np.abs(s)
-        out = np.zeros_like(sa)
-        inside = sa < 1.0
-        out[inside] = -2.0 * k * sa[inside] * eps * ga * (1.0 - sa[inside] ** 2) ** (k - 1)
-        return out * np.sign(s)
-
-    def V0e(s):
-        return s * F(s)             # odd
-
-    def V0e_p(s):
-        return F(s) + s * Fp(s)     # even
-
-    def V0e_pp(s):
-        return 2.0 * Fp(s) + s * Fpp(s)
-
-    def Wanti(s):
-        # even antiderivative of V1(s) = s*G(s):  closed form of the bump
-        sa = np.minimum(np.abs(s), 1.0)
-        return eps * ga * (1.0 - (1.0 - sa ** 2) ** (k + 1)) / (2.0 * (k + 1))
-
-    def V1(s):
-        return s * G(s)             # odd
-
-    def V1p(s):
-        return G(s) + s * Gp(s)
+    def anti(s):
+        # even antiderivative of s*b(s)
+        return (1.0 - (1.0 - np.minimum(np.abs(s), 1.0) ** 2) ** (k + 1)) / (2.0 * (k + 1))
 
     r = np.asarray(r, dtype=float)
-    a, b = r + t, r - t
-    v = 0.5 * (V0e(a) + V0e(b)) + 0.5 * (Wanti(a) - Wanti(b))
-    vt = 0.5 * (V0e_p(a) - V0e_p(b)) + 0.5 * (V1(a) + V1(b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(r > 0, v / np.where(r > 0, r, 1.0), 0.0)
-        ut = np.where(r > 0, vt / np.where(r > 0, r, 1.0), 0.0)
-    at_origin = r == 0.0
-    if np.any(at_origin):
-        ta = np.array([t])
-        u0 = V0e_p(ta) + V1(ta)
-        ut0 = V0e_pp(ta) + V1p(ta)
-        u = np.where(at_origin, u0[0], u)
-        ut = np.where(at_origin, ut0[0], ut)
+    sp, sm = r + t, r - t
+    (bp, bp1, _), (bm, bm1, _) = jet(sp), jet(sm)
+    # v = ((s f)(r+t) + (s f)(r-t))/2 + (W(r+t) - W(r-t))/2 with W' = s g
+    v = 0.5 * A * (sp * bp + sm * bm) + 0.5 * B * (anti(sp) - anti(sm))
+    vt = 0.5 * A * (bp + sp * bp1 - bm - sm * bm1) + 0.5 * B * (sp * bp + sm * bm)
+    rr = np.where(r > 0, r, 1.0)
+    u, ut = np.where(r > 0, v / rr, 0.0), np.where(r > 0, vt / rr, 0.0)
+    # on the axis u = v_r and u_t = v_rt
+    b0, b1, b2 = jet(np.float64(t))
+    u = np.where(r == 0.0, A * (b0 + t * b1) + B * t * b0, u)
+    ut = np.where(r == 0.0, A * (2.0 * b1 + t * b2) + B * (b0 + t * b1), ut)
     return u, ut
 
 

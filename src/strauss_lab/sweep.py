@@ -22,7 +22,6 @@ gives identical bytes.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -94,20 +93,6 @@ def write_csv(path: str, header, rows) -> None:
 
 # --- sweep --------------------------------------------------------------------
 
-def default_jobs() -> int:
-    """Worker count from STRAUSS_LAB_JOBS, else 1."""
-    raw = os.environ.get("STRAUSS_LAB_JOBS", "")
-    if not raw:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"STRAUSS_LAB_JOBS must be an integer, got {raw!r}") from exc
-    if jobs < 1:
-        raise ValueError(f"STRAUSS_LAB_JOBS must be >= 1, got {jobs}")
-    return jobs
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A lifespan sweep: base run configuration plus a geometric eps grid."""
@@ -157,9 +142,6 @@ def sweep_rows(results: list[LifespanResult]) -> list[tuple]:
 
 
 # --- power-law fit --------------------------------------------------------------
-
-VERDICTS = ("consistent", "inconsistent", "not_applicable")
-
 
 @dataclass(frozen=True)
 class ScalingFit:
@@ -231,13 +213,6 @@ _SVG_W, _SVG_H = 640, 480
 _ML, _MR, _MT, _MB = 72, 24, 40, 56  # margins
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, count)
-    return raw
-
-
 def _fmt(x: float) -> str:
     return "%.6g" % x
 
@@ -276,14 +251,14 @@ class _Canvas:
         self.parts.append(
             f'<rect x="{_ML}" y="{_MT}" width="{self.x1 - self.x0}" '
             f'height="{self.y0 - self.y1}" fill="none" stroke="black"/>\n')
-        for xv in _ticks(self.xlo, self.xhi):
+        for xv in np.linspace(self.xlo, self.xhi, 6):
             px = self.px(xv)
             self.parts.append(
                 f'<line x1="{px:.2f}" y1="{self.y0}" x2="{px:.2f}" '
                 f'y2="{self.y0 + 5}" stroke="black"/>\n'
                 f'<text x="{px:.2f}" y="{self.y0 + 20}" text-anchor="middle" '
                 f'font-family="monospace" font-size="11">{_fmt(xv)}</text>\n')
-        for yv in _ticks(self.ylo, self.yhi):
+        for yv in np.linspace(self.ylo, self.yhi, 6):
             py = self.py(yv)
             self.parts.append(
                 f'<line x1="{self.x0 - 5}" y1="{py:.2f}" x2="{self.x0}" '
@@ -323,7 +298,8 @@ class _Canvas:
         return "".join(self.parts) + "</svg>\n"
 
 
-def _fit_svg(fit: ScalingFit, title: str) -> str:
+def emit_plot(fit: ScalingFit, path: str, title: str = "lifespan scaling") -> None:
+    """Write a deterministic SVG of a ScalingFit: points, fit and theory lines."""
     if not fit.points:
         raise ValueError("cannot plot an empty fit")
     xs = [p[0] for p in fit.points]
@@ -339,34 +315,6 @@ def _fit_svg(fit: ScalingFit, title: str) -> str:
     cv.markers(xs, ys)
     cv.note(f"fit slope {_fmt(fit.slope)} (r2 {_fmt(fit.r_squared)})", 0)
     cv.note(f"theory slope {_fmt(fit.theory_exponent)} [{fit.verdict}]", 1)
-    return cv.finish()
-
-
-def _series_svg(grid, values, title: str, ylabel: str) -> str:
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid.size == 0:
-        raise ValueError("cannot plot an empty series")
-    finite = values[np.isfinite(values)]
-    log_y = (finite.size > 0 and np.all(finite > 0.0)
-             and float(finite.max() / finite.min()) > 100.0)
-    ys = np.log10(values) if log_y else values
-    label = f"log10({ylabel})" if log_y else ylabel
-    cv = _Canvas(title)
-    fy = ys[np.isfinite(ys)]
-    cv.set_limits(grid.min(), grid.max(), fy.min(), fy.max())
-    cv.axes("grid point", label)
-    cv.line(grid, ys, color="#1f6fb2")
-    cv.markers(grid, ys)
-    return cv.finish()
-
-
-def emit_plot(obj, path: str, title: str | None = None) -> None:
-    """Write a deterministic SVG for a ScalingFit or a (grid, values) series."""
-    if isinstance(obj, ScalingFit):
-        text = _fit_svg(obj, title or "lifespan scaling")
-    else:
-        grid, values = obj
-        text = _series_svg(grid, values, title or "ratio series", "ratio")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(cv.finish())
+

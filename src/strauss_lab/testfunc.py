@@ -96,13 +96,10 @@ class AsymptoticReport:
 
 
 def build_bq(q: float, params: ModelParams, t_grid, r_grid, R: float = 2.0,
-             nodes: int = DEFAULT_NODES, dr_ode: float = 1e-3,
-             psi_cache: np.ndarray | None = None) -> BqTable:
+             nodes: int = DEFAULT_NODES, dr_ode: float = 1e-3) -> BqTable:
     """Assemble a BqTable by eta-quadrature over normalized eigenfunctions.
 
     r_grid must be uniform starting at 0 (it doubles as the ODE output grid).
-    psi_cache short-circuits the eigenfunction solve when a table for the
-    same q and r_grid is being rebuilt (e.g. on a refined t_grid).
     """
     if q <= 0.0:
         raise ValueError("q must be positive")
@@ -110,14 +107,12 @@ def build_bq(q: float, params: ModelParams, t_grid, r_grid, R: float = 2.0,
         raise ValueError("shift constant R must exceed 1")
     t_grid = np.asarray(t_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid[0] != 0.0 or not np.allclose(np.diff(r_grid), r_grid[1], rtol=1e-12):
-        raise ValueError("r_grid must be uniform and start at 0")
+    if (r_grid.size < 2 or r_grid[0] != 0.0
+            or not np.allclose(np.diff(r_grid), r_grid[1], rtol=1e-12)):
+        raise ValueError("r_grid must be uniform, start at 0 and have >= 2 nodes")
     eta, w = eta_rule(q, nodes)
-    if psi_cache is None:
-        psi_cache, _, _ = psi_hat_batch(eta, params.mu, params.beta, params.n,
-                                        r_grid, dr=dr_ode)
-    elif psi_cache.shape != (nodes, r_grid.size):
-        raise ValueError("psi_cache shape does not match nodes x r_grid")
+    psi_cache, _, _ = psi_hat_batch(eta, params.mu, params.beta, params.n,
+                                    r_grid, dr=dr_ode)
     # b(t_i, r_j) = sum_k w_k e^{-eta_k t_i} psi_hat_k(r_j): one GEMM
     E = w * np.exp(-np.multiply.outer(t_grid, eta))
     values = E @ psi_cache
@@ -149,6 +144,9 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable,
     if not (math.isclose(tq1.q, tq.q + 1.0) and math.isclose(tq2.q, tq.q + 2.0)):
         raise ValueError("need tables for q, q+1, q+2")
     t, r = tq.t_grid, tq.r_grid
+    if t.size < 3 or r.size < 5:
+        raise ValueError(f"the grid has {t.size} times and {r.size} radii; "
+                         "the identities need >= 3 and >= 5")
     dt = float(t[1] - t[0])
     dr = float(r[1] - r[0])
     V = potential(r, tq.mu, tq.beta)

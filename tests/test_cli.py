@@ -54,7 +54,8 @@ def test_exponents_cmd(tmp_path, capsys):
 
 
 def test_exponents_mode_flag(capsys):
-    assert main(["exponents", "--n", "3", "--p", "2.0", "--mode", "ut"]) == 0
+    assert main(["exponents", "--n", "3", "--p", "2.0",
+                 "--nonlinearity", "power_ut"]) == 0
     text = capsys.readouterr().out
     assert "exponential" in text  # Glassey-critical in ut mode
 
@@ -271,6 +272,20 @@ def test_bq_cmd(tmp_path, capsys):
     assert out.read_bytes() == csv_text(("t", "r", "bq"), cells).encode()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--dt", "0"], ["--dt", "-0.1"], ["--r-max", "-1"], ["--t-max", "0.5"],
+    ["--nodes", "0"], ["--q", "0"], ["--q", "-1"],
+    ["--t-max", "1.1"],  # two table times: no interior row to check
+])
+def test_bq_bad_values_exit_2(flags, tmp_path, capsys):
+    # the last occurrence of a flag wins, so each case overrides a good run
+    argv = ["bq", "--q", "1", "--t-max", "2", "--dr", "0.1", "--nodes", "8",
+            "--out", str(tmp_path / "bq.csv")]
+    assert main([*argv, *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "bq.csv").exists()
+
+
 def test_bq_threshold_failure(capsys):
     rc = main(["bq", "--q", "1.0", "--t-max", "4", "--dr", "0.1",
                "--dt", "0.1", "--nodes", "32", "--threshold", "1e-9"])
@@ -405,7 +420,32 @@ def test_odelemma_tight_tolerance(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--p1", "2", "--p2", "3.5"],  # the lemma needs p2 < p1 + 1
+    ["--p1", "1", "--p2", "0.5"],  # ... and p1 > 1
+    ["--p1", "2", "--p2", "2", "--delta-min", "0"],
+    ["--p1", "2", "--p2", "2", "--k1", "0"],
+    ["--p1", "2", "--p2", "2", "--cap", "0"],
+    ["--p1", "2", "--p2", "2", "--delta-count", "1"],
+])
+def test_odelemma_bad_values_exit_2(flags, tmp_path, capsys):
+    out = tmp_path / "ode.csv"
+    assert main(["odelemma", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 # --- console entry -----------------------------------------------------------------
+
+def test_cli_import_loads_only_scipy_special():
+    code = ("import sys, strauss_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True)
+    loaded = proc.stdout
+    assert "'scipy.special'" in loaded
+    assert "scipy.integrate" not in loaded and "scipy.optimize" not in loaded
+
 
 def test_module_entrypoint_subprocess():
     proc = subprocess.run([sys.executable, "-m", "strauss_lab.cli",

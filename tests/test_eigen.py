@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from strauss_lab import eigen
-from strauss_lab.eigen import (lemma31_ratio, normalize, psi_hat_batch,
-                               solve_psi, varphi, varphi_family)
+from strauss_lab.eigen import normalize, psi_hat_batch, solve_psi, varphi
 from strauss_lab.functionals import phi_profile
 from strauss_lab.model import ModelParams, build_grid
 from strauss_lab.testfunc import eta_rule
@@ -44,7 +43,7 @@ def test_varphi_closed_form_n3():
 
 def test_varphi_family_matches_scalar():
     etas = np.array([0.25, 1.0, 2.0])
-    fam = varphi_family(etas, 5.0, 3, scaled=True)
+    fam = varphi(etas, 5.0, 3, scaled=True)
     for eta, val in zip(etas, fam):
         assert val == pytest.approx(float(varphi(eta, np.array([5.0]), 3,
                                                  scaled=True)[0]), rel=1e-12)
@@ -102,14 +101,6 @@ def test_guards():
         solve_psi(1.0, 1.0, 3.0, 1, 10.0)
     with pytest.raises(ValueError):
         normalize(solve_psi(0.5, 1.0, 3.0, 3, r_max=30.0))  # too small for far field
-
-
-def test_lemma31_ratio_bounded_in_t():
-    # the compensated integral stays bounded as t grows (the lemma's content)
-    vals = [lemma31_ratio(alpha=1.0, decay=1.0, t=t) for t in (1.0, 5.0, 25.0, 125.0)]
-    assert max(vals) / min(vals) < 3.0
-    with pytest.raises(ValueError):
-        lemma31_ratio(1.0, 0.0, 1.0)
 
 
 # Regression pins, recorded with the step-by-step RK4 integrator (fixed 4e-3

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from strauss_lab.functionals import (CHECK_NAMES, CheckNotApplicable,
-                                     CutoffFamily, RatioSeries,
+                                     RatioSeries,
                                      SolutionSamples, cutoff, data_constants,
                                      inequality_check, ode_escape_logT,
                                      ode_lemma_fit, oracle_samples,
-                                     phi_profile, samples_from_outcome,
+                                     phi_profile, samples_from_outcome, theta,
                                      weak_residual, y_series, y_weight,
                                      y_weight_ceiling)
 from strauss_lab.model import ModelParams, bump_integral
@@ -47,17 +47,17 @@ def test_cutoff_derivatives_match_finite_differences():
 
 
 def test_cutoff_measured_bounds():
-    bounds = CutoffFamily.measured_bounds()
-    assert bounds["sup_eta_prime"] == pytest.approx(4.0, rel=1e-3)
-    assert bounds["sup_eta_double_prime"] == pytest.approx(39.4, rel=1e-2)
+    # sampled sup of |eta'| and |eta''| on the transition interval
+    _, d1, d2 = cutoff(np.linspace(0.5, 1.0, 200001))
+    assert float(np.max(np.abs(d1))) == pytest.approx(4.0, rel=1e-3)
+    assert float(np.max(np.abs(d2))) == pytest.approx(39.4, rel=1e-2)
 
 
 def test_theta_vanishes_below_half():
     t = np.array([0.0, 0.25, 0.49, 0.6, 0.75])
-    th = CutoffFamily.theta(t)
+    th = theta(t)
     np.testing.assert_array_equal(th[:3], 0.0)
     assert np.all(th[3:] > 0.0)
-    np.testing.assert_array_equal(CutoffFamily.theta_M(t * 8.0, 8.0), th)
 
 
 # --- Y weight ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strauss_lab.model import ModelParams, build_grid
+from strauss_lab.model import ModelParams, build_grid, initial_data
 from strauss_lab.solver import (energy_functional, estimate_lifespan,
                                 exact_undamped_radial3d, mms_order,
                                 radial_laplacian, run, run_block)
@@ -48,6 +48,41 @@ def test_oracle_self_consistency_at_origin():
     # strong Huygens: data leave the ball r < 1 + t completely (n = 3)
     u3, _ = exact_undamped_radial3d(params, r, 3.5)
     assert np.max(np.abs(u3[r < 2.0])) == pytest.approx(0.0, abs=1e-15)
+
+
+# data_k >= 4: the bump is then C^3, so second differences are O(h^2) even
+# across the support edges r +- t = 1
+@pytest.mark.parametrize("k, f_amp, g_amp", [(4, 2.0, 0.5), (5, 1.0, 1.0),
+                                              (6, 0.0, 1.5)])
+def test_oracle_profile_matches_data_and_wave_equation(k, f_amp, g_amp):
+    params = _oracle_params(data_k=k, f_amp=f_amp, g_amp=g_amp, eps=0.7)
+    r = np.linspace(0.0, 5.0, 1001)
+    u0, v0 = exact_undamped_radial3d(params, r, 0.0)
+    f, g = initial_data(params, r)
+    np.testing.assert_allclose(u0, f, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(v0, g, rtol=0.0, atol=1e-14)
+    # the axis values are the r -> 0 limits of the off-axis formula
+    for t in (0.4, 0.8):
+        u_ax, ut_ax = exact_undamped_radial3d(params, np.array([0.0, 1e-7]), t)
+        assert u_ax[0] == pytest.approx(u_ax[1], rel=1e-6, abs=1e-12)
+        assert ut_ax[0] == pytest.approx(ut_ax[1], rel=1e-6, abs=1e-12)
+    # u_tt - u_rr - (2/r) u_r by centered differences: O(h^2) off the axis.
+    # Unequal steps in t and r, since the discrete d'Alembert identity would
+    # cancel the leading error terms on a square lattice
+    ri = np.linspace(0.1, 4.0, 391)
+    resid = []
+    for h in (0.01, 0.005):
+        hr = 0.6 * h
+
+        def u(dr, dt):
+            return exact_undamped_radial3d(params, ri + dr, 1.3 + dt)[0]
+        u_tt = (u(0.0, h) - 2.0 * u(0.0, 0.0) + u(0.0, -h)) / h**2
+        u_rr = (u(hr, 0.0) - 2.0 * u(0.0, 0.0) + u(-hr, 0.0)) / hr**2
+        u_r = (u(hr, 0.0) - u(-hr, 0.0)) / (2.0 * hr)
+        resid.append(float(np.max(np.abs(u_tt - u_rr - 2.0 / ri * u_r))))
+    scale = float(np.max(np.abs(exact_undamped_radial3d(params, ri, 1.3)[0])))
+    assert resid[1] < 1e-2 * scale
+    assert resid[0] / resid[1] > 3.5  # ~4 for an O(h^2) residual
 
 
 def test_oracle_requires_undamped_3d():

@@ -11,7 +11,7 @@ from strauss_lab.exponents import critical_exponents
 from strauss_lab.model import RunConfig
 from strauss_lab.solver import LifespanResult
 from strauss_lab.sweep import (FIT_MIN_POINTS, SWEEP_HEADER, ScalingFit,
-                               SweepSpec, csv_text, default_jobs, emit_plot,
+                               SweepSpec, csv_text, emit_plot,
                                fit_powerlaw, fit_sweep, format_value,
                                run_sweep, sweep_rows, write_csv)
 
@@ -82,19 +82,6 @@ def test_write_csv_array_cells_match_csv_text(case, tmp_path):
     assert "NaN" in text and "inf" in text
     write_csv(str(path), header, rows)
     assert path.read_bytes() == text.encode("utf-8")
-
-
-def test_default_jobs(monkeypatch):
-    monkeypatch.delenv("STRAUSS_LAB_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("STRAUSS_LAB_JOBS", "4")
-    assert default_jobs() == 4
-    monkeypatch.setenv("STRAUSS_LAB_JOBS", "zero")
-    with pytest.raises(ValueError):
-        default_jobs()
-    monkeypatch.setenv("STRAUSS_LAB_JOBS", "0")
-    with pytest.raises(ValueError):
-        default_jobs()
 
 
 # --- spec -----------------------------------------------------------------------
@@ -229,13 +216,3 @@ def test_emit_plot_deterministic_fit(tmp_path):
     assert "#1f6fb2" in text and "#b23a1f" in text  # fit and theory lines
     assert text.startswith("<?xml") and text.rstrip().endswith("</svg>")
 
-
-def test_emit_plot_series_log_scale(tmp_path):
-    grid = np.geomspace(2.0, 12.0, 9)
-    wide = np.geomspace(1.0, 1e4, 9)
-    narrow = np.linspace(1.0, 2.0, 9)
-    pw, pn = tmp_path / "w.svg", tmp_path / "n.svg"
-    emit_plot((grid, wide), str(pw), title="wide")
-    emit_plot((grid, narrow), str(pn), title="narrow")
-    assert "log10(ratio)" in pw.read_text()
-    assert "log10(ratio)" not in pn.read_text()

@@ -92,15 +92,9 @@ def test_build_bq_validation():
         build_bq(1.0, params, t, np.linspace(0.5, 1.0, 6))  # not from 0
     with pytest.raises(ValueError):
         build_bq(1.0, params, t, np.array([0.0, 0.1, 0.3]))  # nonuniform
-
-
-def test_build_bq_psi_cache_reuse():
-    params = _params()
-    t = np.array([1.0, 3.0])
-    r = np.linspace(0.0, 2.0, 21)
-    table = build_bq(0.9, params, t, r)
-    again = build_bq(0.9, params, t, r, psi_cache=table.psi_cache)
-    np.testing.assert_array_equal(table.values, again.values)
+    for short in (np.array([]), np.array([0.0])):
+        with pytest.raises(ValueError):
+            build_bq(1.0, params, t, short)
 
 
 def test_bq_table_validate_and_same_grid():
@@ -146,6 +140,23 @@ def test_bq_identities_require_matching_tables():
     with pytest.raises(ValueError):
         verify_bq_identities(tq, build_bq(1.7, params, t, r),
                              build_bq(2.5, params, t, r))
+
+
+def test_bq_identities_need_interior_points():
+    # a centered difference in t needs 3 rows, the five-point r stencil 5
+    # radii; fewer leave nothing to check, which must not read as a pass
+    params = _params()
+
+    def tables(t, r):
+        return [build_bq(q, params, t, r, nodes=16) for q in (1.0, 2.0, 3.0)]
+
+    r5 = np.linspace(0.0, 0.4, 5)
+    with pytest.raises(ValueError, match="2 times"):
+        verify_bq_identities(*tables(np.array([1.0, 1.1]), r5))
+    with pytest.raises(ValueError, match="4 radii"):
+        verify_bq_identities(*tables(np.array([1.0, 1.1, 1.2]), r5[:4]))
+    rep = verify_bq_identities(*tables(np.array([1.0, 1.1, 1.2]), r5))
+    assert np.isfinite(rep.worst)
 
 
 # --- asymptotics ------------------------------------------------------------------
