@@ -8,6 +8,7 @@ flags; nothing is written implicitly.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from dataclasses import replace
@@ -19,7 +20,7 @@ from .exponents import critical_exponents, gamma, theory_lifespan
 from .functionals import (CHECK_NAMES, CheckNotApplicable, SolutionSamples,
                           inequality_check, ode_lemma_fit)
 from .model import CONFIG_TYPES, ConfigError, RunConfig, load_config
-from .solver import estimate_lifespan, run
+from .solver import estimate_lifespans, run
 from .sweep import (SweepSpec, emit_plot, fit_powerlaw,
                     fit_sweep, run_sweep, sweep_rows, write_csv, csv_text,
                     SWEEP_HEADER)
@@ -120,9 +121,9 @@ def cmd_solve(args) -> int:
 
 def cmd_lifespan(args) -> int:
     cfg = resolve_config(args)
-    res = estimate_lifespan(cfg.model_params(), t_max=cfg.t_max, dr=cfg.dr,
-                            levels=cfg.refine_levels, cfl=cfg.cfl,
-                            threshold=cfg.u_threshold)
+    res = estimate_lifespans([cfg.model_params()], t_max=cfg.t_max, dr=cfg.dr,
+                             levels=cfg.refine_levels, cfl=cfg.cfl,
+                             threshold=cfg.u_threshold)[0]
     print(f"eps={res.eps:.6g} T_levels={tuple(round(T, 6) for T in res.T_levels)} "
           f"T={res.T_extrapolated:.6g} uncertainty={res.uncertainty:.3g} "
           f"censored={res.censored} unreliable={res.unreliable}")
@@ -161,30 +162,25 @@ def cmd_sweep(args) -> int:
 
 
 def _read_sweep_csv(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ConfigError(f"{path}: empty file")
-    header = lines[0].split(",")
-    idx = {name: header.index(name) for name in SWEEP_HEADER
-           if name in header}
-    for need in ("eps", "T"):
-        if need not in idx:
-            raise ConfigError(f"{path}: missing column {need!r}")
-    rows = []
-    for k, ln in enumerate(lines[1:], start=1):
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ConfigError(f"{path}: row {k} has {len(cells)} cells, "
-                              f"header has {len(header)}")
-        try:
-            eps = float(cells[idx["eps"]])
-            T = float(cells[idx["T"]])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: row {k}: {exc}") from exc
-        censored = cells[idx["censored"]] == "true" if "censored" in idx else False
-        unreliable = cells[idx["unreliable"]] == "true" if "unreliable" in idx else False
-        rows.append((eps, T, censored, unreliable))
+    """(eps, T, censored, unreliable) rows of a sweep CSV."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ConfigError(f"{path}: empty file")
+        for need in ("eps", "T"):
+            if need not in reader.fieldnames:
+                raise ConfigError(f"{path}: missing column {need!r}")
+        rows = []
+        for k, row in enumerate(reader, start=1):
+            if None in row or None in row.values():
+                raise ConfigError(f"{path}: row {k} has a cell count unlike "
+                                  f"the header's {len(reader.fieldnames)}")
+            try:
+                rows.append((float(row["eps"]), float(row["T"]),
+                             row.get("censored") == "true",
+                             row.get("unreliable") == "true"))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: row {k}: {exc}") from exc
     return rows
 
 

@@ -26,11 +26,11 @@ h = min(1e-3 r, 0.1) and lands exactly on r_ref.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .model import sphere_area
 
@@ -67,6 +67,43 @@ class EigenSolution:
         return self.psi / self.lam
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_jacobi(m: int, a: float, b: float):
+    """Nodes and weights of the m-point Gauss rule for (1-x)^a (1+x)^b on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the orthonormal Jacobi
+    matrix, polished by one Newton step on p_m; each weight is
+    1/sum_{k<m} p_k(x)^2 over the orthonormal p_k, a sum of positive terms,
+    so small endpoint weights keep their relative accuracy.  One recurrence
+    pass gives both: the sum moves to the polished node by its first-order
+    Taylor term.  Cached per (m, a, b); the arrays are read-only.
+    """
+    if m < 1 or a <= -1.0 or b <= -1.0:
+        raise ValueError(f"need m >= 1 and a, b > -1, got m={m}, a={a}, b={b}")
+    s = 2.0 * np.arange(1.0, m) + a + b
+    # recurrence coefficients alpha_0..alpha_{m-1} and beta_1..beta_m; the
+    # k = 0 and k = 1 terms are written out so a+b = 0 and a+b = -1 divide no 0/0
+    alpha = np.append((b - a) / (a + b + 2.0), (b * b - a * a) / (s * (s + 2.0)))
+    k, s = np.arange(2.0, m + 1), s + 2.0
+    beta = np.append(4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0)),
+                     4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s * s - 1.0)))
+    sq = np.sqrt(beta)
+    x = np.linalg.eigvalsh(np.diag(alpha) + np.diag(sq[:-1], -1))
+    p0 = math.sqrt(math.gamma(a + b + 2.0) / (2.0 ** (a + b + 1.0) * math.gamma(a + 1.0)
+                                               * math.gamma(b + 1.0)))
+    # p_j, p_j' up to j = m; total = sum_{k<m} p_k^2 and half its derivative
+    p_prev, p, dp_prev, dp, total, dtotal = 0.0, np.full_like(x, p0), 0.0, 0.0, 0.0, 0.0
+    for j in range(m):
+        total, dtotal = total + p * p, dtotal + p * dp
+        c, xa = (sq[j - 1] if j else 0.0), x - alpha[j]
+        p_prev, p, dp_prev, dp = (p, (xa * p - c * p_prev) / sq[j], dp,
+                                  (xa * dp + p - c * dp_prev) / sq[j])
+    step = -p / dp
+    x, w = x + step, 1.0 / (total + 2.0 * dtotal * step)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def varphi(eta, r, n: int, scaled: bool = False):
     """Plane-wave average; `scaled` returns e^(-eta r) * varphi (never
     overflows since every quadrature exponent becomes <= 0).
@@ -83,7 +120,7 @@ def varphi(eta, r, n: int, scaled: bool = False):
     arg = np.asarray(eta, dtype=float) * np.asarray(r, dtype=float)
     m = int(0.6 * float(np.max(arg, initial=0.0))) + 40
     a = (n - 3) / 2.0
-    nodes, weights = roots_jacobi(m, a, a)
+    nodes, weights = gauss_jacobi(m, a, a)
     expo = np.multiply.outer(arg, nodes)       # (..., m)
     if scaled:
         expo = expo - arg[..., None]

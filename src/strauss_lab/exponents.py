@@ -46,11 +46,6 @@ class TheoryBound:
     exponent: float
     branch: str
 
-    @property
-    def p_conj(self) -> float:
-        """Conjugate exponent p' = p/(p-1)."""
-        return self.p / (self.p - 1.0)
-
 
 def critical_exponents(n: int) -> ExponentTable:
     """Strauss, Fujita and Glassey exponents for dimension n >= 2."""

@@ -500,8 +500,9 @@ def ode_escape_logT(p1: float, p2: float, K1: float, K2: float, delta: float,
     second phase integrates d tau/d phi with RK4 on a log-phi ladder, plus
     the frozen-tau analytic tail beyond the cap.
     """
-    if delta <= 0.0 or K1 <= 0.0 or K2 <= 0.0 or cap <= 0.0:
-        raise ValueError("delta, K1, K2 and cap must be positive")
+    if not (delta > 0.0 and K1 > 0.0 and K2 > 0.0 and cap > 0.0
+            and math.isfinite(K1 * cap / delta)):
+        raise ValueError("delta, K1, K2 and cap must be positive, K1*cap/delta finite")
     if not (p1 > 1.0 and p2 < p1 + 1.0):
         raise ValueError("lemma hypothesis requires p1 > 1 and p2 < p1 + 1")
 
@@ -511,14 +512,13 @@ def ode_escape_logT(p1: float, p2: float, K1: float, K2: float, delta: float,
                 - (p2 - 1.0) * math.log(tau)
                 - math.log(delta * K2 / K1))
 
-    lo = 1.0 + 1e-9
-    hi = 4.0
+    # phase 1 reaches phi = cap at tau_cap; the crossing must come before it
+    lo, hi = 1.0 + 1e-9, 1.0 + K1 * cap / delta
     if crossing_gap(lo) >= 0.0:
         raise ValueError("delta too large: no slope crossing after t0")
-    while crossing_gap(hi) < 0.0:
-        hi *= 4.0
-        if hi > 1e30:
-            raise ArithmeticError("no slope crossing found")
+    if crossing_gap(hi) < 0.0:
+        raise ValueError(f"the slope crossing lies beyond phi = cap = {cap:g} "
+                         f"at delta = {delta:g}; raise --cap")
     # the gap increases strictly in tau (p2 < p1 + 1): bisect to the last bit
     while (tau_c := 0.5 * (lo + hi)) not in (lo, hi):
         if crossing_gap(tau_c) < 0.0:

@@ -25,8 +25,7 @@ class ModelParams:
 
     f_amp/g_amp scale the polynomial bump (1-r^2)^data_k on r < 1 used for
     initial displacement/velocity.  Both zero gives the trivial solution and
-    is allowed (useful as a null test) but is outside the theorems' scope,
-    which `theorem_regime` reports together with the beta > 2 requirement.
+    is allowed (useful as a null test) but is outside the theorems' scope.
     """
 
     n: int = 3
@@ -57,12 +56,6 @@ class ModelParams:
             raise ValueError(f"data_k must be an integer >= 3, got {self.data_k!r}")
         if self.f_amp < 0 or self.g_amp < 0:
             raise ValueError("data amplitudes must be >= 0")
-
-    @property
-    def theorem_regime(self) -> bool:
-        """True iff the blow-up theorems' hypotheses hold (scattering damping,
-        nontrivial data)."""
-        return self.beta > 2.0 and (self.f_amp > 0 or self.g_amp > 0)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ class SolveOutcome:
     grid: RadialGrid
     threshold: float
     support_violation: float          # max |u| seen beyond r = t+1+2dr
-    energy: np.ndarray | None = None  # rows (t, E) when requested
 
 
 @dataclass
@@ -106,19 +105,17 @@ def run(params: ModelParams, grid: RadialGrid, *,
         snapshot_times=None,
         forcing=None,
         initial=None,
-        enforce_support: bool = True,
-        energy_stride: int = 0) -> SolveOutcome:
+        enforce_support: bool = True) -> SolveOutcome:
     """Integrate up to grid.t_max or blow-up (max |u| > threshold).
 
     initial optionally overrides (u0, v0); forcing(t, r_array) adds a source
     term (manufactured-solution runs).  Snapshots record (t, u, u_t) with a
-    centered u_t; energy_stride > 0 records the energy every that many steps.
+    centered u_t (energy_functional applies to them).
     """
     return run_block([params], grid, threshold=threshold,
                      snapshot_times=snapshot_times, forcing=forcing,
                      initial=None if initial is None else [initial],
-                     enforce_support=enforce_support,
-                     energy_stride=energy_stride)[0]
+                     enforce_support=enforce_support)[0]
 
 
 def run_block(params_list, grid: RadialGrid, *,
@@ -126,8 +123,7 @@ def run_block(params_list, grid: RadialGrid, *,
               snapshot_times=None,
               forcing=None,
               initial=None,
-              enforce_support: bool = True,
-              energy_stride: int = 0) -> list[SolveOutcome]:
+              enforce_support: bool = True) -> list[SolveOutcome]:
     """run() for a block of problems that differ only in their data.
 
     The problems share n, mu, beta, p and the nonlinearity, hence V and the
@@ -167,7 +163,6 @@ def run_block(params_list, grid: RadialGrid, *,
             if 0 <= idx <= n_steps:
                 snap_steps.setdefault(idx, ts)
     snapshots = [[] for _ in range(k)]
-    energies = [[] for _ in range(k)]
     status, t_end, last = ["completed"] * k, [grid.t_max] * k, [n_steps] * k
     support_violation = np.zeros(k)
     max_hist = _fresh_zeros((k, n_steps + 1))
@@ -194,8 +189,6 @@ def run_block(params_list, grid: RadialGrid, *,
         max_hist[i, 0] = np.max(np.abs(u0_i))
         if 0 in snap_steps:
             snapshots[i].append((0.0, u0_i, v0_i))
-        if energy_stride:
-            energies[i].append((0.0, energy_functional(u0_i, v0_i, dr, n)))
         u_prev[i, :ext], v0[i, :ext] = u0_i[:ext], v0_i[:ext]
 
     # Taylor start: u1 = u0 + dt*v0 + dt^2/2 * (lap - V*v0 + N + F)
@@ -260,14 +253,9 @@ def run_block(params_list, grid: RadialGrid, *,
                 np.add(lin, tmp, out=un)
         check_support(u_next[rows], t_next, ids)
 
-        want_energy = energy_stride and step % energy_stride == 0
-        if step in snap_steps or want_energy:
+        if step in snap_steps:
             for j, i in enumerate(ids):
-                v_c = (u_next[j] - u_prev[j]) / (2.0 * dt)
-                if step in snap_steps:
-                    snapshots[i].append((t, u[j].copy(), v_c))
-                if want_energy:
-                    energies[i].append((t, energy_functional(u[j], v_c, dr, n)))
+                snapshots[i].append((t, u[j].copy(), (u_next[j] - u_prev[j]) / (2.0 * dt)))
 
         np.abs(un, out=tmp)
         mx = tmp.max(axis=-1)
@@ -307,7 +295,6 @@ def run_block(params_list, grid: RadialGrid, *,
         grid=grid,
         threshold=threshold,
         support_violation=float(support_violation[i]),
-        energy=np.array(energies[i]) if energy_stride else None,
     ) for i in range(k)]
 
 
@@ -357,14 +344,6 @@ def estimate_lifespans(params_list, *, t_max: float, dr: float,
             T_extrapolated=T_ext, uncertainty=unc,
             censored=censored, unreliable=unreliable))
     return results
-
-
-def estimate_lifespan(params: ModelParams, *, t_max: float, dr: float,
-                      levels: int = 2, cfl: float = 0.5,
-                      threshold: float = 1e6) -> LifespanResult:
-    """estimate_lifespans for one problem."""
-    return estimate_lifespans([params], t_max=t_max, dr=dr, levels=levels,
-                              cfl=cfl, threshold=threshold)[0]
 
 
 # --- exact solution of the undamped 3d problem (oracle) -----------------------

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
-from .eigen import psi_hat_batch
+from .eigen import gauss_jacobi, psi_hat_batch
 from .model import ModelParams, potential
 
 DEFAULT_NODES = 64
@@ -31,7 +30,7 @@ def eta_rule(q: float, m: int):
     """
     if q <= 0.0:
         raise ValueError("q must be positive")
-    x, w = roots_jacobi(m, 0.0, q - 1.0)
+    x, w = gauss_jacobi(m, 0.0, q - 1.0)
     return 0.5 * (x + 1.0), w * 0.5**q
 
 
@@ -189,6 +188,15 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable,
                           res_dtt=res[1], res_lap=res[2], res_wave=res[3])
 
 
+def _cone(table: BqTable, t_min: float):
+    """(t, r, b_q) at the table points with r <= t + 1 and t >= t_min."""
+    t, r = np.meshgrid(table.t_grid, table.r_grid, indexing="ij", copy=False)
+    cone = (r <= t + 1.0) & (t >= t_min)
+    if not np.any(cone):
+        raise ValueError("no samples in the cone r <= t + 1, t >= t_min")
+    return t[cone], r[cone], table.values[cone]
+
+
 def verify_bq_asymptotics(table: BqTable, t_min: float = 1.0) -> AsymptoticReport:
     """Bracket the compensated b_q over the light cone r <= t + 1.
 
@@ -196,23 +204,15 @@ def verify_bq_asymptotics(table: BqTable, t_min: float = 1.0) -> AsymptoticRepor
     q > (n-1)/2: ratio = b_q (t+R+r)^{(n-1)/2} (t+R-r)^{q-(n-1)/2}.
     Bounded ratio both ways is the check; the caller judges the spread.
     """
-    q, n, R = table.q, table.n, table.R
-    half = (n - 1) / 2.0
+    q, half = table.q, (table.n - 1) / 2.0
     if q == half:
         raise ValueError("boundary case q = (n-1)/2 is excluded")
-    t = table.t_grid[:, None]
-    r = table.r_grid[None, :]
-    cone = (r <= t + 1.0) & (t >= t_min)
-    if not np.any(cone):
-        raise ValueError("no samples in the cone r <= t + 1, t >= t_min")
+    t, r, b = _cone(table, t_min)
     if q < half:
-        regime = "q_below"
-        ratio = table.values * (t + R + r) ** q
-    else:
+        regime, vals = "q_below", b * (t + table.R + r) ** q
+    else:  # t + R - r > 0 on the cone (R > 1)
         regime = "q_above"
-        near = np.where(cone, t + R - r, 1.0)  # positive on the cone (R > 1)
-        ratio = (table.values * (t + R + r) ** half * near ** (q - half))
-    vals = ratio[cone]
+        vals = b * (t + table.R + r) ** half * (t + table.R - r) ** (q - half)
     return AsymptoticReport(q=q, regime=regime,
                             ratio_min=float(vals.min()),
                             ratio_max=float(vals.max()))
@@ -238,8 +238,8 @@ def _hyper2f1_series(a: float, b: float, c: float, z,
 def _euler_node_count(z: np.ndarray) -> np.ndarray:
     """Gauss node count from the Bernstein-ellipse distance of the pole 1/z.
 
-    Kept as small as accuracy allows: roots_jacobi weight noise grows with m,
-    so oversizing the rule actively hurts near-singular exponents.
+    The counts were sized when weight noise of the Gauss rule grew with m;
+    they are kept as they are so that the compensation outputs stay put.
     """
     xi = 2.0 / np.maximum(z, 0.5) - 1.0  # pole position after mapping [0,1] -> [-1,1]
     rho = xi + np.sqrt(xi * xi - 1.0)
@@ -258,7 +258,7 @@ def _hyper2f1_euler(a: float, b: float, c: float, z) -> np.ndarray:
     counts = _euler_node_count(z)
     scale = 0.5 ** (c - 1.0) * math.gamma(c) / (math.gamma(b) * math.gamma(c - b))
     for m in np.unique(counts):
-        x, w = roots_jacobi(int(m), c - b - 1.0, b - 1.0)
+        x, w = gauss_jacobi(int(m), c - b - 1.0, b - 1.0)
         xs = 0.5 * (x + 1.0)
         where = np.flatnonzero(counts == m)
         for lo in range(0, where.size, 2048):
@@ -298,13 +298,8 @@ def hyper2f1_compensation(table: BqTable, t_min: float = 1.0):
     power compensation.  Both 2F1 routes are checked at every cone point.
     Returns (ratio_min, ratio_max).
     """
-    q, n, R = table.q, table.n, table.R
-    t = table.t_grid[:, None]
-    r = table.r_grid[None, :]
-    cone = (r <= t + 1.0) & (t >= t_min)
-    if not np.any(cone):
-        raise ValueError("no samples in the cone")
-    tr = (t + R + r)[cone]
-    z = 2.0 * np.broadcast_to(r, cone.shape)[cone] / tr
-    ratio = table.values[cone] * tr ** q / hyper2f1(q, (n - 1) / 2.0, n - 1.0, z)
+    q, n = table.q, table.n
+    t, r, b = _cone(table, t_min)
+    tr = t + table.R + r
+    ratio = b * tr ** q / hyper2f1(q, (n - 1) / 2.0, n - 1.0, 2.0 * r / tr)
     return float(ratio.min()), float(ratio.max())

@@ -19,7 +19,8 @@ from strauss_lab.exponents import critical_exponents, gamma, theory_lifespan
 from strauss_lab.functionals import (inequality_check, ode_lemma_fit,
                                      oracle_samples, weak_residual)
 from strauss_lab.model import ModelParams, RunConfig, build_grid
-from strauss_lab.solver import (exact_undamped_radial3d, mms_order, run)
+from strauss_lab.solver import (energy_functional, exact_undamped_radial3d,
+                                mms_order, run)
 from strauss_lab.sweep import (SWEEP_HEADER, SweepSpec, csv_text,
                                fit_powerlaw, fit_sweep, run_sweep, sweep_rows,
                                write_csv)
@@ -180,8 +181,10 @@ def test_criterion_4_solver_validation(capsys):
            f"per-step support tail {free.support_violation:.2e}")
     lin = ModelParams(n=3, mu=1.0, beta=2.5, p=2.0, nonlinearity="none",
                       eps=1.0)
-    out = run(lin, build_grid(4.0, 0.02), energy_stride=1)
-    E = out.energy[:, 1]
+    grid = build_grid(4.0, 0.02)
+    out = run(lin, grid, snapshot_times=grid.dt * np.arange(grid.n_steps))
+    E = np.array([energy_functional(u, v, grid.dr, lin.n)
+                  for _, u, v in out.snapshots])
     mono = bool(np.all(np.diff(E) <= 1e-12 * E[0]))
     _check(fails, mono, "damped energy not monotone")
     _finish(capsys, 4, 120.0, t0, fails,

@@ -427,6 +427,10 @@ def test_odelemma_tight_tolerance(capsys):
     ["--p1", "2", "--p2", "2", "--k1", "0"],
     ["--p1", "2", "--p2", "2", "--cap", "0"],
     ["--p1", "2", "--p2", "2", "--delta-count", "1"],
+    # the slope crossing lies beyond phi = cap
+    ["--p1", "2", "--p2", "2.9"],
+    ["--p1", "3.333", "--p2", "3.726", "--k1", "1.795", "--k2", "1.972",
+     "--delta-min", "1e-5", "--delta-max", "2e-5"],
 ])
 def test_odelemma_bad_values_exit_2(flags, tmp_path, capsys):
     out = tmp_path / "ode.csv"
@@ -437,14 +441,29 @@ def test_odelemma_bad_values_exit_2(flags, tmp_path, capsys):
 
 # --- console entry -----------------------------------------------------------------
 
-def test_cli_import_loads_only_scipy_special():
-    code = ("import sys, strauss_lab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.')))")
+# the commands that build Gauss-Jacobi rules, and one that builds none
+RULE_COMMANDS = ("['bq', '--q', '1', '--t-max', '3', '--dr', '0.05', '--nodes', '16'], "
+                 "['eigen', '--etas', '0.5,1', '--r-max', '60'], ['exponents']")
+
+
+def _run_python(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True)
-    loaded = proc.stdout
-    assert "'scipy.special'" in loaded
-    assert "scipy.integrate" not in loaded and "scipy.optimize" not in loaded
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys; from strauss_lab.cli import main; "
+            f"[main(argv) for argv in ({RULE_COMMANDS})]; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert _run_python(code) == "[]"
+
+
+def test_commands_run_with_scipy_blocked():
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from strauss_lab.cli import main; "
+            f"print([main(argv) for argv in ({RULE_COMMANDS})])")
+    assert _run_python(code) == "[0, 0, 0]"
 
 
 def test_module_entrypoint_subprocess():

@@ -1,11 +1,15 @@
 """Eigenfunction shooting solve against closed forms and stability checks."""
 from __future__ import annotations
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
-from strauss_lab import eigen
-from strauss_lab.eigen import normalize, psi_hat_batch, solve_psi, varphi
+from strauss_lab import eigen, testfunc
+from strauss_lab.eigen import (gauss_jacobi, normalize, psi_hat_batch,
+                               solve_psi, varphi)
 from strauss_lab.functionals import phi_profile
 from strauss_lab.model import ModelParams, build_grid
 from strauss_lab.testfunc import eta_rule
@@ -101,6 +105,69 @@ def test_guards():
         solve_psi(1.0, 1.0, 3.0, 1, 10.0)
     with pytest.raises(ValueError):
         normalize(solve_psi(0.5, 1.0, 3.0, 3, r_max=30.0))  # too small for far field
+
+
+def _mp_gauss_jacobi(m, a, b, x0):
+    """40-digit Gauss-Jacobi rule from the classical Jacobi polynomials.
+
+    P_m^(a,b) comes from its three-term recurrence, P_m' from
+    (2m+a+b)(1-x^2) P_m' = m(a-b-(2m+a+b)x) P_m + 2(m+a)(m+b) P_{m-1} and P_m''
+    from the Jacobi equation.  One Newton step from the float node x0 is
+    exact to ~1e-30; P_m' is moved to the new node by its Taylor term, and
+    w = 2^(a+b+1) G(m+a+1) G(m+b+1) / (G(m+a+b+1) m! (1-x^2) P_m'(x)^2).
+    """
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        s = 2 * m + a + b
+        c = (2 ** (a + b + 1) * mpmath.gamma(m + a + 1) * mpmath.gamma(m + b + 1)
+             / (mpmath.gamma(m + a + b + 1) * mpmath.factorial(m)))
+        nodes, weights = [], []
+        for x in map(mpmath.mpf, x0):
+            p_prev, p = 1, (a - b + (a + b + 2) * x) / 2
+            for k in range(2, m + 1):
+                t = 2 * k + a + b
+                p_prev, p = p, ((t - 1) * (t * (t - 2) * x + a * a - b * b) * p
+                                - 2 * (k + a - 1) * (k + b - 1) * t * p_prev) / (
+                                    2 * k * (k + a + b) * (t - 2))
+            dp = (m * (a - b - s * x) * p + 2 * (m + a) * (m + b) * p_prev) / (s * (1 - x * x))
+            ddp = ((a + b + 2) * x + a - b) * dp - m * (m + a + b + 1) * p
+            ddp /= 1 - x * x
+            dx = -p / dp
+            x, dp = x + dx, dp + ddp * dx
+            nodes.append(float(x))
+            weights.append(float(c / ((1 - x * x) * dp * dp)))
+    return np.array(nodes), np.array(weights)
+
+
+# the rules the runtime builds: eta rules of the criterion-3 q values, varphi
+# for n = 2, 3, 4, the Euler rules of the 2F1 tests, and the smallest cases
+GAUSS_JACOBI_CASES = list(dict.fromkeys(
+    [(64, 0.0, q - 1.0) for q in (0.5, 1.5, 2.5, 2.0 - math.sqrt(2.0))]
+    + [(54, 0.0, 0.0), (183, 0.0, 0.0)]
+    + [(m, a, a) for m in (40, 64) for a in (-0.5, 0.5)]
+    + [(int(m), c - b - 1.0, b - 1.0)
+       for a, b, c in [(0.5, 1.0, 2.0), (2.5, 1.0, 2.0), (0.7, 1.3, 2.1), (1.2, 0.4, 2.5)]
+       for m in testfunc._euler_node_count(np.array([0.5, 0.98]))]
+    + [(1, 0.0, 0.0), (1, 0.3, -0.7), (2, 0.0, 0.0), (2, -0.4, -0.6), (7, 0.25, -0.75)]))
+
+
+@pytest.mark.parametrize("m, a, b", GAUSS_JACOBI_CASES)
+def test_gauss_jacobi_matches_mpmath(m, a, b):
+    x, w = gauss_jacobi(m, a, b)
+    x_ref, w_ref = _mp_gauss_jacobi(m, a, b, x)
+    np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-12)
+
+
+def test_gauss_jacobi_guards_and_cache():
+    for m, a, b in [(0, 0.0, 0.0), (4, -1.0, 0.0), (4, 0.0, -1.5)]:
+        with pytest.raises(ValueError):
+            gauss_jacobi(m, a, b)
+    x, w = gauss_jacobi(16, 0.0, 0.5)
+    assert gauss_jacobi(16, 0.0, 0.5)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 # Regression pins, recorded with the step-by-step RK4 integrator (fixed 4e-3

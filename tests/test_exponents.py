@@ -75,10 +75,3 @@ def test_theory_lifespan_validation():
         theory_lifespan(3, 1.0, "power_u")
     with pytest.raises(ValueError):
         theory_lifespan(3, 2.0, "cubic")
-
-
-def test_p_conj_property():
-    bound = theory_lifespan(3, 2.0, "power_u")
-    assert bound.p_conj == pytest.approx(2.0, abs=1e-14)
-    bound = theory_lifespan(3, 1.5, "power_ut")
-    assert bound.p_conj == pytest.approx(3.0, abs=1e-14)

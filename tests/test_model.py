@@ -62,12 +62,6 @@ def test_model_params_validation(kwargs):
         ModelParams(**kwargs)
 
 
-def test_theorem_regime_flag():
-    assert ModelParams(beta=3.0, f_amp=1.0).theorem_regime
-    assert not ModelParams(beta=1.5, f_amp=1.0).theorem_regime
-    assert not ModelParams(beta=3.0, f_amp=0.0, g_amp=0.0).theorem_regime
-
-
 def test_build_grid_contract():
     g = build_grid(t_max=10.0, dr=0.02, cfl=0.5)
     assert g.dt == pytest.approx(0.01)

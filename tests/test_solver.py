@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from strauss_lab.model import ModelParams, build_grid, initial_data
-from strauss_lab.solver import (energy_functional, estimate_lifespan,
+from strauss_lab.solver import (energy_functional, estimate_lifespans,
                                 exact_undamped_radial3d, mms_order,
                                 radial_laplacian, run, run_block)
 
@@ -131,11 +131,16 @@ def test_discrete_support_enforced_and_physical():
     assert out2.support_violation < grid.dr**2
 
 
+def _energies(params, grid, stride):
+    """Energy of the snapshots at every stride-th step before the last."""
+    out = run(params, grid, snapshot_times=grid.dt * np.arange(0, grid.n_steps, stride))
+    return np.array([energy_functional(u, v, grid.dr, params.n)
+                     for _, u, v in out.snapshots])
+
+
 def test_energy_monotone_linear_damped():
     params = _oracle_params(mu=1.0)
-    grid = build_grid(4.0, 0.02)
-    out = run(params, grid, energy_stride=10)
-    E = out.energy[:, 1]
+    E = _energies(params, build_grid(4.0, 0.02), 10)
     assert E[0] > 0.0
     assert np.all(np.diff(E) <= 1e-12 * E[0])
 
@@ -145,8 +150,7 @@ def test_energy_drift_undamped_second_order():
     drifts = []
     for dr in (0.04, 0.02):
         grid = build_grid(4.0, dr)
-        out = run(params, grid, energy_stride=max(1, int(0.2 / grid.dt)))
-        E = out.energy[:, 1]
+        E = _energies(params, grid, max(1, int(0.2 / grid.dt)))
         drifts.append(float(np.max(np.abs(E - E[0])) / E[0]))
     assert drifts[1] < 2e-3          # small in absolute terms
     assert drifts[0] / drifts[1] > 3.0  # and vanishing at second order
@@ -179,7 +183,7 @@ def test_lifespan_richardson_and_monotonicity():
         params = ModelParams(n=3, p=2.0, mu=0.0, beta=3.0,
                              nonlinearity="power_u", eps=eps,
                              f_amp=20.0, g_amp=20.0)
-        return estimate_lifespan(params, t_max=15.0, dr=0.04, levels=2)
+        return estimate_lifespans([params], t_max=15.0, dr=0.04, levels=2)[0]
 
     r1, r2 = res_at(0.5), res_at(1.0)
     for res in (r1, r2):
@@ -193,7 +197,7 @@ def test_lifespan_richardson_and_monotonicity():
 def test_lifespan_censored():
     params = ModelParams(n=3, p=2.0, mu=0.0, beta=3.0, nonlinearity="power_u",
                          eps=0.05, f_amp=1.0, g_amp=1.0)
-    res = estimate_lifespan(params, t_max=3.0, dr=0.05, levels=1)
+    res = estimate_lifespans([params], t_max=3.0, dr=0.05, levels=1)[0]
     assert res.censored
     assert math.isnan(res.T_extrapolated)
 
@@ -246,9 +250,6 @@ def _assert_same_outcome(a, b):
     assert len(a.snapshots) == len(b.snapshots)
     for (ta, ua, va), (tb, ub, vb) in zip(a.snapshots, b.snapshots):
         assert ta == tb and np.array_equal(ua, ub) and np.array_equal(va, vb)
-    assert (a.energy is None) == (b.energy is None)
-    if a.energy is not None:
-        assert np.array_equal(a.energy, b.energy)
 
 
 @pytest.mark.parametrize("mode, p, amp, eps, statuses", [
@@ -264,7 +265,7 @@ def test_block_rows_match_single_runs(mode, p, amp, eps, statuses):
                        f_amp=amp, g_amp=amp)
     params = [replace(base, eps=e) for e in eps]
     # a snapshot every step catches the blow-up and the final snapshots
-    kw = dict(threshold=1e4, energy_stride=7,
+    kw = dict(threshold=1e4,
               snapshot_times=grid.dt * np.arange(grid.n_steps + 1))
     block = run_block(params, grid, **kw)
     assert tuple(out.status for out in block) == statuses
@@ -276,12 +277,11 @@ def test_block_rows_match_single_runs(mode, p, amp, eps, statuses):
 def test_block_without_support_enforcement():
     grid = build_grid(3.0, 0.05)
     params = [_oracle_params(mu=1.0, eps=e) for e in (1.0, 0.3)]
-    block = run_block(params, grid, enforce_support=False, energy_stride=5,
+    block = run_block(params, grid, enforce_support=False,
                       snapshot_times=[0.0, 1.5, 3.0])
     assert block[0].support_violation > 0.0
     for q, out in zip(params, block):
         _assert_same_outcome(out, run(q, grid, enforce_support=False,
-                                      energy_stride=5,
                                       snapshot_times=[0.0, 1.5, 3.0]))
 
 
