@@ -63,6 +63,8 @@ def _float_list(raw: str, what: str) -> list[float]:
         raise ConfigError(f"bad {what} list {raw!r}") from exc
     if not vals:
         raise ConfigError(f"empty {what} list")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"non-finite value in {what} list {raw!r}")
     return vals
 
 

@@ -39,6 +39,10 @@ class ModelParams:
     g_amp: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):  # RunConfig's fields too
+            value = getattr(self, f.name)
+            if not isinstance(value, str) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if int(self.n) != self.n or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if self.mu < 0:
@@ -152,6 +156,11 @@ class RunConfig(ModelParams):
     cfl: float = 0.5
     u_threshold: float = 1e6
     refine_levels: int = 2
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.u_threshold <= 0:
+            raise ValueError(f"u_threshold must be > 0, got {self.u_threshold}")
 
     def model_params(self) -> ModelParams:
         return ModelParams(**{f.name: getattr(self, f.name)

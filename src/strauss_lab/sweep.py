@@ -104,8 +104,8 @@ class SweepSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.eps_min < self.eps_max):
-            raise ValueError("need 0 < eps_min < eps_max")
+        if not 0.0 < self.eps_min < self.eps_max < math.inf:
+            raise ValueError("need 0 < eps_min < eps_max < inf")
         if self.eps_count < FIT_MIN_POINTS:
             raise ValueError(f"need at least {FIT_MIN_POINTS} eps points for a fit")
         if self.jobs < 1:

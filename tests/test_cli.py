@@ -96,6 +96,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg.write_text("bogus_key = 1\n")
     assert main(["solve", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+    cfg.write_text("u_threshold = nan\n")
+    assert main(["solve", "--config", str(cfg)]) == 2
+    assert "u_threshold must be finite" in capsys.readouterr().err
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
@@ -107,10 +110,21 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ["sweep", "--eps-min", "2", "--eps-max", "1", "--dr", "0.1"],
     ["sweep", "--jobs", "0", "--dr", "0.1"],
     ["solve", "--nonlinearity", "cubic", "--dr", "0.1"],
+    # non-finite values, and a threshold that every step would exceed
+    ["solve", "--u-threshold", "-1", "--dr", "0.1"],
+    ["solve", "--u-threshold", "nan", "--dr", "0.1"],
+    ["solve", "--p", "nan", "--dr", "0.1"],
+    ["solve", "--eps", "inf", "--dr", "0.1"],
+    ["solve", "--mu", "nan", "--dr", "0.1"],
+    ["solve", "--beta", "nan", "--dr", "0.1"],
+    ["solve", "--t-max", "inf", "--dr", "0.1"],
+    ["solve", "--snap-times", "0.5,nan", "--dr", "0.1"],
+    ["sweep", "--eps-max", "inf", "--dr", "0.1"],
 ])
 def test_bad_values_exit_2(argv, tmp_path, capsys):
-    # a short coarse run, should a check be missed
-    assert main([*argv, "--t-max", "1", "--out", str(tmp_path / "out.csv")]) == 2
+    # a short coarse run, should a check be missed; a --t-max in argv wins
+    cmd, *rest = argv
+    assert main([cmd, "--t-max", "1", *rest, "--out", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from strauss_lab.model import ModelParams, build_grid, initial_data
-from strauss_lab.solver import (energy_functional, estimate_lifespans,
-                                exact_undamped_radial3d, mms_order,
-                                radial_laplacian, run, run_block)
+from strauss_lab.solver import (_abs_power, energy_functional,
+                                estimate_lifespans, exact_undamped_radial3d,
+                                mms_order, radial_laplacian, run, run_block)
 
 
 def _oracle_params(**kw):
@@ -202,6 +202,27 @@ def test_lifespan_censored():
     assert math.isnan(res.T_extrapolated)
 
 
+# --- the |x|^p rule -------------------------------------------------------------
+
+@pytest.mark.parametrize("p, max_ulp", [
+    (2.0, 0),                  # a square, as numpy evaluates |x| ** 2
+    (1.0 + math.sqrt(2.0), 0),  # pow itself
+    (1.5, 1),
+    (2.5, 2),
+    (3.0, 2),
+    (5.0, 0),                  # beyond p = 4: pow
+])
+def test_abs_power_matches_pow(p, max_ulp):
+    rng = np.random.default_rng(7)
+    tiny = np.logspace(-323.0, -100.0, 400)  # subnormal x and subnormal x^p
+    x = np.concatenate([rng.standard_normal(2000) * 10.0 ** rng.uniform(-8, 8, 2000),
+                        tiny, -tiny, [0.0, -0.0, 1e-300, -1e-300, 5e-324, -3e-310]])
+    ref = np.abs(x) ** p
+    out, scratch = x.copy(), np.empty_like(x)
+    _abs_power(p)(out, out, scratch)  # in place, as the power_ut step calls it
+    assert np.all(np.abs(out - ref) <= max_ulp * np.spacing(ref))
+
+
 # --- the folded step against the unfolded arithmetic --------------------------------
 
 # u snapshots at t = 1, 2, 3 and max |u| over the first 90% of the steps,
@@ -258,6 +279,8 @@ def _assert_same_outcome(a, b):
     ("power_ut", 1.5, 2.0, (3.0, 2.0, 2.5), ("blew_up",) * 3),
     # the middle row is censored at t_max
     ("power_u", 2.2, 20.0, (0.7, 0.05, 1.0), ("blew_up", "completed", "blew_up")),
+    # |u|^2.5 by multiplies and a square root
+    ("power_u", 2.5, 8.0, (1.0, 0.9, 0.5), ("blew_up", "blew_up", "completed")),
 ])
 def test_block_rows_match_single_runs(mode, p, amp, eps, statuses):
     grid = build_grid(6.0, 0.04)
