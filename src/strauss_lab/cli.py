@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .eigen import normalize, solve_psi
+from .eigen import psi_hat_batch
 from .exponents import critical_exponents, gamma, theory_lifespan
 from .functionals import (CHECK_NAMES, CheckNotApplicable, SolutionSamples,
                           inequality_check, ode_lemma_fit)
@@ -218,19 +218,21 @@ def cmd_fit(args) -> int:
 def cmd_eigen(args) -> int:
     cfg = resolve_config(args)
     etas = _float_list(args.etas, "eta")
-    if any(e < 0 for e in etas):
-        raise ConfigError("eta values must be >= 0")
-    if max(etas) * args.r_max > 700.0:
-        raise ConfigError("eta*r_max too large for the unrescaled profile; "
-                          "reduce r_max")
+    if not 0.0 < args.r_max < math.inf:
+        raise ConfigError(f"r-max must be positive and finite, got {args.r_max}")
+    r = 0.01 * np.arange(int(round(args.r_max / 0.01)) + 1)
     rows = []
     for eta in etas:
+        # one eta per call, so no lambda depends on the other --etas values
         try:
-            sol = normalize(solve_psi(eta, cfg.mu, cfg.beta, cfg.n, args.r_max))
+            psi_hat, _, (lam,) = psi_hat_batch([eta], cfg.mu, cfg.beta,
+                                               cfg.n, r)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        rows.append((eta, sol.r, sol.psi, sol.w, sol.lam))
-        print(f"eta={eta:.6g} lambda={sol.lam:.12g} sup|w|={float(np.max(np.abs(sol.w))):.6g}")
+        psi = psi_hat[0] * lam
+        w = (1.0 + r) ** ((cfg.n - 1) / 2.0) * np.exp(-eta * r) * psi
+        rows.append((eta, r, psi, w, lam))
+        print(f"eta={eta:.6g} lambda={lam:.12g} sup|w|={float(np.max(np.abs(w))):.6g}")
     if args.out:
         write_csv(args.out, ("eta", "r", "psi", "w", "lambda"), rows)
     return 0
@@ -306,6 +308,8 @@ def cmd_verify(args) -> int:
         except CheckNotApplicable as exc:
             print(f"check {tok}: skipped ({exc})")
             continue
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         ok = series.passed(args.spread_tol)
         if series.mode == "sign":
             detail = f"min margin {float(series.lhs.min()):.3e} >= 0"

@@ -12,9 +12,12 @@ and stays bounded.  The undamped comparison profile is the plane-wave average
     varphi_eta(x) = int_{S^{n-1}} e^(eta x.omega) d(omega)
                   = |S^{n-2}| int_{-1}^{1} (1-th^2)^((n-3)/2) e^(th*eta*r) dth,
 
-and the matching constant lambda(eta) = psi_eta(r_ref)/varphi_eta(r_ref) at a
-radius where the ratio has plateaued.  For mu = 0 the ratio is constant:
-psi = varphi/|S^{n-1}| exactly (n = 3: psi = sinh(eta r)/(eta r)).
+and the matching constant is lambda(eta) = psi_eta(r_ref)/varphi_eta(r_ref) at
+one fixed far radius r_ref.  The ratio still creeps up there: for
+V ~ mu r^-beta its far-field bias falls like r_ref^-(beta-1), so each doubling
+of r_ref shrinks the increment of lambda by 2^(beta-1).  For mu = 0 the ratio
+is constant: psi = varphi/|S^{n-1}| exactly (n = 3: psi = sinh(eta r)/(eta r)),
+and at eta = 0, psi = 1 and lambda = 1/|S^{n-1}|.
 
 One integrator serves every solve.  The equation for (s, s') is linear, so a
 classical RK4 step is a fixed 2x2 propagator matrix; _rk4_propagate forms
@@ -28,43 +31,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import sphere_area
 
-PLATEAU_SLOPE = 1e-4   # |d log(psi/varphi) / dr| below this counts as flat
 DEFAULT_DR_ODE = 1e-3
 CHUNK = 64             # output intervals per propagator block (bounds memory)
-
-
-@dataclass(frozen=True)
-class EigenSolution:
-    """Shooting solution on a uniform radial grid.
-
-    w = (1+r)^((n-1)/2) e^(-eta r) psi is the rescaled profile whose
-    boundedness expresses the sub-exponential growth bound.  lam is None
-    until normalize() fixes the far-field matching constant.
-    """
-
-    eta: float
-    mu: float
-    beta: float
-    n: int
-    r: np.ndarray
-    psi: np.ndarray
-    psi_prime: np.ndarray
-    w: np.ndarray
-    lam: float | None = None
-    r_ref: float | None = None
-
-    @property
-    def psi_hat(self) -> np.ndarray:
-        """Far-field normalized profile psi/lam (requires normalize())."""
-        if self.lam is None:
-            raise ValueError("solution not normalized; call normalize() first")
-        return self.psi / self.lam
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,21 +147,15 @@ def _rk4_propagate(etas, mu, beta, n, edges, every, s, sp):
 
 
 def _shoot(etas, mu, beta, n, r_out, dr):
-    """(psi rows, psi' rows, last (s, s') state) on r_out for every eta > 0.
+    """(psi rows, psi' rows, last (s, s') state) on r_out for every eta.
 
     RK4 steps of size h <= dr aligned with the output grid r_out (uniform,
     starting at 0); the state at r = h comes from the series
-    psi ~ 1 + (eta V(0) + eta^2) r^2 / (2n).
+    psi ~ 1 + (eta V(0) + eta^2) r^2 / (2n).  At eta = 0 every propagator
+    keeps (s, s') = (1, 0) exactly.
     """
-    if r_out.ndim != 1 or r_out.size < 2:
-        raise ValueError("r_out must be a 1-d grid with at least two nodes")
-    spac = np.diff(r_out)
-    if not np.allclose(spac, spac[0], rtol=1e-9, atol=0.0):
-        raise ValueError("r_out must be uniformly spaced")
-    if abs(r_out[0]) > 1e-12:
-        raise ValueError("r_out must start at 0")
-    k = max(1, int(math.ceil(spac[0] / dr - 1e-12)))
-    h = float(spac[0]) / k
+    k = max(1, int(math.ceil((r_out[1] - r_out[0]) / dr - 1e-12)))
+    h = float(r_out[1] - r_out[0]) / k
     c = etas * mu + etas * etas
     p1 = 1.0 + c * h * h / (2.0 * n)
     e = np.exp(-etas * h)
@@ -204,101 +171,36 @@ def _shoot(etas, mu, beta, n, r_out, dr):
     return psi, psip, (s[-1], sp[-1])
 
 
-def solve_psi(eta: float, mu: float, beta: float, n: int, r_max: float,
-              dr: float = DEFAULT_DR_ODE, r_out: np.ndarray | None = None) -> EigenSolution:
-    """Shooting solve of the rescaled equation up to r_max.
-
-    Output is sampled on r_out (uniform, starting at 0; default spacing
-    ~max(dr, 0.01)).  The integrator takes fixed classical 4th-order steps of
-    size <= dr aligned with the output grid; the first node comes from the
-    series psi ~ 1 + (eta V(0) + eta^2) r^2 / (2n).
-    """
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    if n < 2 or mu < 0 or beta <= 0:
-        raise ValueError("need n >= 2, mu >= 0, beta > 0")
-    if eta * r_max > 700.0:
-        raise ValueError(
-            "eta*r_max > 700: psi ~ e^(eta r) overflows; use psi_hat_batch, "
-            "which stores only the requested radii")
-    if r_out is None:
-        spacing = max(dr, 0.01)
-        r_out = np.arange(int(round(r_max / spacing)) + 1) * spacing
-    r_out = np.asarray(r_out, dtype=float)
-    if eta == 0.0:
-        ones = np.ones_like(r_out)
-        return EigenSolution(eta=0.0, mu=mu, beta=beta, n=n, r=r_out,
-                             psi=ones, psi_prime=np.zeros_like(r_out),
-                             w=(1.0 + r_out) ** ((n - 1) / 2.0))
-    psi, psip, _ = _shoot(np.array([eta]), mu, beta, n, r_out, dr)
-    psi, psip = psi[:, 0], psip[:, 0]
-    w = (1.0 + r_out) ** ((n - 1) / 2.0) * np.exp(-eta * r_out) * psi
-    return EigenSolution(eta=eta, mu=mu, beta=beta, n=n, r=r_out,
-                         psi=psi, psi_prime=psip, w=w)
-
-
-def _plateau_index(r, ratio, r_cap):
-    """First index from which |d log ratio / dr| stays below PLATEAU_SLOPE."""
-    logr = np.log(ratio)
-    slopes = np.abs(np.diff(logr) / np.diff(r))
-    ok = slopes < PLATEAU_SLOPE
-    # sustained: flat from here to the end of the grid
-    sustained = np.flip(np.logical_and.accumulate(np.flip(ok)))
-    idx = np.flatnonzero(sustained)
-    if idx.size == 0 or r[idx[0]] > r_cap:
-        return None
-    return int(idx[0])
-
-
-def normalize(sol: EigenSolution, r_ref: float | None = None) -> EigenSolution:
-    """Fix lambda(eta) = psi(r_ref)/varphi_eta(r_ref).
-
-    Default r_ref: first radius where the psi/varphi ratio has plateaued
-    (sustained relative slope < 1e-4 per unit r), capped at 0.8*r_max; the
-    grid must reach r_max >= 30/max(eta, 0.1) so a genuine far field exists.
-    """
-    if sol.eta == 0.0:
-        lam = 1.0 / sphere_area(sol.n)
-        return replace(sol, lam=lam, r_ref=0.0)
-    r_need = 30.0 / max(sol.eta, 0.1)
-    if sol.r[-1] < r_need - 1e-9:
-        raise ValueError(
-            f"grid too small to normalize: r_max={sol.r[-1]:.3g} < {r_need:.3g}")
-    # scaled ratio avoids e^(eta r) overflow at large radii
-    s_vals = np.exp(-sol.eta * sol.r) * sol.psi
-    phi_scaled = varphi(sol.eta, sol.r, sol.n, scaled=True)
-    ratio = s_vals / phi_scaled
-    if r_ref is None:
-        idx = _plateau_index(sol.r, ratio, 0.8 * sol.r[-1])
-        if idx is None:
-            raise ValueError("no plateau found: extend r_max")
-        r_ref = float(sol.r[idx])
-    else:
-        idx = int(np.argmin(np.abs(sol.r - r_ref)))
-        r_ref = float(sol.r[idx])
-    return replace(sol, lam=float(ratio[idx]), r_ref=r_ref)
-
-
 def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
-                  dr: float = DEFAULT_DR_ODE,
-                  r_norm_max: float | None = None,
-                  r_ref: float | None = None):
-    """Normalized profiles psi_hat = psi/lambda for a family of eta > 0.
+                  dr: float = DEFAULT_DR_ODE, r_ref: float | None = None):
+    """Normalized profiles psi_hat = psi/lambda for a family of eta >= 0.
 
-    Returns (psi_hat, psi_hat_prime, lam) with rows indexed like etas.  All
-    eta share one integration (vectorized) and one matching radius r_ref
-    (default 0.8*r_norm_max) so that lambda is a smooth function of eta —
-    required when the family feeds a quadrature rule.
+    Returns (psi_hat, psi_hat_prime, lam) with rows indexed like etas, on the
+    output grid r_out (uniform, starting at 0).  All eta share one
+    integration (vectorized) and one matching radius, by default
+    r_ref = 0.8 * max(30/max(eta_min, 0.1), 1.05 r_out[-1]), so that lambda
+    is a smooth function of eta -- required when the family feeds a
+    quadrature rule.  A row depends on the other rows only through eta_min
+    (and, at round-off, the varphi node count).
     """
     etas = np.asarray(etas, dtype=float)
-    if np.any(etas <= 0.0):
-        raise ValueError("batch normalization needs eta > 0")
     r_out = np.asarray(r_out, dtype=float)
-    if r_norm_max is None:
-        r_norm_max = 30.0 / max(float(etas.min()), 0.1)
-    r_norm_max = max(r_norm_max, 1.05 * float(r_out[-1]))
+    if n < 2 or not (mu >= 0.0 and beta > 0.0):
+        raise ValueError("need n >= 2, mu >= 0, beta > 0")
+    if not np.all(etas >= 0.0):
+        raise ValueError("eta must be >= 0")
+    if r_out.ndim != 1 or r_out.size < 2:
+        raise ValueError("r_out must be a 1-d grid with at least two nodes")
+    spac = np.diff(r_out)
+    if not np.allclose(spac, spac[0], rtol=1e-9, atol=0.0):
+        raise ValueError("r_out must be uniformly spaced")
+    if abs(r_out[0]) > 1e-12:
+        raise ValueError("r_out must start at 0")
+    if float(etas.max()) * r_out[-1] > 700.0:
+        raise ValueError("eta*r_max > 700: psi ~ e^(eta r) overflows")
     if r_ref is None:
-        r_ref = 0.8 * r_norm_max
+        r_ref = 0.8 * max(30.0 / max(float(etas.min()), 0.1),
+                          1.05 * float(r_out[-1]))
     psi, psip, state = _shoot(etas, mu, beta, n, r_out, dr)
     if r_ref <= r_out[-1] + 1e-12:
         i_ref = int(np.argmin(np.abs(r_out - r_ref)))
@@ -317,4 +219,3 @@ def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
     return (psi.T / lam[:, None],
             psip.T / lam[:, None],
             lam)
-

@@ -18,6 +18,7 @@ from .eigen import psi_hat_batch
 from .model import ModelParams, initial_data, potential, sphere_area
 from .testfunc import build_bq
 
+GRID_CAP_FRAC = 0.8  # default check grids end at this fraction of t_last
 CHECK_NAMES = ("ineq_3_4", "ineq_3_16", "ineq_4_9", "ineq_4_15",
                "ineq_5_1", "ineq_5_11")
 
@@ -56,6 +57,15 @@ def cutoff(t):
         Dp = -2.0 * A / a**2 + 2.0 * B / b**2
         d2[mid] = (Np * D - 2.0 * N * Dp) / D**3
     return eta, d1, d2
+
+
+def _cutoff_power(t, T: float, p_conj: float):
+    """eta(t/T)^(2p') and its first two t-derivatives."""
+    pp = 2.0 * p_conj
+    e, e1, e2 = cutoff(t / T)
+    return (e ** pp, pp * e ** (pp - 1.0) * e1 / T,
+            (pp * (pp - 1.0) * e ** (pp - 2.0) * e1**2
+             + pp * e ** (pp - 1.0) * e2) / T**2)
 
 
 def theta(t):
@@ -243,8 +253,7 @@ def phi_profile(params: ModelParams, r) -> tuple[np.ndarray, np.ndarray]:
     return ph[0], php[0]
 
 
-def data_constants(samples: SolutionSamples,
-                   phi: np.ndarray | None = None) -> tuple[float, float]:
+def data_constants(samples: SolutionSamples) -> tuple[float, float]:
     """(C1, C2) per unit epsilon: C1 = int g + int V f,
     C2 = int g phi + int (1 + V) f phi."""
     params = samples.params
@@ -253,8 +262,7 @@ def data_constants(samples: SolutionSamples,
     r = samples.r
     u0, v0 = initial_data(params, r)
     f, g = u0 / params.eps, v0 / params.eps
-    if phi is None:
-        phi, _ = samples.phi
+    phi, _ = samples.phi
     V = potential(r, params.mu, params.beta)
     rw = sphere_area(params.n) * r ** (params.n - 1)
     C1 = float(np.trapezoid((g + V * f) * rw, r))
@@ -267,9 +275,7 @@ def data_constants(samples: SolutionSamples,
 TEST_KINDS = ("eta2p", "eta2p_Phi", "dtpsi")
 
 
-def weak_residual(samples: SolutionSamples, test_kind: str, T: float,
-                  phi: np.ndarray | None = None,
-                  phi_prime: np.ndarray | None = None) -> float:
+def weak_residual(samples: SolutionSamples, test_kind: str, T: float) -> float:
     """Relative defect of the space-time weak identity against one test kind.
 
     The identity (for any smooth Psi vanishing at and after T):
@@ -294,21 +300,13 @@ def weak_residual(samples: SolutionSamples, test_kind: str, T: float,
     if T > t[-1] + 1e-12:
         raise ValueError("T exceeds the stored trajectory")
     params = samples.params
-    pp = 2.0 * samples.p_conj
-    e, e1, e2 = cutoff(t / T)
-    eta_pow = e ** pp
-    d_eta_pow = pp * e ** (pp - 1.0) * e1 / T
-    dd_eta_pow = (pp * (pp - 1.0) * e ** (pp - 2.0) * e1**2
-                  + pp * e ** (pp - 1.0) * e2) / T**2
+    eta_pow, d_eta_pow, dd_eta_pow = _cutoff_power(t, T, samples.p_conj)
     if test_kind == "eta2p":
         Psi = np.broadcast_to(eta_pow[:, None], samples.u.shape)
         Psi_t = np.broadcast_to(d_eta_pow[:, None], samples.u.shape)
         Psi_r = np.zeros_like(samples.u)
     else:
-        if phi is None:
-            phi, phi_prime = samples.phi
-        elif phi_prime is None:
-            raise ValueError("phi_prime must accompany phi")
+        phi, phi_prime = samples.phi
         emt = np.exp(-t)
         if test_kind == "eta2p_Phi":
             c = eta_pow * emt
@@ -387,19 +385,18 @@ class RatioSeries:
 
 
 def _eta_weighted(samples: SolutionSamples, w_t: np.ndarray, T: float) -> float:
-    weight = cutoff(samples.t / T)[0] ** (2.0 * samples.p_conj)
+    weight = _cutoff_power(samples.t, T, samples.p_conj)[0]
     return float(np.trapezoid(w_t * weight, samples.t))
 
 
 def inequality_check(samples: SolutionSamples, which: str,
-                     grid=None, count: int = 12,
-                     grid_cap_frac: float = 0.8) -> RatioSeries:
+                     grid=None, count: int = 12) -> RatioSeries:
     """Evaluate one inequality of the blow-up chain along a stored run.
 
-    The grid defaults to a geometric ladder of T (resp. M) values between 2
-    (resp. 4) and grid_cap_frac * t_last, staying clear of under-resolved
-    near-blow-up data.  lhs/rhs are oriented so the asserted bound is a
-    positive lower bound for lhs/rhs.
+    The grid defaults to a geometric ladder of `count` (>= 2) T (resp. M)
+    values between 2 (resp. 4) and GRID_CAP_FRAC * t_last, staying clear of
+    under-resolved near-blow-up data.  lhs/rhs are oriented so the asserted
+    bound is a positive lower bound for lhs/rhs.
     """
     if which not in CHECK_NAMES:
         raise ValueError(f"unknown check {which!r}; choose from {CHECK_NAMES}")
@@ -408,8 +405,10 @@ def inequality_check(samples: SolutionSamples, which: str,
     p_conj = samples.p_conj
     t, r = samples.t, samples.r
     if grid is None:
+        if count < 2:
+            raise ValueError(f"a check needs at least 2 grid points, got {count}")
         floor = 2.0 if which in ("ineq_3_4", "ineq_3_16") else 4.0
-        top = grid_cap_frac * t[-1]
+        top = GRID_CAP_FRAC * t[-1]
         if top <= floor * 1.01:
             raise ValueError("stored trajectory too short for the default grid")
         grid = np.geomspace(floor, top, count)
@@ -448,12 +447,9 @@ def inequality_check(samples: SolutionSamples, which: str,
     phi, _ = samples.phi
     Phi = np.exp(-t)[:, None] * phi[None, :]
     if which == "ineq_5_1":
-        pp = 2.0 * p_conj
         margins = np.empty_like(grid)
         for i, M in enumerate(grid):
-            e, e1, _ = cutoff(t / M)
-            eta_pow = e ** pp
-            d_eta_pow = pp * e ** (pp - 1.0) * e1 / M
+            eta_pow, d_eta_pow, _ = _cutoff_power(t, M, p_conj)
             dtpsi = (eta_pow - d_eta_pow)[:, None] * Phi
             floor_term = eta_pow[:, None] * Phi
             margins[i] = float(np.min(dtpsi - floor_term))

@@ -14,7 +14,7 @@ import pytest
 from scipy.special import gammainc
 
 from strauss_lab.cli import main as cli_main
-from strauss_lab.eigen import normalize, solve_psi
+from strauss_lab.eigen import psi_hat_batch
 from strauss_lab.exponents import critical_exponents, gamma, theory_lifespan
 from strauss_lab.functionals import (inequality_check, ode_lemma_fit,
                                      oracle_samples, weak_residual)
@@ -92,16 +92,18 @@ def test_criterion_1_exponent_arithmetic(capsys):
 def test_criterion_2_eigenfunction_oracle(capsys):
     t0 = time.perf_counter()
     fails = []
-    sol = solve_psi(1.0, mu=0.0, beta=3.0, n=3, r_max=40.0)
-    exact = np.ones_like(sol.r)
-    pos = sol.r > 0
-    exact[pos] = np.sinh(sol.r[pos]) / sol.r[pos]
-    rel = float(np.max(np.abs(sol.psi - exact) / exact))
+    r = 0.01 * np.arange(4001)
+    psi_hat, _, lam = psi_hat_batch([1.0], 0.0, 3.0, 3, r)
+    exact = np.ones_like(r)
+    exact[1:] = np.sinh(r[1:]) / r[1:]
+    rel = float(np.max(np.abs(psi_hat[0] * lam[0] - exact) / exact))
     _check(fails, rel < 1e-8, f"sinh(r)/r oracle rel err {rel:.2e}")
     sups = []
     for r_max in (40.0, 80.0):
-        damped = normalize(solve_psi(1.0, mu=1.0, beta=3.0, n=3, r_max=r_max))
-        sups.append(float(np.max(np.abs(damped.w))))
+        r = 0.01 * np.arange(int(round(r_max / 0.01)) + 1)
+        psi_hat, _, lam = psi_hat_batch([1.0], 1.0, 3.0, 3, r)
+        w = (1.0 + r) * np.exp(-r) * psi_hat[0] * lam[0]
+        sups.append(float(np.max(np.abs(w))))
     drift = abs(sups[1] - sups[0]) / sups[0]
     _check(fails, math.isfinite(sups[0]) and sups[0] > 0.0, "w not bounded")
     _check(fails, drift <= 0.01, f"sup|w| drift {drift:.3%} on doubling")

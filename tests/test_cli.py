@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from strauss_lab.cli import _read_solution_csv, build_parser, main, resolve_config
-from strauss_lab.eigen import normalize, solve_psi
+from strauss_lab.eigen import psi_hat_batch
 from strauss_lab.model import RunConfig
 from strauss_lab.sweep import csv_text, write_csv
 from strauss_lab.testfunc import build_bq
@@ -249,11 +249,14 @@ def test_eigen_cmd(tmp_path, capsys):
     rows = _read_rows(out)
     assert set(rows[0]) == {"eta", "r", "psi", "w", "lambda"}
     assert len({row["eta"] for row in rows}) == 2
+    r = 0.01 * np.arange(4001)
     cells = []
     for eta in (1.0, 2.0):
-        sol = normalize(solve_psi(eta, 1.0, 2.5, 3, 40.0))
-        cells += [(eta, sol.r[j], sol.psi[j], sol.w[j], sol.lam)
-                  for j in range(sol.r.size)]
+        # one eta per call: lambda does not depend on the other --etas values
+        psi_hat, _, (lam,) = psi_hat_batch([eta], 1.0, 2.5, 3, r)
+        psi = psi_hat[0] * lam
+        w = (1.0 + r) * np.exp(-eta * r) * psi
+        cells += [(eta, r[j], psi[j], w[j], lam) for j in range(r.size)]
     assert out.read_bytes() == csv_text(("eta", "r", "psi", "w", "lambda"),
                                         cells).encode()
 
@@ -261,7 +264,8 @@ def test_eigen_cmd(tmp_path, capsys):
 def test_eigen_guards_exit_2(capsys):
     assert main(["eigen", "--etas", "-1.0"]) == 2
     assert main(["eigen", "--etas", "20.0", "--r-max", "40"]) == 2
-    assert main(["eigen", "--etas", "0.2", "--r-max", "40"]) == 2  # too short
+    for r_max in ("0", "nan", "inf"):
+        assert main(["eigen", "--r-max", r_max]) == 2
     capsys.readouterr()
 
 
@@ -375,6 +379,22 @@ def test_verify_unknown_check(crit_solution_csv, capsys):
     rc = main(["verify", "--solution", crit_solution_csv, "--checks", "9.9"])
     assert rc == 2
     assert "unknown check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["0", "-3", "1"])
+def test_verify_bad_points_exit_2(points, crit_solution_csv, capsys):
+    # one point would pass every spread check vacuously (spread 1)
+    assert main(["verify", "--solution", crit_solution_csv, *VERIFY_FLAGS,
+                 "--checks", "3.16", "--points", points]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_verify_short_solution_exit_2(tmp_path, capsys):
+    # t_last = 1 leaves no room for the default T grid from 2 to 0.8 t_last
+    path = str(tmp_path / "short.csv")
+    assert main(["solve", "--t-max", "1", "--dr", "0.1", "--out", path]) == 0
+    assert main(["verify", "--solution", path, "--checks", "3.4"]) == 2
+    assert "too short" in capsys.readouterr().err
 
 
 def test_verify_malformed_solution(tmp_path, capsys):

@@ -8,30 +8,33 @@ import numpy as np
 import pytest
 
 from strauss_lab import eigen, testfunc
-from strauss_lab.eigen import (gauss_jacobi, normalize, psi_hat_batch,
-                               solve_psi, varphi)
+from strauss_lab.eigen import gauss_jacobi, psi_hat_batch, varphi
 from strauss_lab.functionals import phi_profile
-from strauss_lab.model import ModelParams, build_grid
+from strauss_lab.model import ModelParams, build_grid, sphere_area
 from strauss_lab.testfunc import eta_rule
+
+
+def _grid(r_max):
+    return 0.01 * np.arange(int(round(r_max / 0.01)) + 1)
 
 
 def test_undamped_sinh_oracle():
     # mu = 0, n = 3: the regular solution of Lap(psi) = eta^2 psi is sinh(r)/r
-    sol = solve_psi(1.0, mu=0.0, beta=3.0, n=3, r_max=40.0)
-    r = sol.r
+    r = _grid(40.0)
+    psi_hat, _, lam = psi_hat_batch([1.0], 0.0, 3.0, 3, r)
     exact = np.ones_like(r)
-    pos = r > 0
-    exact[pos] = np.sinh(r[pos]) / r[pos]
-    rel = np.abs(sol.psi - exact) / exact
+    exact[1:] = np.sinh(r[1:]) / r[1:]
+    rel = np.abs(psi_hat[0] * lam[0] - exact) / exact
     assert float(np.max(rel)) < 1e-8
 
 
 def test_undamped_matches_varphi_exactly():
     # mu = 0: psi IS the plane-wave average up to one constant, so the
     # normalized profile and varphi agree on the whole grid, not just far out
-    sol = normalize(solve_psi(1.5, mu=0.0, beta=3.0, n=3, r_max=40.0))
-    phi = varphi(1.5, sol.r, 3)
-    rel = np.abs(sol.psi_hat - phi) / np.abs(phi)
+    r = _grid(40.0)
+    psi_hat, _, _ = psi_hat_batch([1.5], 0.0, 3.0, 3, r)
+    phi = varphi(1.5, r, 3)
+    rel = np.abs(psi_hat[0] - phi) / np.abs(phi)
     assert float(np.max(rel)) < 1e-9
 
 
@@ -58,33 +61,56 @@ def test_rescaled_profile_bounded_and_stable():
     # sup stable under doubling of the domain
     sups = []
     for r_max in (40.0, 80.0):
-        sol = solve_psi(1.0, mu=1.0, beta=3.0, n=3, r_max=r_max)
-        sups.append(float(np.max(np.abs(sol.w))))
+        r = _grid(r_max)
+        psi_hat, _, lam = psi_hat_batch([1.0], 1.0, 3.0, 3, r)
+        w = (1.0 + r) * np.exp(-r) * psi_hat[0] * lam[0]
+        sups.append(float(np.max(np.abs(w))))
     assert abs(sups[1] - sups[0]) <= 0.01 * sups[0]
 
 
 def test_eta_zero_profile():
-    sol = normalize(solve_psi(0.0, mu=1.0, beta=3.0, n=3, r_max=10.0))
-    assert np.all(sol.psi == 1.0)
-    assert np.all(sol.psi_prime == 0.0)
-    assert sol.lam is not None
+    # at eta = 0 the shooting keeps s = 1, s' = 0 exactly
+    psi_hat, psi_hat_p, lam = psi_hat_batch([0.0], 1.0, 3.0, 3, _grid(10.0))
+    assert np.all(psi_hat == 1.0 / lam[0])
+    assert np.all(psi_hat_p == 0.0)
 
 
-def test_normalization_consistency_batch_vs_scalar():
-    # same matching radius on both routes -> agreement at integrator accuracy;
-    # with independently chosen radii they would differ by the algebraic
-    # far-field bias of lambda (about 1e-3 at r_ref ~ 30 for beta = 2.5)
+@pytest.mark.parametrize("eta, beta", [(0.5, 2.5), (0.5, 3.0), (0.0, 3.0)])
+def test_lambda_far_field_law(eta, beta):
+    # lambda at r_ref creeps up with a bias ~ r_ref^-(beta-1): each doubling
+    # of r_ref shrinks the increment by 2^(beta-1); at eta = 0 it is exact
+    r = _grid(5.0)
+    lams, psi_lams = [], []
+    for r_ref in (30.0, 60.0, 120.0, 240.0, 480.0):
+        psi_hat, _, lam = psi_hat_batch([eta], 1.0, beta, 3, r, r_ref=r_ref)
+        lams.append(lam[0])
+        psi_lams.append(psi_hat[0] * lam[0])
+    if eta == 0.0:
+        np.testing.assert_allclose(psi_lams, 1.0, rtol=1e-15)
+        np.testing.assert_allclose(lams, 1.0 / sphere_area(3), rtol=1e-14)
+        return
+    steps = np.diff(lams)
+    assert np.all(steps > 0.0)
+    np.testing.assert_allclose(steps[:-1] / steps[1:], 2.0 ** (beta - 1.0),
+                               rtol=0.05)
+
+
+def test_psi_hat_batch_rows_independent():
+    # a row depends on the batch only through eta_min (the default r_ref)
     etas = np.array([0.5, 1.0, 2.0])
     r_out = np.linspace(0.0, 5.0, 11)
-    r_ref = 60.0
-    psi_hat, psi_hat_p, lam = psi_hat_batch(etas, 1.0, 2.5, 3, r_out,
-                                            r_norm_max=75.0, r_ref=r_ref)
-    assert psi_hat.shape == (etas.size, r_out.size)
+    full = psi_hat_batch(etas, 1.0, 2.5, 3, r_out)
+    assert full[0].shape == (etas.size, r_out.size)
+    for rows in ([0, 1], [0, 2]):
+        part = psi_hat_batch(etas[rows], 1.0, 2.5, 3, r_out)
+        for a, b in zip(full, part):
+            np.testing.assert_allclose(a[rows], b, rtol=1e-12)
+    # ... and not at all when r_ref is given
+    fixed = psi_hat_batch(etas, 1.0, 2.5, 3, r_out, r_ref=60.0)
     for i, eta in enumerate(etas):
-        sol = normalize(solve_psi(eta, 1.0, 2.5, 3, r_max=80.0), r_ref=r_ref)
-        idx = [int(round(rv / (sol.r[1] - sol.r[0]))) for rv in r_out]
-        np.testing.assert_allclose(psi_hat[i], sol.psi_hat[idx], rtol=1e-9)
-        assert lam[i] == pytest.approx(sol.lam, rel=1e-9)
+        one = psi_hat_batch([eta], 1.0, 2.5, 3, r_out, r_ref=60.0)
+        for a, b in zip(fixed, one):
+            np.testing.assert_allclose(a[i], b[0], rtol=1e-12)
 
 
 def test_psi_hat_batch_node_spacing_insensitive():
@@ -97,14 +123,14 @@ def test_psi_hat_batch_node_spacing_insensitive():
 
 
 def test_guards():
-    with pytest.raises(ValueError):
-        solve_psi(-1.0, 1.0, 3.0, 3, 10.0)
-    with pytest.raises(ValueError):
-        solve_psi(2.0, 1.0, 3.0, 3, 400.0)  # eta*r_max > 700
-    with pytest.raises(ValueError):
-        solve_psi(1.0, 1.0, 3.0, 1, 10.0)
-    with pytest.raises(ValueError):
-        normalize(solve_psi(0.5, 1.0, 3.0, 3, r_max=30.0))  # too small for far field
+    for etas, mu, beta, n, r_max in [
+            ([-1.0], 1.0, 3.0, 3, 10.0),
+            ([1.0, 2.0], 1.0, 3.0, 3, 400.0),  # eta*r_max > 700: psi overflows
+            ([1.0], 1.0, 3.0, 1, 10.0),
+            ([1.0], -1.0, 3.0, 3, 10.0),
+            ([1.0], 1.0, 0.0, 3, 10.0)]:
+        with pytest.raises(ValueError):
+            psi_hat_batch(etas, mu, beta, n, _grid(r_max))
 
 
 def _mp_gauss_jacobi(m, a, b, x0):

@@ -12,7 +12,7 @@ from strauss_lab.functionals import (CHECK_NAMES, CheckNotApplicable,
                                      SolutionSamples, cutoff, data_constants,
                                      inequality_check, ode_escape_logT,
                                      ode_lemma_fit, oracle_samples,
-                                     phi_profile, samples_from_outcome, theta,
+                                     samples_from_outcome, theta,
                                      weak_residual, y_series, y_weight,
                                      y_weight_ceiling)
 from strauss_lab.model import ModelParams, bump_integral
@@ -149,8 +149,6 @@ def test_weak_residual_validation():
         weak_residual(samples, "bogus", T=3.0)
     with pytest.raises(ValueError):
         weak_residual(samples, "eta2p", T=9.0)  # beyond the trajectory
-    with pytest.raises(ValueError):
-        weak_residual(samples, "eta2p_Phi", T=3.0, phi=np.ones(r.size))
     shifted = SolutionSamples(params=params, t=t + 1.0, r=r, u=zero, ut=zero)
     with pytest.raises(ValueError):
         weak_residual(shifted, "eta2p", T=3.0)
@@ -168,17 +166,6 @@ def test_weak_residual_second_order_on_oracle():
     assert res[1] / res[2] > 3.0
 
 
-def test_weak_residual_accepts_explicit_phi():
-    params = _params(nonlinearity="none")
-    t = np.linspace(0.0, 6.0, 61)
-    r = np.linspace(0.0, 8.0, 81)
-    samples = oracle_samples(params, t, r)
-    phi, phip = phi_profile(params, r)
-    a = weak_residual(samples, "dtpsi", T=5.0)
-    b = weak_residual(samples, "dtpsi", T=5.0, phi=phi, phi_prime=phip)
-    assert a == b
-
-
 # --- inequality checks ------------------------------------------------------------
 
 def test_inequality_check_validation(strauss_crit_samples):
@@ -187,6 +174,8 @@ def test_inequality_check_validation(strauss_crit_samples):
     too_far = np.array([2.0, strauss_crit_samples.t[-1] + 5.0])
     with pytest.raises(ValueError):
         inequality_check(strauss_crit_samples, "ineq_3_4", grid=too_far)
+    with pytest.raises(ValueError):  # one point: a vacuous spread of 1
+        inequality_check(strauss_crit_samples, "ineq_3_16", count=1)
 
 
 def test_inequality_check_short_trajectory():
