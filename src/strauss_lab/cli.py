@@ -21,9 +21,8 @@ from .functionals import (CHECK_NAMES, CheckNotApplicable, SolutionSamples,
                           inequality_check, ode_lemma_fit)
 from .model import CONFIG_TYPES, ConfigError, RunConfig, load_config
 from .solver import estimate_lifespans, run
-from .sweep import (SweepSpec, emit_plot, fit_powerlaw,
-                    fit_sweep, run_sweep, sweep_rows, write_csv, csv_text,
-                    SWEEP_HEADER)
+from .sweep import (SweepSpec, emit_plot, fit_sweep, fit_table, run_sweep,
+                    sweep_rows, write_csv, csv_text, SWEEP_HEADER)
 from .testfunc import build_bq, verify_bq_identities
 
 # verify-subcommand tokens (external interface) -> internal check names:
@@ -74,14 +73,13 @@ def cmd_exponents(args) -> int:
     cfg = resolve_config(args)
     n = cfg.n
     exps = critical_exponents(n)
-    mode = "power_u" if cfg.nonlinearity == "none" else cfg.nonlinearity
-    bound = theory_lifespan(n, cfg.p, mode)
+    bound = theory_lifespan(n, cfg.p, cfg.nonlinearity)
     g = gamma(cfg.p, n)
     print(f"n            = {n}")
     print(f"p_strauss    = {exps.p_strauss:.15g}")
     print(f"p_fujita     = {exps.p_fujita:.15g}")
     print(f"p_glassey    = {exps.p_glassey:.15g}")
-    print(f"p            = {cfg.p:.15g}  ({mode})")
+    print(f"p            = {cfg.p:.15g}  ({cfg.nonlinearity})")
     print(f"gamma(p, n)  = {g:.15g}")
     if bound.kind == "polynomial":
         shape = f"T <= C eps^-{bound.exponent:.15g}"
@@ -139,6 +137,7 @@ def cmd_sweep(args) -> int:
     try:
         spec = SweepSpec(config=cfg, eps_min=args.eps_min, eps_max=args.eps_max,
                          eps_count=args.eps_count, jobs=args.jobs)
+        fit_table(cfg, (), args.tolerance)  # a bad --tolerance stops before any solve
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     results = run_sweep(spec)
@@ -146,20 +145,23 @@ def cmd_sweep(args) -> int:
     for res in results:
         print(f"eps={res.eps:.6g} T={res.T_extrapolated:.6g} "
               f"censored={res.censored} unreliable={res.unreliable}")
-    fit, bound = fit_sweep(spec, results, tolerance=args.tolerance)
-    if fit.verdict == "not_applicable":
-        if bound.kind != "polynomial":
-            print(f"bound kind is {bound.kind} [{bound.branch}]: power-law fit "
-                  "not applicable; use the odelemma and verify subcommands for "
-                  "critical-case evidence")
-        else:
-            print("fewer than 4 clean points: fit not applicable")
+    title = f"lifespan scaling n={cfg.n} p={cfg.p:.6g} mu={cfg.mu:.6g}"
+    return _report_fit(fit_sweep(spec, results, args.tolerance)[0], args.plot, title)
+
+
+def _report_fit(fit, plot, title, out=None) -> int:
+    """Print a fit's verdict line or its refusal, write its files, give the exit code."""
+    if fit.refusal:
+        print(fit.refusal)
         return 0
-    print(f"slope={fit.slope:.6g} r2={fit.r_squared:.6g} "
-          f"theory={fit.theory_exponent:.6g} verdict={fit.verdict}")
-    if args.plot:
-        emit_plot(fit, args.plot,
-                  f"lifespan scaling n={cfg.n} p={cfg.p:.6g} mu={cfg.mu:.6g}")
+    print(f"slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
+          f"r2={fit.r_squared:.6g} theory={fit.theory_exponent:.6g} "
+          f"verdict={fit.verdict}")
+    if out:
+        header = ("slope", "intercept", "r_squared", "theory_exponent", "verdict")
+        write_csv(out, header, [tuple(getattr(fit, key) for key in header)])
+    if plot:
+        emit_plot(fit, plot, title)
     return 0 if fit.verdict == "consistent" else 1
 
 
@@ -189,30 +191,11 @@ def _read_sweep_csv(path: str):
 def cmd_fit(args) -> int:
     cfg = resolve_config(args)
     rows = _read_sweep_csv(args.infile)
-    points = [(eps, T) for eps, T, cen, unr in rows
-              if not (cen or unr) and math.isfinite(T)]
-    if args.theory_exponent is not None:
-        theory = args.theory_exponent
-    else:
-        bound = theory_lifespan(cfg.n, cfg.p, cfg.nonlinearity)
-        if bound.kind != "polynomial":
-            print(f"bound kind is {bound.kind} [{bound.branch}]: power-law fit "
-                  "not applicable; use the odelemma and verify subcommands")
-            return 0
-        theory = bound.exponent
-    fit = fit_powerlaw(points, theory, tolerance=args.tolerance)
-    print(f"slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
-          f"r2={fit.r_squared:.6g} theory={fit.theory_exponent:.6g} "
-          f"verdict={fit.verdict}")
-    if args.out:
-        write_csv(args.out,
-                  ("slope", "intercept", "r_squared", "theory_exponent",
-                   "verdict"),
-                  [(fit.slope, fit.intercept, fit.r_squared,
-                    fit.theory_exponent, fit.verdict)])
-    if args.plot:
-        emit_plot(fit, args.plot, "lifespan scaling fit")
-    return 0 if fit.verdict == "consistent" else 1
+    try:
+        fit, _ = fit_table(cfg, rows, args.tolerance, args.theory_exponent)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return _report_fit(fit, args.plot, "lifespan scaling fit", args.out)
 
 
 def cmd_eigen(args) -> int:
@@ -293,6 +276,8 @@ def _read_solution_csv(path: str):
 def cmd_verify(args) -> int:
     cfg = resolve_config(args)
     tokens = [tok.strip() for tok in args.checks.split(",") if tok.strip()]
+    if not tokens:
+        raise ConfigError(f"no check named in --checks {args.checks!r}")
     for tok in tokens:
         if tok not in CHECK_TOKENS:
             raise ConfigError(f"unknown check {tok!r}; valid: "

@@ -10,7 +10,7 @@ three critical exponents of the spatial dimension n:
 
 ``theory_lifespan`` returns the shape of the proved upper bound on the maximal
 existence time for small data of size eps: T <= C*eps^(-a) (polynomial),
-T <= exp(C*eps^(-a)) (exponential, critical case), or no bound (supercritical).
+T <= exp(C*eps^(-a)) (exponential, critical case), or none (supercritical, linear).
 """
 from __future__ import annotations
 
@@ -73,13 +73,15 @@ def theory_lifespan(n: int, p: float, nonlinearity: str) -> TheoryBound:
     """Classify (n, p) and return the proved lifespan upper-bound shape.
 
     nonlinearity "power_u" uses the Strauss landscape (three subcritical/
-    critical regimes), "power_ut" the Glassey one.  p <= 1 is rejected.
-    Ties with the critical exponent within PS_EQUALITY_TOL are treated as
-    critical.
+    critical regimes), "power_ut" the Glassey one; "none" (linear) has no
+    finite lifespan.  p <= 1 is rejected.  Ties with the critical exponent
+    within PS_EQUALITY_TOL are treated as critical.
     """
     if p <= 1.0:
         raise ValueError(f"need p > 1, got p={p}")
     exps = critical_exponents(n)
+    if nonlinearity == "none":
+        return TheoryBound(n, p, nonlinearity, "infinite", math.nan, "linear")
 
     if nonlinearity == "power_u":
         ps = exps.p_strauss
@@ -109,4 +111,4 @@ def theory_lifespan(n: int, p: float, nonlinearity: str) -> TheoryBound:
         return TheoryBound(n, p, nonlinearity, "polynomial",
                            expo, "power_ut_subcritical")
 
-    raise ValueError(f"unknown nonlinearity {nonlinearity!r} (use power_u or power_ut)")
+    raise ValueError(f"unknown nonlinearity {nonlinearity!r} (use power_u, power_ut or none)")

@@ -76,13 +76,13 @@ def theta(t):
 
 # --- the Y functional --------------------------------------------------------
 
-_YTABLE_CACHE: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+_YTABLE_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _y_table(p_conj: float, resolution: int = 4097):
-    key = (float(p_conj), resolution)
+def _y_table(p_conj: float):
+    key = float(p_conj)
     if key not in _YTABLE_CACHE:
-        s = np.linspace(0.5, 1.0, resolution)
+        s = np.linspace(0.5, 1.0, 4097)
         y = theta(s) ** (2.0 * p_conj) / s
         cum = np.concatenate(([0.0], np.cumsum(np.diff(s) * (y[1:] + y[:-1]) / 2.0)))
         _YTABLE_CACHE[key] = (s, cum)

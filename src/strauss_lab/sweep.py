@@ -5,11 +5,11 @@ level advances all eps as one solver block.  Every row is a pure function of
 (config, eps, level), so the table is identical no matter how many worker
 processes computed the levels; results come back in eps order.
 
-fit_powerlaw regresses log T on log(1/eps) and compares the slope with the
-exponent of the proved polynomial bound.  Critical and supercritical cases
-refuse the fit (verdict "not_applicable"): exponential lifespans are not
-measurable at desk scale, so a straight-line fit would only manufacture a
-meaningless number.
+fit_table judges every lifespan table (sweep and fit alike): fit_powerlaw
+regresses log T on log(1/eps) and compares the slope with the exponent of the
+proved polynomial bound.  Critical, supercritical and linear cases refuse the
+fit (verdict "not_applicable"): exponential lifespans are not measurable at
+desk scale, so a straight-line fit would only manufacture a meaningless number.
 
 CSV rules used everywhere: header row mandatory, floats at full round-trip
 precision (%.17g), NaN spelled literally, booleans as true/false, LF endings.
@@ -153,6 +153,7 @@ class ScalingFit:
     r_squared: float
     theory_exponent: float
     verdict: str
+    refusal: str = ""      # why a "not_applicable" fit (NaN line) was refused
 
     def predict_T(self, eps) -> np.ndarray:
         """Fitted curve T(eps) (natural scale)."""
@@ -187,24 +188,38 @@ def fit_powerlaw(points, theory_exponent: float,
                       verdict="consistent" if ok else "inconsistent")
 
 
+def fit_table(cfg: RunConfig, rows, tolerance: float = 0.3,
+              theory: float | None = None) -> tuple[ScalingFit, TheoryBound]:
+    """Fit (eps, T, censored, unreliable) rows against the proved bound.
+
+    theory overrides the bound's exponent and lifts a non-polynomial refusal;
+    fewer than FIT_MIN_POINTS clean rows (unflagged, finite eps and T > 0)
+    refuse the fit."""
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    bound = theory_lifespan(cfg.n, cfg.p, cfg.nonlinearity)
+    exponent = bound.exponent if theory is None else theory
+    clean = [(eps, T) for eps, T, censored, unreliable in rows
+             if not (censored or unreliable)
+             and 0.0 < eps < math.inf and 0.0 < T < math.inf]
+    if theory is None and bound.kind != "polynomial":
+        refusal = (f"bound kind is {bound.kind} [{bound.branch}]: power-law fit "
+                   "not applicable; use the odelemma and verify subcommands for "
+                   "critical-case evidence")
+    elif len(clean) < FIT_MIN_POINTS:
+        refusal = f"fewer than {FIT_MIN_POINTS} clean points: fit not applicable"
+    else:
+        return fit_powerlaw(clean, exponent, tolerance), bound
+    return ScalingFit(points=(), slope=math.nan, intercept=math.nan,
+                      r_squared=math.nan, theory_exponent=exponent,
+                      verdict="not_applicable", refusal=refusal), bound
+
+
 def fit_sweep(spec: SweepSpec, results: list[LifespanResult],
               tolerance: float = 0.3) -> tuple[ScalingFit, TheoryBound]:
-    """Fit a finished sweep against the proved bound for its (n, p, mode).
-
-    Non-polynomial bounds (critical/supercritical) and sweeps with fewer than
-    FIT_MIN_POINTS clean rows produce verdict "not_applicable" with NaN slope
-    rather than a fabricated line.
-    """
-    cfg = spec.config
-    bound = theory_lifespan(cfg.n, cfg.p, cfg.nonlinearity)
-    usable = [(r.eps, r.T_extrapolated) for r in results
-              if not (r.censored or r.unreliable)]
-    if bound.kind != "polynomial" or len(usable) < FIT_MIN_POINTS:
-        fit = ScalingFit(points=(), slope=math.nan, intercept=math.nan,
-                         r_squared=math.nan, theory_exponent=bound.exponent,
-                         verdict="not_applicable")
-        return fit, bound
-    return fit_powerlaw(usable, bound.exponent, tolerance), bound
+    """fit_table on a finished sweep."""
+    return fit_table(spec.config, [(r.eps, r.T_extrapolated, r.censored, r.unreliable)
+                                   for r in results], tolerance)
 
 
 # --- SVG plots ------------------------------------------------------------------

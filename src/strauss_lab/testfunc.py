@@ -122,15 +122,14 @@ def build_bq(q: float, params: ModelParams, t_grid, r_grid, R: float = 2.0,
     return table
 
 
-def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable,
-                         block: int = 256) -> IdentityReport:
+def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable) -> IdentityReport:
     """Centered-difference residuals of the b_q identities.
 
     The three tables must share one grid and satisfy q1 = q+1, q2 = q+2.
     Residuals are relative to the positive local scale V b_{q+1} + b_{q+2}
     (resp. b_{q+1}, b_{q+2} for the single-term identities), maximized over
-    the interior cone r <= t with r >= dr.  Evaluation is blocked over t-rows
-    to bound memory.
+    the interior cone r <= t with r >= dr.  Evaluation goes over blocks of 256
+    t-rows to bound memory.
 
     The radial first derivative feeding the (n-1)/r term uses five-point
     (fourth-order) differences: V'(0) != 0 puts a genuine r^3 component into
@@ -151,8 +150,8 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable,
     V = potential(r, tq.mu, tq.beta)
     nt, nr = tq.values.shape
     res = np.zeros(4)
-    for lo in range(1, nt - 1, block):
-        hi = min(lo + block, nt - 1)
+    for lo in range(1, nt - 1, 256):
+        hi = min(lo + 256, nt - 1)
         sl = slice(lo, hi)
         b = tq.values[sl]
         b_up = tq.values[lo + 1:hi + 1]
@@ -218,16 +217,15 @@ def verify_bq_asymptotics(table: BqTable, t_min: float = 1.0) -> AsymptoticRepor
                             ratio_max=float(vals.max()))
 
 
-def _hyper2f1_series(a: float, b: float, c: float, z,
-                     rtol: float = 1e-15, max_terms: int = 6000) -> np.ndarray:
-    """Power series at every z of a 1-d array; each point stops at its own rtol."""
+def _hyper2f1_series(a: float, b: float, c: float, z) -> np.ndarray:
+    """Power series at every z of a 1-d array; each stops at 1e-15 relative."""
     total = np.ones_like(z)
     idx = np.arange(z.size)  # points still summing
     zk, term, part = z, np.ones_like(z), np.ones_like(z)
-    for k in range(max_terms):
+    for k in range(6000):
         term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k)) * zk)
         part = part + term
-        done = np.abs(term) <= rtol * np.abs(part)
+        done = np.abs(term) <= 1e-15 * np.abs(part)
         total[idx[done]] = part[done]
         idx, zk, term, part = idx[~done], zk[~done], term[~done], part[~done]
         if not idx.size:
@@ -267,12 +265,12 @@ def _hyper2f1_euler(a: float, b: float, c: float, z) -> np.ndarray:
     return out
 
 
-def hyper2f1(a: float, b: float, c: float, z, agree_tol: float = 1e-10):
+def hyper2f1(a: float, b: float, c: float, z):
     """Gauss hypergeometric 2F1 by two independent routes.
 
     Evaluates both the power series and the Euler integral representation
     (valid for c > b > 0, |z| < 1) at every z and demands they agree to
-    agree_tol relative; returns the series value (a float for scalar z).
+    1e-10 relative; returns the series value (a float for scalar z).
     """
     if not c > b > 0.0:
         raise ValueError("integral representation needs c > b > 0")
@@ -282,7 +280,7 @@ def hyper2f1(a: float, b: float, c: float, z, agree_tol: float = 1e-10):
         raise ValueError("|z| must be below 1")
     s = _hyper2f1_series(a, b, c, flat)
     e = _hyper2f1_euler(a, b, c, flat)
-    bad = np.abs(s - e) > agree_tol * np.maximum(np.maximum(np.abs(s), np.abs(e)), 1.0)
+    bad = np.abs(s - e) > 1e-10 * np.maximum(np.maximum(np.abs(s), np.abs(e)), 1.0)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ArithmeticError(

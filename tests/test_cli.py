@@ -10,6 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from strauss_lab import cli
 from strauss_lab.cli import _read_solution_csv, build_parser, main, resolve_config
 from strauss_lab.eigen import psi_hat_batch
 from strauss_lab.model import RunConfig
@@ -58,6 +59,15 @@ def test_exponents_mode_flag(capsys):
                  "--nonlinearity", "power_ut"]) == 0
     text = capsys.readouterr().out
     assert "exponential" in text  # Glassey-critical in ut mode
+
+
+def test_exponents_linear_has_no_bound(tmp_path, capsys):
+    # the linear problem is not read as power_u: it has no finite lifespan
+    out = tmp_path / "exp.csv"
+    assert main(["exponents", "--nonlinearity", "none", "--out", str(out)]) == 0
+    assert "[linear]" in capsys.readouterr().out
+    (row,) = _read_rows(out)
+    assert row["bound_kind"] == "infinite" and row["bound_exponent"] == "NaN"
 
 
 # --- solve ---------------------------------------------------------------------
@@ -237,6 +247,61 @@ def test_fit_error_paths(tmp_path, capsys):
     assert "not applicable" in text
 
 
+SWEEP_FLAGS = ["--mu", "0", "--p", "2.2", "--f-amp", "20", "--g-amp", "20",
+               "--t-max", "8", "--dr", "0.04"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--tolerance", "99"],
+                                   ["--p", P_STRAUSS3]],
+                         ids=["inconsistent", "consistent", "critical"])
+def test_sweep_and_fit_report_alike(flags, tmp_path, capsys):
+    # fit --in on a sweep's own table gives the sweep's last line and exit code
+    table = tmp_path / "sweep.csv"
+    rc_sweep = main(["sweep", *SWEEP_FLAGS, "--eps-min", "0.5", "--eps-count",
+                     "4", *flags, "--out", str(table)])
+    sweep_line = capsys.readouterr().out.splitlines()[-1]
+    rc_fit = main(["fit", *SWEEP_FLAGS, *flags, "--in", str(table)])
+    assert capsys.readouterr().out.splitlines() == [sweep_line]
+    assert rc_fit == rc_sweep
+
+
+def test_fit_too_few_clean_rows_is_refused(tmp_path, capsys):
+    three = tmp_path / "three.csv"
+    write_csv(str(three), ("eps", "T", "uncertainty", "censored", "unreliable"),
+              [(e, 2.0 * e**-2.0, 0.0, False, False) for e in (0.5, 0.7, 1.0)])
+    life = tmp_path / "life.csv"
+    assert main(["lifespan", *SWEEP_FLAGS, "--out", str(life)]) == 0
+    capsys.readouterr()
+    for table in (three, life):
+        assert main(["fit", "--in", str(table)]) == 0
+        assert "fewer than 4 clean points: fit not applicable" in \
+            capsys.readouterr().out
+
+
+def test_linear_sweep_and_fit_are_refused(tmp_path, capsys):
+    table = tmp_path / "linear.csv"
+    flags = ["--nonlinearity", "none", "--t-max", "1", "--dr", "0.1"]
+    assert main(["sweep", *flags, "--out", str(table)]) == 0
+    assert all(row["censored"] == "true" for row in _read_rows(table))
+    assert main(["fit", *flags, "--in", str(table)]) == 0
+    text = capsys.readouterr().out
+    assert text.count("bound kind is infinite [linear]") == 2
+
+
+def test_negative_tolerance_exits_2(tmp_path, capsys, monkeypatch):
+    def no_solve(spec):
+        raise AssertionError("sweep ran a solve")
+
+    monkeypatch.setattr(cli, "run_sweep", no_solve)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--tolerance", "-0.1", "--out", str(out)]) == 2
+    assert not out.exists()
+    write_csv(str(out), ("eps", "T"), [(e, e**-2.0) for e in (0.2, 0.4, 0.6, 0.8)])
+    assert main(["fit", "--in", str(out), "--tolerance", "-0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: tolerance must be >= 0") == 2
+
+
 # --- eigen -----------------------------------------------------------------------
 
 def test_eigen_cmd(tmp_path, capsys):
@@ -379,6 +444,16 @@ def test_verify_unknown_check(crit_solution_csv, capsys):
     rc = main(["verify", "--solution", crit_solution_csv, "--checks", "9.9"])
     assert rc == 2
     assert "unknown check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks", [",", "", " , "])
+def test_verify_no_check_named_exits_2(checks, crit_solution_csv, capsys):
+    # no check run is no evidence: not "all checks passed"
+    rc = main(["verify", "--solution", crit_solution_csv, "--checks", checks])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "all checks passed" not in captured.out
+    assert captured.err.startswith("config error: no check named")
 
 
 @pytest.mark.parametrize("points", ["0", "-3", "1"])

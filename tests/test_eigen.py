@@ -58,14 +58,18 @@ def test_varphi_family_matches_scalar():
 
 def test_rescaled_profile_bounded_and_stable():
     # mu = 1, beta = 3: w = (1+r)^((n-1)/2) e^(-r) psi stays bounded, with the
-    # sup stable under doubling of the domain
-    sups = []
+    # sup stable under doubling of the domain; its tail follows the far-field
+    # law w -> 2 pi lambda (1 + 1/r), closer as r_max doubles
+    sups, gaps = [], []
     for r_max in (40.0, 80.0):
         r = _grid(r_max)
         psi_hat, _, lam = psi_hat_batch([1.0], 1.0, 3.0, 3, r)
         w = (1.0 + r) * np.exp(-r) * psi_hat[0] * lam[0]
         sups.append(float(np.max(np.abs(w))))
+        gaps.append(abs(w[-1] / (1.0 + 1.0 / r[-1]) / (2.0 * math.pi * lam[0]) - 1.0))
     assert abs(sups[1] - sups[0]) <= 0.01 * sups[0]
+    assert max(gaps) < 2e-4
+    assert gaps[1] < gaps[0]
 
 
 def test_eta_zero_profile():

@@ -70,6 +70,12 @@ def test_theory_lifespan_power_ut_branches():
     assert sup.kind == "infinite"
 
 
+def test_theory_lifespan_linear():
+    linear = theory_lifespan(3, 2.0, "none")
+    assert (linear.kind, linear.branch) == ("infinite", "linear")
+    assert math.isnan(linear.exponent)
+
+
 def test_theory_lifespan_validation():
     with pytest.raises(ValueError):
         theory_lifespan(3, 1.0, "power_u")

@@ -12,7 +12,7 @@ from strauss_lab.model import RunConfig
 from strauss_lab.solver import LifespanResult
 from strauss_lab.sweep import (FIT_MIN_POINTS, SWEEP_HEADER, ScalingFit,
                                SweepSpec, csv_text, emit_plot,
-                               fit_powerlaw, fit_sweep, format_value,
+                               fit_powerlaw, fit_sweep, fit_table, format_value,
                                run_sweep, sweep_rows, write_csv)
 
 
@@ -200,6 +200,31 @@ def test_fit_sweep_not_applicable_paths():
     fit2, bound2 = fit_sweep(poly, censored)
     assert bound2.kind == "polynomial"
     assert fit2.verdict == "not_applicable"
+    assert fit2.refusal.startswith(f"fewer than {FIT_MIN_POINTS} clean points")
+
+
+def test_fit_table_clean_rows_and_override():
+    eps = np.geomspace(0.2, 1.0, FIT_MIN_POINTS)
+    rows = [(e, 3.0 * e**-2.0, False, False) for e in eps]
+    # rows that are flagged, or lack a finite positive eps or T, are not clean
+    noise = [(0.1, 1e9, True, False), (0.15, 1e9, False, True),
+             (0.3, math.nan, False, False), (0.4, math.inf, False, False),
+             (0.5, -1.0, False, False), (0.0, 1.0, False, False),
+             (math.inf, 1.0, False, False), (math.nan, 1.0, False, False)]
+    fit, bound = fit_table(_blowup_config(p=2.0), rows + noise)
+    assert bound.kind == "polynomial" and fit.refusal == ""
+    assert fit.slope == pytest.approx(2.0, abs=1e-12)
+    assert len(fit.points) == FIT_MIN_POINTS
+    crit = _blowup_config()  # Strauss-critical: refused unless overridden
+    assert fit_table(crit, rows)[0].verdict == "not_applicable"
+    forced, bound = fit_table(crit, rows, theory=2.0)
+    assert bound.kind == "exponential" and forced.verdict == "consistent"
+    short = fit_table(crit, rows[:-1], theory=2.0)[0]
+    assert short.verdict == "not_applicable" and short.theory_exponent == 2.0
+    with pytest.raises(ValueError, match="tolerance"):
+        fit_table(crit, rows, tolerance=-1e-9)
+    with pytest.raises(ValueError, match="tolerance"):
+        fit_table(crit, rows, tolerance=math.nan)
 
 
 # --- plots -----------------------------------------------------------------------
