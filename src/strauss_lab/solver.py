@@ -19,11 +19,11 @@ corrector pass, or zero.
 
 Each step runs in folded form, u+_i = P_i u_{i+1} + C_i u_i + M_i u_{i-1}
 - Bd_i u-_i + (N_i + F_i)/D_i with D = 1/dt^2 + V/(2dt): the stencil, the
-damping and 1/D sit in per-node coefficients built once per run (the origin
-rule in P_0 and C_0, M_0 = 0).  It is the scheme above in another order of
-operations: u agrees with the unfolded update to round-off (tests pin it at
-1e-11 relative).  So does |x|^p by _abs_power's multiplies and square roots
-in place of pow.
+damping and 1/D sit in per-node coefficients, each built once per run (the
+origin rule in P_0 and C_0, M_0 = 0).  It is the scheme above in another
+order of operations: u agrees with the unfolded update to round-off (tests
+pin it at 1e-11 relative).  So does |x|^p by _abs_power's multiplies and
+square roots in place of pow.
 
 The raw stencil widens discrete support by one node per step, i.e. faster than
 the physical speed; the values it would place beyond r = t + 1 + 2dr are a
@@ -32,7 +32,16 @@ spurious tail far below scheme accuracy.  run() zeroes that band each step
 test runs with enforcement off and checks the tail really is negligible.
 
 run_block advances problems that differ only in their data (a sweep level's
-eps values) as one (rows, nr) array per time level; run() is its one-row case.
+eps values) in a packed layout; run() is its one-row case.  The live rows'
+windows lie back to back in flat buffers at a row stride S >= m + 2, so each
+array pass of a step is one contiguous ufunc call over (rows-1)*S + m nodes
+rather than one call on a (rows, m) strided view, which costs about three
+times as much.  The gap nodes between two windows are computed with the rest
+and reset each step: +0 for the right neighbour of a row's last node and -0
+for the left neighbour of the next row's origin, where M_0 = +0 makes the
+added term -0, which changes no value.  So each row's numbers are bit for bit
+those of its own run().  S grows with the window, the rows moving inside the
+same buffers, and the coefficients are tiled at stride S for the live rows.
 """
 from __future__ import annotations
 
@@ -162,10 +171,12 @@ def run_block(params_list, grid: RadialGrid, *,
     """run() for a block of problems that differ only in their data.
 
     The problems share n, mu, beta, p and the nonlinearity, hence V and the
-    active window.  Each time level is one (rows, nr) array and every row goes
-    through exactly the floating-point operations of its own run().  A row
-    leaves the block at its own blow-up or instability.  initial is None or
-    one (u0, v0) pair per problem.
+    active window of m nodes.  The live rows lie back to back in flat
+    buffers, row j's window from j*S, so each array pass of a step is one
+    contiguous ufunc call over (rows-1)*S + m nodes, and every row's numbers
+    are bit for bit those of its own run().  A row leaves the block at its
+    own blow-up or instability.  initial is None or one (u0, v0) pair per
+    problem.
     """
     params_list = list(params_list)
     first = params_list[0]
@@ -181,16 +192,24 @@ def run_block(params_list, grid: RadialGrid, *,
     c = (n - 1.0) / r[1:]
     n_steps = grid.n_steps
 
-    # folded coefficients of u+ = P u[i+1] + C u[i] + M u[i-1] - Bd u_prev
-    # + (N + F) invD on nodes 0..nr-2; the origin rule has no u[i-1]
-    D = 1.0 / dt ** 2 + V[:-1] / (2.0 * dt)
-    Bd = (1.0 / dt ** 2 - V[:-1] / (2.0 * dt)) / D
-    P = np.append(2.0 * n / dr ** 2, 1.0 / dr ** 2 + c[:-1] / (2.0 * dr)) / D
-    C = (2.0 / dt ** 2 - np.append(2.0 * n, np.full(nr - 2, 2.0)) / dr ** 2) / D
-    M = np.append(0.0, 1.0 / dr ** 2 - c[:-1] / (2.0 * dr)) / D
-    invD = np.divide(1.0, D, out=D)
-    if mode == "power_ut":  # |u_t|^p from u differences: predictor, corrector
-        invD_pred, invD_corr = invD / dt ** p, invD / (2.0 * dt) ** p
+    def coefficients(lo, hi):
+        # the folded coefficients of u+ = P u[i+1] + C u[i] + M u[i-1]
+        # - Bd u_prev + (N + F) invD on nodes lo..hi-1, then the scales of N;
+        # the origin rule has no u[i-1], so M[0] = +0
+        o = int(lo == 0)  # the origin's place in the range
+        D = 1.0 / dt ** 2 + V[lo:hi] / (2.0 * dt)
+        Bd = (1.0 / dt ** 2 - V[lo:hi] / (2.0 * dt)) / D
+        cr = c[lo + o - 1:hi - 1]
+        P = np.append(np.full(o, 2.0 * n / dr ** 2), 1.0 / dr ** 2 + cr / (2.0 * dr)) / D
+        C = (2.0 / dt ** 2
+             - np.append(np.full(o, 2.0 * n), np.full(cr.size, 2.0)) / dr ** 2) / D
+        M = np.append(np.zeros(o), (1.0 / dr ** 2 - cr / (2.0 * dr)) / D[o:])
+        invD = np.divide(1.0, D, out=D)
+        if mode == "power_u":
+            return P, C, M, Bd, invD
+        if mode == "power_ut":  # |u_t|^p from u differences: predictor, corrector
+            return P, C, M, Bd, invD / dt ** p, invD / (2.0 * dt) ** p
+        return P, C, M, Bd
 
     snap_steps = {}
     if snapshot_times is not None:
@@ -208,14 +227,10 @@ def run_block(params_list, grid: RadialGrid, *,
         m = int(math.floor((t + 1.0 + 2.0 * dr) / dr + 1e-9)) + 1
         return min(m, nr - 1)
 
-    def check_support(block, t, ids):
-        if not enforce_support:
-            tail = np.max(np.abs(block[..., window(t):]), axis=-1)
-            seen = support_violation[ids]
-            support_violation[ids] = np.where(tail > seen, tail, seen)
+    active = window if enforce_support else lambda t: nr - 1
 
     # the data block; model data vanish for r >= 1, inside the first window
-    u_prev, v0 = _fresh_zeros((k, nr)), _fresh_zeros((k, nr))
+    u0, v0 = _fresh_zeros((k, nr)), _fresh_zeros((k, nr))
     ext = nr if initial is not None else window(0.0)
     for i, q in enumerate(params_list):
         if initial is None:
@@ -225,43 +240,93 @@ def run_block(params_list, grid: RadialGrid, *,
         max_hist[i, 0] = np.max(np.abs(u0_i))
         if 0 in snap_steps:
             snapshots[i].append((0.0, u0_i, v0_i))
-        u_prev[i, :ext], v0[i, :ext] = u0_i[:ext], v0_i[:ext]
+        u0[i, :ext], v0[i, :ext] = u0_i[:ext], v0_i[:ext]
 
     # Taylor start: u1 = u0 + dt*v0 + dt^2/2 * (lap - V*v0 + N + F)
-    u, u_next, lin_b, tmp_b = (_fresh_zeros((k, nr)) for _ in range(4))
-    m = window(dt) if enforce_support else nr - 1
-    lap = _laplacian(u_prev, m, dr, n, c) - V[:m] * v0[:, :m]
+    m = active(dt)
+    lap = _laplacian(u0, m, dr, n, c) - V[:m] * v0[:, :m]
     if mode != "none":
-        power((u_prev if mode == "power_u" else v0)[:, :m], tmp_b[:, :m], u_next[:, :m])
-        lap += tmp_b[:, :m]
+        nl = np.empty((k, m))
+        power((u0 if mode == "power_u" else v0)[:, :m], nl, np.empty((k, m)))
+        lap += nl
     if forcing is not None:
         lap += forcing(0.0, r[:m])
-    u[:, :m] = u_prev[:, :m] + v0[:, :m] * dt + lap * (0.5 * dt * dt)
+    u1 = u0[:, :m] + v0[:, :m] * dt + lap * (0.5 * dt * dt)
     del v0
+    max_hist[:, 1] = np.abs(u1).max(axis=1)
+
+    # The packed layout.  Row j holds its window at j*S.., then the gap
+    # nodes up to (j+1)*S: +0 from node m on (the right neighbour of node
+    # m-1) and -0 at the last, which row j+1's node 0 reads as its left
+    # neighbour: M[0]*(-0) = -0 adds nothing, signed zeros included.  So
+    # S >= m+2, and S grows by a fixed rule of m when the window reaches the
+    # -0.  The gaps are computed with the rest and reset every step.
+    u_prev, u, u_next, lin_b, tmp_b = (_fresh_zeros((k * (nr + 1),)) for _ in range(5))
+    tiled = _fresh_zeros((len(coefficients(0, 1)), k * (nr + 1)))  # 4 to 6 rows
+    gap = np.zeros(nr + 2)
+    gap[-1] = -0.0
     ids = np.arange(k)  # block row -> problem index
-    check_support(u, dt, ids)
-    max_hist[:, 1] = np.abs(u[:, :m]).max(axis=1)
+
+    def stride(m):
+        return min(m + 2 + max(32, m // 32), nr + 1)
+
+    def as_rows(x, rows=None):
+        rows = ids.size if rows is None else rows
+        return x[:rows * S].reshape(rows, S)
+
+    def tile(lo):
+        # the coefficients at stride S: row 0's from node lo on, then rows
+        # 1.. copied from row 0; nodes from nr-1 on are gap, whatever theirs
+        w = min(S, nr - 1)
+        tiled[:, min(lo, w):w] = coefficients(min(lo, w), w)
+        tiled[:, S:ids.size * S].reshape(len(tiled), -1, S)[...] = tiled[:, None, :S]
+
+    def row(x, j):
+        # row j of a state buffer as a full grid array
+        full = np.zeros(nr)
+        full[:m] = x[j * S:j * S + m]
+        return full
+
+    def check_support(x, t):
+        if not enforce_support:
+            tail = np.max(np.abs(as_rows(x)[:, window(t):nr]), axis=-1)
+            seen = support_violation[ids]
+            support_violation[ids] = np.where(tail > seen, tail, seen)
+
+    m_first = active(2.0 * dt)
+    S = stride(m_first)
+    tile(0)
+    as_rows(u_prev)[:, :m_first] = u0[:, :m_first]
+    as_rows(u)[:, :m] = u1
+    for x in (u_prev, u, u_next):
+        x[S - 1:k * S:S] = -0.0
+    check_support(u, dt)
 
     def views(x):
-        # the live rows' nodes 0..m-1, their right and left neighbours, and
-        # nodes 1..m-1 (the ones with a left neighbour)
-        x = x[rows]
-        return x[..., :m], x[..., 1:m + 1], x[..., :m - 1], x[..., 1:m]
+        # the live rows' span, its right and left neighbours, and its nodes
+        # after the first (the ones a left neighbour is added to)
+        return x[:span], x[1:span + 1], x[:span - 1], x[1:span]
 
-    live = None  # (m, live rows) of the views and coefficient slices
+    live = None  # the span of the views and coefficient slices
     for step in range(1, n_steps):
         t = step * dt
         t_next = t + dt
-        m = window(t_next) if enforce_support else nr - 1
-        if (m, ids.size) != live:
-            live = (m, ids.size)
-            rows = 0 if ids.size == 1 else slice(0, ids.size)  # 1-d views are cheaper
-            hist_rows = ids[0] if rows == 0 else ids
+        m = active(t_next)
+        if m > S - 2:  # grow the stride, moving the rows from the last
+            S_old, S = S, stride(m)
+            for x in (u_prev, u, u_next):
+                for j in range(ids.size - 1, 0, -1):
+                    x[j * S:j * S + S_old - 1] = x[j * S_old:j * S_old + S_old - 1]
+                as_rows(x)[:, S_old - 1:] = gap[S_old - 1 - S:]
+            tile(S_old)
+        span = (ids.size - 1) * S + m
+        if span != live:
+            live = span
             vp, vu, vn, (tmp, _, _, tmp1), (lin, _, _, lin1) = map(
                 views, (u_prev, u, u_next, tmp_b, lin_b))
-            Pm, Cm, Mm, Bm, Im = P[:m], C[:m], M[1:m], Bd[:m], invD[:m]
-            if mode == "power_ut":
-                Ipred, Icorr = invD_pred[:m], invD_corr[:m]
+            Pm, Cm, Mm, Bm, *scales = tiled[:, :span]
+            Mm = Mm[1:]
+            starts = np.arange(0, span, S)
         (um, ur, ul, _), (upm, *_), (un, _, _, un1) = vu, vp, vn
         # power_ut keeps the part without N for its predictor and corrector
         out, out1 = (lin, lin1) if mode == "power_ut" else (un, un1)
@@ -273,53 +338,58 @@ def run_block(params_list, grid: RadialGrid, *,
         np.multiply(upm, Bm, out=tmp)
         out -= tmp
         if forcing is not None:
-            out += forcing(t, r[:m]) * Im
+            invD = 1.0 / (1.0 / dt ** 2 + V[:m] / (2.0 * dt))  # as coefficients() has it
+            as_rows(lin_b if mode == "power_ut" else u_next)[:, :m] += \
+                forcing(t, r[:m]) * invD
         if mode == "power_u":
             power(um, tmp, lin)
-            tmp *= Im
+            tmp *= scales[0]
             un += tmp
         elif mode == "power_ut":
             # backward-difference predictor, then one corrector pass with
             # the centered velocity; un is free until the sum lands in it
-            for x, scale in ((um, Ipred), (un, Icorr)):
+            for x, scale in zip((um, un), scales):
                 np.subtract(x, upm, out=tmp)
                 power(tmp, tmp, un)
                 tmp *= scale
                 np.add(lin, tmp, out=un)
-        check_support(u_next[rows], t_next, ids)
+        if ids.size > 1:
+            as_rows(u_next, ids.size - 1)[:, m:] = gap[m - S:]
+        check_support(u_next, t_next)
 
         if step in snap_steps:
             for j, i in enumerate(ids):
-                snapshots[i].append((t, u[j].copy(), (u_next[j] - u_prev[j]) / (2.0 * dt)))
+                # at step 1 u_prev holds the data only inside the window
+                prev = u0[i] if step == 1 else row(u_prev, j)
+                snapshots[i].append((t, row(u, j), (row(u_next, j) - prev) / (2.0 * dt)))
 
         np.abs(un, out=tmp)
-        mx = tmp.max(axis=-1)
-        max_hist[hist_rows, step + 1] = mx
-        if not (mx if rows == 0 else mx.max()) <= threshold:  # NaN and inf fail this too
-            mx = mx.reshape(-1)
+        mx = np.maximum.reduceat(tmp, starts)
+        max_hist[:, step + 1][ids] = mx
+        if not all(x <= threshold for x in mx.tolist()):  # NaN and inf fail too
             stop = ~(mx <= threshold)
             for j in np.flatnonzero(stop):
                 i = ids[j]
                 status[i] = "blew_up" if np.isfinite(mx[j]) else "unstable"
                 t_end[i], last[i] = t_next, step + 1
                 if status[i] == "blew_up" and (step + 1) in snap_steps:
-                    snapshots[i].append((t_next, u_next[j].copy(),
-                                         (u_next[j] - u[j]) / dt))
+                    snapshots[i].append((t_next, row(u_next, j),
+                                         (row(u_next, j) - row(u, j)) / dt))
             ids = ids[~stop]
             if ids.size == 0:
                 break
             if stop[:ids.size].any():  # move the live rows up
-                u[:ids.size, :m] = um[~stop]
-                u_next[:ids.size, :m] = un[~stop]
-        if step == 1:
-            u_prev[:, m:ext] = 0.0  # the data block becomes a state buffer
+                for x in (u, u_next):
+                    block = as_rows(x, stop.size)[:, :m]
+                    block[:ids.size] = block[~stop]
         u_prev, u, u_next = u, u_next, u_prev
         vp, vu, vn = vu, vn, vp
 
     # rows that reached t_max; final snapshot with backward velocity
     if n_steps in snap_steps and n_steps >= 1:
         for j, i in enumerate(ids):
-            snapshots[i].append((n_steps * dt, u[j].copy(), (u[j] - u_prev[j]) / dt))
+            prev = u0[i] if n_steps == 1 else row(u_prev, j)
+            snapshots[i].append((n_steps * dt, row(u, j), (row(u, j) - prev) / dt))
 
     return [SolveOutcome(
         status=status[i],

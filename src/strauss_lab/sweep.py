@@ -1,15 +1,19 @@
 """Parallel lifespan sweeps, scaling-law fits and deterministic CSV/SVG output.
 
 A sweep runs estimate_lifespans over a geometric eps grid: each refinement
-level advances all eps as one solver block.  Every row is a pure function of
-(config, eps, level), so the table is identical no matter how many worker
+level advances all eps as one solver block, solver.run_block, whose live rows
+lie back to back in flat buffers, so all eps share each array pass of a step.
+Every row is a pure function of (config, eps, level), bit for bit what a
+one-row run gives, so the table is identical no matter how many worker
 processes computed the levels; results come back in eps order.
 
 fit_table judges every lifespan table (sweep and fit alike): fit_powerlaw
 regresses log T on log(1/eps) and compares the slope with the exponent of the
-proved polynomial bound.  Critical, supercritical and linear cases refuse the
-fit (verdict "not_applicable"): exponential lifespans are not measurable at
-desk scale, so a straight-line fit would only manufacture a meaningless number.
+proved polynomial bound.  Other bounds refuse the fit (verdict
+"not_applicable"): a critical bound is exponential, not measurable at desk
+scale, so a straight-line fit would only manufacture a meaningless number and
+the refusal points to the odelemma and verify subcommands instead;
+supercritical and linear cases have no finite-time blow-up bound to fit.
 
 CSV rules used everywhere: header row mandatory, floats at full round-trip
 precision (%.17g), NaN spelled literally, booleans as true/false, LF endings.
@@ -192,20 +196,24 @@ def fit_table(cfg: RunConfig, rows, tolerance: float = 0.3,
               theory: float | None = None) -> tuple[ScalingFit, TheoryBound]:
     """Fit (eps, T, censored, unreliable) rows against the proved bound.
 
-    theory overrides the bound's exponent and lifts a non-polynomial refusal;
-    fewer than FIT_MIN_POINTS clean rows (unflagged, finite eps and T > 0)
-    refuse the fit."""
+    theory, which must be finite, overrides the bound's exponent and lifts a
+    non-polynomial refusal; fewer than FIT_MIN_POINTS clean rows (unflagged,
+    finite eps and T > 0) refuse the fit."""
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    if theory is not None and not math.isfinite(theory):
+        raise ValueError(f"theory exponent must be finite, got {theory}")
     bound = theory_lifespan(cfg.n, cfg.p, cfg.nonlinearity)
     exponent = bound.exponent if theory is None else theory
     clean = [(eps, T) for eps, T, censored, unreliable in rows
              if not (censored or unreliable)
              and 0.0 < eps < math.inf and 0.0 < T < math.inf]
     if theory is None and bound.kind != "polynomial":
+        hint = ("use the odelemma and verify subcommands for critical-case evidence"
+                if bound.kind == "exponential"
+                else "no finite-time blow-up bound exists to fit")
         refusal = (f"bound kind is {bound.kind} [{bound.branch}]: power-law fit "
-                   "not applicable; use the odelemma and verify subcommands for "
-                   "critical-case evidence")
+                   f"not applicable; {hint}")
     elif len(clean) < FIT_MIN_POINTS:
         refusal = f"fewer than {FIT_MIN_POINTS} clean points: fit not applicable"
     else:

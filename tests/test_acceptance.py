@@ -157,11 +157,8 @@ def test_criterion_4_solver_validation(capsys):
     orders = {}
     for case in ("linear", "power_u", "power_ut"):
         orders[case] = mms_order(case).order
-    for case in ("linear", "power_u"):
         _check(fails, 1.8 <= orders[case] <= 2.2,
                f"{case} MMS order {orders[case]:.3f}")
-    _check(fails, orders["power_ut"] >= 1.5,
-           f"power_ut MMS order {orders['power_ut']:.3f}")
     oracle = ModelParams(n=3, mu=0.0, beta=3.0, p=2.0, nonlinearity="none",
                          eps=1.0, f_amp=1.0, g_amp=1.0)
     errs = []

@@ -285,7 +285,30 @@ def test_linear_sweep_and_fit_are_refused(tmp_path, capsys):
     assert all(row["censored"] == "true" for row in _read_rows(table))
     assert main(["fit", *flags, "--in", str(table)]) == 0
     text = capsys.readouterr().out
-    assert text.count("bound kind is infinite [linear]") == 2
+    assert text.count("bound kind is infinite [linear]: power-law fit not "
+                      "applicable; no finite-time blow-up bound exists to fit") == 2
+    assert "critical-case" not in text
+
+
+def test_supercritical_fit_is_refused_without_critical_hint(tmp_path, capsys):
+    table = tmp_path / "sweep.csv"
+    write_csv(str(table), ("eps", "T", "uncertainty", "censored", "unreliable"),
+              [(e, 2.0 * e**-2.0, 0.0, False, False) for e in np.geomspace(0.2, 1.0, 5)])
+    assert main(["fit", "--in", str(table), "--p", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "bound kind is infinite [power_u_supercritical]: power-law fit not "
+        "applicable; no finite-time blow-up bound exists to fit\n")
+
+
+@pytest.mark.parametrize("theory", ["nan", "inf", "-inf"])
+def test_fit_non_finite_theory_exponent_exits_2(theory, tmp_path, capsys):
+    table = tmp_path / "sweep.csv"
+    write_csv(str(table), ("eps", "T", "uncertainty", "censored", "unreliable"),
+              [(e, 2.0 * e**-2.0, 0.0, False, False) for e in np.geomspace(0.2, 1.0, 5)])
+    assert main(["fit", "--in", str(table), f"--theory-exponent={theory}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "theory exponent must be finite" in captured.err
 
 
 def test_negative_tolerance_exits_2(tmp_path, capsys, monkeypatch):

@@ -265,25 +265,16 @@ def test_mms_orders_match_unfolded_arithmetic(case, order):
 # --- block runs -------------------------------------------------------------------
 
 def _assert_same_outcome(a, b):
+    # bytes, not values: a block row must not flip the sign of a zero either
     assert a.status == b.status and a.t_end == b.t_end
-    assert np.array_equal(a.max_abs_u, b.max_abs_u)
+    assert a.max_abs_u.tobytes() == b.max_abs_u.tobytes()
     assert a.support_violation == b.support_violation
     assert len(a.snapshots) == len(b.snapshots)
     for (ta, ua, va), (tb, ub, vb) in zip(a.snapshots, b.snapshots):
-        assert ta == tb and np.array_equal(ua, ub) and np.array_equal(va, vb)
+        assert ta == tb and ua.tobytes() == ub.tobytes() and va.tobytes() == vb.tobytes()
 
 
-@pytest.mark.parametrize("mode, p, amp, eps, statuses", [
-    # rows blow up at different steps; the first rows leave the block first
-    ("power_u", 2.0, 20.0, (1.0, 0.7, 0.5), ("blew_up",) * 3),
-    ("power_ut", 1.5, 2.0, (3.0, 2.0, 2.5), ("blew_up",) * 3),
-    # the middle row is censored at t_max
-    ("power_u", 2.2, 20.0, (0.7, 0.05, 1.0), ("blew_up", "completed", "blew_up")),
-    # |u|^2.5 by multiplies and a square root
-    ("power_u", 2.5, 8.0, (1.0, 0.9, 0.5), ("blew_up", "blew_up", "completed")),
-])
-def test_block_rows_match_single_runs(mode, p, amp, eps, statuses):
-    grid = build_grid(6.0, 0.04)
+def _assert_block_matches_single_runs(grid, mode, p, amp, eps, statuses):
     base = ModelParams(n=3, p=p, mu=1.0, beta=3.0, nonlinearity=mode,
                        f_amp=amp, g_amp=amp)
     params = [replace(base, eps=e) for e in eps]
@@ -295,6 +286,33 @@ def test_block_rows_match_single_runs(mode, p, amp, eps, statuses):
     assert len({out.t_end for out in block}) == len(eps)
     for q, out in zip(params, block):
         _assert_same_outcome(out, run(q, grid, **kw))
+
+
+@pytest.mark.parametrize("mode, p, amp, eps, statuses", [
+    # rows blow up at different steps; the first rows leave the block first
+    ("power_u", 2.0, 20.0, (1.0, 0.7, 0.5), ("blew_up",) * 3),
+    ("power_ut", 1.5, 2.0, (3.0, 2.0, 2.5), ("blew_up",) * 3),
+    # the middle row is censored at t_max
+    ("power_u", 2.2, 20.0, (0.7, 0.05, 1.0), ("blew_up", "completed", "blew_up")),
+    # |u|^2.5 by multiplies and a square root
+    ("power_u", 2.5, 8.0, (1.0, 0.9, 0.5), ("blew_up", "blew_up", "completed")),
+    # the middle row leaves first and the row after it moves up
+    ("power_u", 2.0, 20.0, (0.5, 1.0, 0.7), ("blew_up",) * 3),
+])
+def test_block_rows_match_single_runs(mode, p, amp, eps, statuses):
+    _assert_block_matches_single_runs(build_grid(6.0, 0.04), mode, p, amp, eps, statuses)
+
+
+@pytest.mark.parametrize("mode, p, amp, eps, t_max, dr", [
+    # eps = 1.1 leaves at step 67 (t = 1.36), the step on which the window
+    # reaches 62 nodes and the row stride grows from 63 to 96
+    ("power_u", 2.0, 20.0, (0.5, 1.1, 0.6, 0.76), 8.0, 0.04),
+    # the row stride grows 14 times, with four live rows down to one
+    ("power_ut", 1.5, 2.0, (2.0, 3.0, 1.0, 2.5), 10.0, 0.02),
+])
+def test_block_rows_match_single_runs_as_the_stride_grows(mode, p, amp, eps, t_max, dr):
+    _assert_block_matches_single_runs(build_grid(t_max, dr), mode, p, amp, eps,
+                                      ("blew_up",) * len(eps))
 
 
 def test_block_without_support_enforcement():

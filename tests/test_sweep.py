@@ -225,6 +225,30 @@ def test_fit_table_clean_rows_and_override():
         fit_table(crit, rows, tolerance=-1e-9)
     with pytest.raises(ValueError, match="tolerance"):
         fit_table(crit, rows, tolerance=math.nan)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theory exponent must be finite"):
+            fit_table(crit, rows, theory=bad)
+
+
+CRITICAL_HINT = "use the odelemma and verify subcommands for critical-case evidence"
+NO_BOUND_HINT = "no finite-time blow-up bound exists to fit"
+
+
+@pytest.mark.parametrize("p, nonlinearity, kind, branch, hint", [
+    # only a critical (exponential) bound has critical-case evidence to point to
+    (critical_exponents(3).p_strauss, "power_u", "exponential", "power_u_critical",
+     CRITICAL_HINT),
+    (2.0, "power_ut", "exponential", "power_ut_critical", CRITICAL_HINT),
+    (4.0, "power_u", "infinite", "power_u_supercritical", NO_BOUND_HINT),
+    (2.5, "power_ut", "infinite", "power_ut_supercritical", NO_BOUND_HINT),
+    (2.0, "none", "infinite", "linear", NO_BOUND_HINT),
+])
+def test_fit_table_refusal_names_its_branch(p, nonlinearity, kind, branch, hint):
+    rows = [(e, 3.0 * e**-2.0, False, False) for e in np.geomspace(0.2, 1.0, 6)]
+    fit, _ = fit_table(_blowup_config(p=p, nonlinearity=nonlinearity), rows)
+    assert fit.verdict == "not_applicable"
+    assert fit.refusal == (f"bound kind is {kind} [{branch}]: power-law fit not "
+                           f"applicable; {hint}")
 
 
 # --- plots -----------------------------------------------------------------------
