@@ -18,7 +18,8 @@ from .eigen import psi_hat_batch
 from .model import ModelParams, initial_data, potential, sphere_area
 from .testfunc import build_bq
 
-GRID_CAP_FRAC = 0.8  # default check grids end at this fraction of t_last
+GRID_CAP_FRAC = 0.8  # check grids end at this fraction of t_last
+ODE_DX = 0.01  # the RK4 step in x = log phi of the extremal ODE's second phase
 CHECK_NAMES = ("ineq_3_4", "ineq_3_16", "ineq_4_9", "ineq_4_15",
                "ineq_5_1", "ineq_5_11")
 
@@ -390,11 +391,11 @@ def _eta_weighted(samples: SolutionSamples, w_t: np.ndarray, T: float) -> float:
 
 
 def inequality_check(samples: SolutionSamples, which: str,
-                     grid=None, count: int = 12) -> RatioSeries:
+                     count: int = 12) -> RatioSeries:
     """Evaluate one inequality of the blow-up chain along a stored run.
 
-    The grid defaults to a geometric ladder of `count` (>= 2) T (resp. M)
-    values between 2 (resp. 4) and GRID_CAP_FRAC * t_last, staying clear of
+    The grid is a geometric ladder of `count` (>= 2) T (resp. M) values
+    between 2 (resp. 4) and GRID_CAP_FRAC * t_last, staying clear of
     under-resolved near-blow-up data.  lhs/rhs are oriented so the asserted
     bound is a positive lower bound for lhs/rhs.
     """
@@ -404,17 +405,13 @@ def inequality_check(samples: SolutionSamples, which: str,
     n, p, eps = params.n, params.p, params.eps
     p_conj = samples.p_conj
     t, r = samples.t, samples.r
-    if grid is None:
-        if count < 2:
-            raise ValueError(f"a check needs at least 2 grid points, got {count}")
-        floor = 2.0 if which in ("ineq_3_4", "ineq_3_16") else 4.0
-        top = GRID_CAP_FRAC * t[-1]
-        if top <= floor * 1.01:
-            raise ValueError("stored trajectory too short for the default grid")
-        grid = np.geomspace(floor, top, count)
-    grid = np.asarray(grid, dtype=float)
-    if grid[-1] > t[-1] + 1e-12:
-        raise ValueError("grid exceeds the stored trajectory")
+    if count < 2:
+        raise ValueError(f"a check needs at least 2 grid points, got {count}")
+    floor = 2.0 if which in ("ineq_3_4", "ineq_3_16") else 4.0
+    top = GRID_CAP_FRAC * t[-1]
+    if top <= floor * 1.01:
+        raise ValueError("stored trajectory too short for the check grid")
+    grid = np.geomspace(floor, top, count)
 
     if which in ("ineq_3_4", "ineq_3_16"):
         if params.nonlinearity != "power_u":
@@ -487,7 +484,7 @@ class OdeLemmaResult:
 
 
 def ode_escape_logT(p1: float, p2: float, K1: float, K2: float, delta: float,
-                    cap: float = 1e8, dx: float = 0.01) -> float:
+                    cap: float = 1e8) -> float:
     """tau* = log T where the extremal system escapes to the cap.
 
     System: phi' = max(delta/(K1 t), phi^{p1}/(K2 t (log t)^{p2-1})) from
@@ -530,7 +527,7 @@ def ode_escape_logT(p1: float, p2: float, K1: float, K2: float, delta: float,
 
     x = math.log(phi_c)
     x_end = math.log(cap)
-    n_steps = max(1, int(math.ceil((x_end - x) / dx)))
+    n_steps = max(1, int(math.ceil((x_end - x) / ODE_DX)))
     h = (x_end - x) / n_steps
     tau = tau_c
     for _ in range(n_steps):

@@ -11,7 +11,7 @@ beta is allowed for experiments but flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -175,9 +175,8 @@ class RunConfig(ModelParams):
 CONFIG_TYPES = get_type_hints(RunConfig)
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config_text(text: str) -> RunConfig:
     """Parse `key = value` lines; '#' starts a comment; unknown keys raise."""
-    cfg = base or RunConfig()
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -193,11 +192,11 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     try:
-        return replace(cfg, **updates)
+        return RunConfig(**updates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read())

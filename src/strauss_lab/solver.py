@@ -29,7 +29,8 @@ The raw stencil widens discrete support by one node per step, i.e. faster than
 the physical speed; the values it would place beyond r = t + 1 + 2dr are a
 spurious tail far below scheme accuracy.  run() zeroes that band each step
 (enforce_support=True), which is also what keeps the active window small; a
-test runs with enforcement off and checks the tail really is negligible.
+test runs with enforcement off and checks the tail really is negligible.  The
+data are cut at the t = 0 window r <= 1 + 2dr by the same rule.
 
 run_block advances problems that differ only in their data (a sweep level's
 eps values) in a packed layout; run() is its one-row case.  The live rows'
@@ -176,7 +177,7 @@ def run_block(params_list, grid: RadialGrid, *,
     contiguous ufunc call over (rows-1)*S + m nodes, and every row's numbers
     are bit for bit those of its own run().  A row leaves the block at its
     own blow-up or instability.  initial is None or one (u0, v0) pair per
-    problem.
+    problem; like the model data, it is cut at the t = 0 window.
     """
     params_list = list(params_list)
     first = params_list[0]
@@ -194,8 +195,8 @@ def run_block(params_list, grid: RadialGrid, *,
 
     def coefficients(lo, hi):
         # the folded coefficients of u+ = P u[i+1] + C u[i] + M u[i-1]
-        # - Bd u_prev + (N + F) invD on nodes lo..hi-1, then the scales of N;
-        # the origin rule has no u[i-1], so M[0] = +0
+        # - Bd u_prev + (N + F) invD on nodes lo..hi-1, then for power_ut
+        # the scales of N; the origin rule has no u[i-1], so M[0] = +0
         o = int(lo == 0)  # the origin's place in the range
         D = 1.0 / dt ** 2 + V[lo:hi] / (2.0 * dt)
         Bd = (1.0 / dt ** 2 - V[lo:hi] / (2.0 * dt)) / D
@@ -205,11 +206,9 @@ def run_block(params_list, grid: RadialGrid, *,
              - np.append(np.full(o, 2.0 * n), np.full(cr.size, 2.0)) / dr ** 2) / D
         M = np.append(np.zeros(o), (1.0 / dr ** 2 - cr / (2.0 * dr)) / D[o:])
         invD = np.divide(1.0, D, out=D)
-        if mode == "power_u":
-            return P, C, M, Bd, invD
         if mode == "power_ut":  # |u_t|^p from u differences: predictor, corrector
-            return P, C, M, Bd, invD / dt ** p, invD / (2.0 * dt) ** p
-        return P, C, M, Bd
+            return P, C, M, Bd, invD, invD / dt ** p, invD / (2.0 * dt) ** p
+        return P, C, M, Bd, invD
 
     snap_steps = {}
     if snapshot_times is not None:
@@ -229,32 +228,6 @@ def run_block(params_list, grid: RadialGrid, *,
 
     active = window if enforce_support else lambda t: nr - 1
 
-    # the data block; model data vanish for r >= 1, inside the first window
-    u0, v0 = _fresh_zeros((k, nr)), _fresh_zeros((k, nr))
-    ext = nr if initial is not None else window(0.0)
-    for i, q in enumerate(params_list):
-        if initial is None:
-            u0_i, v0_i = initial_data(q, r)
-        else:
-            u0_i, v0_i = (np.array(a, dtype=float) for a in initial[i])
-        max_hist[i, 0] = np.max(np.abs(u0_i))
-        if 0 in snap_steps:
-            snapshots[i].append((0.0, u0_i, v0_i))
-        u0[i, :ext], v0[i, :ext] = u0_i[:ext], v0_i[:ext]
-
-    # Taylor start: u1 = u0 + dt*v0 + dt^2/2 * (lap - V*v0 + N + F)
-    m = active(dt)
-    lap = _laplacian(u0, m, dr, n, c) - V[:m] * v0[:, :m]
-    if mode != "none":
-        nl = np.empty((k, m))
-        power((u0 if mode == "power_u" else v0)[:, :m], nl, np.empty((k, m)))
-        lap += nl
-    if forcing is not None:
-        lap += forcing(0.0, r[:m])
-    u1 = u0[:, :m] + v0[:, :m] * dt + lap * (0.5 * dt * dt)
-    del v0
-    max_hist[:, 1] = np.abs(u1).max(axis=1)
-
     # The packed layout.  Row j holds its window at j*S.., then the gap
     # nodes up to (j+1)*S: +0 from node m on (the right neighbour of node
     # m-1) and -0 at the last, which row j+1's node 0 reads as its left
@@ -262,7 +235,7 @@ def run_block(params_list, grid: RadialGrid, *,
     # S >= m+2, and S grows by a fixed rule of m when the window reaches the
     # -0.  The gaps are computed with the rest and reset every step.
     u_prev, u, u_next, lin_b, tmp_b = (_fresh_zeros((k * (nr + 1),)) for _ in range(5))
-    tiled = _fresh_zeros((len(coefficients(0, 1)), k * (nr + 1)))  # 4 to 6 rows
+    tiled = _fresh_zeros((len(coefficients(0, 1)), k * (nr + 1)))  # 5 or 7 rows
     gap = np.zeros(nr + 2)
     gap[-1] = -0.0
     ids = np.arange(k)  # block row -> problem index
@@ -293,11 +266,30 @@ def run_block(params_list, grid: RadialGrid, *,
             seen = support_violation[ids]
             support_violation[ids] = np.where(tail > seen, tail, seen)
 
-    m_first = active(2.0 * dt)
-    S = stride(m_first)
+    S = stride(active(2.0 * dt))
     tile(0)
-    as_rows(u_prev)[:, :m_first] = u0[:, :m_first]
-    as_rows(u)[:, :m] = u1
+    # the data, cut to the t = 0 window like every later level: u0 in
+    # u_prev and v0 in lin_b, which is free until the first step
+    m0, m = active(0.0), active(dt)
+    u0, v0 = as_rows(u_prev)[:, :m], as_rows(lin_b)[:, :m]
+    for i, q in enumerate(params_list):
+        data = initial_data(q, r) if initial is None else initial[i]
+        u0[i, :m0], v0[i, :m0] = (a[:m0] for a in data)
+    max_hist[:, 0] = np.abs(u0).max(axis=1)
+    if 0 in snap_steps:
+        for i in range(k):
+            snapshots[i].append((0.0, row(u_prev, i), row(lin_b, i)))
+
+    # Taylor start: u1 = u0 + dt*v0 + dt^2/2 * (lap - V*v0 + N + F)
+    lap = _laplacian(as_rows(u_prev), m, dr, n, c) - V[:m] * v0
+    if mode != "none":
+        nl = np.empty((k, m))
+        power(u0 if mode == "power_u" else v0, nl, np.empty((k, m)))
+        lap += nl
+    if forcing is not None:
+        lap += forcing(0.0, r[:m])
+    as_rows(u)[:, :m] = u0 + v0 * dt + lap * (0.5 * dt * dt)
+    max_hist[:, 1] = np.abs(as_rows(u)[:, :m]).max(axis=1)
     for x in (u_prev, u, u_next):
         x[S - 1:k * S:S] = -0.0
     check_support(u, dt)
@@ -324,7 +316,7 @@ def run_block(params_list, grid: RadialGrid, *,
             live = span
             vp, vu, vn, (tmp, _, _, tmp1), (lin, _, _, lin1) = map(
                 views, (u_prev, u, u_next, tmp_b, lin_b))
-            Pm, Cm, Mm, Bm, *scales = tiled[:, :span]
+            Pm, Cm, Mm, Bm, invDm, *scales = tiled[:, :span]
             Mm = Mm[1:]
             starts = np.arange(0, span, S)
         (um, ur, ul, _), (upm, *_), (un, _, _, un1) = vu, vp, vn
@@ -338,12 +330,11 @@ def run_block(params_list, grid: RadialGrid, *,
         np.multiply(upm, Bm, out=tmp)
         out -= tmp
         if forcing is not None:
-            invD = 1.0 / (1.0 / dt ** 2 + V[:m] / (2.0 * dt))  # as coefficients() has it
             as_rows(lin_b if mode == "power_ut" else u_next)[:, :m] += \
-                forcing(t, r[:m]) * invD
+                forcing(t, r[:m]) * invDm[:m]
         if mode == "power_u":
             power(um, tmp, lin)
-            tmp *= scales[0]
+            tmp *= invDm
             un += tmp
         elif mode == "power_ut":
             # backward-difference predictor, then one corrector pass with
@@ -359,9 +350,8 @@ def run_block(params_list, grid: RadialGrid, *,
 
         if step in snap_steps:
             for j, i in enumerate(ids):
-                # at step 1 u_prev holds the data only inside the window
-                prev = u0[i] if step == 1 else row(u_prev, j)
-                snapshots[i].append((t, row(u, j), (row(u_next, j) - prev) / (2.0 * dt)))
+                snapshots[i].append((t, row(u, j),
+                                     (row(u_next, j) - row(u_prev, j)) / (2.0 * dt)))
 
         np.abs(un, out=tmp)
         mx = np.maximum.reduceat(tmp, starts)
@@ -388,8 +378,8 @@ def run_block(params_list, grid: RadialGrid, *,
     # rows that reached t_max; final snapshot with backward velocity
     if n_steps in snap_steps and n_steps >= 1:
         for j, i in enumerate(ids):
-            prev = u0[i] if n_steps == 1 else row(u_prev, j)
-            snapshots[i].append((n_steps * dt, row(u, j), (row(u, j) - prev) / dt))
+            snapshots[i].append((n_steps * dt, row(u, j),
+                                 (row(u, j) - row(u_prev, j)) / dt))
 
     return [SolveOutcome(
         status=status[i],
@@ -518,13 +508,12 @@ MMS_CASES = {
 }
 
 
-def mms_order(case: str, drs=(0.02, 0.01, 0.005), t_final: float = 1.0,
-              bump_k: int = 6, cfl: float = 0.5) -> MmsReport:
-    """Observed convergence order on u* = e^-t (1-r^2)^k_+ with exact forcing.
+def mms_order(case: str, drs=(0.02, 0.01, 0.005), t_final: float = 1.0) -> MmsReport:
+    """Observed convergence order on u* = e^-t (1-r^2)^6_+ with exact forcing.
 
     u*_t = -u*, so |u*|^p = |u*_t|^p and one forcing expression covers every
     nonlinearity mode.  Least-squares slope of log(error) vs log(dr) over at
-    least three levels.  k >= 5 keeps the profile C^4 so the measured L-inf
+    least three levels.  k = 6 >= 5 keeps the profile C^4 so the measured L-inf
     order is not dragged below 2 by the support-edge kink.
     """
     if case not in MMS_CASES:
@@ -532,7 +521,7 @@ def mms_order(case: str, drs=(0.02, 0.01, 0.005), t_final: float = 1.0,
     if len(drs) < 3:
         raise ValueError("need at least three refinement levels")
     params = MMS_CASES[case]
-    n, p, k = params.n, params.p, bump_k
+    n, p, k = params.n, params.p, 6
     mode = params.nonlinearity
 
     def forcing(t, r):
@@ -546,7 +535,7 @@ def mms_order(case: str, drs=(0.02, 0.01, 0.005), t_final: float = 1.0,
 
     errors = []
     for dr in drs:
-        grid = build_grid(t_final, dr, cfl)
+        grid = build_grid(t_final, dr)
         B = bump(grid.r, k, 1.0)
         out = run(params, grid, initial=(B, -B), forcing=forcing,
                   enforce_support=False, threshold=1e12,

@@ -236,108 +236,69 @@ _SVG_W, _SVG_H = 640, 480
 _ML, _MR, _MT, _MB = 72, 24, 40, 56  # margins
 
 
-def _fmt(x: float) -> str:
-    return "%.6g" % x
-
-
-class _Canvas:
-    """Minimal deterministic SVG builder: fixed size, text assembled in order."""
-
-    def __init__(self, title: str):
-        self.parts = [
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
-            f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">\n',
-            f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>\n',
-            f'<text x="{_SVG_W // 2}" y="24" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{title}</text>\n',
-        ]
-        self.x0, self.x1 = _ML, _SVG_W - _MR
-        self.y0, self.y1 = _SVG_H - _MB, _MT  # y grows upward in data space
-
-    def set_limits(self, xlo, xhi, ylo, yhi):
-        if xhi <= xlo:
-            xhi = xlo + 1.0
-        if yhi <= ylo:
-            yhi = ylo + 1.0
-        pad_x, pad_y = 0.06 * (xhi - xlo), 0.06 * (yhi - ylo)
-        self.xlo, self.xhi = xlo - pad_x, xhi + pad_x
-        self.ylo, self.yhi = ylo - pad_y, yhi + pad_y
-
-    def px(self, x):
-        return self.x0 + (x - self.xlo) / (self.xhi - self.xlo) * (self.x1 - self.x0)
-
-    def py(self, y):
-        return self.y0 + (y - self.ylo) / (self.yhi - self.ylo) * (self.y1 - self.y0)
-
-    def axes(self, xlabel: str, ylabel: str):
-        self.parts.append(
-            f'<rect x="{_ML}" y="{_MT}" width="{self.x1 - self.x0}" '
-            f'height="{self.y0 - self.y1}" fill="none" stroke="black"/>\n')
-        for xv in np.linspace(self.xlo, self.xhi, 6):
-            px = self.px(xv)
-            self.parts.append(
-                f'<line x1="{px:.2f}" y1="{self.y0}" x2="{px:.2f}" '
-                f'y2="{self.y0 + 5}" stroke="black"/>\n'
-                f'<text x="{px:.2f}" y="{self.y0 + 20}" text-anchor="middle" '
-                f'font-family="monospace" font-size="11">{_fmt(xv)}</text>\n')
-        for yv in np.linspace(self.ylo, self.yhi, 6):
-            py = self.py(yv)
-            self.parts.append(
-                f'<line x1="{self.x0 - 5}" y1="{py:.2f}" x2="{self.x0}" '
-                f'y2="{py:.2f}" stroke="black"/>\n'
-                f'<text x="{self.x0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
-                f'font-family="monospace" font-size="11">{_fmt(yv)}</text>\n')
-        self.parts.append(
-            f'<text x="{(self.x0 + self.x1) // 2}" y="{_SVG_H - 12}" '
-            f'text-anchor="middle" font-family="monospace" font-size="12">'
-            f'{xlabel}</text>\n'
-            f'<text x="16" y="{(self.y0 + self.y1) // 2}" text-anchor="middle" '
-            f'font-family="monospace" font-size="12" '
-            f'transform="rotate(-90 16 {(self.y0 + self.y1) // 2})">{ylabel}'
-            f'</text>\n')
-
-    def markers(self, xs, ys, color="black"):
-        for x, y in zip(xs, ys):
-            self.parts.append(
-                f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" r="3.5" '
-                f'fill="{color}"/>\n')
-
-    def line(self, xs, ys, color="black", dashed=False):
-        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}"
-                       for x, y in zip(xs, ys))
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
-        self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"{dash}/>\n')
-
-    def note(self, text: str, slot: int):
-        self.parts.append(
-            f'<text x="{self.x1 - 6}" y="{_MT + 18 + 16 * slot}" '
-            f'text-anchor="end" font-family="monospace" font-size="12">'
-            f'{text}</text>\n')
-
-    def finish(self) -> str:
-        return "".join(self.parts) + "</svg>\n"
-
-
 def emit_plot(fit: ScalingFit, path: str, title: str = "lifespan scaling") -> None:
-    """Write a deterministic SVG of a ScalingFit: points, fit and theory lines."""
+    """Write a deterministic SVG of a ScalingFit: points, fit and theory lines.
+
+    Fixed size, text assembled in order; y grows upward in data space."""
     if not fit.points:
         raise ValueError("cannot plot an empty fit")
     xs = [p[0] for p in fit.points]
     ys = [p[1] for p in fit.points]
-    cv = _Canvas(title)
-    cv.set_limits(min(xs), max(xs), min(ys), max(ys))
-    cv.axes("log(1/eps)", "log T")
-    grid = np.linspace(min(xs), max(xs), 2)
-    cv.line(grid, fit.intercept + fit.slope * grid, color="#1f6fb2")
-    anchor = ys[0] - fit.theory_exponent * xs[0]
-    cv.line(grid, anchor + fit.theory_exponent * grid, color="#b23a1f",
-            dashed=True)
-    cv.markers(xs, ys)
-    cv.note(f"fit slope {_fmt(fit.slope)} (r2 {_fmt(fit.r_squared)})", 0)
-    cv.note(f"theory slope {_fmt(fit.theory_exponent)} [{fit.verdict}]", 1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cv.finish())
+    x0, x1 = _ML, _SVG_W - _MR
+    y0, y1 = _SVG_H - _MB, _MT
+    limits = []  # the data range padded by 6% each side, a flat one spanning 1
+    for lo, hi in ((min(xs), max(xs)), (min(ys), max(ys))):
+        if hi <= lo:
+            hi = lo + 1.0
+        pad = 0.06 * (hi - lo)
+        limits.append((lo - pad, hi + pad))
+    (xlo, xhi), (ylo, yhi) = limits
 
+    def px(x):
+        return x0 + (x - xlo) / (xhi - xlo) * (x1 - x0)
+
+    def py(y):
+        return y0 + (y - ylo) / (yhi - ylo) * (y1 - y0)
+
+    def text(x, y, anchor, size, body, extra=""):
+        return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="monospace" '
+                f'font-size="{size}"{extra}>{body}</text>\n')
+
+    def line(lxs, lys, color, dash=""):
+        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(lxs, lys))
+        return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                f'stroke-width="1.5"{dash}/>\n')
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
+        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">\n',
+        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>\n',
+        text(_SVG_W // 2, 24, "middle", 14, title),
+        f'<rect x="{_ML}" y="{_MT}" width="{x1 - x0}" height="{y0 - y1}" '
+        'fill="none" stroke="black"/>\n',
+    ]
+    for xv in np.linspace(xlo, xhi, 6):
+        parts.append(f'<line x1="{px(xv):.2f}" y1="{y0}" x2="{px(xv):.2f}" '
+                     f'y2="{y0 + 5}" stroke="black"/>\n'
+                     + text(f"{px(xv):.2f}", y0 + 20, "middle", 11, f"{xv:.6g}"))
+    for yv in np.linspace(ylo, yhi, 6):
+        parts.append(f'<line x1="{x0 - 5}" y1="{py(yv):.2f}" x2="{x0}" '
+                     f'y2="{py(yv):.2f}" stroke="black"/>\n'
+                     + text(x0 - 8, f"{py(yv) + 4:.2f}", "end", 11, f"{yv:.6g}"))
+    parts.append(text((x0 + x1) // 2, _SVG_H - 12, "middle", 12, "log(1/eps)"))
+    parts.append(text(16, (y0 + y1) // 2, "middle", 12, "log T",
+                      f' transform="rotate(-90 16 {(y0 + y1) // 2})"'))
+    grid = np.linspace(min(xs), max(xs), 2)
+    parts.append(line(grid, fit.intercept + fit.slope * grid, "#1f6fb2"))
+    anchor = ys[0] - fit.theory_exponent * xs[0]
+    parts.append(line(grid, anchor + fit.theory_exponent * grid, "#b23a1f",
+                      ' stroke-dasharray="6 4"'))
+    parts += [f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3.5" fill="black"/>\n'
+              for x, y in zip(xs, ys)]
+    for slot, note in enumerate((
+            f"fit slope {fit.slope:.6g} (r2 {fit.r_squared:.6g})",
+            f"theory slope {fit.theory_exponent:.6g} [{fit.verdict}]")):
+        parts.append(text(x1 - 6, _MT + 18 + 16 * slot, "end", 12, note))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(parts) + "</svg>\n")

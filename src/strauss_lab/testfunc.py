@@ -18,6 +18,7 @@ from .eigen import gauss_jacobi, psi_hat_batch
 from .model import ModelParams, potential
 
 DEFAULT_NODES = 64
+R = 2.0  # the shift of the decay weights t + R +- r; R > 1 keeps t + R - r > 0
 
 
 def eta_rule(q: float, m: int):
@@ -39,7 +40,6 @@ class BqTable:
     """b_q sampled on a (t, r) rectangle, with its quadrature ingredients."""
 
     q: float
-    R: float
     n: int
     mu: float
     beta: float
@@ -59,8 +59,8 @@ class BqTable:
     def same_grid(self, other: "BqTable") -> bool:
         return (np.array_equal(self.t_grid, other.t_grid)
                 and np.array_equal(self.r_grid, other.r_grid)
-                and (self.n, self.mu, self.beta, self.R)
-                == (other.n, other.mu, other.beta, other.R))
+                and (self.n, self.mu, self.beta)
+                == (other.n, other.mu, other.beta))
 
 
 @dataclass(frozen=True)
@@ -94,28 +94,25 @@ class AsymptoticReport:
         return self.ratio_max / self.ratio_min
 
 
-def build_bq(q: float, params: ModelParams, t_grid, r_grid, R: float = 2.0,
-             nodes: int = DEFAULT_NODES, dr_ode: float = 1e-3) -> BqTable:
+def build_bq(q: float, params: ModelParams, t_grid, r_grid,
+             nodes: int = DEFAULT_NODES) -> BqTable:
     """Assemble a BqTable by eta-quadrature over normalized eigenfunctions.
 
     r_grid must be uniform starting at 0 (it doubles as the ODE output grid).
     """
     if q <= 0.0:
         raise ValueError("q must be positive")
-    if R <= 1.0:
-        raise ValueError("shift constant R must exceed 1")
     t_grid = np.asarray(t_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     if (r_grid.size < 2 or r_grid[0] != 0.0
             or not np.allclose(np.diff(r_grid), r_grid[1], rtol=1e-12)):
         raise ValueError("r_grid must be uniform, start at 0 and have >= 2 nodes")
     eta, w = eta_rule(q, nodes)
-    psi_cache, _, _ = psi_hat_batch(eta, params.mu, params.beta, params.n,
-                                    r_grid, dr=dr_ode)
+    psi_cache, _, _ = psi_hat_batch(eta, params.mu, params.beta, params.n, r_grid)
     # b(t_i, r_j) = sum_k w_k e^{-eta_k t_i} psi_hat_k(r_j): one GEMM
     E = w * np.exp(-np.multiply.outer(t_grid, eta))
     values = E @ psi_cache
-    table = BqTable(q=q, R=R, n=params.n, mu=params.mu, beta=params.beta,
+    table = BqTable(q=q, n=params.n, mu=params.mu, beta=params.beta,
                     eta_nodes=eta, eta_weights=w, psi_cache=psi_cache,
                     t_grid=t_grid, r_grid=r_grid, values=values)
     table.validate()
@@ -208,10 +205,10 @@ def verify_bq_asymptotics(table: BqTable, t_min: float = 1.0) -> AsymptoticRepor
         raise ValueError("boundary case q = (n-1)/2 is excluded")
     t, r, b = _cone(table, t_min)
     if q < half:
-        regime, vals = "q_below", b * (t + table.R + r) ** q
+        regime, vals = "q_below", b * (t + R + r) ** q
     else:  # t + R - r > 0 on the cone (R > 1)
         regime = "q_above"
-        vals = b * (t + table.R + r) ** half * (t + table.R - r) ** (q - half)
+        vals = b * (t + R + r) ** half * (t + R - r) ** (q - half)
     return AsymptoticReport(q=q, regime=regime,
                             ratio_min=float(vals.min()),
                             ratio_max=float(vals.max()))
@@ -298,6 +295,6 @@ def hyper2f1_compensation(table: BqTable, t_min: float = 1.0):
     """
     q, n = table.q, table.n
     t, r, b = _cone(table, t_min)
-    tr = t + table.R + r
+    tr = t + R + r
     ratio = b * tr ** q / hyper2f1(q, (n - 1) / 2.0, n - 1.0, 2.0 * r / tr)
     return float(ratio.min()), float(ratio.max())

@@ -98,17 +98,22 @@ def test_criterion_2_eigenfunction_oracle(capsys):
     exact[1:] = np.sinh(r[1:]) / r[1:]
     rel = float(np.max(np.abs(psi_hat[0] * lam[0] - exact) / exact))
     _check(fails, rel < 1e-8, f"sinh(r)/r oracle rel err {rel:.2e}")
-    sups = []
+    sups, gaps = [], []
     for r_max in (40.0, 80.0):
         r = 0.01 * np.arange(int(round(r_max / 0.01)) + 1)
         psi_hat, _, lam = psi_hat_batch([1.0], 1.0, 3.0, 3, r)
         w = (1.0 + r) * np.exp(-r) * psi_hat[0] * lam[0]
         sups.append(float(np.max(np.abs(w))))
+        # far-field law w -> 2 pi lambda (1 + 1/r) at the outer radius
+        gap = abs(w[-1] / (1.0 + 1.0 / r[-1]) / (2.0 * math.pi * lam[0]) - 1.0)
+        gaps.append(float(gap))
+        _check(fails, gap < 2e-4, f"far-field law off by {gap:.2e} at r_max {r_max:g}")
     drift = abs(sups[1] - sups[0]) / sups[0]
     _check(fails, math.isfinite(sups[0]) and sups[0] > 0.0, "w not bounded")
     _check(fails, drift <= 0.01, f"sup|w| drift {drift:.3%} on doubling")
     _finish(capsys, 2, 10.0, t0, fails,
-            f"oracle rel {rel:.1e}; sup|w|={sups[0]:.4g} stable {drift:.3%}")
+            f"oracle rel {rel:.1e}; sup|w|={sups[0]:.4g} stable {drift:.3%}; "
+            f"far-field gaps {gaps[0]:.1e}, {gaps[1]:.1e}")
 
 
 def test_criterion_3_bq_validity(capsys):

@@ -102,14 +102,12 @@ def test_parse_config_errors():
         parse_config_text("nonlinearity = cubic")
 
 
-def test_load_config_and_base_override(tmp_path):
+def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("mu = 0.0\nbeta = 2.5\n", encoding="utf-8")
     cfg = load_config(str(path))
     assert cfg.mu == 0.0 and cfg.beta == 2.5
-    base = RunConfig(n=5)
-    cfg2 = load_config(str(path), base=base)
-    assert cfg2.n == 5 and cfg2.mu == 0.0
+    assert cfg == RunConfig(mu=0.0, beta=2.5)  # the other keys keep their defaults
 
 
 def test_run_config_builders():

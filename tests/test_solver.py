@@ -333,10 +333,59 @@ def test_block_rejects_mixed_problems():
 
 
 def test_wide_initial_data_cut_to_window():
-    # data reaching past the first active window are cut like the scheme's tail
+    # data reaching past the t = 0 window are cut like the scheme's tail, and
+    # the first centered velocity differences the cut data the solver used
     grid = build_grid(1.0, 0.05)
     u0 = (1.0 - np.minimum(grid.r / 2.0, 1.0) ** 2) ** 4
-    out = run(_oracle_params(), grid, initial=(u0, 0.0 * u0),
-              snapshot_times=grid.dt * np.arange(1, grid.n_steps + 1))
+    v0 = 0.0 * u0
+    initial = (u0.copy(), v0.copy())
+    out = run(_oracle_params(), grid, initial=initial,
+              snapshot_times=grid.dt * np.arange(grid.n_steps + 1))
+    assert out.snapshots[0][0] == 0.0
     for t_s, u_s, _ in out.snapshots:
         assert np.all(u_s[grid.r > t_s + 1.0 + 2.0 * grid.dr] == 0.0)
+    t_1, _, ut_1 = out.snapshots[1]
+    beyond = grid.r > t_1 + 1.0 + 2.0 * grid.dr
+    assert t_1 == grid.dt
+    assert np.abs(ut_1[beyond]).max() <= np.abs(ut_1[~beyond]).max()
+    assert np.array_equal(initial[0], u0) and np.array_equal(initial[1], v0)
+
+
+# --- an exact lifespan: data constant in r, mu = 0 ----------------------------
+# The center follows u'' = N(u) until the Dirichlet row's signal reaches it.
+# That signal moves one node per step, speed 2 at cfl 0.5, so from r_max ~ 11
+# it arrives at t ~ 5.5, after both T*.
+
+ORACLE_DRS = (0.04, 0.02, 0.01, 0.005, 0.0025)
+
+
+def _constant_data_t_end(params, dr, u0, v0):
+    grid = build_grid(10.0, dr)
+    one = np.ones(grid.nr)
+    out = run_block([params], grid, initial=[(u0 * one, v0 * one)],
+                    enforce_support=False)[0]
+    assert out.status == "blew_up"
+    return out.t_end, grid.dt
+
+
+@pytest.mark.parametrize("dr, bound", zip(ORACLE_DRS, (
+    0.02553, 0.01553, 0.005523, 0.0005226, 0.001978)))
+def test_exact_lifespan_power_u(dr, bound):
+    # u'' = u^2, u(0) = 1, u'(0) = 0: T* = sqrt((p+1)/2) B(1/2 - 1/(p+1), 1/2)/(p+1);
+    # the bounds are the errors of the grid t_end measured when they were pinned
+    p = 2.0
+    a = 0.5 - 1.0 / (p + 1.0)
+    T_star = (math.sqrt((p + 1.0) / 2.0) * math.gamma(a) * math.gamma(0.5)
+              / math.gamma(a + 0.5) / (p + 1.0))
+    assert T_star == pytest.approx(2.974477425, abs=1e-9)
+    t_end, _ = _constant_data_t_end(_oracle_params(nonlinearity="power_u", p=p),
+                                    dr, 1.0, 0.0)
+    assert abs(t_end - T_star) <= bound
+
+
+@pytest.mark.parametrize("dr", ORACLE_DRS)
+def test_exact_lifespan_power_ut(dr):
+    # u'' = |u'|^p, u'(0) = 1: T* = 1/(p-1) = 2 at p = 1.5, reached 3 steps late
+    t_end, dt = _constant_data_t_end(_oracle_params(nonlinearity="power_ut", p=1.5),
+                                     dr, 0.0, 1.0)
+    assert t_end == pytest.approx(2.0 + 3.0 * dt, abs=1e-9)

@@ -261,6 +261,8 @@ def test_emit_plot_deterministic_fit(tmp_path):
     emit_plot(fit, str(b))
     text = a.read_text()
     assert text == b.read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "120caa5f34e1083a13590f8a6a209f9120f2848491a2e4c522b9210b014a228a")
     assert text.count("<circle") == 5
     assert "#1f6fb2" in text and "#b23a1f" in text  # fit and theory lines
     assert text.startswith("<?xml") and text.rstrip().endswith("</svg>")

@@ -87,8 +87,6 @@ def test_build_bq_validation():
     with pytest.raises(ValueError):
         build_bq(0.0, params, t, good_r)
     with pytest.raises(ValueError):
-        build_bq(1.0, params, t, good_r, R=1.0)
-    with pytest.raises(ValueError):
         build_bq(1.0, params, t, np.linspace(0.5, 1.0, 6))  # not from 0
     with pytest.raises(ValueError):
         build_bq(1.0, params, t, np.array([0.0, 0.1, 0.3]))  # nonuniform
@@ -231,8 +229,9 @@ def small_table():
 
 def test_compensation_matches_pointwise_loop(small_table):
     tab = small_table
-    ratios = [tab.values[i, j] * (t + tab.R + r) ** tab.q
-              / hyper2f1(tab.q, 1.0, 2.0, 2.0 * r / (t + tab.R + r))
+    R = testfunc.R
+    ratios = [tab.values[i, j] * (t + R + r) ** tab.q
+              / hyper2f1(tab.q, 1.0, 2.0, 2.0 * r / (t + R + r))
               for i, t in enumerate(tab.t_grid)
               for j, r in enumerate(tab.r_grid) if r <= t + 1.0]
     lo, hi = hyper2f1_compensation(tab)
