@@ -50,8 +50,6 @@ def resolve_config(args) -> RunConfig:
         cfg.grid()  # a bad value is a usage error here, not a traceback
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.refine_levels < 1:
-        raise ConfigError(f"refine_levels must be >= 1, got {cfg.refine_levels}")
     return cfg
 
 
@@ -104,7 +102,10 @@ def cmd_solve(args) -> int:
     snap_times = (_float_list(args.snap_times, "snapshot time")
                   if args.snap_times else
                   list(np.linspace(0.0, cfg.t_max, 9)))
-    out = run(params, grid, threshold=cfg.u_threshold, snapshot_times=snap_times)
+    try:
+        out = run(params, grid, threshold=cfg.u_threshold, snapshot_times=snap_times)
+    except ValueError as exc:  # an n the solver refuses
+        raise ConfigError(str(exc)) from exc
     print(f"status={out.status} t_end={out.t_end:.6g} "
           f"max|u|={float(np.max(out.max_abs_u)):.6g} "
           f"snapshots={len(out.snapshots)}")
@@ -121,9 +122,10 @@ def cmd_solve(args) -> int:
 
 def cmd_lifespan(args) -> int:
     cfg = resolve_config(args)
-    res = estimate_lifespans([cfg.model_params()], t_max=cfg.t_max, dr=cfg.dr,
-                             levels=cfg.refine_levels, cfl=cfg.cfl,
-                             threshold=cfg.u_threshold)[0]
+    try:
+        res = estimate_lifespans(cfg, [cfg.eps])[0]
+    except ValueError as exc:  # an n the solver refuses
+        raise ConfigError(str(exc)) from exc
     print(f"eps={res.eps:.6g} T_levels={tuple(round(T, 6) for T in res.T_levels)} "
           f"T={res.T_extrapolated:.6g} uncertainty={res.uncertainty:.3g} "
           f"censored={res.censored} unreliable={res.unreliable}")
@@ -138,9 +140,9 @@ def cmd_sweep(args) -> int:
         spec = SweepSpec(config=cfg, eps_min=args.eps_min, eps_max=args.eps_max,
                          eps_count=args.eps_count, jobs=args.jobs)
         fit_table(cfg, (), args.tolerance)  # a bad --tolerance stops before any solve
+        results = run_sweep(spec)  # an n the solver refuses stops here
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    results = run_sweep(spec)
     write_csv(args.out, SWEEP_HEADER, sweep_rows(results))
     for res in results:
         print(f"eps={res.eps:.6g} T={res.T_extrapolated:.6g} "

@@ -121,12 +121,15 @@ def sphere_area(n: int) -> float:
 def build_grid(t_max: float, dr: float, cfl: float = 0.5) -> RadialGrid:
     """Grid sized so the Dirichlet boundary at r_max is never reached.
 
-    dt = cfl*dr; cfl must lie in (0, 0.9] for the leapfrog update.
+    dt = cfl*dr with cfl in (0, 0.5], under the leapfrog bound of every n the
+    solver takes (0.688 at n = 5); t_max must round to at least one step.
     """
     if t_max <= 0 or dr <= 0:
         raise ValueError("t_max and dr must be positive")
-    if not 0.0 < cfl <= 0.9:
-        raise ValueError(f"cfl must be in (0, 0.9], got {cfl}")
+    if not 0.0 < cfl <= 0.5:
+        raise ValueError(f"cfl must be in (0, 0.5], got {cfl}")
+    if round(t_max / (cfl * dr)) == 0:
+        raise ValueError(f"t_max {t_max} rounds to 0 steps of dt {cfl * dr}")
     need = t_max + 1.0 + 2.0 * dr
     nr = int(math.ceil(need / dr - 1e-12)) + 1
     r = np.arange(nr) * dr
@@ -153,7 +156,6 @@ class RunConfig(ModelParams):
 
     t_max: float = 10.0
     dr: float = 0.01
-    cfl: float = 0.5
     u_threshold: float = 1e6
     refine_levels: int = 2
 
@@ -161,13 +163,15 @@ class RunConfig(ModelParams):
         super().__post_init__()
         if self.u_threshold <= 0:
             raise ValueError(f"u_threshold must be > 0, got {self.u_threshold}")
+        if self.refine_levels < 1:
+            raise ValueError(f"refine_levels must be >= 1, got {self.refine_levels}")
 
     def model_params(self) -> ModelParams:
         return ModelParams(**{f.name: getattr(self, f.name)
                               for f in fields(ModelParams)})
 
     def grid(self) -> RadialGrid:
-        return build_grid(self.t_max, self.dr, self.cfl)
+        return build_grid(self.t_max, self.dr)
 
 
 # key -> type of every RunConfig field, in field order: the config-file keys

@@ -48,11 +48,13 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, RadialGrid, build_grid, bump, initial_data, potential, sphere_area
+from .model import (ModelParams, RadialGrid, RunConfig, build_grid, bump, initial_data,
+                    potential, sphere_area)
 
 
 @dataclass
@@ -70,7 +72,6 @@ class SolveOutcome:
 @dataclass
 class LifespanResult:
     eps: float
-    drs: tuple
     T_levels: tuple
     T_extrapolated: float
     uncertainty: float
@@ -184,6 +185,8 @@ def run_block(params_list, grid: RadialGrid, *,
     shared = (first.n, first.mu, first.beta, first.p, first.nonlinearity)
     if any((q.n, q.mu, q.beta, q.p, q.nonlinearity) != shared for q in params_list):
         raise ValueError("a block's problems must share n, mu, beta, p and nonlinearity")
+    if first.n > 5:  # the stencil's eigenvalues turn complex: no dt is stable
+        raise ValueError(f"the solver needs n <= 5, got n = {first.n}")
     r = grid.r
     nr, k = r.size, len(params_list)
     dr, dt = grid.dr, grid.dt
@@ -401,25 +404,26 @@ def _blowup_times(params_list, grid: RadialGrid, threshold: float) -> list[float
             for out in run_block(params_list, grid, threshold=threshold)]
 
 
-def estimate_lifespans(params_list, *, t_max: float, dr: float,
-                       levels: int = 2, cfl: float = 0.5,
-                       threshold: float = 1e6,
-                       mapper=map) -> list[LifespanResult]:
-    """Blow-up time at `levels` refinements of dr plus Richardson value.
+def estimate_lifespans(cfg: RunConfig, eps_values, jobs: int = 1) -> list[LifespanResult]:
+    """Blow-up time of cfg at each eps on a dr ladder plus Richardson value.
 
-    Each level runs all problems as one run_block; mapper(f, *iterables)
-    runs the levels (a process pool's map runs them in parallel).  The
-    scheme is second order, so halving dr (with dt locked to it) gives
+    The ladder's cfg.refine_levels levels start at cfg.dr and halve it.  Each
+    level runs all eps as one run_block; the levels run in this process, or
+    in min(jobs, levels) worker processes, the one process pool of the lab.
+    The scheme is second order, so halving dr (with dt locked to it) gives
     T* ~ T_fine + (T_fine - T_prev)/3.  censored: some level reached t_max
     without blow-up.  unreliable: consecutive levels moved by > 20%.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    params_list = list(params_list)
-    drs = tuple(dr / 2 ** lev for lev in range(levels))
-    grids = [build_grid(t_max, dr_l, cfl) for dr_l in drs]
-    per_level = list(mapper(_blowup_times, [params_list] * levels, grids,
-                            [threshold] * levels))
+    params_list = [replace(cfg, eps=float(eps)).model_params() for eps in eps_values]
+    levels = cfg.refine_levels
+    grids = [build_grid(cfg.t_max, cfg.dr / 2 ** lev) for lev in range(levels)]
+    work = (_blowup_times, [params_list] * levels, grids, [cfg.u_threshold] * levels)
+    workers = min(jobs, levels)
+    if workers <= 1:
+        per_level = list(map(*work))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_level = list(pool.map(*work))
     results = []
     for i, params in enumerate(params_list):
         Ts = [T_level[i] for T_level in per_level]
@@ -435,7 +439,7 @@ def estimate_lifespans(params_list, *, t_max: float, dr: float,
                 abs(Ts[i + 1] - Ts[i]) > 0.2 * abs(Ts[i + 1])
                 for i in range(levels - 1))
         results.append(LifespanResult(
-            eps=params.eps, drs=drs, T_levels=tuple(Ts),
+            eps=params.eps, T_levels=tuple(Ts),
             T_extrapolated=T_ext, uncertainty=unc,
             censored=censored, unreliable=unreliable))
     return results

@@ -1,11 +1,12 @@
 """Parallel lifespan sweeps, scaling-law fits and deterministic CSV/SVG output.
 
-A sweep runs estimate_lifespans over a geometric eps grid: each refinement
-level advances all eps as one solver block, solver.run_block, whose live rows
-lie back to back in flat buffers, so all eps share each array pass of a step.
-Every row is a pure function of (config, eps, level), bit for bit what a
-one-row run gives, so the table is identical no matter how many worker
-processes computed the levels; results come back in eps order.
+A sweep is one solver.estimate_lifespans call over a geometric eps grid: each
+refinement level advances all eps as one solver block, solver.run_block, whose
+live rows lie back to back in flat buffers, so all eps share each array pass
+of a step.  The levels run in the solver's process pool when jobs > 1.  Every
+row is a pure function of (config, eps, level), bit for bit what a one-row run
+gives, so the table is identical no matter how many worker processes computed
+the levels; results come back in eps order.
 
 fit_table judges every lifespan table (sweep and fit alike): fit_powerlaw
 regresses log T on log(1/eps) and compares the slope with the exponent of the
@@ -26,8 +27,7 @@ gives identical bytes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -121,20 +121,8 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> list[LifespanResult]:
-    """One LifespanResult per eps, in grid order, worker-count independent.
-
-    Each refinement level runs every eps as one solver block; with jobs > 1
-    the levels run in worker processes.
-    """
-    cfg = spec.config
-    params = [replace(cfg, eps=float(eps)).model_params() for eps in spec.eps_grid]
-    kw = dict(t_max=cfg.t_max, dr=cfg.dr, levels=cfg.refine_levels,
-              cfl=cfg.cfl, threshold=cfg.u_threshold)
-    workers = min(spec.jobs, cfg.refine_levels)
-    if workers <= 1:
-        return estimate_lifespans(params, **kw)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return estimate_lifespans(params, mapper=pool.map, **kw)
+    """One LifespanResult per eps, in grid order, worker-count independent."""
+    return estimate_lifespans(spec.config, spec.eps_grid, spec.jobs)
 
 
 def sweep_rows(results: list[LifespanResult]) -> list[tuple]:

@@ -234,7 +234,7 @@ def _euler_node_count(z: np.ndarray) -> np.ndarray:
     """Gauss node count from the Bernstein-ellipse distance of the pole 1/z.
 
     The counts were sized when weight noise of the Gauss rule grew with m;
-    they are kept as they are so that the compensation outputs stay put.
+    hyper2f1 returns the series value, so they only decide if the routes agree.
     """
     xi = 2.0 / np.maximum(z, 0.5) - 1.0  # pole position after mapping [0,1] -> [-1,1]
     rho = xi + np.sqrt(xi * xi - 1.0)

@@ -207,6 +207,16 @@ def _sweep(mu: float, beta: float, p: float, nonlinearity: str, amp: float,
     return spec, run_sweep(spec)
 
 
+def _damping_delays_blowup(fails: list, undamped, damped) -> list:
+    """T(mu > 0)/T(mu = 0) per eps of two sweeps on one grid: damping must
+    delay every blow-up, so each ratio must exceed 1 (NaN fails too)."""
+    ratios = [r1.T_extrapolated / r0.T_extrapolated
+              for r0, r1 in zip(undamped, damped)]
+    _check(fails, all(q > 1.0 for q in ratios),
+           f"damped/undamped T {[round(q, 4) for q in ratios]} not all above 1")
+    return ratios
+
+
 def test_criterion_5_subcritical_strauss_scaling(capsys):
     t0 = time.perf_counter()
     fails = []
@@ -232,9 +242,11 @@ def test_criterion_5_subcritical_strauss_scaling(capsys):
         _check(fails, r1.T_extrapolated <= cap,
                f"T(eps={r1.eps:.3g})={r1.T_extrapolated:.3g} above "
                f"{C}x mu=0 fit {cap:.3g}")
+    ratios = _damping_delays_blowup(fails, res0, res1)
     _finish(capsys, 5, 900.0, t0, fails,
             f"mu=0 slope {fit0.slope:.4f} (r2 {fit0.r_squared:.5f}); "
-            f"mu=1 slope {fit1.slope:.4f}; all T under {1.5}x mu=0 curve")
+            f"mu=1 slope {fit1.slope:.4f}; all T under {1.5}x mu=0 curve; "
+            f"damped/undamped T {min(ratios):.4f}..{max(ratios):.4f}")
 
 
 def test_criterion_6_glassey_scaling(capsys):
@@ -248,8 +260,11 @@ def test_criterion_6_glassey_scaling(capsys):
     _check(fails, abs(fit.slope - 1.0) <= 0.25,
            f"slope {fit.slope:.4f} not within 1 +/- 0.25")
     _check(fails, fit.r_squared >= 0.95, f"r2 {fit.r_squared:.4f}")
+    _, res0 = _sweep(0.0, 3.0, 1.5, "power_ut", 2.0, 50.0, 1e-2)
+    ratios = _damping_delays_blowup(fails, res0, res)
     _finish(capsys, 6, 900.0, t0, fails,
-            f"slope {fit.slope:.4f}, r2 {fit.r_squared:.5f}")
+            f"slope {fit.slope:.4f}, r2 {fit.r_squared:.5f}; "
+            f"damped/undamped T {min(ratios):.4f}..{max(ratios):.4f}")
 
 
 def test_criterion_7_critical_case_evidence(capsys, strauss_crit_samples,

@@ -116,7 +116,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ["lifespan", "--refine-levels", "0", "--dr", "0.1"],
     ["solve", "--p", "0.5", "--dr", "0.1"],
     ["solve", "--dr", "-1"],
-    ["solve", "--cfl", "2", "--dr", "0.1"],
+    ["solve", "--t-max", "0.01", "--dr", "0.1"],  # 0 steps of dt 0.05
     ["sweep", "--eps-min", "2", "--eps-max", "1", "--dr", "0.1"],
     ["sweep", "--jobs", "0", "--dr", "0.1"],
     ["solve", "--nonlinearity", "cubic", "--dr", "0.1"],
@@ -130,19 +130,33 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ["solve", "--t-max", "inf", "--dr", "0.1"],
     ["solve", "--snap-times", "0.5,nan", "--dr", "0.1"],
     ["sweep", "--eps-max", "inf", "--dr", "0.1"],
+    ["lifespan", "--t-max", "0.01", "--dr", "0.1"],
+    # from n = 6 the stencil's eigenvalues are complex: no dt is stable
+    ["solve", "--n", "6", "--dr", "0.1"],
+    ["lifespan", "--n", "6", "--dr", "0.1"],
+    ["sweep", "--n", "6", "--dr", "0.1"],
 ])
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     # a short coarse run, should a check be missed; a --t-max in argv wins
     cmd, *rest = argv
-    assert main([cmd, "--t-max", "1", *rest, "--out", str(tmp_path / "out.csv")]) == 2
+    out = tmp_path / "out.csv"
+    assert main([cmd, "--t-max", "1", *rest, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_commands_without_the_solver_take_n_above_5(capsys):
+    # only the commands that run the solver refuse n >= 6
+    assert main(["exponents", "--n", "8"]) == 0
+    assert main(["eigen", "--n", "6", "--etas", "1", "--r-max", "10"]) == 0
+    assert "p_strauss" in capsys.readouterr().out
 
 
 def test_every_config_key_has_a_flag(tmp_path):
     # a value for every RunConfig field that differs from its default
     other = dict(n=4, mu=2.0, beta=2.5, p=3.0, nonlinearity="power_ut",
                  eps=0.25, data_k=5, f_amp=2.0, g_amp=3.0, t_max=5.0, dr=0.02,
-                 cfl=0.25, u_threshold=1e5, refine_levels=3)
+                 u_threshold=1e5, refine_levels=3)
     assert list(other) == [f.name for f in fields(RunConfig)]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{key} = {val}\n" for key, val in other.items()))

@@ -73,6 +73,13 @@ def test_build_grid_contract():
         build_grid(10.0, 0.02, cfl=1.5)
     with pytest.raises(ValueError):
         build_grid(-1.0, 0.02)
+    # cfl 0.5 sits below the leapfrog bound of every n <= 5 (0.688 at n = 5)
+    with pytest.raises(ValueError, match="cfl"):
+        build_grid(10.0, 0.02, 0.6)
+    assert build_grid(0.03, 0.1).n_steps == 1
+    for t_max in (0.01, 0.025):  # t_max / dt rounds to 0
+        with pytest.raises(ValueError, match="0 steps"):
+            build_grid(t_max, 0.1)
 
 
 def test_parse_config_text_roundtrip():
@@ -100,6 +107,8 @@ def test_parse_config_errors():
         parse_config_text("just a line without equals")
     with pytest.raises(ConfigError):
         parse_config_text("nonlinearity = cubic")
+    with pytest.raises(ConfigError, match="refine_levels must be >= 1"):
+        parse_config_text("refine_levels = 0")
 
 
 def test_load_config(tmp_path):
@@ -111,9 +120,9 @@ def test_load_config(tmp_path):
 
 
 def test_run_config_builders():
-    cfg = RunConfig(n=3, p=2.0, t_max=4.0, dr=0.1, cfl=0.4)
+    cfg = RunConfig(n=3, p=2.0, t_max=4.0, dr=0.1)
     params = cfg.model_params()
     assert params.n == 3 and params.p == 2.0
     grid = cfg.grid()
-    assert grid.dt == pytest.approx(0.04)
+    assert grid.dt == pytest.approx(0.05)
     assert grid.t_max == 4.0

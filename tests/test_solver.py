@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strauss_lab.model import ModelParams, build_grid, initial_data
+from strauss_lab.model import ModelParams, RunConfig, build_grid, initial_data
 from strauss_lab.solver import (_abs_power, energy_functional,
                                 estimate_lifespans, exact_undamped_radial3d,
                                 mms_order, radial_laplacian, run, run_block)
@@ -179,13 +179,9 @@ def test_blow_up_detection_and_threshold():
 
 
 def test_lifespan_richardson_and_monotonicity():
-    def res_at(eps):
-        params = ModelParams(n=3, p=2.0, mu=0.0, beta=3.0,
-                             nonlinearity="power_u", eps=eps,
-                             f_amp=20.0, g_amp=20.0)
-        return estimate_lifespans([params], t_max=15.0, dr=0.04, levels=2)[0]
-
-    r1, r2 = res_at(0.5), res_at(1.0)
+    cfg = RunConfig(n=3, p=2.0, mu=0.0, beta=3.0, nonlinearity="power_u",
+                    f_amp=20.0, g_amp=20.0, t_max=15.0, dr=0.04, refine_levels=2)
+    r1, r2 = estimate_lifespans(cfg, [0.5, 1.0])
     for res in (r1, r2):
         assert not res.censored and not res.unreliable
         T_fine, T_prev = res.T_levels[-1], res.T_levels[-2]
@@ -195,11 +191,31 @@ def test_lifespan_richardson_and_monotonicity():
 
 
 def test_lifespan_censored():
-    params = ModelParams(n=3, p=2.0, mu=0.0, beta=3.0, nonlinearity="power_u",
-                         eps=0.05, f_amp=1.0, g_amp=1.0)
-    res = estimate_lifespans([params], t_max=3.0, dr=0.05, levels=1)[0]
+    cfg = RunConfig(n=3, p=2.0, mu=0.0, beta=3.0, nonlinearity="power_u",
+                    f_amp=1.0, g_amp=1.0, t_max=3.0, dr=0.05, refine_levels=1)
+    (res,) = estimate_lifespans(cfg, [0.05])
     assert res.censored
     assert math.isnan(res.T_extrapolated)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stencil_spectrum_real_and_cfl_half_stable_up_to_n5(n):
+    # leapfrog is stable iff every eigenvalue of the stencil is real and
+    # negative with dt^2 |lambda| <= 4: both hold at cfl 0.5 up to n = 5,
+    # while from n = 6 some eigenvalues are complex and no dt is stable
+    A = np.stack([radial_laplacian(e, 1.0, n) for e in np.eye(60)], axis=1)
+    ev = np.linalg.eigvals(A)
+    assert (np.abs(ev.imag).max() > 0.1) == (n >= 6)
+    assert 2.0 / math.sqrt(-ev.real.min()) > 0.5
+
+
+def test_linear_run_completes_at_n5_and_is_refused_at_n6():
+    params = ModelParams(n=5, mu=0.0, nonlinearity="none")
+    out = run(params, build_grid(40.0, 0.02))
+    assert out.status == "completed" and out.t_end == 40.0
+    assert float(out.max_abs_u.max()) == pytest.approx(0.506, abs=1e-3)
+    with pytest.raises(ValueError, match="n <= 5"):
+        run(replace(params, n=6), build_grid(1.0, 0.1))
 
 
 # --- the |x|^p rule -------------------------------------------------------------

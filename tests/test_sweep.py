@@ -139,7 +139,7 @@ def test_sweep_csv_pinned(config, eps_min, eps_max, count, digest):
 
 
 def test_sweep_rows_censored_to_nan():
-    res = LifespanResult(eps=0.1, drs=(0.02, 0.01), T_levels=(9.0, 9.5),
+    res = LifespanResult(eps=0.1, T_levels=(9.0, 9.5),
                          T_extrapolated=9.7, uncertainty=0.5, censored=True,
                          unreliable=False)
     ((eps, T, unc, cen, unrel),) = sweep_rows([res])
@@ -193,7 +193,7 @@ def test_fit_sweep_not_applicable_paths():
     assert math.isnan(fit.slope) and fit.points == ()
 
     poly = SweepSpec(config=_blowup_config(p=2.0), eps_count=4)
-    censored = [LifespanResult(eps=e, drs=(0.02, 0.01), T_levels=(1.0, 1.0),
+    censored = [LifespanResult(eps=e, T_levels=(1.0, 1.0),
                                T_extrapolated=1.0, uncertainty=0.0,
                                censored=True, unreliable=False)
                 for e in poly.eps_grid]
