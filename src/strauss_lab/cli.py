@@ -2,7 +2,10 @@
 
 Every subcommand reads an optional flat key=value config file; command-line
 flags override file values.  Exit codes: 0 all checks passed, 1 at least one
-check failed, 2 usage or configuration error.  All output paths come from
+check failed, 2 usage or configuration error.  main alone maps exceptions to
+exit codes: a value the library rejects (a ValueError, ConfigError included)
+or a path that cannot be read or written (an OSError) exits 2; a numerical
+fault (an ArithmeticError) keeps its traceback.  All output paths come from
 flags; nothing is written implicitly.
 """
 from __future__ import annotations
@@ -45,11 +48,8 @@ def resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {key: val for key in CONFIG_TYPES
                  if (val := getattr(args, key, None)) is not None}
-    try:
-        cfg = replace(cfg, **overrides)
-        cfg.grid()  # a bad value is a usage error here, not a traceback
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = replace(cfg, **overrides)
+    cfg.grid()  # a bad value stops the command here, before any solve
     return cfg
 
 
@@ -102,10 +102,7 @@ def cmd_solve(args) -> int:
     snap_times = (_float_list(args.snap_times, "snapshot time")
                   if args.snap_times else
                   list(np.linspace(0.0, cfg.t_max, 9)))
-    try:
-        out = run(params, grid, threshold=cfg.u_threshold, snapshot_times=snap_times)
-    except ValueError as exc:  # an n the solver refuses
-        raise ConfigError(str(exc)) from exc
+    out = run(params, grid, threshold=cfg.u_threshold, snapshot_times=snap_times)
     print(f"status={out.status} t_end={out.t_end:.6g} "
           f"max|u|={float(np.max(out.max_abs_u)):.6g} "
           f"snapshots={len(out.snapshots)}")
@@ -122,10 +119,7 @@ def cmd_solve(args) -> int:
 
 def cmd_lifespan(args) -> int:
     cfg = resolve_config(args)
-    try:
-        res = estimate_lifespans(cfg, [cfg.eps])[0]
-    except ValueError as exc:  # an n the solver refuses
-        raise ConfigError(str(exc)) from exc
+    res = estimate_lifespans(cfg, [cfg.eps])[0]
     print(f"eps={res.eps:.6g} T_levels={tuple(round(T, 6) for T in res.T_levels)} "
           f"T={res.T_extrapolated:.6g} uncertainty={res.uncertainty:.3g} "
           f"censored={res.censored} unreliable={res.unreliable}")
@@ -136,13 +130,10 @@ def cmd_lifespan(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    try:
-        spec = SweepSpec(config=cfg, eps_min=args.eps_min, eps_max=args.eps_max,
-                         eps_count=args.eps_count, jobs=args.jobs)
-        fit_table(cfg, (), args.tolerance)  # a bad --tolerance stops before any solve
-        results = run_sweep(spec)  # an n the solver refuses stops here
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = SweepSpec(config=cfg, eps_min=args.eps_min, eps_max=args.eps_max,
+                     eps_count=args.eps_count, jobs=args.jobs)
+    fit_table(cfg, (), args.tolerance)  # a bad --tolerance stops before any solve
+    results = run_sweep(spec)  # an n the solver refuses stops before the write
     write_csv(args.out, SWEEP_HEADER, sweep_rows(results))
     for res in results:
         print(f"eps={res.eps:.6g} T={res.T_extrapolated:.6g} "
@@ -193,10 +184,7 @@ def _read_sweep_csv(path: str):
 def cmd_fit(args) -> int:
     cfg = resolve_config(args)
     rows = _read_sweep_csv(args.infile)
-    try:
-        fit, _ = fit_table(cfg, rows, args.tolerance, args.theory_exponent)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fit, _ = fit_table(cfg, rows, args.tolerance, args.theory_exponent)
     return _report_fit(fit, args.plot, "lifespan scaling fit", args.out)
 
 
@@ -209,11 +197,7 @@ def cmd_eigen(args) -> int:
     rows = []
     for eta in etas:
         # one eta per call, so no lambda depends on the other --etas values
-        try:
-            psi_hat, _, (lam,) = psi_hat_batch([eta], cfg.mu, cfg.beta,
-                                               cfg.n, r)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        psi_hat, _, (lam,) = psi_hat_batch([eta], cfg.mu, cfg.beta, cfg.n, r)
         psi = psi_hat[0] * lam
         w = (1.0 + r) ** ((cfg.n - 1) / 2.0) * np.exp(-eta * r) * psi
         rows.append((eta, r, psi, w, lam))
@@ -234,13 +218,10 @@ def cmd_bq(args) -> int:
     t_grid = 1.0 + dt * np.arange(int(round((t_max - 1.0) / dt)) + 1)
     r_grid = cfg.dr * np.arange(int(round(r_max / cfg.dr)) + 1)
     params = cfg.model_params()
-    try:
-        tq = build_bq(q, params, t_grid, r_grid, nodes=args.nodes)
-        tq1 = build_bq(q + 1.0, params, t_grid, r_grid, nodes=args.nodes)
-        tq2 = build_bq(q + 2.0, params, t_grid, r_grid, nodes=args.nodes)
-        rep = verify_bq_identities(tq, tq1, tq2)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    tq = build_bq(q, params, t_grid, r_grid, nodes=args.nodes)
+    tq1 = build_bq(q + 1.0, params, t_grid, r_grid, nodes=args.nodes)
+    tq2 = build_bq(q + 2.0, params, t_grid, r_grid, nodes=args.nodes)
+    rep = verify_bq_identities(tq, tq1, tq2)
     failed = False
     for name, res in (("dt", rep.res_dt), ("dtt", rep.res_dtt),
                       ("lap", rep.res_lap), ("wave", rep.res_wave)):
@@ -295,8 +276,6 @@ def cmd_verify(args) -> int:
         except CheckNotApplicable as exc:
             print(f"check {tok}: skipped ({exc})")
             continue
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         ok = series.passed(args.spread_tol)
         if series.mode == "sign":
             detail = f"min margin {float(series.lhs.min()):.3e} >= 0"
@@ -318,15 +297,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_odelemma(args) -> int:
-    if args.delta_count < 2:
-        raise ConfigError(f"delta-count must be >= 2 to fit a slope, "
-                          f"got {args.delta_count}")
-    try:
-        deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_count)
-        result = ode_lemma_fit(args.p1, args.p2, K1=args.k1, K2=args.k2,
-                               delta_grid=deltas, cap=args.cap)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_count)
+    result = ode_lemma_fit(args.p1, args.p2, K1=args.k1, K2=args.k2,
+                           delta_grid=deltas, cap=args.cap)
     rows = []
     for d, logT in zip(result.delta_grid, result.logT_grid):
         try:
@@ -444,11 +417,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, no permission
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -24,7 +24,6 @@ PS_EQUALITY_TOL = 1e-9  # |p - pS| below this counts as the critical case
 class ExponentTable:
     """Critical exponents for one spatial dimension."""
 
-    n: int
     p_strauss: float
     p_fujita: float
     p_glassey: float
@@ -39,9 +38,6 @@ class TheoryBound:
     exponent is NaN).  branch names which regime produced the bound.
     """
 
-    n: int
-    p: float
-    nonlinearity: str
     kind: str
     exponent: float
     branch: str
@@ -54,7 +50,6 @@ def critical_exponents(n: int) -> ExponentTable:
     n = int(n)
     ps = (n + 1 + math.sqrt(n * n + 10.0 * n - 7.0)) / (2.0 * (n - 1))
     return ExponentTable(
-        n=n,
         p_strauss=ps,
         p_fujita=1.0 + 2.0 / n,
         p_glassey=(n + 1.0) / (n - 1.0),
@@ -81,34 +76,27 @@ def theory_lifespan(n: int, p: float, nonlinearity: str) -> TheoryBound:
         raise ValueError(f"need p > 1, got p={p}")
     exps = critical_exponents(n)
     if nonlinearity == "none":
-        return TheoryBound(n, p, nonlinearity, "infinite", math.nan, "linear")
+        return TheoryBound("infinite", math.nan, "linear")
 
     if nonlinearity == "power_u":
         ps = exps.p_strauss
         if abs(p - ps) <= PS_EQUALITY_TOL:
-            return TheoryBound(n, p, nonlinearity, "exponential",
-                               p * (p - 1.0), "power_u_critical")
+            return TheoryBound("exponential", p * (p - 1.0), "power_u_critical")
         if p > ps:
-            return TheoryBound(n, p, nonlinearity, "infinite",
-                               math.nan, "power_u_supercritical")
+            return TheoryBound("infinite", math.nan, "power_u_supercritical")
         if p <= n / (n - 1.0):
             expo = 2.0 * (p - 1.0) / (n + 1.0 - (n - 1.0) * p)
-            return TheoryBound(n, p, nonlinearity, "polynomial",
-                               expo, "power_u_low")
+            return TheoryBound("polynomial", expo, "power_u_low")
         expo = 2.0 * p * (p - 1.0) / gamma(p, n)
-        return TheoryBound(n, p, nonlinearity, "polynomial",
-                           expo, "power_u_subcritical")
+        return TheoryBound("polynomial", expo, "power_u_subcritical")
 
     if nonlinearity == "power_ut":
         pg = exps.p_glassey
         if abs(p - pg) <= PS_EQUALITY_TOL:
-            return TheoryBound(n, p, nonlinearity, "exponential",
-                               p - 1.0, "power_ut_critical")
+            return TheoryBound("exponential", p - 1.0, "power_ut_critical")
         if p > pg:
-            return TheoryBound(n, p, nonlinearity, "infinite",
-                               math.nan, "power_ut_supercritical")
+            return TheoryBound("infinite", math.nan, "power_ut_supercritical")
         expo = 1.0 / (1.0 / (p - 1.0) - (n - 1.0) / 2.0)
-        return TheoryBound(n, p, nonlinearity, "polynomial",
-                           expo, "power_ut_subcritical")
+        return TheoryBound("polynomial", expo, "power_ut_subcritical")
 
     raise ValueError(f"unknown nonlinearity {nonlinearity!r} (use power_u, power_ut or none)")

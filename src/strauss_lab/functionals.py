@@ -149,8 +149,6 @@ def _theta_weighted(w_t: np.ndarray, t: np.ndarray, M: float,
 class FunctionalSeries:
     """Y[w](M) over an M-grid, with both derivative evaluations."""
 
-    p_conj: float
-    M_grid: np.ndarray
     Y_values: np.ndarray
     dY_values: np.ndarray  # centered finite differences in M
     dY_direct: np.ndarray  # M^-1 * int int w theta_M^{2p'} (exact identity)
@@ -174,8 +172,7 @@ def y_series(w, t_grid, r_grid, n: int, p_conj: float, M_grid) -> FunctionalSeri
     Y = np.array([_y_weighted(w_t, t, M, p_conj) for M in M_grid])
     dYd = np.array([_theta_weighted(w_t, t, M, p_conj) / M for M in M_grid])
     dY = np.gradient(Y, M_grid, edge_order=2)
-    return FunctionalSeries(p_conj=float(p_conj), M_grid=M_grid,
-                            Y_values=Y, dY_values=dY, dY_direct=dYd)
+    return FunctionalSeries(Y_values=Y, dY_values=dY, dY_direct=dYd)
 
 
 # --- solution samples --------------------------------------------------------
@@ -364,7 +361,6 @@ class RatioSeries:
     pointwise nonnegative, exactly.
     """
 
-    which: str
     grid: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
@@ -427,7 +423,7 @@ def inequality_check(samples: SolutionSamples, which: str,
         else:
             lhs = np.array([_eta_weighted(samples, w_t, T) for T in grid])
             rhs = (C2 * eps) ** p * grid ** (n - (n - 1.0) * p / 2.0)
-        return RatioSeries(which=which, grid=grid, lhs=lhs, rhs=rhs)
+        return RatioSeries(grid=grid, lhs=lhs, rhs=rhs)
 
     if which in ("ineq_4_9", "ineq_4_15"):
         if params.nonlinearity != "power_u":
@@ -439,7 +435,7 @@ def inequality_check(samples: SolutionSamples, which: str,
         else:
             lhs = grid * np.log(grid) ** (p - 1.0) * series.dY_direct
             rhs = series.Y_values ** p
-        return RatioSeries(which=which, grid=grid, lhs=lhs, rhs=rhs)
+        return RatioSeries(grid=grid, lhs=lhs, rhs=rhs)
 
     phi, _ = samples.phi
     Phi = np.exp(-t)[:, None] * phi[None, :]
@@ -450,7 +446,7 @@ def inequality_check(samples: SolutionSamples, which: str,
             dtpsi = (eta_pow - d_eta_pow)[:, None] * Phi
             floor_term = eta_pow[:, None] * Phi
             margins[i] = float(np.min(dtpsi - floor_term))
-        return RatioSeries(which=which, grid=grid, lhs=margins,
+        return RatioSeries(grid=grid, lhs=margins,
                            rhs=np.ones_like(grid), mode="sign")
 
     # ineq_5_11
@@ -460,7 +456,7 @@ def inequality_check(samples: SolutionSamples, which: str,
     kappa = -(1.0 / (p - 1.0) - (n - 1.0) / 2.0) * (p - 1.0) + 1.0
     lhs = grid**kappa * series.dY_direct
     rhs = (eps + series.Y_values) ** p  # surrogate C3 = C4 = 1
-    return RatioSeries(which=which, grid=grid, lhs=lhs, rhs=rhs)
+    return RatioSeries(grid=grid, lhs=lhs, rhs=rhs)
 
 
 # --- extremal ODE for the critical lifespan ----------------------------------
@@ -471,9 +467,6 @@ class OdeLemmaResult:
 
     p1: float
     p2: float
-    K1: float
-    K2: float
-    cap: float
     delta_grid: np.ndarray
     logT_grid: np.ndarray  # tau* = log T; T itself overflows for small delta
     fitted_exponent: float
@@ -551,6 +544,9 @@ def ode_lemma_fit(p1: float, p2: float, K1: float = 1.0, K2: float = 1.0,
     if delta_grid is None:
         delta_grid = np.geomspace(1e-4, 1e-2, 8)
     delta_grid = np.asarray(delta_grid, dtype=float)
+    distinct = np.unique(delta_grid).size
+    if distinct < 2:
+        raise ValueError(f"need 2 distinct delta values to fit a slope, got {distinct}")
     logT = np.array([ode_escape_logT(p1, p2, K1, K2, d, cap=cap)
                      for d in delta_grid])
     order = np.argsort(delta_grid)
@@ -558,6 +554,5 @@ def ode_lemma_fit(p1: float, p2: float, K1: float = 1.0, K2: float = 1.0,
         raise ArithmeticError("escape times not strictly increasing as "
                               "delta decreases")
     slope = float(np.polyfit(np.log(1.0 / delta_grid), np.log(logT), 1)[0])
-    return OdeLemmaResult(p1=p1, p2=p2, K1=K1, K2=K2, cap=cap,
-                          delta_grid=delta_grid, logT_grid=logT,
+    return OdeLemmaResult(p1=p1, p2=p2, delta_grid=delta_grid, logT_grid=logT,
                           fitted_exponent=slope)

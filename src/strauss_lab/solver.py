@@ -65,7 +65,6 @@ class SolveOutcome:
     snapshots: list                   # [(t, u, u_t), ...]
     params: ModelParams
     grid: RadialGrid
-    threshold: float
     support_violation: float          # max |u| seen beyond r = t+1+2dr
 
 
@@ -152,7 +151,7 @@ def run(params: ModelParams, grid: RadialGrid, *,
         forcing=None,
         initial=None,
         enforce_support: bool = True) -> SolveOutcome:
-    """Integrate up to grid.t_max or blow-up (max |u| > threshold).
+    """Integrate grid.n_steps steps or up to blow-up (max |u| > threshold).
 
     initial optionally overrides (u0, v0); forcing(t, r_array) adds a source
     term (manufactured-solution runs).  Snapshots record (t, u, u_t) with a
@@ -220,7 +219,7 @@ def run_block(params_list, grid: RadialGrid, *,
             if 0 <= idx <= n_steps:
                 snap_steps.setdefault(idx, ts)
     snapshots = [[] for _ in range(k)]
-    status, t_end, last = ["completed"] * k, [grid.t_max] * k, [n_steps] * k
+    status, t_end, last = ["completed"] * k, [n_steps * dt] * k, [n_steps] * k
     support_violation = np.zeros(k)
     max_hist = _fresh_zeros((k, n_steps + 1))
 
@@ -391,7 +390,6 @@ def run_block(params_list, grid: RadialGrid, *,
         snapshots=snapshots[i],
         params=params_list[i],
         grid=grid,
-        threshold=threshold,
         support_violation=float(support_violation[i]),
     ) for i in range(k)]
 
@@ -488,8 +486,6 @@ def exact_undamped_radial3d(params: ModelParams, r, t: float):
 
 @dataclass(frozen=True)
 class MmsReport:
-    case: str
-    drs: tuple
     errors: tuple
     order: float
 
@@ -549,5 +545,4 @@ def mms_order(case: str, drs=(0.02, 0.01, 0.005), t_final: float = 1.0) -> MmsRe
         errors.append(float(np.max(np.abs(u_s - exact))))
 
     slope = np.polyfit(np.log(drs), np.log(errors), 1)[0]
-    return MmsReport(case=case, drs=tuple(drs), errors=tuple(errors),
-                     order=float(slope))
+    return MmsReport(errors=tuple(errors), order=float(slope))

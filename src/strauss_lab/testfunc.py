@@ -44,7 +44,6 @@ class BqTable:
     mu: float
     beta: float
     eta_nodes: np.ndarray
-    eta_weights: np.ndarray
     psi_cache: np.ndarray  # (n_nodes, nr) normalized psi_hat rows
     t_grid: np.ndarray
     r_grid: np.ndarray
@@ -67,9 +66,6 @@ class BqTable:
 class IdentityReport:
     """Max relative residuals of the four b_q identities on the cone r <= t."""
 
-    q: float
-    dt: float
-    dr: float
     res_dt: float  # d_t b_q = -b_{q+1}
     res_dtt: float  # d_tt b_q = b_{q+2}
     res_lap: float  # Lap b_q = V b_{q+1} + b_{q+2}
@@ -84,7 +80,6 @@ class IdentityReport:
 class AsymptoticReport:
     """Bracket of the compensated b_q over a light-cone sample."""
 
-    q: float
     regime: str  # "q_below" | "q_above" relative to (n-1)/2
     ratio_min: float
     ratio_max: float
@@ -113,7 +108,7 @@ def build_bq(q: float, params: ModelParams, t_grid, r_grid,
     E = w * np.exp(-np.multiply.outer(t_grid, eta))
     values = E @ psi_cache
     table = BqTable(q=q, n=params.n, mu=params.mu, beta=params.beta,
-                    eta_nodes=eta, eta_weights=w, psi_cache=psi_cache,
+                    eta_nodes=eta, psi_cache=psi_cache,
                     t_grid=t_grid, r_grid=r_grid, values=values)
     table.validate()
     return table
@@ -180,8 +175,8 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable) -> IdentityRep
         res[1] = max(res[1], cone_max(np.abs(btt - b2) / scale2))
         res[2] = max(res[2], cone_max(np.abs(lap - V * b1 - b2) / scale_w))
         res[3] = max(res[3], cone_max(np.abs(btt - lap - V * bt) / scale_w))
-    return IdentityReport(q=tq.q, dt=dt, dr=dr, res_dt=res[0],
-                          res_dtt=res[1], res_lap=res[2], res_wave=res[3])
+    return IdentityReport(res_dt=res[0], res_dtt=res[1], res_lap=res[2],
+                          res_wave=res[3])
 
 
 def _cone(table: BqTable, t_min: float):
@@ -209,7 +204,7 @@ def verify_bq_asymptotics(table: BqTable, t_min: float = 1.0) -> AsymptoticRepor
     else:  # t + R - r > 0 on the cone (R > 1)
         regime = "q_above"
         vals = b * (t + R + r) ** half * (t + R - r) ** (q - half)
-    return AsymptoticReport(q=q, regime=regime,
+    return AsymptoticReport(regime=regime,
                             ratio_min=float(vals.min()),
                             ratio_max=float(vals.max()))
 

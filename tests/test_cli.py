@@ -182,6 +182,25 @@ def test_malformed_csv_exits_2(argv, text, tmp_path, capsys):
     assert err.startswith("config error:") and str(path) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--t-max", "1", "--dr", "0.1", "--out"],
+    ["solve", "--t-max", "1", "--dr", "0.1", "--config"],
+    ["fit", "--in"],
+], ids=["solve-out", "config", "fit-in"])
+def test_directory_as_file_exits_2(argv, tmp_path, capsys):
+    assert main([*argv, str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("file error:")
+    assert not any(tmp_path.iterdir())
+
+
+def test_numerical_fault_keeps_its_traceback(monkeypatch):
+    def fault(*args, **kwargs):
+        raise ArithmeticError("psi lost positivity")
+    monkeypatch.setattr(cli, "run", fault)
+    with pytest.raises(ArithmeticError, match="psi lost positivity"):
+        main(["solve", "--t-max", "1", "--dr", "0.1"])
+
+
 # --- lifespan / sweep / fit -------------------------------------------------------
 
 def test_lifespan_cmd(tmp_path, capsys):
@@ -577,6 +596,9 @@ def test_odelemma_tight_tolerance(capsys):
     ["--p1", "2", "--p2", "2.9"],
     ["--p1", "3.333", "--p2", "3.726", "--k1", "1.795", "--k2", "1.972",
      "--delta-min", "1e-5", "--delta-max", "2e-5"],
+    # one distinct delta leaves no slope to fit
+    ["--p1", "2", "--p2", "2", "--delta-count", "2", "--delta-min", "1e-2",
+     "--delta-max", "1e-2"],
 ])
 def test_odelemma_bad_values_exit_2(flags, tmp_path, capsys):
     out = tmp_path / "ode.csv"

@@ -7,8 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from strauss_lab.functionals import (CHECK_NAMES, CheckNotApplicable,
-                                     RatioSeries,
+from strauss_lab.functionals import (CheckNotApplicable, RatioSeries,
                                      SolutionSamples, cutoff, data_constants,
                                      inequality_check, ode_escape_logT,
                                      ode_lemma_fit, oracle_samples,
@@ -222,13 +221,13 @@ def test_power_ut_chain_on_critical_run(glassey_crit_samples):
 
 
 def test_ratio_series_properties():
-    series = RatioSeries(which=CHECK_NAMES[0], grid=np.array([2.0, 4.0]),
+    series = RatioSeries(grid=np.array([2.0, 4.0]),
                          lhs=np.array([2.0, 12.0]), rhs=np.array([1.0, 2.0]))
     np.testing.assert_allclose(series.ratio, [2.0, 6.0])
     assert series.spread == pytest.approx(3.0)
     assert series.passed(spread_tol=3.0)
     assert not series.passed(spread_tol=2.9)
-    sign = RatioSeries(which=CHECK_NAMES[4], grid=np.array([2.0]),
+    sign = RatioSeries(grid=np.array([2.0]),
                        lhs=np.array([-1e-15]), rhs=np.array([1.0]),
                        mode="sign")
     assert not sign.passed()
@@ -247,6 +246,8 @@ def test_ode_escape_validation():
         ode_escape_logT(2.0, 3.5, 1.0, 1.0, 1e-3)  # p2 >= p1 + 1
     with pytest.raises(ValueError):
         ode_escape_logT(2.0, 2.0, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="2 distinct delta values"):
+        ode_lemma_fit(2.0, 2.0, delta_grid=[1e-2, 1e-2])
 
 
 def test_ode_lemma_fit_matches_theory():

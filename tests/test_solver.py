@@ -218,6 +218,13 @@ def test_linear_run_completes_at_n5_and_is_refused_at_n6():
         run(replace(params, n=6), build_grid(1.0, 0.1))
 
 
+def test_completed_run_ends_at_its_last_step():
+    # dt = 0.05 and round(1.03 / dt) = 21 steps: the run ends at 1.05, not 1.03
+    out = run(ModelParams(), build_grid(1.03, 0.1), snapshot_times=[1.03])
+    assert out.status == "completed"
+    assert out.t_end == out.snapshots[-1][0] == 21 * 0.05
+
+
 # --- the |x|^p rule -------------------------------------------------------------
 
 @pytest.mark.parametrize("p, max_ulp", [
