@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -65,6 +67,20 @@ def _float_list(raw: str, what: str) -> list[float]:
     return vals
 
 
+def _check_outputs(*paths) -> None:
+    """Raise the OSError that writing any of these paths would raise, so a
+    command that writes several files stops before it solves or writes any."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        parent = os.path.dirname(path) or "."
+        os.stat(parent)  # a missing parent or a file on the way raises here
+        if not os.path.isdir(parent):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 # --- subcommand handlers --------------------------------------------------------
 
 def cmd_exponents(args) -> int:
@@ -102,6 +118,7 @@ def cmd_solve(args) -> int:
     snap_times = (_float_list(args.snap_times, "snapshot time")
                   if args.snap_times else
                   list(np.linspace(0.0, cfg.t_max, 9)))
+    _check_outputs(args.out, args.summary)
     out = run(params, grid, threshold=cfg.u_threshold, snapshot_times=snap_times)
     print(f"status={out.status} t_end={out.t_end:.6g} "
           f"max|u|={float(np.max(out.max_abs_u)):.6g} "
@@ -133,6 +150,7 @@ def cmd_sweep(args) -> int:
     spec = SweepSpec(config=cfg, eps_min=args.eps_min, eps_max=args.eps_max,
                      eps_count=args.eps_count, jobs=args.jobs)
     fit_table(cfg, (), args.tolerance)  # a bad --tolerance stops before any solve
+    _check_outputs(args.out, args.plot)
     results = run_sweep(spec)  # an n the solver refuses stops before the write
     write_csv(args.out, SWEEP_HEADER, sweep_rows(results))
     for res in results:
@@ -183,6 +201,7 @@ def _read_sweep_csv(path: str):
 
 def cmd_fit(args) -> int:
     cfg = resolve_config(args)
+    _check_outputs(args.out, args.plot)
     rows = _read_sweep_csv(args.infile)
     fit, _ = fit_table(cfg, rows, args.tolerance, args.theory_exponent)
     return _report_fit(fit, args.plot, "lifespan scaling fit", args.out)

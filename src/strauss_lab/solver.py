@@ -35,14 +35,16 @@ data are cut at the t = 0 window r <= 1 + 2dr by the same rule.
 run_block advances problems that differ only in their data (a sweep level's
 eps values) in a packed layout; run() is its one-row case.  The live rows'
 windows lie back to back in flat buffers at a row stride S >= m + 2, so each
-array pass of a step is one contiguous ufunc call over (rows-1)*S + m nodes
+array pass of a step is one contiguous ufunc call over rows*S - 1 nodes
 rather than one call on a (rows, m) strided view, which costs about three
-times as much.  The gap nodes between two windows are computed with the rest
-and reset each step: +0 for the right neighbour of a row's last node and -0
-for the left neighbour of the next row's origin, where M_0 = +0 makes the
-added term -0, which changes no value.  So each row's numbers are bit for bit
-those of its own run().  S grows with the window, the rows moving inside the
-same buffers, and the coefficients are tiled at stride S for the live rows.
+times as much.  Every row's gap nodes are computed with the rest and reset
+each step: +0 for the right neighbour of a row's last node and -0 for the
+left neighbour of the next row's origin, where M_0 = +0 makes the added term
+-0, which changes no value.  So each row's numbers are bit for bit those of
+its own run().  S grows with the window, the rows moving inside the same
+buffers, and the coefficients are tiled at stride S for the live rows.  The
+span depends on the live rows and S alone, so its views are rebuilt only as
+S grows or a row leaves.
 """
 from __future__ import annotations
 
@@ -174,10 +176,10 @@ def run_block(params_list, grid: RadialGrid, *,
     The problems share n, mu, beta, p and the nonlinearity, hence V and the
     active window of m nodes.  The live rows lie back to back in flat
     buffers, row j's window from j*S, so each array pass of a step is one
-    contiguous ufunc call over (rows-1)*S + m nodes, and every row's numbers
-    are bit for bit those of its own run().  A row leaves the block at its
-    own blow-up or instability.  initial is None or one (u0, v0) pair per
-    problem; like the model data, it is cut at the t = 0 window.
+    contiguous call over rows*S - 1 nodes, on views rebuilt only as S grows
+    or a row leaves (at its own blow-up or instability).  Every row's
+    numbers are bit for bit those of its own run().  initial is None or one
+    (u0, v0) pair per problem, cut at the t = 0 window like the model data.
     """
     params_list = list(params_list)
     first = params_list[0]
@@ -235,7 +237,7 @@ def run_block(params_list, grid: RadialGrid, *,
     # m-1) and -0 at the last, which row j+1's node 0 reads as its left
     # neighbour: M[0]*(-0) = -0 adds nothing, signed zeros included.  So
     # S >= m+2, and S grows by a fixed rule of m when the window reaches the
-    # -0.  The gaps are computed with the rest and reset every step.
+    # -0.  All live rows' gaps but the last -0 are computed, then reset.
     u_prev, u, u_next, lin_b, tmp_b = (_fresh_zeros((k * (nr + 1),)) for _ in range(5))
     tiled = _fresh_zeros((len(coefficients(0, 1)), k * (nr + 1)))  # 5 or 7 rows
     gap = np.zeros(nr + 2)
@@ -297,11 +299,11 @@ def run_block(params_list, grid: RadialGrid, *,
     check_support(u, dt)
 
     def views(x):
-        # the live rows' span, its right and left neighbours, and its nodes
-        # after the first (the ones a left neighbour is added to)
-        return x[:span], x[1:span + 1], x[:span - 1], x[1:span]
+        # the live rows' span, its right and left neighbours, its nodes after
+        # the first (the ones a left neighbour is added to), and the rows
+        return x[:span], x[1:span + 1], x[:span - 1], x[1:span], as_rows(x)
 
-    live = None  # the span of the views and coefficient slices
+    live = None  # the (rows, S) of the views and coefficient slices
     for step in range(1, n_steps):
         t = step * dt
         t_next = t + dt
@@ -313,15 +315,14 @@ def run_block(params_list, grid: RadialGrid, *,
                     x[j * S:j * S + S_old - 1] = x[j * S_old:j * S_old + S_old - 1]
                 as_rows(x)[:, S_old - 1:] = gap[S_old - 1 - S:]
             tile(S_old)
-        span = (ids.size - 1) * S + m
-        if span != live:
-            live = span
-            vp, vu, vn, (tmp, _, _, tmp1), (lin, _, _, lin1) = map(
+        if (ids.size, S) != live:
+            live, span = (ids.size, S), ids.size * S - 1
+            vp, vu, vn, (tmp, _, _, tmp1, _), (lin, _, _, lin1, _) = map(
                 views, (u_prev, u, u_next, tmp_b, lin_b))
             Pm, Cm, Mm, Bm, invDm, *scales = tiled[:, :span]
             Mm = Mm[1:]
             starts = np.arange(0, span, S)
-        (um, ur, ul, _), (upm, *_), (un, _, _, un1) = vu, vp, vn
+        (um, ur, ul, *_), (upm, *_), (un, _, _, un1, gn) = vu, vp, vn
         # power_ut keeps the part without N for its predictor and corrector
         out, out1 = (lin, lin1) if mode == "power_ut" else (un, un1)
         np.multiply(ur, Pm, out=out)
@@ -346,8 +347,7 @@ def run_block(params_list, grid: RadialGrid, *,
                 power(tmp, tmp, un)
                 tmp *= scale
                 np.add(lin, tmp, out=un)
-        if ids.size > 1:
-            as_rows(u_next, ids.size - 1)[:, m:] = gap[m - S:]
+        gn[:, m:] = gap[m - S:]
         check_support(u_next, t_next)
 
         if step in snap_steps:

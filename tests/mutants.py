@@ -1,0 +1,121 @@
+"""Planted defects that the test suite must catch.
+
+Each mutant is one exact-text substitution in a temporary copy of src/.  The
+mutant's test file then runs against that copy and must fail: a mutant that
+passes it has survived, and the file's gates cannot see that defect.  A
+target text that does not occur exactly once is an error, so an edit to the
+code cannot disarm a mutant without notice.  pytest does not collect this
+file.  Run it from anywhere in the checkout:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named ones
+
+Exit 0 when every mutant is killed, 1 when one survives, 2 on a target that
+does not match or a test run that ends without a verdict.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name: (file under src/strauss_lab, exact text, its replacement, test file)
+MUTANTS = {
+    "damping_removed": (
+        "solver.py",
+        "    V = potential(r, first.mu, first.beta)\n",
+        "    V = 0.0 * potential(r, first.mu, first.beta)\n",
+        "tests/test_acceptance.py"),
+    "beta_ignored": (
+        "model.py",
+        "    return mu * (1.0 + np.asarray(r, dtype=float)) ** (-beta)\n",
+        "    return mu + 0.0 * np.asarray(r, dtype=float)\n",
+        "tests/test_acceptance.py"),
+    "power_ut_corrector_dropped": (
+        "solver.py",
+        "zip((um, un), scales)",
+        "zip((um,), scales)",
+        "tests/test_acceptance.py"),
+    "last_row_gap_kept": (
+        "solver.py",
+        "        gn[:, m:] = gap[m - S:]\n",
+        "        gn[:-1, m:] = gap[m - S:]\n",
+        "tests/test_solver.py"),
+}
+
+
+class TargetError(Exception):
+    """A mutant's target text does not occur exactly once."""
+
+
+def plant(src: Path, name: str) -> None:
+    """Apply mutant name to the copy of src/ at src."""
+    module, old, new, _ = MUTANTS[name]
+    path = src / "strauss_lab" / module
+    text = path.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        raise TargetError(f"{name}: {old.strip()!r} occurs {text.count(old)} "
+                          f"times in {module}, not once")
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def run_mutant(name: str) -> tuple[int, list[str]]:
+    """pytest's exit code and FAILED lines on the mutant's test file, run
+    against a mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        plant(src, name)
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        where = subprocess.run(
+            [sys.executable, "-c", "import strauss_lab; print(strauss_lab.__file__)"],
+            env=env, cwd=ROOT, capture_output=True, text=True, check=True).stdout
+        if not Path(where.strip()).is_relative_to(src):
+            raise TargetError(f"{name}: the tests would import {where.strip()}, "
+                              f"not the mutated copy")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             MUTANTS[name][3]], env=env, cwd=ROOT, capture_output=True, text=True)
+        return done.returncode, [line for line in done.stdout.splitlines()
+                                 if line.startswith("FAILED")]
+
+
+def main(argv: list[str]) -> int:
+    names = argv or list(MUTANTS)
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutant(s) {', '.join(unknown)}; known: {', '.join(MUTANTS)}")
+        return 2
+    status = 0
+    for name in names:
+        start = time.monotonic()
+        try:
+            rc, failed = run_mutant(name)
+        except TargetError as exc:
+            print(f"error    {exc}")
+            status = 2
+            continue
+        # pytest exits 1 when a test failed; 2 to 5 mean no verdict
+        verdict = {0: "SURVIVED", 1: "killed"}.get(rc, f"error (pytest exit {rc})")
+        print(f"{verdict:8} {name} [{MUTANTS[name][3]}, "
+              f"{time.monotonic() - start:.1f} s]", flush=True)
+        for line in failed:
+            print(f"         {line[:100]}")
+        if rc == 0:
+            status = max(status, 1)
+        elif rc != 1:
+            status = 2
+    return status
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

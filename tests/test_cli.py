@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import subprocess
 import sys
@@ -86,6 +87,22 @@ def test_solve_blowup_artifacts(tmp_path, capsys):
     data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     assert data.shape[1] == 4
     assert data.shape[0] > 0
+
+
+# SHA-256 of two solve CSVs (t_max 3, dr 0.05, a snapshot every 0.1): they
+# pin the %.17g digits and the spelling of every zero
+@pytest.mark.parametrize("flags, digest", [
+    (["--nonlinearity", "power_u", "--p", "2"],
+     "88656427c00150eb927594541934d048b057a7614547811b4b8ab32f154b84a9"),
+    (["--nonlinearity", "power_ut", "--p", "1.5"],
+     "2bf1756011c21a2596b1e888b704afad9c2058be196a3f2c49bd7af215ed9568"),
+], ids=["power_u", "power_ut"])
+def test_solve_csv_pinned(flags, digest, tmp_path, capsys):
+    out = tmp_path / "sol.csv"
+    snaps = ",".join(f"{k / 10:g}" for k in range(31))
+    assert main(["solve", *flags, "--t-max", "3", "--dr", "0.05",
+                 "--snap-times", snaps, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_solve_flag_overrides_config(tmp_path, capsys):
@@ -296,6 +313,28 @@ def test_sweep_and_fit_report_alike(flags, tmp_path, capsys):
     rc_fit = main(["fit", *SWEEP_FLAGS, *flags, "--in", str(table)])
     assert capsys.readouterr().out.splitlines() == [sweep_line]
     assert rc_fit == rc_sweep
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--t-max", "1", "--dr", "0.1", "--out", "{dir}/sol.csv",
+     "--summary", "{dir}"],
+    ["fit", "--in", "{table}", "--out", "{dir}/fit.csv", "--plot", "{dir}"],
+    ["sweep", *SWEEP_FLAGS, "--eps-min", "0.5", "--eps-count", "4",
+     "--out", "{dir}/sweep.csv", "--plot", "{dir}"],
+], ids=["solve", "fit", "sweep"])
+def test_unwritable_output_leaves_no_file(argv, tmp_path, capsys, monkeypatch):
+    # every output path is checked before the command solves or writes
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the output paths were checked")
+    monkeypatch.setattr(cli, "run", solve)
+    monkeypatch.setattr(cli, "run_sweep", solve)
+    table = tmp_path / "table.csv"
+    table.write_text("eps,T\n0.25,16\n0.5,4\n0.75,1.7777777777777777\n1,1\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main([a.format(dir=out_dir, table=table) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("file error:")
+    assert not any(out_dir.iterdir())
 
 
 def test_fit_too_few_clean_rows_is_refused(tmp_path, capsys):

@@ -338,6 +338,24 @@ def test_block_rows_match_single_runs_as_the_stride_grows(mode, p, amp, eps, t_m
                                       ("blew_up",) * len(eps))
 
 
+def test_support_window_holds_in_every_row():
+    # run() is a block's last row, so the tests above cannot see a defect
+    # there; here every row must hold +0 beyond r = t + 1 + 2dr.  eps = 1.1
+    # leaves at step 67, as the row stride grows, and it grows twice more
+    # with the last row live
+    grid = build_grid(8.0, 0.04)
+    base = ModelParams(n=3, p=2.0, mu=1.0, beta=3.0, nonlinearity="power_u",
+                       f_amp=20.0, g_amp=20.0)
+    block = run_block([replace(base, eps=e) for e in (0.5, 1.1, 0.6)], grid,
+                      threshold=1e4,
+                      snapshot_times=grid.dt * np.arange(grid.n_steps + 1))
+    assert [out.t_end for out in block] == pytest.approx([5.82, 1.36, 4.12])
+    for out in block:
+        for t, u, _ in out.snapshots:
+            beyond = u[grid.r > t + 1.0 + 2.0 * grid.dr + 1e-9]
+            assert beyond.size and beyond.tobytes() == bytes(8 * beyond.size)
+
+
 def test_block_without_support_enforcement():
     grid = build_grid(3.0, 0.05)
     params = [_oracle_params(mu=1.0, eps=e) for e in (1.0, 0.3)]
