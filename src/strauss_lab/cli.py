@@ -6,7 +6,8 @@ check failed, 2 usage or configuration error.  main alone maps exceptions to
 exit codes: a value the library rejects (a ValueError, ConfigError included)
 or a path that cannot be read or written (an OSError) exits 2; a numerical
 fault (an ArithmeticError) keeps its traceback.  All output paths come from
-flags; nothing is written implicitly.
+flags, and main checks them all before the command computes or prints
+anything; nothing is written implicitly.
 """
 from __future__ import annotations
 
@@ -25,9 +26,9 @@ from .exponents import critical_exponents, gamma, theory_lifespan
 from .functionals import (CHECK_NAMES, CheckNotApplicable, SolutionSamples,
                           inequality_check, ode_lemma_fit)
 from .model import CONFIG_TYPES, ConfigError, RunConfig, load_config
-from .solver import estimate_lifespans, run
-from .sweep import (SweepSpec, emit_plot, fit_sweep, fit_table, run_sweep,
-                    sweep_rows, write_csv, csv_text, SWEEP_HEADER)
+from .solver import run
+from .sweep import (FIT_MIN_POINTS, SWEEP_HEADER, csv_text, emit_plot, fit_sweep,
+                    fit_table, run_sweep, sweep_rows, write_csv)
 from .testfunc import build_bq, verify_bq_identities
 
 # verify-subcommand tokens (external interface) -> internal check names:
@@ -69,7 +70,7 @@ def _float_list(raw: str, what: str) -> list[float]:
 
 def _check_outputs(*paths) -> None:
     """Raise the OSError that writing any of these paths would raise, so a
-    command that writes several files stops before it solves or writes any."""
+    command stops before it computes, prints or writes anything."""
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -118,7 +119,6 @@ def cmd_solve(args) -> int:
     snap_times = (_float_list(args.snap_times, "snapshot time")
                   if args.snap_times else
                   list(np.linspace(0.0, cfg.t_max, 9)))
-    _check_outputs(args.out, args.summary)
     out = run(params, grid, threshold=cfg.u_threshold, snapshot_times=snap_times)
     print(f"status={out.status} t_end={out.t_end:.6g} "
           f"max|u|={float(np.max(out.max_abs_u)):.6g} "
@@ -136,7 +136,7 @@ def cmd_solve(args) -> int:
 
 def cmd_lifespan(args) -> int:
     cfg = resolve_config(args)
-    res = estimate_lifespans(cfg, [cfg.eps])[0]
+    res = run_sweep(cfg, [cfg.eps])[0]
     print(f"eps={res.eps:.6g} T_levels={tuple(round(T, 6) for T in res.T_levels)} "
           f"T={res.T_extrapolated:.6g} uncertainty={res.uncertainty:.3g} "
           f"censored={res.censored} unreliable={res.unreliable}")
@@ -147,17 +147,19 @@ def cmd_lifespan(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    spec = SweepSpec(config=cfg, eps_min=args.eps_min, eps_max=args.eps_max,
-                     eps_count=args.eps_count, jobs=args.jobs)
+    if not 0.0 < args.eps_min < args.eps_max < math.inf:
+        raise ConfigError("need 0 < eps_min < eps_max < inf")
+    if args.eps_count < FIT_MIN_POINTS:
+        raise ConfigError(f"need at least {FIT_MIN_POINTS} eps points for a fit")
     fit_table(cfg, (), args.tolerance)  # a bad --tolerance stops before any solve
-    _check_outputs(args.out, args.plot)
-    results = run_sweep(spec)  # an n the solver refuses stops before the write
+    eps = np.geomspace(args.eps_min, args.eps_max, args.eps_count)
+    results = run_sweep(cfg, eps, args.jobs)  # --jobs 0 or n >= 6 stops here
     write_csv(args.out, SWEEP_HEADER, sweep_rows(results))
     for res in results:
         print(f"eps={res.eps:.6g} T={res.T_extrapolated:.6g} "
               f"censored={res.censored} unreliable={res.unreliable}")
     title = f"lifespan scaling n={cfg.n} p={cfg.p:.6g} mu={cfg.mu:.6g}"
-    return _report_fit(fit_sweep(spec, results, args.tolerance)[0], args.plot, title)
+    return _report_fit(fit_sweep(cfg, results, args.tolerance)[0], args.plot, title)
 
 
 def _report_fit(fit, plot, title, out=None) -> int:
@@ -201,7 +203,6 @@ def _read_sweep_csv(path: str):
 
 def cmd_fit(args) -> int:
     cfg = resolve_config(args)
-    _check_outputs(args.out, args.plot)
     rows = _read_sweep_csv(args.infile)
     fit, _ = fit_table(cfg, rows, args.tolerance, args.theory_exponent)
     return _report_fit(fit, args.plot, "lifespan scaling fit", args.out)
@@ -435,6 +436,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(*(getattr(args, key, None) for key in ("out", "summary", "plot")))
         return args.func(args)
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)

@@ -32,8 +32,9 @@ spurious tail far below scheme accuracy.  run() zeroes that band each step
 test runs with enforcement off and checks the tail really is negligible.  The
 data are cut at the t = 0 window r <= 1 + 2dr by the same rule.
 
-run_block advances problems that differ only in their data (a sweep level's
-eps values) in a packed layout; run() is its one-row case.  The live rows'
+run_block advances problems that differ only in their data (the eps values
+of one level of sweep.run_sweep's lifespan ladder) in a packed layout; run()
+is its one-row case.  The live rows'
 windows lie back to back in flat buffers at a row stride S >= m + 2, so each
 array pass of a step is one contiguous ufunc call over rows*S - 1 nodes
 rather than one call on a (rows, m) strided view, which costs about three
@@ -50,13 +51,12 @@ from __future__ import annotations
 
 import math
 import mmap
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelParams, RadialGrid, RunConfig, build_grid, bump, initial_data,
-                    potential, sphere_area)
+from .model import (ModelParams, RadialGrid, build_grid, bump, initial_data, potential,
+                    sphere_area)
 
 
 @dataclass
@@ -68,16 +68,6 @@ class SolveOutcome:
     params: ModelParams
     grid: RadialGrid
     support_violation: float          # max |u| seen beyond r = t+1+2dr
-
-
-@dataclass
-class LifespanResult:
-    eps: float
-    T_levels: tuple
-    T_extrapolated: float
-    uncertainty: float
-    censored: bool
-    unreliable: bool
 
 
 def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
@@ -392,55 +382,6 @@ def run_block(params_list, grid: RadialGrid, *,
         grid=grid,
         support_violation=float(support_violation[i]),
     ) for i in range(k)]
-
-
-# --- lifespan estimation ------------------------------------------------------
-
-def _blowup_times(params_list, grid: RadialGrid, threshold: float) -> list[float]:
-    """Blow-up time of each problem on one grid, NaN where it did not blow up."""
-    return [out.t_end if out.status == "blew_up" else math.nan
-            for out in run_block(params_list, grid, threshold=threshold)]
-
-
-def estimate_lifespans(cfg: RunConfig, eps_values, jobs: int = 1) -> list[LifespanResult]:
-    """Blow-up time of cfg at each eps on a dr ladder plus Richardson value.
-
-    The ladder's cfg.refine_levels levels start at cfg.dr and halve it.  Each
-    level runs all eps as one run_block; the levels run in this process, or
-    in min(jobs, levels) worker processes, the one process pool of the lab.
-    The scheme is second order, so halving dr (with dt locked to it) gives
-    T* ~ T_fine + (T_fine - T_prev)/3.  censored: some level reached t_max
-    without blow-up.  unreliable: consecutive levels moved by > 20%.
-    """
-    params_list = [replace(cfg, eps=float(eps)).model_params() for eps in eps_values]
-    levels = cfg.refine_levels
-    grids = [build_grid(cfg.t_max, cfg.dr / 2 ** lev) for lev in range(levels)]
-    work = (_blowup_times, [params_list] * levels, grids, [cfg.u_threshold] * levels)
-    workers = min(jobs, levels)
-    if workers <= 1:
-        per_level = list(map(*work))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_level = list(pool.map(*work))
-    results = []
-    for i, params in enumerate(params_list):
-        Ts = [T_level[i] for T_level in per_level]
-        censored = any(math.isnan(T) for T in Ts)
-        if censored or levels == 1:
-            T_ext = Ts[-1]
-            unc = math.nan
-            unreliable = censored and not all(math.isnan(T) for T in Ts)
-        else:
-            T_ext = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0
-            unc = abs(Ts[-1] - Ts[-2])
-            unreliable = any(
-                abs(Ts[i + 1] - Ts[i]) > 0.2 * abs(Ts[i + 1])
-                for i in range(levels - 1))
-        results.append(LifespanResult(
-            eps=params.eps, T_levels=tuple(Ts),
-            T_extrapolated=T_ext, uncertainty=unc,
-            censored=censored, unreliable=unreliable))
-    return results
 
 
 # --- exact solution of the undamped 3d problem (oracle) -----------------------

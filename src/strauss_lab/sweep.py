@@ -1,12 +1,11 @@
-"""Parallel lifespan sweeps, scaling-law fits and deterministic CSV/SVG output.
+"""Lifespan sweeps, scaling-law fits and deterministic CSV/SVG output.
 
-A sweep is one solver.estimate_lifespans call over a geometric eps grid: each
-refinement level advances all eps as one solver block, solver.run_block, whose
-live rows lie back to back in flat buffers, so all eps share each array pass
-of a step.  The levels run in the solver's process pool when jobs > 1.  Every
-row is a pure function of (config, eps, level), bit for bit what a one-row run
-gives, so the table is identical no matter how many worker processes computed
-the levels; results come back in eps order.
+run_sweep is the lifespan ladder: each refinement level advances all eps as
+one solver block, solver.run_block, so all eps share each array pass of a
+step, and the levels run in worker processes when jobs > 1.  Every blow-up
+time is a pure function of (config, eps, level), bit for bit what a one-row
+run gives, and the pure lifespan_from_levels turns one eps's times into its T
+and flags, so the table is identical for any worker count.
 
 fit_table judges every lifespan table (sweep and fit alike): fit_powerlaw
 regresses log T on log(1/eps) and compares the slope with the exponent of the
@@ -27,14 +26,15 @@ gives identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 
 from .exponents import TheoryBound, theory_lifespan
-from .model import RunConfig
-from .solver import LifespanResult, estimate_lifespans
+from .model import RadialGrid, RunConfig, build_grid
+from .solver import run_block
 
 FIT_MIN_POINTS = 4
 SWEEP_HEADER = ("eps", "T", "uncertainty", "censored", "unreliable")
@@ -97,32 +97,63 @@ def write_csv(path: str, header, rows) -> None:
 
 # --- sweep --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A lifespan sweep: base run configuration plus a geometric eps grid."""
-
-    config: RunConfig
-    eps_min: float = 0.2
-    eps_max: float = 1.0
-    eps_count: int = 6
-    jobs: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.eps_min < self.eps_max < math.inf:
-            raise ValueError("need 0 < eps_min < eps_max < inf")
-        if self.eps_count < FIT_MIN_POINTS:
-            raise ValueError(f"need at least {FIT_MIN_POINTS} eps points for a fit")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-
-    @property
-    def eps_grid(self) -> np.ndarray:
-        return np.geomspace(self.eps_min, self.eps_max, self.eps_count)
+@dataclass
+class LifespanResult:
+    eps: float
+    T_levels: tuple
+    T_extrapolated: float
+    uncertainty: float
+    censored: bool
+    unreliable: bool
 
 
-def run_sweep(spec: SweepSpec) -> list[LifespanResult]:
-    """One LifespanResult per eps, in grid order, worker-count independent."""
-    return estimate_lifespans(spec.config, spec.eps_grid, spec.jobs)
+def lifespan_from_levels(eps: float, T_levels) -> LifespanResult:
+    """The lifespan at eps from its blow-up times on a dr ladder, coarse to
+    fine, NaN where a level did not blow up.
+
+    The scheme is second order, so halving dr (with dt locked to it) gives
+    T* ~ T_fine + (T_fine - T_prev)/3.  censored: some level reached t_max
+    without blow-up.  unreliable: consecutive levels moved by > 20%.
+    """
+    Ts = tuple(T_levels)
+    censored = any(math.isnan(T) for T in Ts)
+    if censored or len(Ts) == 1:
+        T_ext, unc = Ts[-1], math.nan
+        unreliable = censored and not all(math.isnan(T) for T in Ts)
+    else:
+        T_ext, unc = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0, abs(Ts[-1] - Ts[-2])
+        unreliable = any(abs(b - a) > 0.2 * abs(b) for a, b in zip(Ts, Ts[1:]))
+    return LifespanResult(eps=eps, T_levels=Ts, T_extrapolated=T_ext,
+                          uncertainty=unc, censored=censored, unreliable=unreliable)
+
+
+def _blowup_times(params_list, grid: RadialGrid, threshold: float) -> list[float]:
+    """Blow-up time of each problem on one grid, NaN where it did not blow up."""
+    return [out.t_end if out.status == "blew_up" else math.nan
+            for out in run_block(params_list, grid, threshold=threshold)]
+
+
+def run_sweep(cfg: RunConfig, eps_values, jobs: int = 1) -> list[LifespanResult]:
+    """One LifespanResult per eps, in eps order, worker-count independent.
+
+    The ladder's cfg.refine_levels levels start at cfg.dr and halve it.  Each
+    level runs all eps as one run_block; the levels run in this process, or
+    in min(jobs, levels) worker processes, the one process pool of the lab.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    params_list = [replace(cfg, eps=float(eps)).model_params() for eps in eps_values]
+    levels = cfg.refine_levels
+    grids = [build_grid(cfg.t_max, cfg.dr / 2 ** lev) for lev in range(levels)]
+    work = (_blowup_times, [params_list] * levels, grids, [cfg.u_threshold] * levels)
+    workers = min(jobs, levels)
+    if workers <= 1:
+        per_level = list(map(*work))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_level = list(pool.map(*work))
+    return [lifespan_from_levels(params.eps, Ts)
+            for params, Ts in zip(params_list, zip(*per_level))]
 
 
 def sweep_rows(results: list[LifespanResult]) -> list[tuple]:
@@ -159,7 +190,7 @@ def fit_powerlaw(points, theory_exponent: float,
 
     points: (eps, T) pairs, eps > 0, T > 0 and finite.  Fewer than
     FIT_MIN_POINTS usable pairs is an error; censored rows must be dropped by
-    the caller (run_sweep marks them).
+    the caller (fit_table drops every flagged row).
     """
     clean = [(float(e), float(T)) for e, T in points
              if e > 0.0 and T > 0.0 and math.isfinite(T)]
@@ -211,11 +242,11 @@ def fit_table(cfg: RunConfig, rows, tolerance: float = 0.3,
                       verdict="not_applicable", refusal=refusal), bound
 
 
-def fit_sweep(spec: SweepSpec, results: list[LifespanResult],
+def fit_sweep(cfg: RunConfig, results: list[LifespanResult],
               tolerance: float = 0.3) -> tuple[ScalingFit, TheoryBound]:
-    """fit_table on a finished sweep."""
-    return fit_table(spec.config, [(r.eps, r.T_extrapolated, r.censored, r.unreliable)
-                                   for r in results], tolerance)
+    """fit_table on a finished sweep of cfg."""
+    return fit_table(cfg, [(r.eps, r.T_extrapolated, r.censored, r.unreliable)
+                           for r in results], tolerance)
 
 
 # --- SVG plots ------------------------------------------------------------------

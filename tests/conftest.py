@@ -17,7 +17,7 @@ def strauss_crit_samples():
     p_s = critical_exponents(3).p_strauss
     params = ModelParams(n=3, p=p_s, mu=1.0, beta=2.5, nonlinearity="power_u",
                          eps=1.0, f_amp=6.8, g_amp=6.8)
-    grid = build_grid(16.0, 0.01, 0.5)
+    grid = build_grid(16.0, 0.01)
     snap = np.arange(0.0, 16.0 + 1e-9, 0.1)
     out = run(params, grid, snapshot_times=snap)
     assert out.status == "blew_up"
@@ -30,7 +30,7 @@ def glassey_crit_samples():
     t = 13.3."""
     params = ModelParams(n=3, p=2.0, mu=1.0, beta=2.5, nonlinearity="power_ut",
                          eps=1.0, f_amp=2.0, g_amp=2.0)
-    grid = build_grid(15.0, 0.01, 0.5)
+    grid = build_grid(15.0, 0.01)
     snap = np.arange(0.0, 15.0 + 1e-9, 0.1)
     out = run(params, grid, snapshot_times=snap)
     assert out.status == "blew_up"

@@ -47,6 +47,11 @@ MUTANTS = {
         "        gn[:, m:] = gap[m - S:]\n",
         "        gn[:-1, m:] = gap[m - S:]\n",
         "tests/test_solver.py"),
+    "richardson_dropped": (
+        "sweep.py",
+        "T_ext, unc = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0, abs(Ts[-1] - Ts[-2])",
+        "T_ext, unc = Ts[-1], abs(Ts[-1] - Ts[-2])",
+        "tests/test_solver.py"),
 }
 
 

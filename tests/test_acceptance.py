@@ -21,9 +21,8 @@ from strauss_lab.functionals import (inequality_check, ode_lemma_fit,
 from strauss_lab.model import ModelParams, RunConfig, build_grid
 from strauss_lab.solver import (energy_functional, exact_undamped_radial3d,
                                 mms_order, run)
-from strauss_lab.sweep import (SWEEP_HEADER, SweepSpec, csv_text,
-                               fit_powerlaw, fit_sweep, run_sweep, sweep_rows,
-                               write_csv)
+from strauss_lab.sweep import (SWEEP_HEADER, csv_text, fit_powerlaw, fit_sweep,
+                               run_sweep, sweep_rows, write_csv)
 from strauss_lab.testfunc import (build_bq, verify_bq_asymptotics,
                                   verify_bq_identities)
 
@@ -202,9 +201,7 @@ def _sweep(mu: float, beta: float, p: float, nonlinearity: str, amp: float,
     cfg = RunConfig(n=3, mu=mu, beta=beta, p=p, nonlinearity=nonlinearity,
                     eps=1.0, data_k=4, f_amp=amp, g_amp=amp, t_max=t_max,
                     dr=dr, refine_levels=2)
-    spec = SweepSpec(config=cfg, eps_min=0.2, eps_max=1.0, eps_count=6,
-                     jobs=1)
-    return spec, run_sweep(spec)
+    return cfg, run_sweep(cfg, np.geomspace(0.2, 1.0, 6))
 
 
 def _damping_delays_blowup(fails: list, undamped, damped) -> list:
@@ -220,18 +217,18 @@ def _damping_delays_blowup(fails: list, undamped, damped) -> list:
 def test_criterion_5_subcritical_strauss_scaling(capsys):
     t0 = time.perf_counter()
     fails = []
-    spec0, res0 = _sweep(0.0, 3.0, 2.0, "power_u", 20.0, 45.0, 5e-3)
+    cfg0, res0 = _sweep(0.0, 3.0, 2.0, "power_u", 20.0, 45.0, 5e-3)
     _check(fails, all(not (r.censored or r.unreliable) for r in res0),
            "mu=0 sweep has censored/unreliable points")
-    fit0, bound0 = fit_sweep(spec0, res0)
+    fit0, bound0 = fit_sweep(cfg0, res0)
     _check(fails, bound0.exponent == pytest.approx(2.0), "theory exponent")
     _check(fails, abs(fit0.slope - 2.0) <= 0.3,
            f"mu=0 slope {fit0.slope:.4f} not within 2 +/- 0.3")
     _check(fails, fit0.r_squared >= 0.95, f"mu=0 r2 {fit0.r_squared:.4f}")
-    spec1, res1 = _sweep(1.0, 3.0, 2.0, "power_u", 20.0, 45.0, 5e-3)
+    cfg1, res1 = _sweep(1.0, 3.0, 2.0, "power_u", 20.0, 45.0, 5e-3)
     _check(fails, all(not (r.censored or r.unreliable) for r in res1),
            "mu=1 sweep has censored/unreliable points")
-    fit1, _ = fit_sweep(spec1, res1, tolerance=0.4)
+    fit1, _ = fit_sweep(cfg1, res1, tolerance=0.4)
     _check(fails, abs(fit1.slope - 2.0) <= 0.4,
            f"mu=1 slope {fit1.slope:.4f} not within 2 +/- 0.4")
     # upper-bound shape consistency: damped T under a fixed multiple of the
@@ -252,10 +249,10 @@ def test_criterion_5_subcritical_strauss_scaling(capsys):
 def test_criterion_6_glassey_scaling(capsys):
     t0 = time.perf_counter()
     fails = []
-    spec, res = _sweep(1.0, 3.0, 1.5, "power_ut", 2.0, 50.0, 1e-2)
+    cfg, res = _sweep(1.0, 3.0, 1.5, "power_ut", 2.0, 50.0, 1e-2)
     _check(fails, all(not (r.censored or r.unreliable) for r in res),
            "sweep has censored/unreliable points")
-    fit, bound = fit_sweep(spec, res, tolerance=0.25)
+    fit, bound = fit_sweep(cfg, res, tolerance=0.25)
     _check(fails, bound.exponent == pytest.approx(1.0), "theory exponent")
     _check(fails, abs(fit.slope - 1.0) <= 0.25,
            f"slope {fit.slope:.4f} not within 1 +/- 0.25")
@@ -321,9 +318,8 @@ def test_criterion_9_infrastructure_determinism(capsys, tmp_path):
                     refine_levels=2)
     texts = []
     for jobs in (1, 2, 3):
-        spec = SweepSpec(config=cfg, eps_min=0.5, eps_max=1.0, eps_count=4,
-                         jobs=jobs)
-        texts.append(csv_text(SWEEP_HEADER, sweep_rows(run_sweep(spec))))
+        results = run_sweep(cfg, np.geomspace(0.5, 1.0, 4), jobs)
+        texts.append(csv_text(SWEEP_HEADER, sweep_rows(results)))
     _check(fails, texts[0] == texts[1] == texts[2],
            "sweep CSV differs across worker counts")
     eps = np.geomspace(0.2, 1.0, 6)

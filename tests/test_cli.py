@@ -152,6 +152,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ["solve", "--n", "6", "--dr", "0.1"],
     ["lifespan", "--n", "6", "--dr", "0.1"],
     ["sweep", "--n", "6", "--dr", "0.1"],
+    # a fit needs 4 points from a rising eps range
+    ["sweep", "--eps-count", "3", "--dr", "0.1"],
+    ["sweep", "--eps-min", "1", "--eps-max", "0.5", "--dr", "0.1"],
 ])
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     # a short coarse run, should a check be missed; a --t-max in argv wins
@@ -321,19 +324,29 @@ def test_sweep_and_fit_report_alike(flags, tmp_path, capsys):
     ["fit", "--in", "{table}", "--out", "{dir}/fit.csv", "--plot", "{dir}"],
     ["sweep", *SWEEP_FLAGS, "--eps-min", "0.5", "--eps-count", "4",
      "--out", "{dir}/sweep.csv", "--plot", "{dir}"],
-], ids=["solve", "fit", "sweep"])
+    ["bq", "--q", "1", "--t-max", "2", "--dr", "0.1", "--out", "{dir}/nodir/bq.csv"],
+    ["lifespan", *SWEEP_FLAGS, "--out", "{dir}"],
+    ["eigen", "--etas", "1", "--r-max", "10", "--out", "{dir}/nodir/eigen.csv"],
+    ["verify", "--solution", "{table}", "--out", "{dir}"],
+    ["odelemma", "--p1", "2", "--p2", "2", "--out", "{dir}"],
+    ["exponents", "--out", "{dir}/nodir/exponents.csv"],
+], ids=["solve", "fit", "sweep", "bq", "lifespan", "eigen", "verify", "odelemma",
+        "exponents"])
 def test_unwritable_output_leaves_no_file(argv, tmp_path, capsys, monkeypatch):
-    # every output path is checked before the command solves or writes
-    def solve(*args, **kwargs):
-        raise AssertionError("solved before the output paths were checked")
-    monkeypatch.setattr(cli, "run", solve)
-    monkeypatch.setattr(cli, "run_sweep", solve)
+    # every output path is checked before the command computes, prints or writes
+    def compute(*args, **kwargs):
+        raise AssertionError("computed before the output paths were checked")
+    for name in ("run", "run_sweep", "build_bq", "psi_hat_batch",
+                 "_read_solution_csv", "ode_lemma_fit", "critical_exponents"):
+        monkeypatch.setattr(cli, name, compute)
     table = tmp_path / "table.csv"
     table.write_text("eps,T\n0.25,16\n0.5,4\n0.75,1.7777777777777777\n1,1\n")
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     assert main([a.format(dir=out_dir, table=table) for a in argv]) == 2
-    assert capsys.readouterr().err.startswith("file error:")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("file error:")
     assert not any(out_dir.iterdir())
 
 
@@ -384,7 +397,7 @@ def test_fit_non_finite_theory_exponent_exits_2(theory, tmp_path, capsys):
 
 
 def test_negative_tolerance_exits_2(tmp_path, capsys, monkeypatch):
-    def no_solve(spec):
+    def no_solve(*args):
         raise AssertionError("sweep ran a solve")
 
     monkeypatch.setattr(cli, "run_sweep", no_solve)

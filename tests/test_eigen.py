@@ -244,6 +244,6 @@ def test_phi_profile_pinned():
     params = ModelParams(n=3, p=1.0 + np.sqrt(2.0), mu=1.0, beta=2.5,
                          nonlinearity="power_u", eps=1.0, f_amp=6.8,
                          g_amp=6.8)
-    phi, phip = phi_profile(params, build_grid(16.0, 0.01, 0.5).r)
+    phi, phip = phi_profile(params, build_grid(16.0, 0.01).r)
     np.testing.assert_allclose(phi[PIN_PHI_IDX], PIN_PHI, rtol=1e-10)
     np.testing.assert_allclose(phip[PIN_PHI_IDX], PIN_PHI_PRIME, rtol=1e-10)

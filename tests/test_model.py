@@ -63,7 +63,7 @@ def test_model_params_validation(kwargs):
 
 
 def test_build_grid_contract():
-    g = build_grid(t_max=10.0, dr=0.02, cfl=0.5)
+    g = build_grid(t_max=10.0, dr=0.02)
     assert g.dt == pytest.approx(0.01)
     assert g.r[0] == 0.0
     assert g.r_max >= 10.0 + 1.0 + 2.0 * 0.02 - 1e-12

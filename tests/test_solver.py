@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from strauss_lab.model import ModelParams, RunConfig, build_grid, initial_data
-from strauss_lab.solver import (_abs_power, energy_functional,
-                                estimate_lifespans, exact_undamped_radial3d,
+from strauss_lab.solver import (_abs_power, energy_functional, exact_undamped_radial3d,
                                 mms_order, radial_laplacian, run, run_block)
+from strauss_lab.sweep import lifespan_from_levels, run_sweep
 
 
 def _oracle_params(**kw):
@@ -96,7 +96,7 @@ def test_solver_second_order_against_oracle():
     params = _oracle_params()
     errs = []
     for dr in (0.04, 0.02):
-        grid = build_grid(2.0, dr, 0.5)
+        grid = build_grid(2.0, dr)
         out = run(params, grid, snapshot_times=[2.0])
         t_s, u_s, _ = out.snapshots[-1]
         exact, _ = exact_undamped_radial3d(params, grid.r, t_s)
@@ -181,7 +181,7 @@ def test_blow_up_detection_and_threshold():
 def test_lifespan_richardson_and_monotonicity():
     cfg = RunConfig(n=3, p=2.0, mu=0.0, beta=3.0, nonlinearity="power_u",
                     f_amp=20.0, g_amp=20.0, t_max=15.0, dr=0.04, refine_levels=2)
-    r1, r2 = estimate_lifespans(cfg, [0.5, 1.0])
+    r1, r2 = run_sweep(cfg, [0.5, 1.0])
     for res in (r1, r2):
         assert not res.censored and not res.unreliable
         T_fine, T_prev = res.T_levels[-1], res.T_levels[-2]
@@ -193,7 +193,7 @@ def test_lifespan_richardson_and_monotonicity():
 def test_lifespan_censored():
     cfg = RunConfig(n=3, p=2.0, mu=0.0, beta=3.0, nonlinearity="power_u",
                     f_amp=1.0, g_amp=1.0, t_max=3.0, dr=0.05, refine_levels=1)
-    (res,) = estimate_lifespans(cfg, [0.05])
+    (res,) = run_sweep(cfg, [0.05])
     assert res.censored
     assert math.isnan(res.T_extrapolated)
 
@@ -409,15 +409,19 @@ def _constant_data_t_end(params, dr, u0, v0):
     return out.t_end, grid.dt
 
 
+def _power_u_T_star(p):
+    # u'' = u^p, u(0) = 1, u'(0) = 0: T* = sqrt((p+1)/2) B(1/2 - 1/(p+1), 1/2)/(p+1)
+    a = 0.5 - 1.0 / (p + 1.0)
+    return (math.sqrt((p + 1.0) / 2.0) * math.gamma(a) * math.gamma(0.5)
+            / math.gamma(a + 0.5) / (p + 1.0))
+
+
 @pytest.mark.parametrize("dr, bound", zip(ORACLE_DRS, (
     0.02553, 0.01553, 0.005523, 0.0005226, 0.001978)))
 def test_exact_lifespan_power_u(dr, bound):
-    # u'' = u^2, u(0) = 1, u'(0) = 0: T* = sqrt((p+1)/2) B(1/2 - 1/(p+1), 1/2)/(p+1);
     # the bounds are the errors of the grid t_end measured when they were pinned
     p = 2.0
-    a = 0.5 - 1.0 / (p + 1.0)
-    T_star = (math.sqrt((p + 1.0) / 2.0) * math.gamma(a) * math.gamma(0.5)
-              / math.gamma(a + 0.5) / (p + 1.0))
+    T_star = _power_u_T_star(p)
     assert T_star == pytest.approx(2.974477425, abs=1e-9)
     t_end, _ = _constant_data_t_end(_oracle_params(nonlinearity="power_u", p=p),
                                     dr, 1.0, 0.0)
@@ -430,3 +434,38 @@ def test_exact_lifespan_power_ut(dr):
     t_end, dt = _constant_data_t_end(_oracle_params(nonlinearity="power_ut", p=1.5),
                                      dr, 0.0, 1.0)
     assert t_end == pytest.approx(2.0 + 3.0 * dt, abs=1e-9)
+
+
+# --- the Richardson step on the exact lifespan: levels dr and dr/2 -------------
+
+def _richardson(params, dr, u0, v0):
+    """lifespan_from_levels on the constant-data blow-up times at dr and dr/2,
+    with the fine level's t_end and dt."""
+    (T_coarse, _), (T_fine, dt) = (_constant_data_t_end(params, h, u0, v0)
+                                   for h in (dr, dr / 2.0))
+    res = lifespan_from_levels(1.0, (T_coarse, T_fine))
+    assert res.T_levels == (T_coarse, T_fine)
+    assert not (res.censored or res.unreliable)
+    assert res.uncertainty == abs(T_fine - T_coarse)
+    return res.T_extrapolated, T_fine, dt
+
+
+@pytest.mark.parametrize("dr", [0.04, 0.02, 0.01])
+def test_richardson_step_exact_power_ut(dr):
+    # each level ends 3 steps after T* = 2, so the step lands on 2 + 2 dt_fine,
+    # nearer T* than the fine level's 2 + 3 dt_fine
+    T_ext, _, dt = _richardson(_oracle_params(nonlinearity="power_ut", p=1.5),
+                               dr, 0.0, 1.0)
+    assert T_ext == pytest.approx(2.0 + 2.0 * dt, abs=1e-9)
+
+
+@pytest.mark.parametrize("dr", [0.04, 0.02])
+def test_richardson_step_exact_power_u(dr):
+    # the step moves T nearer T* (errors 1.219e-2 and 2.189e-3 against the
+    # fine level's 1.552e-2 and 5.523e-3).  From dr 0.01 on, t_end's
+    # quantisation to the grid outweighs the second-order error, and the
+    # step overshoots
+    T_star = _power_u_T_star(2.0)
+    T_ext, T_fine, _ = _richardson(_oracle_params(nonlinearity="power_u", p=2.0),
+                                   dr, 1.0, 0.0)
+    assert abs(T_ext - T_star) < abs(T_fine - T_star)

@@ -3,17 +3,21 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from strauss_lab.cli import _read_sweep_csv
 from strauss_lab.exponents import critical_exponents
 from strauss_lab.model import RunConfig
-from strauss_lab.solver import LifespanResult
-from strauss_lab.sweep import (FIT_MIN_POINTS, SWEEP_HEADER, ScalingFit,
-                               SweepSpec, csv_text, emit_plot,
-                               fit_powerlaw, fit_sweep, fit_table, format_value,
-                               run_sweep, sweep_rows, write_csv)
+from strauss_lab.sweep import (FIT_MIN_POINTS, SWEEP_HEADER, LifespanResult,
+                               ScalingFit, csv_text, emit_plot, fit_powerlaw,
+                               fit_sweep, fit_table, format_value, run_sweep,
+                               sweep_rows, write_csv)
 
 
 def _blowup_config(**kw):
@@ -84,32 +88,15 @@ def test_write_csv_array_cells_match_csv_text(case, tmp_path):
     assert path.read_bytes() == text.encode("utf-8")
 
 
-# --- spec -----------------------------------------------------------------------
-
-def test_sweep_spec_validation():
-    cfg = _blowup_config()
-    spec = SweepSpec(config=cfg, eps_min=0.5, eps_max=1.0, eps_count=4)
-    grid = spec.eps_grid
-    assert grid.size == 4
-    assert grid[0] == pytest.approx(0.5) and grid[-1] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        SweepSpec(config=cfg, eps_min=1.0, eps_max=0.5)
-    with pytest.raises(ValueError):
-        SweepSpec(config=cfg, eps_count=3)
-    with pytest.raises(ValueError):
-        SweepSpec(config=cfg, jobs=0)
-
-
 # --- sweep execution --------------------------------------------------------------
 
 def test_run_sweep_worker_count_invariant():
     cfg = _blowup_config()
-    serial = SweepSpec(config=cfg, eps_min=0.5, eps_max=1.0, eps_count=4,
-                       jobs=1)
-    pooled = SweepSpec(config=cfg, eps_min=0.5, eps_max=1.0, eps_count=4,
-                       jobs=2)
-    res1 = run_sweep(serial)
-    res2 = run_sweep(pooled)
+    eps = np.geomspace(0.5, 1.0, 4)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_sweep(cfg, eps, 0)
+    res1 = run_sweep(cfg, eps, 1)
+    res2 = run_sweep(cfg, eps, 2)
     assert csv_text(SWEEP_HEADER, sweep_rows(res1)) == \
         csv_text(SWEEP_HEADER, sweep_rows(res2))
     T = [r.T_extrapolated for r in res1]
@@ -132,9 +119,8 @@ def test_run_sweep_worker_count_invariant():
 ])
 def test_sweep_csv_pinned(config, eps_min, eps_max, count, digest):
     cfg = RunConfig(**{"mu": 1.0, "beta": 3.0, **config})
-    spec = SweepSpec(config=cfg, eps_min=eps_min, eps_max=eps_max,
-                     eps_count=count)
-    text = csv_text(SWEEP_HEADER, sweep_rows(run_sweep(spec)))
+    results = run_sweep(cfg, np.geomspace(eps_min, eps_max, count))
+    text = csv_text(SWEEP_HEADER, sweep_rows(results))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -145,6 +131,53 @@ def test_sweep_rows_censored_to_nan():
     ((eps, T, unc, cen, unrel),) = sweep_rows([res])
     assert math.isnan(T) and cen is True and unrel is False
     assert eps == 0.1 and unc == 0.5
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _fit_outcome(fit, *args) -> str:
+    """repr of a fit's result, or of the error it raised."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            return repr(fit(*args))
+        except ValueError as exc:  # np.linalg.LinAlgError included
+            return repr(exc)
+
+
+# eps and T are sweep-like about half the time and any float otherwise, and
+# each flag is set one time in four, so some lists hold the 4 clean rows a fit
+# needs
+_any_float = st.floats(allow_nan=False)
+_flag = st.sampled_from([False, False, False, True])
+_results = st.lists(st.builds(
+    LifespanResult,
+    eps=st.one_of(st.floats(1e-3, 1e3), _any_float),
+    T_levels=st.tuples(st.floats(), st.floats()),
+    T_extrapolated=st.one_of(st.floats(1e-3, 1e3), _any_float),
+    uncertainty=st.floats(),
+    censored=_flag,
+    unreliable=_flag), max_size=12)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(results=_results)
+def test_sweep_csv_round_trip(results, tmp_path):
+    # the table a sweep writes reads back bit for bit, and fits as the sweep did
+    path = tmp_path / "sweep.csv"
+    write_csv(str(path), SWEEP_HEADER, sweep_rows(results))
+    rows = _read_sweep_csv(str(path))
+    assert len(rows) == len(results)
+    for (eps, T, censored, unreliable), res in zip(rows, results):
+        assert _bits(eps) == _bits(res.eps)
+        assert (censored, unreliable) == (res.censored, res.unreliable)
+        assert math.isnan(T) == res.censored
+        if not res.censored:
+            assert _bits(T) == _bits(res.T_extrapolated)
+    cfg = _blowup_config(p=2.0)
+    assert _fit_outcome(fit_table, cfg, rows) == _fit_outcome(fit_sweep, cfg, results)
 
 
 # --- fits ------------------------------------------------------------------------
@@ -186,18 +219,16 @@ def test_fit_powerlaw_needs_enough_points():
 
 def test_fit_sweep_not_applicable_paths():
     critical = _blowup_config(p=2.0, nonlinearity="power_ut")
-    spec = SweepSpec(config=critical, eps_count=4)
-    fit, bound = fit_sweep(spec, [])
+    fit, bound = fit_sweep(critical, [])
     assert bound.kind == "exponential"
     assert fit.verdict == "not_applicable"
     assert math.isnan(fit.slope) and fit.points == ()
 
-    poly = SweepSpec(config=_blowup_config(p=2.0), eps_count=4)
     censored = [LifespanResult(eps=e, T_levels=(1.0, 1.0),
                                T_extrapolated=1.0, uncertainty=0.0,
                                censored=True, unreliable=False)
-                for e in poly.eps_grid]
-    fit2, bound2 = fit_sweep(poly, censored)
+                for e in np.geomspace(0.2, 1.0, 4)]
+    fit2, bound2 = fit_sweep(_blowup_config(p=2.0), censored)
     assert bound2.kind == "polynomial"
     assert fit2.verdict == "not_applicable"
     assert fit2.refusal.startswith(f"fewer than {FIT_MIN_POINTS} clean points")
