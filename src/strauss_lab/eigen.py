@@ -23,9 +23,11 @@ One integrator serves every solve.  The equation for (s, s') is linear, so a
 classical RK4 step is a fixed 2x2 propagator matrix; _rk4_propagate forms
 the propagators of a block of steps for all eta at once with element-wise
 array algebra, multiplies those of each output interval together, and chains
-the interval products.  The near segment takes steps h <= dr aligned with the
-output grid.  The far tail, which only feeds lambda, takes graded steps
-h = min(1e-3 r, 0.1) and lands exactly on r_ref.
+the interval products into its output rows.  Each coefficient is formed
+once (K1 is A(r) itself, and A(r + h/2) serves K2 and K3), with the
+arithmetic of the textbook formulas, bit for bit.  The near segment takes
+steps h <= dr aligned with the output grid.  The far tail, which only feeds
+lambda, takes graded steps h = min(1e-3 r, 0.1) and lands exactly on r_ref.
 """
 from __future__ import annotations
 
@@ -111,14 +113,18 @@ def _rk4_propagate(etas, mu, beta, n, edges, every, s, sp):
     """
     etas = np.asarray(etas, dtype=float)
     bnr = n - 1.0
+    m2eta = -2.0 * etas
     n_int = (edges.size - 1) // every
     out_s = np.empty((n_int, etas.size))
     out_sp = np.empty_like(out_s)
 
-    def times_a(x, K, tau):
-        """A(x) (I + tau K), A = [[0, 1], [c, d]]; matrices as 4-tuples."""
-        c = etas * (mu * (1.0 + x) ** (-beta) - bnr / x)
-        d = -(2.0 * etas + bnr / x)
+    def coeffs(x):
+        """c, d of A(x) = [[0, 1], [c, d]]; (-2 eta) - q equals -(2 eta + q)."""
+        q = bnr / x
+        return etas * (mu * (1.0 + x) ** (-beta) - q), m2eta - q
+
+    def times_a(c, d, K, tau):
+        """A (I + tau K) for A = [[0, 1], [c, d]]; matrices as 4-tuples."""
         b00, b01 = 1.0 + tau * K[0], tau * K[1]
         b10, b11 = tau * K[2], 1.0 + tau * K[3]
         return b10, b11, c * b00 + d * b10, c * b01 + d * b11
@@ -127,10 +133,11 @@ def _rk4_propagate(etas, mu, beta, n, edges, every, s, sp):
         hi = min(lo + CHUNK, n_int)
         e = edges[lo * every:hi * every + 1, None]
         r, h = e[:-1], np.diff(e, axis=0)
-        K1 = times_a(r, (0.0, 0.0, 0.0, 0.0), 0.0)
-        K2 = times_a(r + 0.5 * h, K1, 0.5 * h)
-        K3 = times_a(r + 0.5 * h, K2, 0.5 * h)
-        K4 = times_a(r + h, K3, h)
+        K1 = (0.0, 1.0, *coeffs(r))  # A(r) (I + 0): c*1 + d*0 = c, c*0 + d*1 = d
+        c_mid, d_mid = coeffs(r + 0.5 * h)
+        K2 = times_a(c_mid, d_mid, K1, 0.5 * h)
+        K3 = times_a(c_mid, d_mid, K2, 0.5 * h)
+        K4 = times_a(*coeffs(r + h), K3, h)
         K = [h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
              for k1, k2, k3, k4 in zip(K1, K2, K3, K4)]
         P = [x.reshape(hi - lo, every, -1) for x in (1.0 + K[0], K[1], K[2], 1.0 + K[3])]
@@ -141,8 +148,9 @@ def _rk4_propagate(etas, mu, beta, n, edges, every, s, sp):
             M = [a00 * M[0] + a01 * M[2], a00 * M[1] + a01 * M[3],
                  a10 * M[0] + a11 * M[2], a10 * M[1] + a11 * M[3]]
         for i in range(hi - lo):
-            s, sp = M[0][i] * s + M[1][i] * sp, M[2][i] * s + M[3][i] * sp
-            out_s[lo + i], out_sp[lo + i] = s, sp
+            np.add(M[0][i] * s, M[1][i] * sp, out=out_s[lo + i])
+            np.add(M[2][i] * s, M[3][i] * sp, out=out_sp[lo + i])
+            s, sp = out_s[lo + i], out_sp[lo + i]
     return out_s, out_sp
 
 

@@ -106,12 +106,6 @@ def y_weight(t, M: float, p_conj: float):
     return np.maximum(hi - lo, 0.0)
 
 
-def y_weight_ceiling(p_conj: float) -> float:
-    """The constant value on t in [1, M/2]: int_{1/2}^1 theta^{2p'}/s ds."""
-    _, cum = _y_table(p_conj)
-    return float(cum[-1])
-
-
 def _y_weighted(w_t: np.ndarray, t: np.ndarray, M: float,
                 p_conj: float) -> float:
     """int w_t(t) y_weight(t, M) dt with nodes planted on the moving kinks.

@@ -103,16 +103,6 @@ def bump(r, k: int, amp: float):
     return out
 
 
-def bump_integral(n: int, k: int, amp: float) -> float:
-    """Integral of the bump over R^n: omega_{n-1} * int_0^1 amp*(1-r^2)^k r^(n-1) dr.
-
-    Closed form via the Beta function (substitute s = r^2).
-    """
-    omega = sphere_area(n)
-    return omega * amp * 0.5 * math.gamma(n / 2.0) * math.gamma(k + 1.0) \
-        / math.gamma(n / 2.0 + k + 1.0)
-
-
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere S^(n-1) in R^n."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)

@@ -55,8 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelParams, RadialGrid, build_grid, bump, initial_data, potential,
-                    sphere_area)
+from .model import ModelParams, RadialGrid, build_grid, bump, initial_data, potential
 
 
 @dataclass
@@ -68,13 +67,6 @@ class SolveOutcome:
     params: ModelParams
     grid: RadialGrid
     support_violation: float          # max |u| seen beyond r = t+1+2dr
-
-
-def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
-    """Discrete radial Laplacian; last node uses a zero Dirichlet ghost."""
-    nr = u.size
-    return _laplacian(np.append(u, 0.0), nr, dr, n,
-                      (n - 1.0) / (np.arange(1, nr) * dr))
 
 
 def _laplacian(u, m, dr, n, c):
@@ -129,14 +121,6 @@ def _abs_power(p: float):
     return power
 
 
-def energy_functional(u: np.ndarray, v: np.ndarray, dr: float, n: int) -> float:
-    """E = 1/2 * int (u_t^2 + |grad u|^2) dx over R^n (radial trapezoid)."""
-    r = np.arange(u.size) * dr
-    ur = np.gradient(u, dr)
-    dens = 0.5 * (v * v + ur * ur) * r ** (n - 1)
-    return sphere_area(n) * float(np.trapezoid(dens, dx=dr))
-
-
 def run(params: ModelParams, grid: RadialGrid, *,
         threshold: float = 1e6,
         snapshot_times=None,
@@ -147,7 +131,7 @@ def run(params: ModelParams, grid: RadialGrid, *,
 
     initial optionally overrides (u0, v0); forcing(t, r_array) adds a source
     term (manufactured-solution runs).  Snapshots record (t, u, u_t) with a
-    centered u_t (energy_functional applies to them).
+    centered u_t.
     """
     return run_block([params], grid, threshold=threshold,
                      snapshot_times=snapshot_times, forcing=forcing,
@@ -172,6 +156,8 @@ def run_block(params_list, grid: RadialGrid, *,
     (u0, v0) pair per problem, cut at the t = 0 window like the model data.
     """
     params_list = list(params_list)
+    if not params_list:
+        raise ValueError("a block needs at least one problem")
     first = params_list[0]
     shared = (first.n, first.mu, first.beta, first.p, first.nonlinearity)
     if any((q.n, q.mu, q.beta, q.p, q.nonlinearity) != shared for q in params_list):

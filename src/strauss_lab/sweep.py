@@ -143,6 +143,8 @@ def run_sweep(cfg: RunConfig, eps_values, jobs: int = 1) -> list[LifespanResult]
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     params_list = [replace(cfg, eps=float(eps)).model_params() for eps in eps_values]
+    if not params_list:
+        return []
     levels = cfg.refine_levels
     grids = [build_grid(cfg.t_max, cfg.dr / 2 ** lev) for lev in range(levels)]
     work = (_blowup_times, [params_list] * levels, grids, [cfg.u_threshold] * levels)
@@ -217,7 +219,7 @@ def fit_table(cfg: RunConfig, rows, tolerance: float = 0.3,
 
     theory, which must be finite, overrides the bound's exponent and lifts a
     non-polynomial refusal; fewer than FIT_MIN_POINTS clean rows (unflagged,
-    finite eps and T > 0) refuse the fit."""
+    finite eps and T > 0, finite 1/eps) refuse the fit."""
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if theory is not None and not math.isfinite(theory):
@@ -226,7 +228,8 @@ def fit_table(cfg: RunConfig, rows, tolerance: float = 0.3,
     exponent = bound.exponent if theory is None else theory
     clean = [(eps, T) for eps, T, censored, unreliable in rows
              if not (censored or unreliable)
-             and 0.0 < eps < math.inf and 0.0 < T < math.inf]
+             and 0.0 < eps < math.inf and math.isfinite(1.0 / eps)
+             and 0.0 < T < math.inf]
     if theory is None and bound.kind != "polynomial":
         hint = ("use the odelemma and verify subcommands for critical-case evidence"
                 if bound.kind == "exponential"

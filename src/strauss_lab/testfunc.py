@@ -52,7 +52,7 @@ class BqTable:
     def validate(self) -> None:
         if not np.all(self.values > 0.0):
             raise ArithmeticError("b_q lost positivity")
-        if not np.all(np.diff(self.values, axis=0) < 0.0):
+        if not np.all(self.values[1:] < self.values[:-1]):
             raise ArithmeticError("b_q not strictly decreasing in t")
 
     def same_grid(self, other: "BqTable") -> bool:
@@ -120,8 +120,11 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable) -> IdentityRep
     The three tables must share one grid and satisfy q1 = q+1, q2 = q+2.
     Residuals are relative to the positive local scale V b_{q+1} + b_{q+2}
     (resp. b_{q+1}, b_{q+2} for the single-term identities), maximized over
-    the interior cone r <= t with r >= dr.  Evaluation goes over blocks of 256
-    t-rows to bound memory.
+    the interior cone r <= t with r >= dr.  Evaluation goes over blocks of 64
+    t-rows, each on its cone's columns plus the two radii the five-point
+    stencil reads beyond them; so the boundary formulas of a window's last
+    two columns reach no cone point short of the whole grid, and every
+    residual is that of a whole-rectangle evaluation, bit for bit.
 
     The radial first derivative feeding the (n-1)/r term uses five-point
     (fourth-order) differences: V'(0) != 0 puts a genuine r^3 component into
@@ -142,14 +145,16 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable) -> IdentityRep
     V = potential(r, tq.mu, tq.beta)
     nt, nr = tq.values.shape
     res = np.zeros(4)
-    for lo in range(1, nt - 1, 256):
-        hi = min(lo + 256, nt - 1)
+    for lo in range(1, nt - 1, 64):
+        hi = min(lo + 64, nt - 1)
+        w = min(nr, max(5, int(np.searchsorted(r, t[hi - 1], "right")) + 2))
         sl = slice(lo, hi)
-        b = tq.values[sl]
-        b_up = tq.values[lo + 1:hi + 1]
-        b_dn = tq.values[lo - 1:hi - 1]
-        b1 = tq1.values[sl]
-        b2 = tq2.values[sl]
+        b = tq.values[sl, :w]
+        b_up = tq.values[lo + 1:hi + 1, :w]
+        b_dn = tq.values[lo - 1:hi - 1, :w]
+        b1 = tq1.values[sl, :w]
+        b2 = tq2.values[sl, :w]
+        Vw = V[:w]
         bt = (b_up - b_dn) / (2.0 * dt)
         btt = (b_up - 2.0 * b + b_dn) / (dt * dt)
         br = np.empty_like(b)
@@ -160,12 +165,12 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable) -> IdentityRep
         br[:, -2] = (b[:, -1] - b[:, -3]) / (2.0 * dr)
         lap = np.empty_like(b)
         lap[:, 1:-1] = ((b[:, 2:] - 2.0 * b[:, 1:-1] + b[:, :-2]) / (dr * dr)
-                        + (tq.n - 1) / r[1:-1] * br[:, 1:-1])
+                        + (tq.n - 1) / r[1:w - 1] * br[:, 1:-1])
         lap[:, 0] = lap[:, -1] = np.nan
         scale1 = b1
         scale2 = b2
-        scale_w = V * b1 + b2
-        cone = r[None, 1:-1] <= t[sl, None]
+        scale_w = Vw * b1 + b2
+        cone = r[None, 1:w - 1] <= t[sl, None]
         inner = slice(1, -1)
 
         def cone_max(err):
@@ -173,8 +178,8 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable) -> IdentityRep
 
         res[0] = max(res[0], cone_max(np.abs(bt + b1) / scale1))
         res[1] = max(res[1], cone_max(np.abs(btt - b2) / scale2))
-        res[2] = max(res[2], cone_max(np.abs(lap - V * b1 - b2) / scale_w))
-        res[3] = max(res[3], cone_max(np.abs(btt - lap - V * bt) / scale_w))
+        res[2] = max(res[2], cone_max(np.abs(lap - Vw * b1 - b2) / scale_w))
+        res[3] = max(res[3], cone_max(np.abs(btt - lap - Vw * bt) / scale_w))
     return IdentityReport(res_dt=res[0], res_dtt=res[1], res_lap=res[2],
                           res_wave=res[3])
 
@@ -230,11 +235,13 @@ def _euler_node_count(z: np.ndarray) -> np.ndarray:
 
     The counts were sized when weight noise of the Gauss rule grew with m;
     hyper2f1 returns the series value, so they only decide if the routes agree.
+    A count above 40 is rounded up to a multiple of 16 (at most 600), so a
+    cone of ~20,000 points needs a handful of rules, not one per count.
     """
     xi = 2.0 / np.maximum(z, 0.5) - 1.0  # pole position after mapping [0,1] -> [-1,1]
     rho = xi + np.sqrt(xi * xi - 1.0)
-    m = np.minimum(600, np.maximum(40, (8.0 / np.log10(rho)).astype(int) + 10))
-    return np.where(z <= 0.5, 40, m)
+    m = (8.0 / np.log10(rho)).astype(int) + 10
+    return np.where((z <= 0.5) | (m <= 40), 40, np.minimum(600, -(-m // 16) * 16))
 
 
 def _hyper2f1_euler(a: float, b: float, c: float, z) -> np.ndarray:

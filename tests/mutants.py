@@ -52,6 +52,11 @@ MUTANTS = {
         "T_ext, unc = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0, abs(Ts[-1] - Ts[-2])",
         "T_ext, unc = Ts[-1], abs(Ts[-1] - Ts[-2])",
         "tests/test_solver.py"),
+    "identity_window_narrowed": (
+        "testfunc.py",
+        '"right")) + 2))',
+        '"right")) + 1))',
+        "tests/test_testfunc.py"),
 }
 
 

@@ -19,12 +19,13 @@ from strauss_lab.exponents import critical_exponents, gamma, theory_lifespan
 from strauss_lab.functionals import (inequality_check, ode_lemma_fit,
                                      oracle_samples, weak_residual)
 from strauss_lab.model import ModelParams, RunConfig, build_grid
-from strauss_lab.solver import (energy_functional, exact_undamped_radial3d,
-                                mms_order, run)
+from strauss_lab.solver import exact_undamped_radial3d, mms_order, run
 from strauss_lab.sweep import (SWEEP_HEADER, csv_text, fit_powerlaw, fit_sweep,
                                run_sweep, sweep_rows, write_csv)
 from strauss_lab.testfunc import (build_bq, verify_bq_asymptotics,
                                   verify_bq_identities)
+
+from helpers import energy_functional
 
 
 def _finish(capsys, num: int, budget: float, t0: float, fails: list,

@@ -350,17 +350,21 @@ def test_unwritable_output_leaves_no_file(argv, tmp_path, capsys, monkeypatch):
     assert not any(out_dir.iterdir())
 
 
-def test_fit_too_few_clean_rows_is_refused(tmp_path, capsys):
+def test_fit_too_few_clean_rows_is_refused(tmp_path, capfd):
     three = tmp_path / "three.csv"
     write_csv(str(three), ("eps", "T", "uncertainty", "censored", "unreliable"),
               [(e, 2.0 * e**-2.0, 0.0, False, False) for e in (0.5, 0.7, 1.0)])
+    # 1/eps of a subnormal eps overflows, so that row is not clean either
+    subnormal = tmp_path / "subnormal.csv"
+    subnormal.write_text("eps,T\n5e-324,1\n0.5,2\n0.6,2\n0.7,1\n")
     life = tmp_path / "life.csv"
     assert main(["lifespan", *SWEEP_FLAGS, "--out", str(life)]) == 0
-    capsys.readouterr()
-    for table in (three, life):
+    capfd.readouterr()
+    for table in (three, subnormal, life):
         assert main(["fit", "--in", str(table)]) == 0
-        assert "fewer than 4 clean points: fit not applicable" in \
-            capsys.readouterr().out
+        captured = capfd.readouterr()
+        assert "fewer than 4 clean points: fit not applicable" in captured.out
+        assert captured.err == ""
 
 
 def test_linear_sweep_and_fit_are_refused(tmp_path, capsys):

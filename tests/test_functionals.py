@@ -12,9 +12,10 @@ from strauss_lab.functionals import (CheckNotApplicable, RatioSeries,
                                      inequality_check, ode_escape_logT,
                                      ode_lemma_fit, oracle_samples,
                                      samples_from_outcome, theta,
-                                     weak_residual, y_series, y_weight,
-                                     y_weight_ceiling)
-from strauss_lab.model import ModelParams, bump_integral
+                                     weak_residual, y_series, y_weight)
+from strauss_lab.model import ModelParams
+
+from helpers import bump_integral, y_weight_ceiling
 
 
 def _params(**kw):

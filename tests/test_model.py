@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from strauss_lab.model import (ConfigError, ModelParams, RunConfig, bump,
-                               bump_integral, build_grid, initial_data,
-                               load_config, parse_config_text, potential,
-                               sphere_area)
+                               build_grid, initial_data, load_config,
+                               parse_config_text, potential, sphere_area)
+
+from helpers import bump_integral
 
 
 def test_potential_values_and_decay():

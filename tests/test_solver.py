@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from strauss_lab.model import ModelParams, RunConfig, build_grid, initial_data
-from strauss_lab.solver import (_abs_power, energy_functional, exact_undamped_radial3d,
-                                mms_order, radial_laplacian, run, run_block)
+from strauss_lab.solver import _abs_power, exact_undamped_radial3d, mms_order, run, run_block
 from strauss_lab.sweep import lifespan_from_levels, run_sweep
+
+from helpers import energy_functional, radial_laplacian
 
 
 def _oracle_params(**kw):
@@ -371,6 +372,8 @@ def test_block_rejects_mixed_problems():
     grid = build_grid(1.0, 0.1)
     with pytest.raises(ValueError):
         run_block([ModelParams(p=2.0), ModelParams(p=3.0)], grid)
+    with pytest.raises(ValueError, match="at least one problem"):
+        run_block([], grid)
 
 
 def test_wide_initial_data_cut_to_window():

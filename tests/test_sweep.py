@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from strauss_lab import sweep
 from strauss_lab.cli import _read_sweep_csv
 from strauss_lab.exponents import critical_exponents
 from strauss_lab.model import RunConfig
@@ -102,6 +103,14 @@ def test_run_sweep_worker_count_invariant():
     T = [r.T_extrapolated for r in res1]
     assert all(not r.censored for r in res1)
     assert all(a > b for a, b in zip(T, T[1:]))  # larger eps dies sooner
+
+
+def test_run_sweep_without_eps_solves_nothing(monkeypatch):
+    def solve(*args):
+        raise AssertionError("a sweep without eps values solved a level")
+    monkeypatch.setattr(sweep, "_blowup_times", solve)
+    for jobs in (1, 2):
+        assert run_sweep(_blowup_config(), [], jobs) == []
 
 
 # SHA-256 of the sweep CSV text, computed with the per-eps solver loop that
@@ -259,6 +268,17 @@ def test_fit_table_clean_rows_and_override():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="theory exponent must be finite"):
             fit_table(crit, rows, theory=bad)
+
+
+def test_fit_table_skips_eps_with_infinite_reciprocal(capfd):
+    # 1/5e-324 overflows to inf: the row is not clean, so three rows remain
+    # and the fit is refused before LAPACK sees an infinite abscissa
+    rows = [(5e-324, 1.0, False, False), (0.5, 2.0, False, False),
+            (0.6, 2.0, False, False), (0.7, 1.0, False, False)]
+    fit, _ = fit_table(_blowup_config(p=2.0), rows)
+    assert fit.verdict == "not_applicable"
+    assert fit.refusal == f"fewer than {FIT_MIN_POINTS} clean points: fit not applicable"
+    assert capfd.readouterr().err == ""
 
 
 CRITICAL_HINT = "use the odelemma and verify subcommands for critical-case evidence"

@@ -10,9 +10,9 @@ from dataclasses import replace
 from scipy.special import exp1, gammainc, hyp2f1
 
 from strauss_lab import testfunc
-from strauss_lab.model import ModelParams
-from strauss_lab.testfunc import (build_bq, eta_rule, hyper2f1,
-                                  hyper2f1_compensation,
+from strauss_lab.model import ModelParams, potential
+from strauss_lab.testfunc import (BqTable, IdentityReport, build_bq, eta_rule,
+                                  hyper2f1, hyper2f1_compensation,
                                   verify_bq_asymptotics, verify_bq_identities)
 
 
@@ -104,6 +104,11 @@ def test_bq_table_validate_and_same_grid():
     broken = replace(table, values=np.flip(table.values, axis=0))
     with pytest.raises(ArithmeticError):
         broken.validate()
+    for value, why in ((table.values[0, 4], "decreasing"), (np.nan, "positivity")):
+        values = table.values.copy()
+        values[1, 4] = value  # equal to its t-neighbour, or NaN
+        with pytest.raises(ArithmeticError, match=why):
+            replace(table, values=values).validate()
     other = build_bq(2.1, params, t, r)
     assert table.same_grid(other)
     shifted = build_bq(1.1, params, t + 1.0, r)
@@ -124,6 +129,56 @@ def test_bq_identities_coarse():
     rep = verify_bq_identities(tq, tq1, tq2)
     assert rep.worst <= 1e-3
     assert rep.res_wave <= 1e-3
+
+
+def _whole_rectangle_residuals(tq, tq1, tq2):
+    """The four identity residuals at every interior (t, r) point of the
+    cone, 0 elsewhere, from one whole-rectangle evaluation of the formulas."""
+    t, r, n = tq.t_grid, tq.r_grid, tq.n
+    dt, dr = t[1] - t[0], r[1] - r[0]
+    V = potential(r, tq.mu, tq.beta)
+    b, b_up, b_dn = tq.values[1:-1], tq.values[2:], tq.values[:-2]
+    b1, b2 = tq1.values[1:-1], tq2.values[1:-1]
+    bt = (b_up - b_dn) / (2.0 * dt)
+    btt = (b_up - 2.0 * b + b_dn) / (dt * dt)
+    br = np.empty_like(b)
+    br[:, 2:-2] = (b[:, :-4] - 8.0 * b[:, 1:-3]
+                   + 8.0 * b[:, 3:-1] - b[:, 4:]) / (12.0 * dr)
+    br[:, 1] = (-3.0 * b[:, 0] - 10.0 * b[:, 1] + 18.0 * b[:, 2]
+                - 6.0 * b[:, 3] + b[:, 4]) / (12.0 * dr)
+    br[:, -2] = (b[:, -1] - b[:, -3]) / (2.0 * dr)
+    lap = np.full_like(b, np.nan)
+    lap[:, 1:-1] = ((b[:, 2:] - 2.0 * b[:, 1:-1] + b[:, :-2]) / (dr * dr)
+                    + (n - 1) / r[1:-1] * br[:, 1:-1])
+    scale_w = V * b1 + b2
+    errs = (np.abs(bt + b1) / b1, np.abs(btt - b2) / b2,
+            np.abs(lap - V * b1 - b2) / scale_w,
+            np.abs(btt - lap - V * bt) / scale_w)
+    cone = r[None, 1:-1] <= t[1:-1, None]
+    return [np.where(cone, e[:, 1:-1], 0.0) for e in errs]
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+def test_identity_window_matches_whole_rectangle(t0):
+    # smooth positive tables with a spike just beyond the cone of row 64, the
+    # last row of the first 64-row block: the five-point r stencil of that
+    # row's cone-edge column reads it, so the largest residual sits there,
+    # and a window one column narrower turns that stencil into the boundary
+    # formula, which does not
+    t = t0 + 0.02 * np.arange(200)
+    r = 0.05 * np.arange(120)
+    T, Rg = np.meshgrid(t, r, indexing="ij")
+    tables = [BqTable(q=q, n=3, mu=1.0, beta=2.5, eta_nodes=np.empty(0),
+                      psi_cache=np.empty((0, r.size)), t_grid=t, r_grid=r,
+                      values=np.exp(-T) / (1.0 + Rg) ** q)
+              for q in (0.5, 1.5, 2.5)]
+    edge = int(np.searchsorted(r, t[64], "right")) - 1
+    tables[0].values[64, edge + 2] *= 1e3
+    residuals = _whole_rectangle_residuals(*tables)
+    row, col = np.unravel_index(np.argmax(residuals[2]), residuals[2].shape)
+    assert (row + 1, col + 1) == (64, edge)
+    reference = IdentityReport(*(np.max(e) for e in residuals))
+    assert verify_bq_identities(*tables) == reference
 
 
 def test_bq_identities_require_matching_tables():
