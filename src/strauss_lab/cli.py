@@ -29,7 +29,7 @@ from .model import CONFIG_TYPES, ConfigError, RunConfig, load_config
 from .solver import run
 from .sweep import (FIT_MIN_POINTS, SWEEP_HEADER, csv_text, emit_plot, fit_sweep,
                     fit_table, run_sweep, sweep_rows, write_csv)
-from .testfunc import build_bq, verify_bq_identities
+from .testfunc import bq_rule, build_bq, verify_bq_identities
 
 # verify-subcommand tokens (external interface) -> internal check names:
 # "3.4" -> "ineq_3_4"
@@ -239,8 +239,9 @@ def cmd_bq(args) -> int:
     r_grid = cfg.dr * np.arange(int(round(r_max / cfg.dr)) + 1)
     params = cfg.model_params()
     tq = build_bq(q, params, t_grid, r_grid, nodes=args.nodes)
-    tq1 = build_bq(q + 1.0, params, t_grid, r_grid, nodes=args.nodes)
-    tq2 = build_bq(q + 2.0, params, t_grid, r_grid, nodes=args.nodes)
+    # the partners b_{q+1}, b_{q+2} are only read block by block: rules
+    tq1 = bq_rule(q + 1.0, params, r_grid, nodes=args.nodes)
+    tq2 = bq_rule(q + 2.0, params, r_grid, nodes=args.nodes)
     rep = verify_bq_identities(tq, tq1, tq2)
     failed = False
     for name, res in (("dt", rep.res_dt), ("dtt", rep.res_dtt),
@@ -267,7 +268,8 @@ def _read_solution_csv(path: str):
     if data.shape[0] % nt != 0:
         raise ConfigError(f"{path}: rows not a whole number of snapshots")
     blocks = data.reshape(nt, data.shape[0] // nt, 4)
-    t, r = blocks[:, 0, 0], blocks[0, :, 1]
+    # r copied: a view would keep the whole parse buffer alive
+    t, r = blocks[:, 0, 0], blocks[0, :, 1].copy()
     if np.any(blocks[:, :, 0] != t[:, None]):
         raise ConfigError(f"{path}: rows of one snapshot are not contiguous")
     if np.any(blocks[:, :, 1] != r):

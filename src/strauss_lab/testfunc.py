@@ -35,6 +35,50 @@ def eta_rule(q: float, m: int):
     return 0.5 * (x + 1.0), w * 0.5**q
 
 
+def _check_rows(values) -> None:
+    """Raise ArithmeticError unless values is positive and strictly
+    decreasing from each row to the next (b_q falls in t)."""
+    if not np.all(values > 0.0):
+        raise ArithmeticError("b_q lost positivity")
+    if not np.all(values[1:] < values[:-1]):
+        raise ArithmeticError("b_q not strictly decreasing in t")
+
+
+@dataclass(frozen=True)
+class BqRule:
+    """The eta rule and eigenfunctions of b_q: its rows at any times.
+
+    b_q(t, r_j) = sum_k weights_k e^{-eta_k t} psi_hat_k(r_j), so the rows
+    at a set of times are one GEMM.  A rule is (nodes, nr) numbers where a
+    table is (nt, nr); verify_bq_identities builds a partner's rows from
+    its rule one block at a time.
+    """
+
+    q: float
+    n: int
+    mu: float
+    beta: float
+    eta_nodes: np.ndarray
+    weights: np.ndarray
+    psi_cache: np.ndarray  # (n_nodes, nr) normalized psi_hat rows
+    r_grid: np.ndarray
+
+    def at(self, t) -> np.ndarray:
+        """b_q at the times t (1-d) and every radius: one (len(t), nr) GEMM."""
+        E = self.weights * np.exp(-np.multiply.outer(t, self.eta_nodes))
+        return E @ self.psi_cache
+
+    def rows(self, t_grid, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of the b_q table on t_grid, by one GEMM."""
+        return self.at(t_grid[lo:hi])
+
+    def same_grid(self, table: "BqTable") -> bool:
+        """A rule has rows at every t: it needs table's radii and model."""
+        return (np.array_equal(self.r_grid, table.r_grid)
+                and (self.n, self.mu, self.beta)
+                == (table.n, table.mu, table.beta))
+
+
 @dataclass(frozen=True)
 class BqTable:
     """b_q sampled on a (t, r) rectangle, with its quadrature ingredients."""
@@ -50,10 +94,12 @@ class BqTable:
     values: np.ndarray  # (nt, nr)
 
     def validate(self) -> None:
-        if not np.all(self.values > 0.0):
-            raise ArithmeticError("b_q lost positivity")
-        if not np.all(self.values[1:] < self.values[:-1]):
-            raise ArithmeticError("b_q not strictly decreasing in t")
+        _check_rows(self.values)
+
+    def rows(self, t_grid, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of values; t_grid is the table's own (same_grid
+        checks that), so a table only slices."""
+        return self.values[lo:hi]
 
     def same_grid(self, other: "BqTable") -> bool:
         return (np.array_equal(self.t_grid, other.t_grid)
@@ -89,35 +135,46 @@ class AsymptoticReport:
         return self.ratio_max / self.ratio_min
 
 
-def build_bq(q: float, params: ModelParams, t_grid, r_grid,
-             nodes: int = DEFAULT_NODES) -> BqTable:
-    """Assemble a BqTable by eta-quadrature over normalized eigenfunctions.
+def bq_rule(q: float, params: ModelParams, r_grid,
+            nodes: int = DEFAULT_NODES) -> BqRule:
+    """The eta rule of b_q and its eigenfunctions shot onto r_grid.
 
     r_grid must be uniform starting at 0 (it doubles as the ODE output grid).
     """
     if q <= 0.0:
         raise ValueError("q must be positive")
-    t_grid = np.asarray(t_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     if (r_grid.size < 2 or r_grid[0] != 0.0
             or not np.allclose(np.diff(r_grid), r_grid[1], rtol=1e-12)):
         raise ValueError("r_grid must be uniform, start at 0 and have >= 2 nodes")
     eta, w = eta_rule(q, nodes)
     psi_cache, _, _ = psi_hat_batch(eta, params.mu, params.beta, params.n, r_grid)
-    # b(t_i, r_j) = sum_k w_k e^{-eta_k t_i} psi_hat_k(r_j): one GEMM
-    E = w * np.exp(-np.multiply.outer(t_grid, eta))
-    values = E @ psi_cache
-    table = BqTable(q=q, n=params.n, mu=params.mu, beta=params.beta,
-                    eta_nodes=eta, psi_cache=psi_cache,
-                    t_grid=t_grid, r_grid=r_grid, values=values)
+    return BqRule(q=q, n=params.n, mu=params.mu, beta=params.beta,
+                  eta_nodes=eta, weights=w, psi_cache=psi_cache, r_grid=r_grid)
+
+
+def build_bq(q: float, params: ModelParams, t_grid, r_grid,
+             nodes: int = DEFAULT_NODES) -> BqTable:
+    """The validated BqTable of b_q on t_grid x r_grid: bq_rule, then its
+    rows at every t in one GEMM.
+
+    r_grid must be uniform starting at 0 (it doubles as the ODE output grid).
+    Raises ArithmeticError when the table is not positive and strictly
+    decreasing in t.
+    """
+    rule = bq_rule(q, params, r_grid, nodes)
+    t_grid = np.asarray(t_grid, dtype=float)
+    table = BqTable(q=q, n=rule.n, mu=rule.mu, beta=rule.beta,
+                    eta_nodes=rule.eta_nodes, psi_cache=rule.psi_cache,
+                    t_grid=t_grid, r_grid=rule.r_grid, values=rule.at(t_grid))
     table.validate()
     return table
 
 
-def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable) -> IdentityReport:
+def verify_bq_identities(tq: BqTable, tq1: BqTable | BqRule,
+                         tq2: BqTable | BqRule) -> IdentityReport:
     """Centered-difference residuals of the b_q identities.
 
-    The three tables must share one grid and satisfy q1 = q+1, q2 = q+2.
     Residuals are relative to the positive local scale V b_{q+1} + b_{q+2}
     (resp. b_{q+1}, b_{q+2} for the single-term identities), maximized over
     the interior cone r <= t with r >= dr.  Evaluation goes over blocks of 64
@@ -126,13 +183,23 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable) -> IdentityRep
     two columns reach no cone point short of the whole grid, and every
     residual is that of a whole-rectangle evaluation, bit for bit.
 
+    The partners tq1 and tq2 hold b_{q+1} and b_{q+2}: each is a BqTable on
+    tq's grid or a BqRule (bq_rule) on tq's radii and model.  Each block
+    reads them through rows(), the block's rows plus one on either side, so
+    a rule never builds its whole table (its block GEMM may round an entry
+    1 ulp away from build_bq's whole-table GEMM).  Those rows pass the
+    positivity and strict-decrease check of BqTable.validate; consecutive
+    blocks share two rows, so every row and every pair of t-neighbours of a
+    partner, the first and last included, is checked as build_bq checks a
+    whole table (ArithmeticError otherwise).
+
     The radial first derivative feeding the (n-1)/r term uses five-point
     (fourth-order) differences: V'(0) != 0 puts a genuine r^3 component into
     b_q, so a second-order derivative error -- constant in r -- would be
     amplified to O(dr^2 / r) by the axis factor and spoil the pointwise
     order near r = 0.
     """
-    if not (tq.same_grid(tq1) and tq.same_grid(tq2)):
+    if not (tq1.same_grid(tq) and tq2.same_grid(tq)):
         raise ValueError("tables must share one (t, r) grid and parameters")
     if not (math.isclose(tq1.q, tq.q + 1.0) and math.isclose(tq2.q, tq.q + 2.0)):
         raise ValueError("need tables for q, q+1, q+2")
@@ -152,8 +219,12 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable, tq2: BqTable) -> IdentityRep
         b = tq.values[sl, :w]
         b_up = tq.values[lo + 1:hi + 1, :w]
         b_dn = tq.values[lo - 1:hi - 1, :w]
-        b1 = tq1.values[sl, :w]
-        b2 = tq2.values[sl, :w]
+        p1 = tq1.rows(t, lo - 1, hi + 1)
+        p2 = tq2.rows(t, lo - 1, hi + 1)
+        _check_rows(p1)
+        _check_rows(p2)
+        b1 = p1[1:-1, :w]
+        b2 = p2[1:-1, :w]
         Vw = V[:w]
         bt = (b_up - b_dn) / (2.0 * dt)
         btt = (b_up - 2.0 * b + b_dn) / (dt * dt)

@@ -57,6 +57,11 @@ MUTANTS = {
         '"right")) + 2))',
         '"right")) + 1))',
         "tests/test_testfunc.py"),
+    "partner_rows_unchecked": (
+        "testfunc.py",
+        "        _check_rows(p1)\n        _check_rows(p2)\n",
+        "",
+        "tests/test_testfunc.py"),
 }
 
 

@@ -6,10 +6,13 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from strauss_lab import cli
 from strauss_lab.cli import _read_solution_csv, build_parser, main, resolve_config
@@ -336,7 +339,7 @@ def test_unwritable_output_leaves_no_file(argv, tmp_path, capsys, monkeypatch):
     # every output path is checked before the command computes, prints or writes
     def compute(*args, **kwargs):
         raise AssertionError("computed before the output paths were checked")
-    for name in ("run", "run_sweep", "build_bq", "psi_hat_batch",
+    for name in ("run", "run_sweep", "build_bq", "bq_rule", "psi_hat_batch",
                  "_read_solution_csv", "ode_lemma_fit", "critical_exponents"):
         monkeypatch.setattr(cli, name, compute)
     table = tmp_path / "table.csv"
@@ -607,6 +610,59 @@ def test_solution_csv_time_order(tmp_path):
     for a, b in zip(ref, got):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(got[2][:, 1], [1.0, 1.5, 2.0])  # u = t + 10 r
+
+
+def test_solution_csv_keeps_no_parse_buffer(tmp_path):
+    # the reader keeps exactly the four arrays it returns: none is a view
+    # that pins the whole parsed (rows, 4) array
+    path = tmp_path / "sol.csv"
+    _snapshot_csv(path, np.linspace(0.0, 1.0, 40), [np.linspace(0.0, 2.0, 300)] * 40)
+    _read_solution_csv(str(path))  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        got = _read_solution_csv(str(path))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept == pytest.approx(sum(a.nbytes for a in got), rel=0.05)
+
+
+# signed zeros, subnormals and the ends of the float range beside any finite
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+_cells = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                   st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+                   st.floats(1e307, 1.7976931348623157e308),
+                   st.floats(-1.7976931348623157e308, -1e307),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _snapshots(draw):
+    """(t, r, u, ut, order): distinct times, one r column, the rows of u and
+    ut per time, and the order in which the snapshots are written."""
+    t = draw(st.lists(_cells, min_size=1, max_size=6, unique=True))
+    nr = draw(st.integers(1, 6))
+
+    def grid(rows):
+        return np.array(draw(st.lists(st.lists(_cells, min_size=nr, max_size=nr),
+                                      min_size=rows, max_size=rows)))
+    return (np.array(t), grid(1)[0], grid(len(t)), grid(len(t)),
+            draw(st.permutations(range(len(t)))))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(snap=_snapshots())
+def test_solution_csv_round_trip(tmp_path, snap):
+    # snapshots written in any time order read back bit for bit, in time order
+    t, r, u, ut, order = snap
+    path = str(tmp_path / "sol.csv")
+    write_csv(path, ("t", "r", "u", "ut"), ((t[i], r, u[i], ut[i]) for i in order))
+    by_t = np.argsort(t)
+    for got, want in zip(_read_solution_csv(path), (t[by_t], r, u[by_t], ut[by_t])):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_verify_mismatched_r_blocks(tmp_path, capsys):

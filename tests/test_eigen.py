@@ -170,15 +170,24 @@ def _mp_gauss_jacobi(m, a, b, x0):
 
 
 # the rules the runtime builds: eta rules of the criterion-3 q values, varphi
-# for n = 2, 3, 4, the Euler rules of the 2F1 tests, and the smallest cases
+# for n = 2, 3, 4, the Euler rules of the 2F1 tests, and the smallest cases;
+# a literal list, so the test ids do not follow the node-count rule
+EULER_Z = (0.5, 0.98)
+EULER_NODE_COUNTS = (40, 80)  # _euler_node_count at EULER_Z, pinned below
 GAUSS_JACOBI_CASES = list(dict.fromkeys(
     [(64, 0.0, q - 1.0) for q in (0.5, 1.5, 2.5, 2.0 - math.sqrt(2.0))]
     + [(54, 0.0, 0.0), (183, 0.0, 0.0)]
     + [(m, a, a) for m in (40, 64) for a in (-0.5, 0.5)]
-    + [(int(m), c - b - 1.0, b - 1.0)
+    + [(m, c - b - 1.0, b - 1.0)
        for a, b, c in [(0.5, 1.0, 2.0), (2.5, 1.0, 2.0), (0.7, 1.3, 2.1), (1.2, 0.4, 2.5)]
-       for m in testfunc._euler_node_count(np.array([0.5, 0.98]))]
+       for m in EULER_NODE_COUNTS]
     + [(1, 0.0, 0.0), (1, 0.3, -0.7), (2, 0.0, 0.0), (2, -0.4, -0.6), (7, 0.25, -0.75)]))
+
+
+def test_euler_rules_are_the_checked_cases():
+    # the Euler rules the 2F1 tests build are the ones checked against mpmath
+    counts = testfunc._euler_node_count(np.array(EULER_Z))
+    assert tuple(int(m) for m in counts) == EULER_NODE_COUNTS
 
 
 @pytest.mark.parametrize("m, a, b", GAUSS_JACOBI_CASES)

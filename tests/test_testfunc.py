@@ -2,18 +2,20 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import astuple, dataclass, fields, replace
 from scipy.special import exp1, gammainc, hyp2f1
 
 from strauss_lab import testfunc
 from strauss_lab.model import ModelParams, potential
-from strauss_lab.testfunc import (BqTable, IdentityReport, build_bq, eta_rule,
-                                  hyper2f1, hyper2f1_compensation,
-                                  verify_bq_asymptotics, verify_bq_identities)
+from strauss_lab.testfunc import (BqRule, BqTable, IdentityReport, bq_rule,
+                                  build_bq, eta_rule, hyper2f1,
+                                  hyper2f1_compensation, verify_bq_asymptotics,
+                                  verify_bq_identities)
 
 
 def _params(mu=1.0, beta=2.5, n=3):
@@ -193,6 +195,11 @@ def test_bq_identities_require_matching_tables():
     with pytest.raises(ValueError):
         verify_bq_identities(tq, build_bq(1.7, params, t, r),
                              build_bq(2.5, params, t, r))
+    # a rule has rows at every t, but needs tq's radii and model
+    with pytest.raises(ValueError):
+        verify_bq_identities(tq, tq1, bq_rule(2.5, params, r[:-1]))
+    with pytest.raises(ValueError):
+        verify_bq_identities(tq, tq1, bq_rule(2.5, _params(mu=0.5), r))
 
 
 def test_bq_identities_need_interior_points():
@@ -210,6 +217,80 @@ def test_bq_identities_need_interior_points():
         verify_bq_identities(*tables(np.array([1.0, 1.1, 1.2]), r5[:4]))
     rep = verify_bq_identities(*tables(np.array([1.0, 1.1, 1.2]), r5))
     assert np.isfinite(rep.worst)
+
+
+def test_identities_from_rules_match_tables():
+    # build_bq is bq_rule plus one GEMM, so a rule's rows are the table's;
+    # read block by block from rules, the partners give the tables' report
+    params = _params()
+    t = 1.0 + 0.02 * np.arange(301)  # four full 64-row blocks and a partial one
+    r = 0.02 * np.arange(351)
+    tables = [build_bq(q, params, t, r, nodes=32) for q in (0.5, 1.5, 2.5)]
+    rules = [bq_rule(q, params, r, nodes=32) for q in (1.5, 2.5)]
+    for rule, table in zip(rules, tables[1:]):
+        assert rule.same_grid(table)
+        np.testing.assert_array_equal(rule.at(t), table.values)
+        np.testing.assert_array_equal(rule.psi_cache, table.psi_cache)
+    got = astuple(verify_bq_identities(tables[0], *rules))
+    want = astuple(verify_bq_identities(*tables))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_identities_build_no_whole_partner_table():
+    # the partner rules give their rows one 64-row block at a time, so the
+    # identity walk never holds anything near one (nt, nr) table
+    params = _params()
+    t = 1.0 + 0.001 * np.arange(8192)  # 128 blocks
+    r = 0.05 * np.arange(101)
+    tq = build_bq(0.5, params, t, r, nodes=16)
+    rules = [bq_rule(q, params, r, nodes=16) for q in (1.5, 2.5)]
+    tracemalloc.start()
+    try:
+        rep = verify_bq_identities(tq, *rules)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(rep.worst)
+    assert peak < tq.values.nbytes / 4
+
+
+@dataclass(frozen=True)
+class _PlantedRule(BqRule):
+    """A rule whose table on t has row `row` replaced by `scale` times row
+    `src`."""
+
+    row: int = 0
+    src: int = 0
+    scale: float = 1.0
+
+    def rows(self, t_grid, lo, hi):
+        out = super().rows(t_grid, lo, hi)
+        if lo <= self.row < hi:
+            out[self.row - lo] = self.scale * self.at(t_grid[self.src:self.src + 1])[0]
+        return out
+
+
+@pytest.mark.parametrize("partner, row, src, scale, why", [
+    (1, 65, 64, 1.001, "decreasing"),  # rises from row 64, the first block's last, to 65
+    (2, 0, 0, -1.0, "positivity"),  # the first row, below every block
+    (1, 129, 129, 0.0, "positivity"),  # the last row, above every block
+])
+def test_identities_check_every_partner_row(partner, row, src, scale, why):
+    # a partner rule's rows are checked like a whole table: every row
+    # positive, every pair of t-neighbours strictly decreasing, including
+    # rows 0 and nt-1, which no residual reads, and pairs across blocks
+    params = _params()
+    t = 1.0 + 0.02 * np.arange(130)  # two 64-row blocks: rows 1-64, 65-128
+    r = 0.05 * np.arange(41)
+    tq = build_bq(0.5, params, t, r, nodes=16)
+    rules = [bq_rule(q, params, r, nodes=16) for q in (1.5, 2.5)]
+    assert np.isfinite(verify_bq_identities(tq, *rules).worst)
+    rule = rules[partner - 1]
+    rules[partner - 1] = _PlantedRule(
+        **{f.name: getattr(rule, f.name) for f in fields(rule)},
+        row=row, src=src, scale=scale)
+    with pytest.raises(ArithmeticError, match=why):
+        verify_bq_identities(tq, *rules)
 
 
 # --- asymptotics ------------------------------------------------------------------
