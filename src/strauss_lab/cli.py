@@ -12,7 +12,6 @@ anything; nothing is written implicitly.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import math
 import os
@@ -27,8 +26,8 @@ from .functionals import (CHECK_NAMES, CheckNotApplicable, SolutionSamples,
                           inequality_check, ode_lemma_fit)
 from .model import CONFIG_TYPES, ConfigError, RunConfig, load_config
 from .solver import run
-from .sweep import (FIT_MIN_POINTS, SWEEP_HEADER, csv_text, emit_plot, fit_sweep,
-                    fit_table, run_sweep, sweep_rows, write_csv)
+from .sweep import (FIT_MIN_POINTS, SWEEP_HEADER, csv_text, emit_plot, fit_table,
+                    read_sweep_csv, run_sweep, sweep_rows, write_csv)
 from .testfunc import bq_rule, build_bq, verify_bq_identities
 
 # verify-subcommand tokens (external interface) -> internal check names:
@@ -154,12 +153,13 @@ def cmd_sweep(args) -> int:
     fit_table(cfg, (), args.tolerance)  # a bad --tolerance stops before any solve
     eps = np.geomspace(args.eps_min, args.eps_max, args.eps_count)
     results = run_sweep(cfg, eps, args.jobs)  # --jobs 0 or n >= 6 stops here
-    write_csv(args.out, SWEEP_HEADER, sweep_rows(results))
+    rows = sweep_rows(results)
+    write_csv(args.out, SWEEP_HEADER, rows)
     for res in results:
         print(f"eps={res.eps:.6g} T={res.T_extrapolated:.6g} "
               f"censored={res.censored} unreliable={res.unreliable}")
     title = f"lifespan scaling n={cfg.n} p={cfg.p:.6g} mu={cfg.mu:.6g}"
-    return _report_fit(fit_sweep(cfg, results, args.tolerance)[0], args.plot, title)
+    return _report_fit(fit_table(cfg, rows, args.tolerance), args.plot, title)
 
 
 def _report_fit(fit, plot, title, out=None) -> int:
@@ -178,33 +178,10 @@ def _report_fit(fit, plot, title, out=None) -> int:
     return 0 if fit.verdict == "consistent" else 1
 
 
-def _read_sweep_csv(path: str):
-    """(eps, T, censored, unreliable) rows of a sweep CSV."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ConfigError(f"{path}: empty file")
-        for need in ("eps", "T"):
-            if need not in reader.fieldnames:
-                raise ConfigError(f"{path}: missing column {need!r}")
-        rows = []
-        for k, row in enumerate(reader, start=1):
-            if None in row or None in row.values():
-                raise ConfigError(f"{path}: row {k} has a cell count unlike "
-                                  f"the header's {len(reader.fieldnames)}")
-            try:
-                rows.append((float(row["eps"]), float(row["T"]),
-                             row.get("censored") == "true",
-                             row.get("unreliable") == "true"))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: row {k}: {exc}") from exc
-    return rows
-
-
 def cmd_fit(args) -> int:
     cfg = resolve_config(args)
-    rows = _read_sweep_csv(args.infile)
-    fit, _ = fit_table(cfg, rows, args.tolerance, args.theory_exponent)
+    fit = fit_table(cfg, read_sweep_csv(args.infile), args.tolerance,
+                    args.theory_exponent)
     return _report_fit(fit, args.plot, "lifespan scaling fit", args.out)
 
 

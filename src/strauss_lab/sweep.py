@@ -7,12 +7,14 @@ time is a pure function of (config, eps, level), bit for bit what a one-row
 run gives, and the pure lifespan_from_levels turns one eps's times into its T
 and flags, so the table is identical for any worker count.
 
-fit_table judges every lifespan table (sweep and fit alike): fit_powerlaw
-regresses log T on log(1/eps) and compares the slope with the exponent of the
-proved polynomial bound.  Other bounds refuse the fit (verdict
-"not_applicable"): a critical bound is exponential, not measurable at desk
-scale, so a straight-line fit would only manufacture a meaningless number and
-the refusal points to the odelemma and verify subcommands instead;
+sweep_rows builds the lifespan table, one SWEEP_HEADER row per eps, and
+read_sweep_csv reads its CSV back bit for bit.  fit_table alone picks the
+clean rows of a table (sweep and fit alike); fit_powerlaw regresses log T on
+log(1/eps) and compares the slope with the exponent of the proved
+polynomial bound.  Other bounds refuse the fit (verdict "not_applicable"): a
+critical bound is exponential, not measurable at desk scale, so a
+straight-line fit would only manufacture a meaningless number and the
+refusal points to the odelemma and verify subcommands instead;
 supercritical and linear cases have no finite-time blow-up bound to fit.
 
 CSV rules used everywhere: header row mandatory, floats at full round-trip
@@ -25,6 +27,7 @@ gives identical bytes.
 """
 from __future__ import annotations
 
+import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -32,8 +35,8 @@ from itertools import chain
 
 import numpy as np
 
-from .exponents import TheoryBound, theory_lifespan
-from .model import RadialGrid, RunConfig, build_grid
+from .exponents import theory_lifespan
+from .model import ConfigError, RadialGrid, RunConfig, build_grid
 from .solver import run_block
 
 FIT_MIN_POINTS = 4
@@ -159,10 +162,36 @@ def run_sweep(cfg: RunConfig, eps_values, jobs: int = 1) -> list[LifespanResult]
 
 
 def sweep_rows(results: list[LifespanResult]) -> list[tuple]:
-    rows = []
-    for res in results:
-        T = math.nan if res.censored else res.T_extrapolated
-        rows.append((res.eps, T, res.uncertainty, res.censored, res.unreliable))
+    """The lifespan table: one SWEEP_HEADER row per result, T NaN if censored."""
+    return [(res.eps, math.nan if res.censored else res.T_extrapolated,
+             res.uncertainty, res.censored, res.unreliable) for res in results]
+
+
+def read_sweep_csv(path: str) -> list[tuple]:
+    """The SWEEP_HEADER rows of a lifespan table CSV, in file order.
+
+    eps and T are required; a missing uncertainty reads as NaN and a missing
+    flag as false.  A malformed file raises ConfigError naming it.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ConfigError(f"{path}: empty file")
+        for need in ("eps", "T"):
+            if need not in reader.fieldnames:
+                raise ConfigError(f"{path}: missing column {need!r}")
+        rows = []
+        for k, row in enumerate(reader, start=1):
+            if None in row or None in row.values():
+                raise ConfigError(f"{path}: row {k} has a cell count unlike "
+                                  f"the header's {len(reader.fieldnames)}")
+            try:
+                rows.append((float(row["eps"]), float(row["T"]),
+                             float(row.get("uncertainty", "NaN")),
+                             row.get("censored") == "true",
+                             row.get("unreliable") == "true"))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: row {k}: {exc}") from exc
     return rows
 
 
@@ -188,20 +217,10 @@ class ScalingFit:
 
 def fit_powerlaw(points, theory_exponent: float,
                  tolerance: float = 0.3) -> ScalingFit:
-    """Fit T = C eps^-slope from (eps, T) pairs and judge against theory.
-
-    points: (eps, T) pairs, eps > 0, T > 0 and finite.  Fewer than
-    FIT_MIN_POINTS usable pairs is an error; censored rows must be dropped by
-    the caller (fit_table drops every flagged row).
-    """
-    clean = [(float(e), float(T)) for e, T in points
-             if e > 0.0 and T > 0.0 and math.isfinite(T)]
-    if len(clean) < FIT_MIN_POINTS:
-        raise ValueError(
-            f"power-law fit needs >= {FIT_MIN_POINTS} uncensored points, "
-            f"got {len(clean)}")
-    x = np.log(1.0 / np.array([e for e, _ in clean]))
-    y = np.log(np.array([T for _, T in clean]))
+    """Fit T = C eps^-slope through clean (eps, T) pairs and judge against
+    theory: the regression and verdict of fit_table, which cleans the rows."""
+    x = np.log(1.0 / np.array([e for e, _ in points]))
+    y = np.log(np.array([T for _, T in points]))
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (intercept + slope * x)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -214,8 +233,9 @@ def fit_powerlaw(points, theory_exponent: float,
 
 
 def fit_table(cfg: RunConfig, rows, tolerance: float = 0.3,
-              theory: float | None = None) -> tuple[ScalingFit, TheoryBound]:
-    """Fit (eps, T, censored, unreliable) rows against the proved bound.
+              theory: float | None = None) -> ScalingFit:
+    """Fit SWEEP_HEADER rows (sweep_rows, read_sweep_csv) against the proved
+    bound.
 
     theory, which must be finite, overrides the bound's exponent and lifts a
     non-polynomial refusal; fewer than FIT_MIN_POINTS clean rows (unflagged,
@@ -226,7 +246,7 @@ def fit_table(cfg: RunConfig, rows, tolerance: float = 0.3,
         raise ValueError(f"theory exponent must be finite, got {theory}")
     bound = theory_lifespan(cfg.n, cfg.p, cfg.nonlinearity)
     exponent = bound.exponent if theory is None else theory
-    clean = [(eps, T) for eps, T, censored, unreliable in rows
+    clean = [(eps, T) for eps, T, _, censored, unreliable in rows
              if not (censored or unreliable)
              and 0.0 < eps < math.inf and math.isfinite(1.0 / eps)
              and 0.0 < T < math.inf]
@@ -239,17 +259,10 @@ def fit_table(cfg: RunConfig, rows, tolerance: float = 0.3,
     elif len(clean) < FIT_MIN_POINTS:
         refusal = f"fewer than {FIT_MIN_POINTS} clean points: fit not applicable"
     else:
-        return fit_powerlaw(clean, exponent, tolerance), bound
+        return fit_powerlaw(clean, exponent, tolerance)
     return ScalingFit(points=(), slope=math.nan, intercept=math.nan,
                       r_squared=math.nan, theory_exponent=exponent,
-                      verdict="not_applicable", refusal=refusal), bound
-
-
-def fit_sweep(cfg: RunConfig, results: list[LifespanResult],
-              tolerance: float = 0.3) -> tuple[ScalingFit, TheoryBound]:
-    """fit_table on a finished sweep of cfg."""
-    return fit_table(cfg, [(r.eps, r.T_extrapolated, r.censored, r.unreliable)
-                           for r in results], tolerance)
+                      verdict="not_applicable", refusal=refusal)
 
 
 # --- SVG plots ------------------------------------------------------------------

@@ -50,8 +50,9 @@ class BqRule:
 
     b_q(t, r_j) = sum_k weights_k e^{-eta_k t} psi_hat_k(r_j), so the rows
     at a set of times are one GEMM.  A rule is (nodes, nr) numbers where a
-    table is (nt, nr); verify_bq_identities builds a partner's rows from
-    its rule one block at a time.
+    table (BqTable, a rule with its rows on a t-grid) is (nt, nr);
+    verify_bq_identities builds a partner's rows from its rule one block at
+    a time.
     """
 
     q: float
@@ -80,17 +81,10 @@ class BqRule:
 
 
 @dataclass(frozen=True)
-class BqTable:
-    """b_q sampled on a (t, r) rectangle, with its quadrature ingredients."""
+class BqTable(BqRule):
+    """b_q sampled on a (t, r) rectangle: its rule's rows at every t_grid."""
 
-    q: float
-    n: int
-    mu: float
-    beta: float
-    eta_nodes: np.ndarray
-    psi_cache: np.ndarray  # (n_nodes, nr) normalized psi_hat rows
     t_grid: np.ndarray
-    r_grid: np.ndarray
     values: np.ndarray  # (nt, nr)
 
     def validate(self) -> None:
@@ -103,9 +97,7 @@ class BqTable:
 
     def same_grid(self, other: "BqTable") -> bool:
         return (np.array_equal(self.t_grid, other.t_grid)
-                and np.array_equal(self.r_grid, other.r_grid)
-                and (self.n, self.mu, self.beta)
-                == (other.n, other.mu, other.beta))
+                and super().same_grid(other))
 
 
 @dataclass(frozen=True)
@@ -141,8 +133,6 @@ def bq_rule(q: float, params: ModelParams, r_grid,
 
     r_grid must be uniform starting at 0 (it doubles as the ODE output grid).
     """
-    if q <= 0.0:
-        raise ValueError("q must be positive")
     r_grid = np.asarray(r_grid, dtype=float)
     if (r_grid.size < 2 or r_grid[0] != 0.0
             or not np.allclose(np.diff(r_grid), r_grid[1], rtol=1e-12)):
@@ -164,15 +154,12 @@ def build_bq(q: float, params: ModelParams, t_grid, r_grid,
     """
     rule = bq_rule(q, params, r_grid, nodes)
     t_grid = np.asarray(t_grid, dtype=float)
-    table = BqTable(q=q, n=rule.n, mu=rule.mu, beta=rule.beta,
-                    eta_nodes=rule.eta_nodes, psi_cache=rule.psi_cache,
-                    t_grid=t_grid, r_grid=rule.r_grid, values=rule.at(t_grid))
+    table = BqTable(**vars(rule), t_grid=t_grid, values=rule.at(t_grid))
     table.validate()
     return table
 
 
-def verify_bq_identities(tq: BqTable, tq1: BqTable | BqRule,
-                         tq2: BqTable | BqRule) -> IdentityReport:
+def verify_bq_identities(tq: BqTable, tq1: BqRule, tq2: BqRule) -> IdentityReport:
     """Centered-difference residuals of the b_q identities.
 
     Residuals are relative to the positive local scale V b_{q+1} + b_{q+2}
@@ -183,11 +170,12 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable | BqRule,
     two columns reach no cone point short of the whole grid, and every
     residual is that of a whole-rectangle evaluation, bit for bit.
 
-    The partners tq1 and tq2 hold b_{q+1} and b_{q+2}: each is a BqTable on
-    tq's grid or a BqRule (bq_rule) on tq's radii and model.  Each block
-    reads them through rows(), the block's rows plus one on either side, so
-    a rule never builds its whole table (its block GEMM may round an entry
-    1 ulp away from build_bq's whole-table GEMM).  Those rows pass the
+    The partners tq1 and tq2 hold b_{q+1} and b_{q+2}: each is a BqRule
+    (bq_rule) on tq's radii and model, or a BqTable on tq's grid.  Each
+    block reads them through rows(), the block's rows plus one on either
+    side, so a rule never builds its whole table (its block GEMM may round
+    an entry 1 ulp away from build_bq's whole-table GEMM), and the block's
+    arrays are freed before the next block.  Those rows pass the
     positivity and strict-decrease check of BqTable.validate; consecutive
     blocks share two rows, so every row and every pair of t-neighbours of a
     partner, the first and last included, is checked as build_bq checks a
@@ -207,52 +195,57 @@ def verify_bq_identities(tq: BqTable, tq1: BqTable | BqRule,
     if t.size < 3 or r.size < 5:
         raise ValueError(f"the grid has {t.size} times and {r.size} radii; "
                          "the identities need >= 3 and >= 5")
-    dt = float(t[1] - t[0])
-    dr = float(r[1] - r[0])
     V = potential(r, tq.mu, tq.beta)
-    nt, nr = tq.values.shape
     res = np.zeros(4)
-    for lo in range(1, nt - 1, 64):
-        hi = min(lo + 64, nt - 1)
-        w = min(nr, max(5, int(np.searchsorted(r, t[hi - 1], "right")) + 2))
-        sl = slice(lo, hi)
-        b = tq.values[sl, :w]
-        b_up = tq.values[lo + 1:hi + 1, :w]
-        b_dn = tq.values[lo - 1:hi - 1, :w]
-        p1 = tq1.rows(t, lo - 1, hi + 1)
-        p2 = tq2.rows(t, lo - 1, hi + 1)
-        _check_rows(p1)
-        _check_rows(p2)
-        b1 = p1[1:-1, :w]
-        b2 = p2[1:-1, :w]
-        Vw = V[:w]
-        bt = (b_up - b_dn) / (2.0 * dt)
-        btt = (b_up - 2.0 * b + b_dn) / (dt * dt)
-        br = np.empty_like(b)
-        br[:, 2:-2] = (b[:, :-4] - 8.0 * b[:, 1:-3]
-                       + 8.0 * b[:, 3:-1] - b[:, 4:]) / (12.0 * dr)
-        br[:, 1] = (-3.0 * b[:, 0] - 10.0 * b[:, 1] + 18.0 * b[:, 2]
-                    - 6.0 * b[:, 3] + b[:, 4]) / (12.0 * dr)
-        br[:, -2] = (b[:, -1] - b[:, -3]) / (2.0 * dr)
-        lap = np.empty_like(b)
-        lap[:, 1:-1] = ((b[:, 2:] - 2.0 * b[:, 1:-1] + b[:, :-2]) / (dr * dr)
-                        + (tq.n - 1) / r[1:w - 1] * br[:, 1:-1])
-        lap[:, 0] = lap[:, -1] = np.nan
-        scale1 = b1
-        scale2 = b2
-        scale_w = Vw * b1 + b2
-        cone = r[None, 1:w - 1] <= t[sl, None]
-        inner = slice(1, -1)
-
-        def cone_max(err):
-            return float(np.max(np.where(cone, err[:, inner], 0.0)))
-
-        res[0] = max(res[0], cone_max(np.abs(bt + b1) / scale1))
-        res[1] = max(res[1], cone_max(np.abs(btt - b2) / scale2))
-        res[2] = max(res[2], cone_max(np.abs(lap - Vw * b1 - b2) / scale_w))
-        res[3] = max(res[3], cone_max(np.abs(btt - lap - Vw * bt) / scale_w))
+    for lo in range(1, t.size - 1, 64):
+        res = np.fmax(res, _block_residuals(tq, tq1, tq2, V, lo,
+                                            min(lo + 64, t.size - 1)))
     return IdentityReport(res_dt=res[0], res_dtt=res[1], res_lap=res[2],
                           res_wave=res[3])
+
+
+def _block_residuals(tq: BqTable, tq1: BqRule, tq2: BqRule, V, lo: int,
+                     hi: int) -> tuple[float, float, float, float]:
+    """The four identity residuals of verify_bq_identities over t-rows
+    lo..hi-1; its block arrays are freed on return, before the next block."""
+    t, r = tq.t_grid, tq.r_grid
+    dt = float(t[1] - t[0])
+    dr = float(r[1] - r[0])
+    w = min(r.size, max(5, int(np.searchsorted(r, t[hi - 1], "right")) + 2))
+    sl = slice(lo, hi)
+    b = tq.values[sl, :w]
+    b_up = tq.values[lo + 1:hi + 1, :w]
+    b_dn = tq.values[lo - 1:hi - 1, :w]
+    p1 = tq1.rows(t, lo - 1, hi + 1)
+    p2 = tq2.rows(t, lo - 1, hi + 1)
+    _check_rows(p1)
+    _check_rows(p2)
+    b1 = p1[1:-1, :w]
+    b2 = p2[1:-1, :w]
+    Vw = V[:w]
+    bt = (b_up - b_dn) / (2.0 * dt)
+    btt = (b_up - 2.0 * b + b_dn) / (dt * dt)
+    br = np.empty_like(b)
+    br[:, 2:-2] = (b[:, :-4] - 8.0 * b[:, 1:-3]
+                   + 8.0 * b[:, 3:-1] - b[:, 4:]) / (12.0 * dr)
+    br[:, 1] = (-3.0 * b[:, 0] - 10.0 * b[:, 1] + 18.0 * b[:, 2]
+                - 6.0 * b[:, 3] + b[:, 4]) / (12.0 * dr)
+    br[:, -2] = (b[:, -1] - b[:, -3]) / (2.0 * dr)
+    lap = np.empty_like(b)
+    lap[:, 1:-1] = ((b[:, 2:] - 2.0 * b[:, 1:-1] + b[:, :-2]) / (dr * dr)
+                    + (tq.n - 1) / r[1:w - 1] * br[:, 1:-1])
+    lap[:, 0] = lap[:, -1] = np.nan
+    scale_w = Vw * b1 + b2
+    cone = r[None, 1:w - 1] <= t[sl, None]
+    inner = slice(1, -1)
+
+    def cone_max(err):
+        return float(np.max(np.where(cone, err[:, inner], 0.0)))
+
+    return (cone_max(np.abs(bt + b1) / b1),
+            cone_max(np.abs(btt - b2) / b2),
+            cone_max(np.abs(lap - Vw * b1 - b2) / scale_w),
+            cone_max(np.abs(btt - lap - Vw * bt) / scale_w))
 
 
 def _cone(table: BqTable, t_min: float):

@@ -59,9 +59,14 @@ MUTANTS = {
         "tests/test_testfunc.py"),
     "partner_rows_unchecked": (
         "testfunc.py",
-        "        _check_rows(p1)\n        _check_rows(p2)\n",
+        "    _check_rows(p1)\n    _check_rows(p2)\n",
         "",
         "tests/test_testfunc.py"),
+    "flagged_rows_fitted": (
+        "sweep.py",
+        "if not (censored or unreliable)",
+        "if True",
+        "tests/test_sweep.py"),
 }
 
 

@@ -20,7 +20,7 @@ from strauss_lab.functionals import (inequality_check, ode_lemma_fit,
                                      oracle_samples, weak_residual)
 from strauss_lab.model import ModelParams, RunConfig, build_grid
 from strauss_lab.solver import exact_undamped_radial3d, mms_order, run
-from strauss_lab.sweep import (SWEEP_HEADER, csv_text, fit_powerlaw, fit_sweep,
+from strauss_lab.sweep import (SWEEP_HEADER, csv_text, fit_powerlaw, fit_table,
                                run_sweep, sweep_rows, write_csv)
 from strauss_lab.testfunc import (build_bq, verify_bq_asymptotics,
                                   verify_bq_identities)
@@ -221,15 +221,15 @@ def test_criterion_5_subcritical_strauss_scaling(capsys):
     cfg0, res0 = _sweep(0.0, 3.0, 2.0, "power_u", 20.0, 45.0, 5e-3)
     _check(fails, all(not (r.censored or r.unreliable) for r in res0),
            "mu=0 sweep has censored/unreliable points")
-    fit0, bound0 = fit_sweep(cfg0, res0)
-    _check(fails, bound0.exponent == pytest.approx(2.0), "theory exponent")
+    fit0 = fit_table(cfg0, sweep_rows(res0))
+    _check(fails, fit0.theory_exponent == pytest.approx(2.0), "theory exponent")
     _check(fails, abs(fit0.slope - 2.0) <= 0.3,
            f"mu=0 slope {fit0.slope:.4f} not within 2 +/- 0.3")
     _check(fails, fit0.r_squared >= 0.95, f"mu=0 r2 {fit0.r_squared:.4f}")
     cfg1, res1 = _sweep(1.0, 3.0, 2.0, "power_u", 20.0, 45.0, 5e-3)
     _check(fails, all(not (r.censored or r.unreliable) for r in res1),
            "mu=1 sweep has censored/unreliable points")
-    fit1, _ = fit_sweep(cfg1, res1, tolerance=0.4)
+    fit1 = fit_table(cfg1, sweep_rows(res1), tolerance=0.4)
     _check(fails, abs(fit1.slope - 2.0) <= 0.4,
            f"mu=1 slope {fit1.slope:.4f} not within 2 +/- 0.4")
     # upper-bound shape consistency: damped T under a fixed multiple of the
@@ -253,8 +253,8 @@ def test_criterion_6_glassey_scaling(capsys):
     cfg, res = _sweep(1.0, 3.0, 1.5, "power_ut", 2.0, 50.0, 1e-2)
     _check(fails, all(not (r.censored or r.unreliable) for r in res),
            "sweep has censored/unreliable points")
-    fit, bound = fit_sweep(cfg, res, tolerance=0.25)
-    _check(fails, bound.exponent == pytest.approx(1.0), "theory exponent")
+    fit = fit_table(cfg, sweep_rows(res), tolerance=0.25)
+    _check(fails, fit.theory_exponent == pytest.approx(1.0), "theory exponent")
     _check(fails, abs(fit.slope - 1.0) <= 0.25,
            f"slope {fit.slope:.4f} not within 1 +/- 0.25")
     _check(fails, fit.r_squared >= 0.95, f"r2 {fit.r_squared:.4f}")

@@ -195,8 +195,10 @@ def test_every_config_key_has_a_flag(tmp_path):
     (["fit", "--in"], "eps,T\n0.5,abc\n"),
     (["fit", "--in"], "eps,uncertainty,T\n0.5,0.1\n"),
     (["fit", "--in"], ""),
+    (["fit", "--in"], "eps,T,uncertainty\n0.5,4,abc\n"),
     (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n0,0,x,1\n"),
-], ids=["fit-non-numeric", "fit-short-row", "fit-empty", "verify-non-numeric"])
+], ids=["fit-non-numeric", "fit-short-row", "fit-empty", "fit-bad-uncertainty",
+        "verify-non-numeric"])
 def test_malformed_csv_exits_2(argv, text, tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(text)

@@ -2,13 +2,18 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strauss_lab.model import (ConfigError, ModelParams, RunConfig, bump,
-                               build_grid, initial_data, load_config,
-                               parse_config_text, potential, sphere_area)
+from strauss_lab.model import (NONLINEARITIES, ConfigError, ModelParams,
+                               RunConfig, bump, build_grid, initial_data,
+                               load_config, parse_config_text, potential,
+                               sphere_area)
+from strauss_lab.sweep import format_value
 
 from helpers import bump_integral
 
@@ -97,6 +102,31 @@ def test_parse_config_text_roundtrip():
     assert cfg.t_max == 30.0 and cfg.refine_levels == 3
     # untouched keys keep defaults
     assert cfg.dr == RunConfig().dr
+
+
+def _finite(**kw):
+    return st.floats(allow_nan=False, allow_infinity=False, **kw)
+
+
+_positive = _finite(min_value=0.0, exclude_min=True)
+_configs = st.builds(
+    RunConfig, n=st.integers(2, 9), mu=_finite(min_value=0.0),
+    beta=_positive, p=_finite(min_value=1.0, exclude_min=True),
+    nonlinearity=st.sampled_from(NONLINEARITIES), eps=_positive,
+    data_k=st.integers(3, 12), f_amp=_finite(min_value=0.0),
+    g_amp=_finite(min_value=0.0), t_max=_finite(), dr=_finite(),
+    u_threshold=_positive, refine_levels=st.integers(1, 6))
+
+
+@settings(deadline=None)
+@given(cfg=_configs)
+def test_config_text_round_trip(cfg):
+    # a config written as key = format_value(value) lines reads back equal,
+    # each value of its field's type and every float bit for bit
+    text = "".join(f"{f.name} = {format_value(getattr(cfg, f.name))}\n"
+                   for f in fields(cfg))
+    back = parse_config_text(text)
+    assert back == cfg and repr(back) == repr(cfg)
 
 
 def test_parse_config_errors():

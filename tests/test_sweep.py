@@ -4,21 +4,19 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from strauss_lab import sweep
-from strauss_lab.cli import _read_sweep_csv
-from strauss_lab.exponents import critical_exponents
+from strauss_lab.exponents import critical_exponents, theory_lifespan
 from strauss_lab.model import RunConfig
 from strauss_lab.sweep import (FIT_MIN_POINTS, SWEEP_HEADER, LifespanResult,
                                ScalingFit, csv_text, emit_plot, fit_powerlaw,
-                               fit_sweep, fit_table, format_value, run_sweep,
-                               sweep_rows, write_csv)
+                               fit_table, format_value, read_sweep_csv,
+                               run_sweep, sweep_rows, write_csv)
 
 
 def _blowup_config(**kw):
@@ -27,6 +25,10 @@ def _blowup_config(**kw):
                 t_max=12.0, dr=0.02, refine_levels=2)
     base.update(kw)
     return RunConfig(**base)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
 
 
 # --- CSV cells ------------------------------------------------------------------
@@ -39,6 +41,23 @@ def test_format_value_cells():
     assert format_value(0.1) == "%.17g" % 0.1
     assert float(format_value(math.pi)) == math.pi  # round-trip
     assert format_value(3) == "3"
+
+
+@settings(deadline=None)
+@given(x=st.floats())
+@example(-0.0)
+@example(5e-324)  # the least subnormal
+@example(-2.225e-308)
+@example(math.inf)
+@example(-math.inf)
+def test_format_value_float_round_trip(x):
+    # every float cell reads back bit for bit; every NaN is written "NaN"
+    cell = format_value(x)
+    if math.isnan(x):
+        assert cell == "NaN"
+    else:
+        assert _bits(float(cell)) == _bits(x)
+    assert format_value(np.float64(x)) == cell
 
 
 def test_csv_text_shape():
@@ -142,23 +161,15 @@ def test_sweep_rows_censored_to_nan():
     assert eps == 0.1 and unc == 0.5
 
 
-def _bits(x: float) -> bytes:
-    return struct.pack("<d", x)
+def _same_cell(a, b) -> bool:
+    """Equal cells: bit-equal floats (NaN matching NaN), equal flags."""
+    if isinstance(a, float) and isinstance(b, float):
+        return math.isnan(a) and math.isnan(b) or _bits(a) == _bits(b)
+    return type(a) is type(b) and a == b
 
 
-def _fit_outcome(fit, *args) -> str:
-    """repr of a fit's result, or of the error it raised."""
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")
-        try:
-            return repr(fit(*args))
-        except ValueError as exc:  # np.linalg.LinAlgError included
-            return repr(exc)
-
-
-# eps and T are sweep-like about half the time and any float otherwise, and
-# each flag is set one time in four, so some lists hold the 4 clean rows a fit
-# needs
+# eps and T are sweep-like about half the time and any float otherwise (T
+# NaN in censored rows), and each flag is set one time in four
 _any_float = st.floats(allow_nan=False)
 _flag = st.sampled_from([False, False, False, True])
 _results = st.lists(st.builds(
@@ -174,19 +185,15 @@ _results = st.lists(st.builds(
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(results=_results)
 def test_sweep_csv_round_trip(results, tmp_path):
-    # the table a sweep writes reads back bit for bit, and fits as the sweep did
+    # the table a sweep writes reads back cell for cell, so fit --in sees
+    # the rows the sweep fitted
     path = tmp_path / "sweep.csv"
-    write_csv(str(path), SWEEP_HEADER, sweep_rows(results))
-    rows = _read_sweep_csv(str(path))
-    assert len(rows) == len(results)
-    for (eps, T, censored, unreliable), res in zip(rows, results):
-        assert _bits(eps) == _bits(res.eps)
-        assert (censored, unreliable) == (res.censored, res.unreliable)
-        assert math.isnan(T) == res.censored
-        if not res.censored:
-            assert _bits(T) == _bits(res.T_extrapolated)
-    cfg = _blowup_config(p=2.0)
-    assert _fit_outcome(fit_table, cfg, rows) == _fit_outcome(fit_sweep, cfg, results)
+    rows = sweep_rows(results)
+    write_csv(str(path), SWEEP_HEADER, rows)
+    back = read_sweep_csv(str(path))
+    assert len(back) == len(rows)
+    for got, want in zip(back, rows):
+        assert all(map(_same_cell, got, want)), (got, want)
 
 
 # --- fits ------------------------------------------------------------------------
@@ -216,20 +223,10 @@ def test_fit_powerlaw_noise_and_verdicts():
     assert tight.verdict == "inconsistent"
 
 
-def test_fit_powerlaw_needs_enough_points():
-    pts = [(0.5, 4.0), (1.0, 1.0), (0.25, 16.0)]
-    with pytest.raises(ValueError):
-        fit_powerlaw(pts, theory_exponent=2.0)
-    padded = pts + [(0.4, float("nan")), (0.3, -1.0)]  # unusable extras
-    with pytest.raises(ValueError):
-        fit_powerlaw(padded, theory_exponent=2.0)
-    assert len(pts) < FIT_MIN_POINTS + 1
-
-
 def test_fit_sweep_not_applicable_paths():
     critical = _blowup_config(p=2.0, nonlinearity="power_ut")
-    fit, bound = fit_sweep(critical, [])
-    assert bound.kind == "exponential"
+    fit = fit_table(critical, sweep_rows([]))
+    assert fit.theory_exponent == theory_lifespan(3, 2.0, "power_ut").exponent
     assert fit.verdict == "not_applicable"
     assert math.isnan(fit.slope) and fit.points == ()
 
@@ -237,29 +234,29 @@ def test_fit_sweep_not_applicable_paths():
                                T_extrapolated=1.0, uncertainty=0.0,
                                censored=True, unreliable=False)
                 for e in np.geomspace(0.2, 1.0, 4)]
-    fit2, bound2 = fit_sweep(_blowup_config(p=2.0), censored)
-    assert bound2.kind == "polynomial"
+    fit2 = fit_table(_blowup_config(p=2.0), sweep_rows(censored))
+    assert fit2.theory_exponent == 2.0
     assert fit2.verdict == "not_applicable"
     assert fit2.refusal.startswith(f"fewer than {FIT_MIN_POINTS} clean points")
 
 
 def test_fit_table_clean_rows_and_override():
     eps = np.geomspace(0.2, 1.0, FIT_MIN_POINTS)
-    rows = [(e, 3.0 * e**-2.0, False, False) for e in eps]
+    rows = [(e, 3.0 * e**-2.0, 0.0, False, False) for e in eps]
     # rows that are flagged, or lack a finite positive eps or T, are not clean
-    noise = [(0.1, 1e9, True, False), (0.15, 1e9, False, True),
-             (0.3, math.nan, False, False), (0.4, math.inf, False, False),
-             (0.5, -1.0, False, False), (0.0, 1.0, False, False),
-             (math.inf, 1.0, False, False), (math.nan, 1.0, False, False)]
-    fit, bound = fit_table(_blowup_config(p=2.0), rows + noise)
-    assert bound.kind == "polynomial" and fit.refusal == ""
+    noise = [(0.1, 1e9, 0.0, True, False), (0.15, 1e9, 0.0, False, True),
+             (0.3, math.nan, 0.0, False, False), (0.4, math.inf, 0.0, False, False),
+             (0.5, -1.0, 0.0, False, False), (0.0, 1.0, 0.0, False, False),
+             (math.inf, 1.0, 0.0, False, False), (math.nan, 1.0, 0.0, False, False)]
+    fit = fit_table(_blowup_config(p=2.0), rows + noise)
+    assert fit.refusal == "" and fit.theory_exponent == 2.0
     assert fit.slope == pytest.approx(2.0, abs=1e-12)
     assert len(fit.points) == FIT_MIN_POINTS
     crit = _blowup_config()  # Strauss-critical: refused unless overridden
-    assert fit_table(crit, rows)[0].verdict == "not_applicable"
-    forced, bound = fit_table(crit, rows, theory=2.0)
-    assert bound.kind == "exponential" and forced.verdict == "consistent"
-    short = fit_table(crit, rows[:-1], theory=2.0)[0]
+    assert fit_table(crit, rows).verdict == "not_applicable"
+    forced = fit_table(crit, rows, theory=2.0)
+    assert forced.verdict == "consistent"
+    short = fit_table(crit, rows[:-1], theory=2.0)
     assert short.verdict == "not_applicable" and short.theory_exponent == 2.0
     with pytest.raises(ValueError, match="tolerance"):
         fit_table(crit, rows, tolerance=-1e-9)
@@ -273,9 +270,9 @@ def test_fit_table_clean_rows_and_override():
 def test_fit_table_skips_eps_with_infinite_reciprocal(capfd):
     # 1/5e-324 overflows to inf: the row is not clean, so three rows remain
     # and the fit is refused before LAPACK sees an infinite abscissa
-    rows = [(5e-324, 1.0, False, False), (0.5, 2.0, False, False),
-            (0.6, 2.0, False, False), (0.7, 1.0, False, False)]
-    fit, _ = fit_table(_blowup_config(p=2.0), rows)
+    rows = [(5e-324, 1.0, 0.0, False, False), (0.5, 2.0, 0.0, False, False),
+            (0.6, 2.0, 0.0, False, False), (0.7, 1.0, 0.0, False, False)]
+    fit = fit_table(_blowup_config(p=2.0), rows)
     assert fit.verdict == "not_applicable"
     assert fit.refusal == f"fewer than {FIT_MIN_POINTS} clean points: fit not applicable"
     assert capfd.readouterr().err == ""
@@ -295,8 +292,8 @@ NO_BOUND_HINT = "no finite-time blow-up bound exists to fit"
     (2.0, "none", "infinite", "linear", NO_BOUND_HINT),
 ])
 def test_fit_table_refusal_names_its_branch(p, nonlinearity, kind, branch, hint):
-    rows = [(e, 3.0 * e**-2.0, False, False) for e in np.geomspace(0.2, 1.0, 6)]
-    fit, _ = fit_table(_blowup_config(p=p, nonlinearity=nonlinearity), rows)
+    rows = [(e, 3.0 * e**-2.0, 0.0, False, False) for e in np.geomspace(0.2, 1.0, 6)]
+    fit = fit_table(_blowup_config(p=p, nonlinearity=nonlinearity), rows)
     assert fit.verdict == "not_applicable"
     assert fit.refusal == (f"bound kind is {kind} [{branch}]: power-law fit not "
                            f"applicable; {hint}")

@@ -171,7 +171,8 @@ def test_identity_window_matches_whole_rectangle(t0):
     r = 0.05 * np.arange(120)
     T, Rg = np.meshgrid(t, r, indexing="ij")
     tables = [BqTable(q=q, n=3, mu=1.0, beta=2.5, eta_nodes=np.empty(0),
-                      psi_cache=np.empty((0, r.size)), t_grid=t, r_grid=r,
+                      weights=np.empty(0), psi_cache=np.empty((0, r.size)),
+                      t_grid=t, r_grid=r,
                       values=np.exp(-T) / (1.0 + Rg) ** q)
               for q in (0.5, 1.5, 2.5)]
     edge = int(np.searchsorted(r, t[64], "right")) - 1
@@ -237,8 +238,9 @@ def test_identities_from_rules_match_tables():
 
 
 def test_identities_build_no_whole_partner_table():
-    # the partner rules give their rows one 64-row block at a time, so the
-    # identity walk never holds anything near one (nt, nr) table
+    # the partner rules give their rows one 64-row block at a time, and each
+    # block's arrays are freed before the next block, so the identity walk
+    # holds a few (64, nr) arrays, nothing near one (nt, nr) table
     params = _params()
     t = 1.0 + 0.001 * np.arange(8192)  # 128 blocks
     r = 0.05 * np.arange(101)
@@ -251,7 +253,7 @@ def test_identities_build_no_whole_partner_table():
     finally:
         tracemalloc.stop()
     assert np.isfinite(rep.worst)
-    assert peak < tq.values.nbytes / 4
+    assert peak < 12 * 64 * r.size * 8  # twelve (64, nr) float64 arrays
 
 
 @dataclass(frozen=True)
