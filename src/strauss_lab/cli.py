@@ -241,7 +241,14 @@ def _read_solution_csv(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
     if data.shape[1] != 4:
         raise ConfigError(f"{path}: expected 4 columns t,r,u,ut")
-    nt = np.unique(data[:, 0]).size
+    if not np.isfinite(data[:, :2]).all():
+        raise ConfigError(f"{path}: a t or r cell is not finite")
+    # one snapshot is one run of equal t: a time that starts two runs is split
+    t_col = data[:, 0]
+    run_t = t_col[np.r_[True, t_col[1:] != t_col[:-1]]]
+    nt = run_t.size
+    if len(set(run_t.tolist())) != nt:
+        raise ConfigError(f"{path}: rows of one snapshot are not contiguous")
     if data.shape[0] % nt != 0:
         raise ConfigError(f"{path}: rows not a whole number of snapshots")
     blocks = data.reshape(nt, data.shape[0] // nt, 4)

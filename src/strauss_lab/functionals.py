@@ -538,7 +538,7 @@ def ode_lemma_fit(p1: float, p2: float, K1: float = 1.0, K2: float = 1.0,
     if delta_grid is None:
         delta_grid = np.geomspace(1e-4, 1e-2, 8)
     delta_grid = np.asarray(delta_grid, dtype=float)
-    distinct = np.unique(delta_grid).size
+    distinct = len(set(delta_grid.tolist()))
     if distinct < 2:
         raise ValueError(f"need 2 distinct delta values to fit a slope, got {distinct}")
     logT = np.array([ode_escape_logT(p1, p2, K1, K2, d, cap=cap)

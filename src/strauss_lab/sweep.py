@@ -2,10 +2,12 @@
 
 run_sweep is the lifespan ladder: each refinement level advances all eps as
 one solver block, solver.run_block, so all eps share each array pass of a
-step, and the levels run in worker processes when jobs > 1.  Every blow-up
-time is a pure function of (config, eps, level), bit for bit what a one-row
-run gives, and the pure lifespan_from_levels turns one eps's times into its T
-and flags, so the table is identical for any worker count.
+step, and the levels run in worker processes when jobs > 1.  The process pool
+is imported when first used, so a one-process run never loads
+concurrent.futures or multiprocessing.  Every blow-up time is a pure function
+of (config, eps, level), bit for bit what a one-row run gives, and the pure
+lifespan_from_levels turns one eps's times into its T and flags, so the table
+is identical for any worker count.
 
 sweep_rows builds the lifespan table, one SWEEP_HEADER row per eps, and
 read_sweep_csv reads its CSV back bit for bit.  fit_table alone picks the
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -141,7 +142,8 @@ def run_sweep(cfg: RunConfig, eps_values, jobs: int = 1) -> list[LifespanResult]
 
     The ladder's cfg.refine_levels levels start at cfg.dr and halve it.  Each
     level runs all eps as one run_block; the levels run in this process, or
-    in min(jobs, levels) worker processes, the one process pool of the lab.
+    in min(jobs, levels) worker processes, the one process pool of the lab,
+    imported only here, when jobs > 1 first needs it.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -155,6 +157,7 @@ def run_sweep(cfg: RunConfig, eps_values, jobs: int = 1) -> list[LifespanResult]
     if workers <= 1:
         per_level = list(map(*work))
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_level = list(pool.map(*work))
     return [lifespan_from_levels(params.eps, Ts)
@@ -167,16 +170,30 @@ def sweep_rows(results: list[LifespanResult]) -> list[tuple]:
              res.uncertainty, res.censored, res.unreliable) for res in results]
 
 
+def _flag_cell(row: dict, key: str) -> bool:
+    """A flag as format_value writes it, true or false; a missing one is false."""
+    cell = row.get(key, "false")
+    if cell not in ("true", "false"):
+        raise ValueError(f"{key} cell {cell!r} is neither true nor false")
+    return cell == "true"
+
+
 def read_sweep_csv(path: str) -> list[tuple]:
     """The SWEEP_HEADER rows of a lifespan table CSV, in file order.
 
     eps and T are required; a missing uncertainty reads as NaN and a missing
-    flag as false.  A malformed file raises ConfigError naming it.
+    flag as false.  A malformed file (a repeated column name, a cell that is
+    not a number or a flag cell other than true or false) raises ConfigError
+    naming it.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ConfigError(f"{path}: empty file")
+        names = reader.fieldnames
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigError(f"{path}: header row repeats column {name!r}")
         for need in ("eps", "T"):
             if need not in reader.fieldnames:
                 raise ConfigError(f"{path}: missing column {need!r}")
@@ -188,8 +205,8 @@ def read_sweep_csv(path: str) -> list[tuple]:
             try:
                 rows.append((float(row["eps"]), float(row["T"]),
                              float(row.get("uncertainty", "NaN")),
-                             row.get("censored") == "true",
-                             row.get("unreliable") == "true"))
+                             _flag_cell(row, "censored"),
+                             _flag_cell(row, "unreliable")))
             except ValueError as exc:
                 raise ConfigError(f"{path}: row {k}: {exc}") from exc
     return rows

@@ -318,8 +318,8 @@ def _hyper2f1_euler(a: float, b: float, c: float, z) -> np.ndarray:
     out = np.empty_like(z)
     counts = _euler_node_count(z)
     scale = 0.5 ** (c - 1.0) * math.gamma(c) / (math.gamma(b) * math.gamma(c - b))
-    for m in np.unique(counts):
-        x, w = gauss_jacobi(int(m), c - b - 1.0, b - 1.0)
+    for m in sorted(set(counts.tolist())):
+        x, w = gauss_jacobi(m, c - b - 1.0, b - 1.0)
         xs = 0.5 * (x + 1.0)
         where = np.flatnonzero(counts == m)
         for lo in range(0, where.size, 2048):

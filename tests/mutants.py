@@ -67,6 +67,12 @@ MUTANTS = {
         "if not (censored or unreliable)",
         "if True",
         "tests/test_sweep.py"),
+    "eager_pool_import": (
+        "sweep.py",
+        "from dataclasses import dataclass, replace\n",
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from dataclasses import dataclass, replace\n",
+        "tests/test_cli.py"),
 }
 
 

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,9 +198,21 @@ def test_every_config_key_has_a_flag(tmp_path):
     (["fit", "--in"], "eps,uncertainty,T\n0.5,0.1\n"),
     (["fit", "--in"], ""),
     (["fit", "--in"], "eps,T,uncertainty\n0.5,4,abc\n"),
+    # a flag cell reads exactly true or false, as format_value writes it
+    (["fit", "--in"], "eps,T,censored\n0.5,4,TRUE\n"),
+    (["fit", "--in"], "eps,T,censored\n0.5,4,yes\n"),
+    (["fit", "--in"], "eps,T,unreliable\n0.5,4,1\n"),
+    (["fit", "--in"], "eps,T,censored\n0.5,4,\n"),
+    (["fit", "--in"], "eps,T,T\n0.5,4,2\n"),
     (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n0,0,x,1\n"),
+    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\ninf,0,1,1\n"),
+    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\nnan,0,1,1\n"),
+    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n0,inf,1,1\n"),
+    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n0,nan,1,1\n"),
 ], ids=["fit-non-numeric", "fit-short-row", "fit-empty", "fit-bad-uncertainty",
-        "verify-non-numeric"])
+        "fit-flag-TRUE", "fit-flag-yes", "fit-flag-1", "fit-flag-empty",
+        "fit-repeated-column", "verify-non-numeric", "verify-inf-t",
+        "verify-nan-t", "verify-inf-r", "verify-nan-r"])
 def test_malformed_csv_exits_2(argv, text, tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -679,6 +693,15 @@ def test_verify_mismatched_r_blocks(tmp_path, capsys):
     assert "not contiguous" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nr", [2, 3])
+def test_verify_repeated_time_exits_2(nr, tmp_path, capsys):
+    # blocks at t = 0, 0.5, 0: the snapshot at t = 0 is split in two
+    path = tmp_path / "split.csv"
+    _snapshot_csv(path, [0.0, 0.5, 0.0], [0.1 * np.arange(nr)] * 3)
+    assert main(["verify", "--solution", str(path), "--checks", "5.1"]) == 2
+    assert "not contiguous" in capsys.readouterr().err
+
+
 # --- odelemma ---------------------------------------------------------------------
 
 def test_odelemma_cmd(tmp_path, capsys):
@@ -739,6 +762,61 @@ def test_cli_import_loads_no_scipy():
             f"[main(argv) for argv in ({RULE_COMMANDS})]; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert _run_python(code) == "[]"
+
+
+# a run at --jobs 1 loads no process pool, and no command loads numpy.ma
+LAZY_PACKAGES = ("concurrent.futures", "multiprocessing", "numpy.ma")
+TINY_SWEEP_CFG = ["--mu", "0", "--p", "2.2", "--f-amp", "20", "--g-amp", "20",
+                  "--t-max", "4", "--dr", "0.1"]
+TINY_SWEEP = ["sweep", *TINY_SWEEP_CFG, "--eps-min", "0.5", "--eps-count", "4"]
+
+
+def _codes_and_modules(code: str) -> tuple[list, set]:
+    """The list code leaves in `codes` and the modules a fresh interpreter
+    holds after running it."""
+    line = _run_python(code + "\nimport json, sys\n"
+                       "print(json.dumps([codes, sorted(sys.modules)]))")
+    codes, modules = json.loads(line)
+    return codes, set(modules)
+
+
+def _lazy(modules) -> list[str]:
+    return sorted(m for m in modules for pkg in LAZY_PACKAGES
+                  if m == pkg or m.startswith(pkg + "."))
+
+
+def test_one_process_commands_load_no_pool_and_no_numpy_ma(tmp_path):
+    sol, table = str(tmp_path / "sol.csv"), str(tmp_path / "sweep.csv")
+    commands = [["exponents"],
+                ["solve", "--t-max", "6", "--dr", "0.1", "--out", sol],
+                ["verify", "--solution", sol],
+                ["lifespan", *TINY_SWEEP_CFG],
+                [*TINY_SWEEP, "--jobs", "1", "--out", table],
+                ["fit", *TINY_SWEEP_CFG, "--in", table],
+                ["bq", "--q", "1", "--t-max", "3", "--dr", "0.05", "--nodes", "16"],
+                ["eigen", "--etas", "0.5,1", "--r-max", "10"],
+                ["odelemma", "--p1", "2", "--p2", "2", "--delta-count", "4"]]
+    codes, loaded = _codes_and_modules(
+        "import numpy as np\n"
+        "from strauss_lab.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "from strauss_lab.model import RunConfig\n"
+        "from strauss_lab.testfunc import build_bq, hyper2f1_compensation\n"
+        "table = build_bq(0.5, RunConfig().model_params(), 1.0 + 0.5 * np.arange(9),"
+        " 0.5 * np.arange(11), nodes=16)\n"
+        "codes.append(len(hyper2f1_compensation(table)))")
+    # every command ran to its verdict; the tiny sweep's fit is inconsistent
+    assert codes == [0, 0, 0, 0, 1, 1, 0, 0, 0, 2]
+    _, baseline = _codes_and_modules("import numpy\ncodes = []")
+    assert _lazy(loaded - baseline) == []
+    # the pool is there when --jobs asks for it, and changes no byte
+    two = str(tmp_path / "sweep2.csv")
+    codes, loaded = _codes_and_modules(
+        "from strauss_lab.cli import main\n"
+        f"codes = [main({[*TINY_SWEEP, '--jobs', '2', '--out', two]!r})]")
+    assert codes == [1]
+    assert {"concurrent.futures", "multiprocessing"} <= loaded
+    assert Path(two).read_bytes() == Path(table).read_bytes()
 
 
 def test_commands_run_with_scipy_blocked():
