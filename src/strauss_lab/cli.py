@@ -3,11 +3,11 @@
 Every subcommand reads an optional flat key=value config file; command-line
 flags override file values.  Exit codes: 0 all checks passed, 1 at least one
 check failed, 2 usage or configuration error.  main alone maps exceptions to
-exit codes: a value the library rejects (a ValueError, ConfigError included)
-or a path that cannot be read or written (an OSError) exits 2; a numerical
-fault (an ArithmeticError) keeps its traceback.  All output paths come from
-flags, and main checks them all before the command computes or prints
-anything; nothing is written implicitly.
+exit codes: a non-finite number among the flags, a value the library rejects
+(a ValueError, ConfigError included) or a path that cannot be read or written
+(an OSError) exits 2; a numerical fault (an ArithmeticError) keeps its
+traceback.  All output paths come from flags, and main checks them all before
+the command computes or prints anything; nothing is written implicitly.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .model import CONFIG_TYPES, ConfigError, RunConfig, load_config
 from .solver import run
 from .sweep import (FIT_MIN_POINTS, SWEEP_HEADER, csv_text, emit_plot, fit_table,
                     read_sweep_csv, run_sweep, sweep_rows, write_csv)
-from .testfunc import bq_rule, build_bq, verify_bq_identities
+from .testfunc import build_bq, verify_bq_identities
 
 # verify-subcommand tokens (external interface) -> internal check names:
 # "3.4" -> "ineq_3_4"
@@ -146,8 +146,8 @@ def cmd_lifespan(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    if not 0.0 < args.eps_min < args.eps_max < math.inf:
-        raise ConfigError("need 0 < eps_min < eps_max < inf")
+    if not 0.0 < args.eps_min < args.eps_max:
+        raise ConfigError("need 0 < eps_min < eps_max")
     if args.eps_count < FIT_MIN_POINTS:
         raise ConfigError(f"need at least {FIT_MIN_POINTS} eps points for a fit")
     fit_table(cfg, (), args.tolerance)  # a bad --tolerance stops before any solve
@@ -188,8 +188,8 @@ def cmd_fit(args) -> int:
 def cmd_eigen(args) -> int:
     cfg = resolve_config(args)
     etas = _float_list(args.etas, "eta")
-    if not 0.0 < args.r_max < math.inf:
-        raise ConfigError(f"r-max must be positive and finite, got {args.r_max}")
+    if not 0.0 < args.r_max:
+        raise ConfigError(f"r-max must be positive, got {args.r_max}")
     r = 0.01 * np.arange(int(round(args.r_max / 0.01)) + 1)
     rows = []
     for eta in etas:
@@ -206,7 +206,6 @@ def cmd_eigen(args) -> int:
 
 def cmd_bq(args) -> int:
     cfg = resolve_config(args)
-    q = args.q
     dt = args.dt if args.dt is not None else cfg.dr
     if dt <= 0.0:
         raise ConfigError(f"dt must be > 0, got {dt}")
@@ -214,12 +213,8 @@ def cmd_bq(args) -> int:
     r_max = args.r_max if args.r_max is not None else t_max
     t_grid = 1.0 + dt * np.arange(int(round((t_max - 1.0) / dt)) + 1)
     r_grid = cfg.dr * np.arange(int(round(r_max / cfg.dr)) + 1)
-    params = cfg.model_params()
-    tq = build_bq(q, params, t_grid, r_grid, nodes=args.nodes)
-    # the partners b_{q+1}, b_{q+2} are only read block by block: rules
-    tq1 = bq_rule(q + 1.0, params, r_grid, nodes=args.nodes)
-    tq2 = bq_rule(q + 2.0, params, r_grid, nodes=args.nodes)
-    rep = verify_bq_identities(tq, tq1, tq2)
+    tq = build_bq(args.q, cfg.model_params(), t_grid, r_grid, nodes=args.nodes)
+    rep = verify_bq_identities(tq)
     failed = False
     for name, res in (("dt", rep.res_dt), ("dtt", rep.res_dtt),
                       ("lap", rep.res_lap), ("wave", rep.res_wave)):
@@ -422,6 +417,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key, val in vars(args).items():
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"{key.replace('_', ' ')} must be finite, got {val}")
         _check_outputs(*(getattr(args, key, None) for key in ("out", "summary", "plot")))
         return args.func(args)
     except ValueError as exc:  # ConfigError included

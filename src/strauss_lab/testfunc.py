@@ -51,8 +51,8 @@ class BqRule:
     b_q(t, r_j) = sum_k weights_k e^{-eta_k t} psi_hat_k(r_j), so the rows
     at a set of times are one GEMM.  A rule is (nodes, nr) numbers where a
     table (BqTable, a rule with its rows on a t-grid) is (nt, nr);
-    verify_bq_identities builds a partner's rows from its rule one block at
-    a time.
+    verify_bq_identities builds the rules of b_{q+1} and b_{q+2} and reads
+    their rows one block at a time.
     """
 
     q: float
@@ -69,16 +69,6 @@ class BqRule:
         E = self.weights * np.exp(-np.multiply.outer(t, self.eta_nodes))
         return E @ self.psi_cache
 
-    def rows(self, t_grid, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of the b_q table on t_grid, by one GEMM."""
-        return self.at(t_grid[lo:hi])
-
-    def same_grid(self, table: "BqTable") -> bool:
-        """A rule has rows at every t: it needs table's radii and model."""
-        return (np.array_equal(self.r_grid, table.r_grid)
-                and (self.n, self.mu, self.beta)
-                == (table.n, table.mu, table.beta))
-
 
 @dataclass(frozen=True)
 class BqTable(BqRule):
@@ -89,15 +79,6 @@ class BqTable(BqRule):
 
     def validate(self) -> None:
         _check_rows(self.values)
-
-    def rows(self, t_grid, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of values; t_grid is the table's own (same_grid
-        checks that), so a table only slices."""
-        return self.values[lo:hi]
-
-    def same_grid(self, other: "BqTable") -> bool:
-        return (np.array_equal(self.t_grid, other.t_grid)
-                and super().same_grid(other))
 
 
 @dataclass(frozen=True)
@@ -127,6 +108,11 @@ class AsymptoticReport:
         return self.ratio_max / self.ratio_min
 
 
+def _uniform(x) -> bool:
+    """Whether the steps of the grid x (>= 2 nodes) are all x[1] - x[0]."""
+    return np.allclose(np.diff(x), x[1] - x[0], rtol=1e-12)
+
+
 def bq_rule(q: float, params: ModelParams, r_grid,
             nodes: int = DEFAULT_NODES) -> BqRule:
     """The eta rule of b_q and its eigenfunctions shot onto r_grid.
@@ -134,8 +120,7 @@ def bq_rule(q: float, params: ModelParams, r_grid,
     r_grid must be uniform starting at 0 (it doubles as the ODE output grid).
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    if (r_grid.size < 2 or r_grid[0] != 0.0
-            or not np.allclose(np.diff(r_grid), r_grid[1], rtol=1e-12)):
+    if r_grid.size < 2 or r_grid[0] != 0.0 or not _uniform(r_grid):
         raise ValueError("r_grid must be uniform, start at 0 and have >= 2 nodes")
     eta, w = eta_rule(q, nodes)
     psi_cache, _, _ = psi_hat_batch(eta, params.mu, params.beta, params.n, r_grid)
@@ -159,7 +144,7 @@ def build_bq(q: float, params: ModelParams, t_grid, r_grid,
     return table
 
 
-def verify_bq_identities(tq: BqTable, tq1: BqRule, tq2: BqRule) -> IdentityReport:
+def verify_bq_identities(tq: BqTable) -> IdentityReport:
     """Centered-difference residuals of the b_q identities.
 
     Residuals are relative to the positive local scale V b_{q+1} + b_{q+2}
@@ -170,16 +155,19 @@ def verify_bq_identities(tq: BqTable, tq1: BqRule, tq2: BqRule) -> IdentityRepor
     two columns reach no cone point short of the whole grid, and every
     residual is that of a whole-rectangle evaluation, bit for bit.
 
-    The partners tq1 and tq2 hold b_{q+1} and b_{q+2}: each is a BqRule
-    (bq_rule) on tq's radii and model, or a BqTable on tq's grid.  Each
-    block reads them through rows(), the block's rows plus one on either
-    side, so a rule never builds its whole table (its block GEMM may round
-    an entry 1 ulp away from build_bq's whole-table GEMM), and the block's
-    arrays are freed before the next block.  Those rows pass the
-    positivity and strict-decrease check of BqTable.validate; consecutive
-    blocks share two rows, so every row and every pair of t-neighbours of a
-    partner, the first and last included, is checked as build_bq checks a
-    whole table (ArithmeticError otherwise).
+    tq's t_grid must be uniform (the differences in t use its first step).
+    The partners b_{q+1} and b_{q+2} are built here by bq_rule, on tq's
+    radii and model with as many eta nodes, each from its own eta rule: the
+    identities then test the quadrature, which partners taken from tq's
+    rule (its weights times eta) would satisfy by construction.  Each block
+    computes their rows by one GEMM, the block's rows plus one on either
+    side, so no whole partner table is built (a block GEMM may round an
+    entry 1 ulp away from build_bq's whole-table GEMM), and the block's
+    arrays are freed before the next block.  Those rows pass the positivity
+    and strict-decrease check of BqTable.validate; consecutive blocks share
+    two rows, so every row and every pair of t-neighbours of a partner, the
+    first and last included, is checked as build_bq checks a whole table
+    (ArithmeticError otherwise).
 
     The radial first derivative feeding the (n-1)/r term uses five-point
     (fourth-order) differences: V'(0) != 0 puts a genuine r^3 component into
@@ -187,14 +175,15 @@ def verify_bq_identities(tq: BqTable, tq1: BqRule, tq2: BqRule) -> IdentityRepor
     amplified to O(dr^2 / r) by the axis factor and spoil the pointwise
     order near r = 0.
     """
-    if not (tq1.same_grid(tq) and tq2.same_grid(tq)):
-        raise ValueError("tables must share one (t, r) grid and parameters")
-    if not (math.isclose(tq1.q, tq.q + 1.0) and math.isclose(tq2.q, tq.q + 2.0)):
-        raise ValueError("need tables for q, q+1, q+2")
     t, r = tq.t_grid, tq.r_grid
     if t.size < 3 or r.size < 5:
         raise ValueError(f"the grid has {t.size} times and {r.size} radii; "
                          "the identities need >= 3 and >= 5")
+    if not _uniform(t):
+        raise ValueError("t_grid must be uniform")
+    params = ModelParams(n=tq.n, mu=tq.mu, beta=tq.beta)
+    tq1, tq2 = (bq_rule(tq.q + j, params, r, tq.eta_nodes.size)
+                for j in (1.0, 2.0))
     V = potential(r, tq.mu, tq.beta)
     res = np.zeros(4)
     for lo in range(1, t.size - 1, 64):
@@ -216,8 +205,8 @@ def _block_residuals(tq: BqTable, tq1: BqRule, tq2: BqRule, V, lo: int,
     b = tq.values[sl, :w]
     b_up = tq.values[lo + 1:hi + 1, :w]
     b_dn = tq.values[lo - 1:hi - 1, :w]
-    p1 = tq1.rows(t, lo - 1, hi + 1)
-    p2 = tq2.rows(t, lo - 1, hi + 1)
+    p1 = tq1.at(t[lo - 1:hi + 1])
+    p2 = tq2.at(t[lo - 1:hi + 1])
     _check_rows(p1)
     _check_rows(p2)
     b1 = p1[1:-1, :w]

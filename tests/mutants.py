@@ -62,6 +62,11 @@ MUTANTS = {
         "    _check_rows(p1)\n    _check_rows(p2)\n",
         "",
         "tests/test_testfunc.py"),
+    "second_partner_at_q_plus_1": (
+        "testfunc.py",
+        "for j in (1.0, 2.0))",
+        "for j in (1.0, 1.0))",
+        "tests/test_testfunc.py"),
     "flagged_rows_fitted": (
         "sweep.py",
         "if not (censored or unreliable)",

@@ -98,22 +98,25 @@ def test_criterion_2_eigenfunction_oracle(capsys):
     exact[1:] = np.sinh(r[1:]) / r[1:]
     rel = float(np.max(np.abs(psi_hat[0] * lam[0] - exact) / exact))
     _check(fails, rel < 1e-8, f"sinh(r)/r oracle rel err {rel:.2e}")
-    sups, gaps = [], []
+    sups, gaps, lams = [], [], []
     for r_max in (40.0, 80.0):
         r = 0.01 * np.arange(int(round(r_max / 0.01)) + 1)
         psi_hat, _, lam = psi_hat_batch([1.0], 1.0, 3.0, 3, r)
         w = (1.0 + r) * np.exp(-r) * psi_hat[0] * lam[0]
         sups.append(float(np.max(np.abs(w))))
+        lams.append(float(lam[0]))
         # far-field law w -> 2 pi lambda (1 + 1/r) at the outer radius
         gap = abs(w[-1] / (1.0 + 1.0 / r[-1]) / (2.0 * math.pi * lam[0]) - 1.0)
         gaps.append(float(gap))
         _check(fails, gap < 2e-4, f"far-field law off by {gap:.2e} at r_max {r_max:g}")
-    drift = abs(sups[1] - sups[0]) / sups[0]
+    # psi = psi_hat lambda is the same function for either r_max, so the
+    # doubling can move only its far-field normalisation lambda
+    drift = abs(lams[1] - lams[0]) / lams[0]
     _check(fails, math.isfinite(sups[0]) and sups[0] > 0.0, "w not bounded")
-    _check(fails, drift <= 0.01, f"sup|w| drift {drift:.3%} on doubling")
+    _check(fails, drift <= 0.01, f"lambda drift {drift:.2e} on doubling")
     _finish(capsys, 2, 10.0, t0, fails,
-            f"oracle rel {rel:.1e}; sup|w|={sups[0]:.4g} stable {drift:.3%}; "
-            f"far-field gaps {gaps[0]:.1e}, {gaps[1]:.1e}")
+            f"oracle rel {rel:.1e}; sup|w|={sups[0]:.4g}; lambda drift "
+            f"{drift:.1e}; far-field gaps {gaps[0]:.1e}, {gaps[1]:.1e}")
 
 
 def test_criterion_3_bq_validity(capsys):
@@ -126,10 +129,7 @@ def test_criterion_3_bq_validity(capsys):
     for h in (1e-2, 5e-3):
         t = 1.0 + h * np.arange(int(round(19.0 / h)) + 1)
         r = h * np.arange(int(round(20.0 / h)) + 1)
-        tables = [build_bq(q + j, params, t, r) for j in (0.0, 1.0, 2.0)]
-        rep = verify_bq_identities(*tables)
-        worsts.append(rep.worst)
-        del tables, rep
+        worsts.append(verify_bq_identities(build_bq(q, params, t, r)).worst)
     _check(fails, worsts[0] <= 1e-3,
            f"identity residual {worsts[0]:.2e} at h=1e-2")
     gain = worsts[0] / worsts[1]

@@ -151,6 +151,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ["solve", "--beta", "nan", "--dr", "0.1"],
     ["solve", "--t-max", "inf", "--dr", "0.1"],
     ["solve", "--snap-times", "0.5,nan", "--dr", "0.1"],
+    ["solve", "--snap-times", "abc", "--dr", "0.1"],
+    ["solve", "--snap-times", ",", "--dr", "0.1"],
     ["sweep", "--eps-max", "inf", "--dr", "0.1"],
     ["lifespan", "--t-max", "0.01", "--dr", "0.1"],
     # from n = 6 the stencil's eigenvalues are complex: no dt is stable
@@ -209,10 +211,16 @@ def test_every_config_key_has_a_flag(tmp_path):
     (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\nnan,0,1,1\n"),
     (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n0,inf,1,1\n"),
     (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n0,nan,1,1\n"),
+    # two runs of t over three rows; then a second block that starts at t = 0
+    (["verify", "--checks", "5.1", "--solution"],
+     "t,r,u,ut\n0,0,1,1\n0,0.1,1,1\n1,0,1,1\n"),
+    (["verify", "--checks", "5.1", "--solution"],
+     "t,r,u,ut\n0,0,1,1\n0,0.1,1,1\n0,0,1,1\n1,0.1,1,1\n"),
 ], ids=["fit-non-numeric", "fit-short-row", "fit-empty", "fit-bad-uncertainty",
         "fit-flag-TRUE", "fit-flag-yes", "fit-flag-1", "fit-flag-empty",
         "fit-repeated-column", "verify-non-numeric", "verify-inf-t",
-        "verify-nan-t", "verify-inf-r", "verify-nan-r"])
+        "verify-nan-t", "verify-inf-r", "verify-nan-r", "verify-partial-snapshot",
+        "verify-time-splits-block"])
 def test_malformed_csv_exits_2(argv, text, tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -355,8 +363,9 @@ def test_unwritable_output_leaves_no_file(argv, tmp_path, capsys, monkeypatch):
     # every output path is checked before the command computes, prints or writes
     def compute(*args, **kwargs):
         raise AssertionError("computed before the output paths were checked")
-    for name in ("run", "run_sweep", "build_bq", "bq_rule", "psi_hat_batch",
-                 "_read_solution_csv", "ode_lemma_fit", "critical_exponents"):
+    for name in ("run", "run_sweep", "build_bq", "verify_bq_identities",
+                 "psi_hat_batch", "_read_solution_csv", "ode_lemma_fit",
+                 "critical_exponents"):
         monkeypatch.setattr(cli, name, compute)
     table = tmp_path / "table.csv"
     table.write_text("eps,T\n0.25,16\n0.5,4\n0.75,1.7777777777777777\n1,1\n")
@@ -490,6 +499,7 @@ def test_bq_cmd(tmp_path, capsys):
     ["--dt", "0"], ["--dt", "-0.1"], ["--r-max", "-1"], ["--t-max", "0.5"],
     ["--nodes", "0"], ["--q", "0"], ["--q", "-1"],
     ["--t-max", "1.1"],  # two table times: no interior row to check
+    ["--dt", "inf"], ["--r-max", "inf"], ["--threshold", "nan"],
 ])
 def test_bq_bad_values_exit_2(flags, tmp_path, capsys):
     # the last occurrence of a flag wins, so each case overrides a good run
@@ -729,6 +739,8 @@ def test_odelemma_tight_tolerance(capsys):
     ["--p1", "2", "--p2", "2", "--k1", "0"],
     ["--p1", "2", "--p2", "2", "--cap", "0"],
     ["--p1", "2", "--p2", "2", "--delta-count", "1"],
+    ["--p1", "2", "--p2", "2", "--delta-min", "inf"],
+    ["--p1", "2", "--p2", "2", "--tol", "nan"],
     # the slope crossing lies beyond phi = cap
     ["--p1", "2", "--p2", "2.9"],
     ["--p1", "3.333", "--p2", "3.726", "--k1", "1.795", "--k2", "1.972",

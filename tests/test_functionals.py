@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -164,6 +165,20 @@ def test_weak_residual_second_order_on_oracle():
         res[m] = weak_residual(samples, "eta2p_Phi", T=6.0)
     assert res[1] < 0.05
     assert res[1] / res[2] > 3.0
+
+
+@pytest.mark.parametrize("fixture, bound", [
+    ("strauss_crit_samples", 3e-4),  # power_u, |u|^p: measured 3.3e-5
+    ("glassey_crit_samples", 1e-2),  # power_ut, |u_t|^p: measured 2.2e-3
+])
+def test_weak_residual_source_term(fixture, bound, request):
+    # the run's own N closes the weak identity; read as a linear run, the
+    # same samples leave the whole source term as the defect
+    samples = request.getfixturevalue(fixture)
+    linear = replace(samples, params=replace(samples.params, nonlinearity="none"))
+    ratio = (weak_residual(samples, "eta2p_Phi", T=8.0)
+             / weak_residual(linear, "eta2p_Phi", T=8.0))
+    assert ratio < bound
 
 
 # --- inequality checks ------------------------------------------------------------

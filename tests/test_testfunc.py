@@ -7,7 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, replace
 from scipy.special import exp1, gammainc, hyp2f1
 
 from strauss_lab import testfunc
@@ -97,7 +97,7 @@ def test_build_bq_validation():
             build_bq(1.0, params, t, short)
 
 
-def test_bq_table_validate_and_same_grid():
+def test_bq_table_validate():
     params = _params()
     t = np.array([1.0, 2.0, 3.0])
     r = np.linspace(0.0, 2.0, 21)
@@ -111,10 +111,6 @@ def test_bq_table_validate_and_same_grid():
         values[1, 4] = value  # equal to its t-neighbour, or NaN
         with pytest.raises(ArithmeticError, match=why):
             replace(table, values=values).validate()
-    other = build_bq(2.1, params, t, r)
-    assert table.same_grid(other)
-    shifted = build_bq(1.1, params, t + 1.0, r)
-    assert not table.same_grid(shifted)
 
 
 # --- identities ------------------------------------------------------------------
@@ -124,11 +120,7 @@ def test_bq_identities_coarse():
     dt = dr = 0.02
     t = 1.0 + dt * np.arange(int(round(7.0 / dt)) + 1)     # [1, 8]
     r = dr * np.arange(int(round(8.0 / dr)) + 1)
-    q = 0.5
-    tq = build_bq(q, params, t, r)
-    tq1 = build_bq(q + 1.0, params, t, r)
-    tq2 = build_bq(q + 2.0, params, t, r)
-    rep = verify_bq_identities(tq, tq1, tq2)
+    rep = verify_bq_identities(build_bq(0.5, params, t, r))
     assert rep.worst <= 1e-3
     assert rep.res_wave <= 1e-3
 
@@ -161,46 +153,29 @@ def _whole_rectangle_residuals(tq, tq1, tq2):
 
 
 @pytest.mark.parametrize("t0", [0.0, 1.0])
-def test_identity_window_matches_whole_rectangle(t0):
+def test_identity_window_matches_whole_rectangle(t0, monkeypatch):
     # smooth positive tables with a spike just beyond the cone of row 64, the
     # last row of the first 64-row block: the five-point r stencil of that
     # row's cone-edge column reads it, so the largest residual sits there,
     # and a window one column narrower turns that stencil into the boundary
-    # formula, which does not
+    # formula, which does not.  Each is e^{-t} (1+r)^{-q}, a rule of one eta
+    # node whose one-term GEMM rounds alike in every block.
     t = t0 + 0.02 * np.arange(200)
     r = 0.05 * np.arange(120)
-    T, Rg = np.meshgrid(t, r, indexing="ij")
-    tables = [BqTable(q=q, n=3, mu=1.0, beta=2.5, eta_nodes=np.empty(0),
-                      weights=np.empty(0), psi_cache=np.empty((0, r.size)),
-                      t_grid=t, r_grid=r,
-                      values=np.exp(-T) / (1.0 + Rg) ** q)
-              for q in (0.5, 1.5, 2.5)]
+    rules = {q: BqRule(q=q, n=3, mu=1.0, beta=2.5, eta_nodes=np.ones(1),
+                       weights=np.ones(1), psi_cache=(1.0 + r[None, :]) ** -q,
+                       r_grid=r)
+             for q in (0.5, 1.5, 2.5)}
+    tables = [BqTable(**vars(rule), t_grid=t, values=rule.at(t))
+              for rule in rules.values()]
+    monkeypatch.setattr(testfunc, "bq_rule", lambda q, *args: rules[q])
     edge = int(np.searchsorted(r, t[64], "right")) - 1
     tables[0].values[64, edge + 2] *= 1e3
     residuals = _whole_rectangle_residuals(*tables)
     row, col = np.unravel_index(np.argmax(residuals[2]), residuals[2].shape)
     assert (row + 1, col + 1) == (64, edge)
     reference = IdentityReport(*(np.max(e) for e in residuals))
-    assert verify_bq_identities(*tables) == reference
-
-
-def test_bq_identities_require_matching_tables():
-    params = _params()
-    t = np.linspace(1.0, 2.0, 21)
-    r = np.linspace(0.0, 2.0, 21)
-    tq = build_bq(0.5, params, t, r)
-    tq1 = build_bq(1.5, params, t, r)
-    bad = build_bq(2.5, params, t + 0.5, r)
-    with pytest.raises(ValueError):
-        verify_bq_identities(tq, tq1, bad)
-    with pytest.raises(ValueError):
-        verify_bq_identities(tq, build_bq(1.7, params, t, r),
-                             build_bq(2.5, params, t, r))
-    # a rule has rows at every t, but needs tq's radii and model
-    with pytest.raises(ValueError):
-        verify_bq_identities(tq, tq1, bq_rule(2.5, params, r[:-1]))
-    with pytest.raises(ValueError):
-        verify_bq_identities(tq, tq1, bq_rule(2.5, _params(mu=0.5), r))
+    assert verify_bq_identities(tables[0]) == reference
 
 
 def test_bq_identities_need_interior_points():
@@ -208,47 +183,58 @@ def test_bq_identities_need_interior_points():
     # radii; fewer leave nothing to check, which must not read as a pass
     params = _params()
 
-    def tables(t, r):
-        return [build_bq(q, params, t, r, nodes=16) for q in (1.0, 2.0, 3.0)]
+    def table(t, r):
+        return build_bq(1.0, params, t, r, nodes=16)
 
     r5 = np.linspace(0.0, 0.4, 5)
     with pytest.raises(ValueError, match="2 times"):
-        verify_bq_identities(*tables(np.array([1.0, 1.1]), r5))
+        verify_bq_identities(table(np.array([1.0, 1.1]), r5))
     with pytest.raises(ValueError, match="4 radii"):
-        verify_bq_identities(*tables(np.array([1.0, 1.1, 1.2]), r5[:4]))
-    rep = verify_bq_identities(*tables(np.array([1.0, 1.1, 1.2]), r5))
+        verify_bq_identities(table(np.array([1.0, 1.1, 1.2]), r5[:4]))
+    rep = verify_bq_identities(table(np.array([1.0, 1.1, 1.2]), r5))
     assert np.isfinite(rep.worst)
+
+
+def test_bq_identities_refuse_nonuniform_t():
+    # the t differences use the first step: growing steps are bad input,
+    # not an identity failure (this grid read worst = 6.76 when accepted)
+    t = 1.0 + 0.02 * np.arange(80) ** 1.05
+    tq = build_bq(0.5, _params(), t, 0.05 * np.arange(41), nodes=16)
+    with pytest.raises(ValueError, match="uniform"):
+        verify_bq_identities(tq)
 
 
 def test_identities_from_rules_match_tables():
     # build_bq is bq_rule plus one GEMM, so a rule's rows are the table's;
-    # read block by block from rules, the partners give the tables' report
+    # the partners the check builds and reads block by block give the
+    # whole-rectangle residuals of tables with tq's eta-node count
     params = _params()
     t = 1.0 + 0.02 * np.arange(301)  # four full 64-row blocks and a partial one
     r = 0.02 * np.arange(351)
     tables = [build_bq(q, params, t, r, nodes=32) for q in (0.5, 1.5, 2.5)]
-    rules = [bq_rule(q, params, r, nodes=32) for q in (1.5, 2.5)]
-    for rule, table in zip(rules, tables[1:]):
-        assert rule.same_grid(table)
+    for table in tables[1:]:
+        rule = bq_rule(table.q, params, r, nodes=32)
         np.testing.assert_array_equal(rule.at(t), table.values)
         np.testing.assert_array_equal(rule.psi_cache, table.psi_cache)
-    got = astuple(verify_bq_identities(tables[0], *rules))
-    want = astuple(verify_bq_identities(*tables))
+    got = astuple(verify_bq_identities(tables[0]))
+    want = [np.max(e) for e in _whole_rectangle_residuals(*tables)]
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_identities_build_no_whole_partner_table():
+def test_identities_build_no_whole_partner_table(monkeypatch):
     # the partner rules give their rows one 64-row block at a time, and each
     # block's arrays are freed before the next block, so the identity walk
-    # holds a few (64, nr) arrays, nothing near one (nt, nr) table
+    # holds a few (64, nr) arrays, nothing near one (nt, nr) table; the
+    # rules are shot before the trace, whose peak is then the walk's alone
     params = _params()
     t = 1.0 + 0.001 * np.arange(8192)  # 128 blocks
     r = 0.05 * np.arange(101)
     tq = build_bq(0.5, params, t, r, nodes=16)
-    rules = [bq_rule(q, params, r, nodes=16) for q in (1.5, 2.5)]
+    rules = {q: bq_rule(q, params, r, 16) for q in (1.5, 2.5)}
+    monkeypatch.setattr(testfunc, "bq_rule", lambda q, *args: rules[q])
     tracemalloc.start()
     try:
-        rep = verify_bq_identities(tq, *rules)
+        rep = verify_bq_identities(tq)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -258,17 +244,15 @@ def test_identities_build_no_whole_partner_table():
 
 @dataclass(frozen=True)
 class _PlantedRule(BqRule):
-    """A rule whose table on t has row `row` replaced by `scale` times row
-    `src`."""
+    """A rule whose row at time `row_t` is `scale` times its row at `src_t`."""
 
-    row: int = 0
-    src: int = 0
+    row_t: float = 0.0
+    src_t: float = 0.0
     scale: float = 1.0
 
-    def rows(self, t_grid, lo, hi):
-        out = super().rows(t_grid, lo, hi)
-        if lo <= self.row < hi:
-            out[self.row - lo] = self.scale * self.at(t_grid[self.src:self.src + 1])[0]
+    def at(self, t):
+        out = super().at(t)
+        out[t == self.row_t] = self.scale * super().at(np.array([self.src_t]))[0]
         return out
 
 
@@ -277,22 +261,25 @@ class _PlantedRule(BqRule):
     (2, 0, 0, -1.0, "positivity"),  # the first row, below every block
     (1, 129, 129, 0.0, "positivity"),  # the last row, above every block
 ])
-def test_identities_check_every_partner_row(partner, row, src, scale, why):
+def test_identities_check_every_partner_row(partner, row, src, scale, why,
+                                           monkeypatch):
     # a partner rule's rows are checked like a whole table: every row
     # positive, every pair of t-neighbours strictly decreasing, including
     # rows 0 and nt-1, which no residual reads, and pairs across blocks
-    params = _params()
     t = 1.0 + 0.02 * np.arange(130)  # two 64-row blocks: rows 1-64, 65-128
-    r = 0.05 * np.arange(41)
-    tq = build_bq(0.5, params, t, r, nodes=16)
-    rules = [bq_rule(q, params, r, nodes=16) for q in (1.5, 2.5)]
-    assert np.isfinite(verify_bq_identities(tq, *rules).worst)
-    rule = rules[partner - 1]
-    rules[partner - 1] = _PlantedRule(
-        **{f.name: getattr(rule, f.name) for f in fields(rule)},
-        row=row, src=src, scale=scale)
+    tq = build_bq(0.5, _params(), t, 0.05 * np.arange(41), nodes=16)
+    assert np.isfinite(verify_bq_identities(tq).worst)
+    rule = testfunc.bq_rule
+
+    def planted(q, *args):
+        if q != tq.q + partner:
+            return rule(q, *args)
+        return _PlantedRule(**vars(rule(q, *args)), row_t=t[row], src_t=t[src],
+                            scale=scale)
+
+    monkeypatch.setattr(testfunc, "bq_rule", planted)
     with pytest.raises(ArithmeticError, match=why):
-        verify_bq_identities(tq, *rules)
+        verify_bq_identities(tq)
 
 
 # --- asymptotics ------------------------------------------------------------------
