@@ -39,7 +39,9 @@ import numpy as np
 from .model import sphere_area
 
 DEFAULT_DR_ODE = 1e-3
-CHUNK = 64             # output intervals per propagator block (bounds memory)
+# a propagator block holds at most CHUNK output intervals and CHUNK_STEPS
+# RK4 steps, so its memory is bounded for coarse output grids too
+CHUNK, CHUNK_STEPS = 64, 640
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,8 +131,9 @@ def _rk4_propagate(etas, mu, beta, n, edges, every, s, sp):
         b10, b11 = tau * K[2], 1.0 + tau * K[3]
         return b10, b11, c * b00 + d * b10, c * b01 + d * b11
 
-    for lo in range(0, n_int, CHUNK):
-        hi = min(lo + CHUNK, n_int)
+    per = max(1, min(CHUNK, CHUNK_STEPS // every))
+    for lo in range(0, n_int, per):
+        hi = min(lo + per, n_int)
         e = edges[lo * every:hi * every + 1, None]
         r, h = e[:-1], np.diff(e, axis=0)
         K1 = (0.0, 1.0, *coeffs(r))  # A(r) (I + 0): c*1 + d*0 = c, c*0 + d*1 = d

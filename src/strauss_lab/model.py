@@ -64,7 +64,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid with time step locked to a CFL fraction of dr.
+    """Uniform radial grid with time step locked to a fixed fraction of dr
+    (dr/2 by default, dr on the n = 3 grids of RunConfig.grid).
 
     r_max is sized so the outer Dirichlet row is exact: data start in the unit
     ball and propagate at speed one, so nothing reaches r_max before t_max as
@@ -112,12 +113,14 @@ def build_grid(t_max: float, dr: float, cfl: float = 0.5) -> RadialGrid:
     """Grid sized so the Dirichlet boundary at r_max is never reached.
 
     dt = cfl*dr with cfl in (0, 0.5], under the leapfrog bound of every n the
-    solver takes (0.688 at n = 5); t_max must round to at least one step.
+    solver takes (0.688 at n = 5), or cfl = 1, the unit step that only n = 3
+    takes (the solver refuses it for any other n); t_max must round to at
+    least one step.
     """
     if t_max <= 0 or dr <= 0:
         raise ValueError("t_max and dr must be positive")
-    if not 0.0 < cfl <= 0.5:
-        raise ValueError(f"cfl must be in (0, 0.5], got {cfl}")
+    if not (0.0 < cfl <= 0.5 or cfl == 1.0):
+        raise ValueError(f"cfl must be in (0, 0.5] or 1, got {cfl}")
     if round(t_max / (cfl * dr)) == 0:
         raise ValueError(f"t_max {t_max} rounds to 0 steps of dt {cfl * dr}")
     need = t_max + 1.0 + 2.0 * dr
@@ -160,8 +163,12 @@ class RunConfig(ModelParams):
         return ModelParams(**{f.name: getattr(self, f.name)
                               for f in fields(ModelParams)})
 
-    def grid(self) -> RadialGrid:
-        return build_grid(self.t_max, self.dr)
+    def grid(self, dr: float | None = None) -> RadialGrid:
+        """The grid of a run at dr (default self.dr) by the lab's one step
+        rule: dt = dr for n = 3, where the solver's origin rule allows the
+        unit step and the scheme has no dispersion, and dt = dr/2 otherwise."""
+        return build_grid(self.t_max, self.dr if dr is None else dr,
+                          1.0 if self.n == 3 else 0.5)
 
 
 # key -> type of every RunConfig field, in field order: the config-file keys

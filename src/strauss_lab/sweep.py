@@ -37,7 +37,7 @@ from itertools import chain
 import numpy as np
 
 from .exponents import theory_lifespan
-from .model import ConfigError, RadialGrid, RunConfig, build_grid
+from .model import ConfigError, RadialGrid, RunConfig
 from .solver import run_block
 
 FIT_MIN_POINTS = 4
@@ -151,7 +151,7 @@ def run_sweep(cfg: RunConfig, eps_values, jobs: int = 1) -> list[LifespanResult]
     if not params_list:
         return []
     levels = cfg.refine_levels
-    grids = [build_grid(cfg.t_max, cfg.dr / 2 ** lev) for lev in range(levels)]
+    grids = [cfg.grid(cfg.dr / 2 ** lev) for lev in range(levels)]
     work = (_blowup_times, [params_list] * levels, grids, [cfg.u_threshold] * levels)
     workers = min(jobs, levels)
     if workers <= 1:

@@ -47,6 +47,11 @@ MUTANTS = {
         "        gn[:, m:] = gap[m - S:]\n",
         "        gn[:-1, m:] = gap[m - S:]\n",
         "tests/test_solver.py"),
+    "origin_rule_at_unit_step": (
+        "solver.py",
+        "        if even:\n            gn[:, 0] = ",
+        "        if False:\n            gn[:, 0] = ",
+        "tests/test_solver.py"),
     "richardson_dropped": (
         "sweep.py",
         "T_ext, unc = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0, abs(Ts[-1] - Ts[-2])",

@@ -94,13 +94,13 @@ def test_solve_blowup_artifacts(tmp_path, capsys):
     assert data.shape[0] > 0
 
 
-# SHA-256 of two solve CSVs (t_max 3, dr 0.05, a snapshot every 0.1): they
-# pin the %.17g digits and the spelling of every zero
+# SHA-256 of two solve CSVs (t_max 3, dr 0.05, a snapshot every 0.1; n = 3,
+# so dt = dr): they pin the %.17g digits and the spelling of every zero
 @pytest.mark.parametrize("flags, digest", [
     (["--nonlinearity", "power_u", "--p", "2"],
-     "88656427c00150eb927594541934d048b057a7614547811b4b8ab32f154b84a9"),
+     "0d15dcbce5cc337f10a5d22dedd2894b1afd2e4e4f0a574b8909251978ce2eb2"),
     (["--nonlinearity", "power_ut", "--p", "1.5"],
-     "2bf1756011c21a2596b1e888b704afad9c2058be196a3f2c49bd7af215ed9568"),
+     "263a1dfce995d92a4da6e1efa43fad27190a7cc07d2e6d4160082ab28c9aacb7"),
 ], ids=["power_u", "power_ut"])
 def test_solve_csv_pinned(flags, digest, tmp_path, capsys):
     out = tmp_path / "sol.csv"
@@ -138,7 +138,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ["lifespan", "--refine-levels", "0", "--dr", "0.1"],
     ["solve", "--p", "0.5", "--dr", "0.1"],
     ["solve", "--dr", "-1"],
-    ["solve", "--t-max", "0.01", "--dr", "0.1"],  # 0 steps of dt 0.05
+    ["solve", "--t-max", "0.01", "--dr", "0.1"],  # 0 steps of dt 0.1
     ["sweep", "--eps-min", "2", "--eps-max", "1", "--dr", "0.1"],
     ["sweep", "--jobs", "0", "--dr", "0.1"],
     ["solve", "--nonlinearity", "cubic", "--dr", "0.1"],

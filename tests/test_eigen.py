@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -124,6 +125,33 @@ def test_psi_hat_batch_node_spacing_insensitive():
     b = psi_hat_batch(etas, 1.0, 2.5, 3, r_out, dr=5e-4)
     np.testing.assert_allclose(a[0], b[0], rtol=1e-8)
     np.testing.assert_allclose(a[2], b[2], rtol=1e-8)
+
+
+def test_psi_hat_batch_memory_bounded_on_a_coarse_grid():
+    # a block holds at most 640 RK4 steps: at output step 0.1 (100 steps an
+    # interval) 64 eta peaked at 56.7 MB when a block held 64 intervals
+    eta, _ = eta_rule(0.5, 64)
+    r_out = 0.1 * np.arange(51)
+    tracemalloc.start()
+    try:
+        psi_hat_batch(eta, 1.0, 2.5, 3, r_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+@pytest.mark.parametrize("step", [0.01, 0.1])
+def test_psi_hat_batch_bits_independent_of_block_size(step, monkeypatch):
+    # blocks only group intervals: one interval a block gives the same bits
+    # (r_ref at r_out's end skips the graded tail, a block a step already)
+    eta, _ = eta_rule(0.5, 16)
+    r_out = step * np.arange(int(round(5.0 / step)) + 1)
+    default = psi_hat_batch(eta, 1.0, 2.5, 3, r_out, r_ref=5.0)
+    monkeypatch.setattr(eigen, "CHUNK", 1)
+    monkeypatch.setattr(eigen, "CHUNK_STEPS", 1)
+    for a, b in zip(default, psi_hat_batch(eta, 1.0, 2.5, 3, r_out, r_ref=5.0)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_guards():

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -79,9 +79,13 @@ def test_build_grid_contract():
         build_grid(10.0, 0.02, cfl=1.5)
     with pytest.raises(ValueError):
         build_grid(-1.0, 0.02)
-    # cfl 0.5 sits below the leapfrog bound of every n <= 5 (0.688 at n = 5)
-    with pytest.raises(ValueError, match="cfl"):
-        build_grid(10.0, 0.02, 0.6)
+    # cfl 0.5 sits below the leapfrog bound of every n <= 5 (0.688 at n = 5);
+    # cfl 1 is the unit step of n = 3, and nothing lies between
+    for cfl in (0.6, 0.75, 0.99, 1.01, 0.0):
+        with pytest.raises(ValueError, match="cfl"):
+            build_grid(10.0, 0.02, cfl)
+    assert build_grid(10.0, 0.02, 1.0).dt == 0.02
+    assert build_grid(6.0, 0.05, 0.5).dt == 0.025  # perfbench/selftest.py's call
     assert build_grid(0.03, 0.1).n_steps == 1
     for t_max in (0.01, 0.025):  # t_max / dt rounds to 0
         with pytest.raises(ValueError, match="0 steps"):
@@ -155,5 +159,9 @@ def test_run_config_builders():
     params = cfg.model_params()
     assert params.n == 3 and params.p == 2.0
     grid = cfg.grid()
-    assert grid.dt == pytest.approx(0.05)
+    assert grid.dt == grid.dr == 0.1  # the unit step of n = 3
     assert grid.t_max == 4.0
+    assert cfg.grid(0.05).dt == cfg.grid(0.05).dr == 0.05
+    for n in (2, 4, 5):  # every other n steps at dr/2
+        grid = replace(cfg, n=n).grid()
+        assert grid.dr == 0.1 and grid.dt == pytest.approx(0.05)

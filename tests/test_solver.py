@@ -219,6 +219,44 @@ def test_linear_run_completes_at_n5_and_is_refused_at_n6():
         run(replace(params, n=6), build_grid(1.0, 0.1))
 
 
+def test_step_above_half_dr_refused_but_the_unit_step_of_n3():
+    # a hand-built grid cannot take n = 2, 4 or 5 into the unit step's
+    # instability, nor n = 3 into a step between dr/2 and dr
+    grid = build_grid(1.0, 0.1)
+    for n, dt_over_dr in [(2, 1.0), (4, 1.0), (5, 1.0), (3, 0.75), (3, 0.51)]:
+        with pytest.raises(ValueError, match=r"dt <= dr/2, or dt = dr for n = 3"):
+            run(ModelParams(n=n, nonlinearity="none"),
+                replace(grid, dt=dt_over_dr * grid.dr))
+    assert run(ModelParams(n=3), replace(grid, dt=grid.dr)).status == "completed"
+
+
+@pytest.mark.parametrize("dr, bound", [(0.02, 2e-6), (0.01, 5e-7)])
+def test_free_wave_at_the_unit_step(dr, bound):
+    # n = 3 leapfrog at dt = dr moves v = r*u without dispersion: the error
+    # against d'Alembert at t = 20 is 1.669e-6 and 4.168e-7, about 1% of
+    # dt = dr/2's 1.584e-4 and 4.042e-5.  The origin rule alone would make
+    # the run unstable; it reports blew_up at t = 0.44
+    params = _oracle_params()
+    grid = RunConfig(**vars(params), t_max=20.0, dr=dr).grid()
+    assert grid.dt == dr
+    out = run(params, grid, snapshot_times=[20.0])
+    assert out.status == "completed"
+    t, u, _ = out.snapshots[-1]
+    exact, _ = exact_undamped_radial3d(params, grid.r, t)
+    assert t == 20.0 and np.max(np.abs(u - exact)) <= bound
+
+
+def test_long_lifespan_at_the_unit_step():
+    # criterion 5's mu = 1 sweep at eps 0.1357: T = 74.498 from dt = dr/2 at
+    # dr 0.01 and 0.005 with the /3 step; one dt = dr level at dr 0.02 reads
+    # 74.54, where dt = dr/2 reads 75.71 (+1.6%)
+    cfg = RunConfig(n=3, mu=1.0, beta=3.0, p=2.0, nonlinearity="power_u",
+                    eps=0.1357, data_k=4, f_amp=20.0, g_amp=20.0, t_max=80.0)
+    out = run(cfg.model_params(), cfg.grid(0.02), threshold=cfg.u_threshold)
+    assert out.status == "blew_up"
+    assert out.t_end == pytest.approx(74.498, rel=1e-3)
+
+
 def test_completed_run_ends_at_its_last_step():
     # dt = 0.05 and round(1.03 / dt) = 21 steps: the run ends at 1.05, not 1.03
     out = run(ModelParams(), build_grid(1.03, 0.1), snapshot_times=[1.03])
@@ -337,6 +375,20 @@ def test_block_rows_match_single_runs(mode, p, amp, eps, statuses):
 def test_block_rows_match_single_runs_as_the_stride_grows(mode, p, amp, eps, t_max, dr):
     _assert_block_matches_single_runs(build_grid(t_max, dr), mode, p, amp, eps,
                                       ("blew_up",) * len(eps))
+
+
+@pytest.mark.parametrize("mode, p, amp, eps, t_max, dr, statuses", [
+    # the stride grows as rows leave, as in the dt = dr/2 cases above
+    ("power_u", 2.0, 20.0, (0.5, 1.1, 0.6, 0.76), 8.0, 0.04, ("blew_up",) * 4),
+    ("power_ut", 1.5, 2.0, (2.0, 3.0, 1.0, 2.5), 10.0, 0.02, ("blew_up",) * 4),
+    ("power_u", 2.2, 20.0, (0.7, 0.05, 1.0), 6.0, 0.04,
+     ("blew_up", "completed", "blew_up")),
+])
+def test_block_rows_match_single_runs_at_the_unit_step(mode, p, amp, eps, t_max,
+                                                        dr, statuses):
+    # the even origin value is written into every live row of the block
+    _assert_block_matches_single_runs(build_grid(t_max, dr, 1.0), mode, p, amp,
+                                      eps, statuses)
 
 
 def test_support_window_holds_in_every_row():

@@ -108,6 +108,43 @@ def test_write_csv_array_cells_match_csv_text(case, tmp_path):
     assert path.read_bytes() == text.encode("utf-8")
 
 
+@st.composite
+def _array_table(draw):
+    """A header and rows whose columns each hold either 1-d float arrays, of
+    one length within a row, or scalars; an array cell may repeat the one a
+    row up."""
+    kinds = draw(st.lists(st.sampled_from(["array", "float", "flag", "text"]),
+                          min_size=1, max_size=5))
+    scalars = {"float": st.floats(), "flag": st.booleans(),
+               "text": st.text(alphabet="abn%5 ", max_size=6)}
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        size, row = draw(st.integers(1, 6)), []
+        for k, kind in enumerate(kinds):
+            if kind != "array":
+                row.append(draw(scalars[kind]))
+            elif rows and rows[-1][k].size == size and draw(st.booleans()):
+                row.append(rows[-1][k].copy())
+            else:
+                row.append(np.array(draw(st.lists(st.floats(), min_size=size,
+                                                  max_size=size))))
+        rows.append(tuple(row))
+    return tuple(f"c{k}" for k in range(len(kinds))), rows
+
+
+@settings(deadline=None)
+@given(table=_array_table())
+def test_csv_text_array_rows_match_scalar_rows(table):
+    # a row with array cells is the lines of its elements, scalars repeated
+    header, rows = table
+    lines = []
+    for row in rows:
+        size = max((v.size for v in row if isinstance(v, np.ndarray)), default=1)
+        lines += [tuple(v[j] if isinstance(v, np.ndarray) else v for v in row)
+                  for j in range(size)]
+    assert csv_text(header, rows) == csv_text(header, lines)
+
+
 # --- sweep execution --------------------------------------------------------------
 
 def test_run_sweep_worker_count_invariant():
@@ -132,19 +169,19 @@ def test_run_sweep_without_eps_solves_nothing(monkeypatch):
         assert run_sweep(_blowup_config(), [], jobs) == []
 
 
-# SHA-256 of the sweep CSV text, computed with the per-eps solver loop that
-# preceded the block solver; the rows must not change by a bit
+# SHA-256 of the sweep CSV text at the unit step dt = dr of n = 3, computed
+# with a one-row run per eps and level; the rows must not change by a bit
 @pytest.mark.parametrize("config, eps_min, eps_max, count, digest", [
     (dict(mu=0.0, p=2.2, f_amp=20.0, g_amp=20.0, t_max=8.0, dr=0.04),
      0.5, 1.0, 4,
-     "4e44275006f07bb2216f37aa8222362673970730b4fdcaab571b212829726204"),
+     "f910f2a78bdc94cde9620659ab87b87f3fa8013fc6cff97c7967747832336269"),
     (dict(p=1.5, nonlinearity="power_ut", f_amp=2.0, g_amp=2.0, t_max=12.0,
           dr=0.04), 0.6, 1.5, 4,
-     "e7deb07ab812147936752f789a71736ce3842e2d95e079d177a2692fe5cebbac"),
+     "a13093248520bff91e87e77643a031f887a57215fb4747f66bd1ecbbe191aae3"),
     (dict(p=2.0, f_amp=20.0, g_amp=20.0, t_max=4.0, dr=0.04,
           refine_levels=3), 0.3, 1.0, 5,
-     "e66599130a71847e6de6055cb82807d042d2c00b22cde12aa2220e0ac6ce72c6"),
-])
+     "1e7294d6cc7b07aba8329537ab761a6d9fb0d40facd8f853ca6159e882fc82fb"),
+], ids=["power_u_mu0", "power_ut", "power_u_3_levels"])
 def test_sweep_csv_pinned(config, eps_min, eps_max, count, digest):
     cfg = RunConfig(**{"mu": 1.0, "beta": 3.0, **config})
     results = run_sweep(cfg, np.geomspace(eps_min, eps_max, count))
