@@ -16,6 +16,7 @@ import errno
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from .eigen import psi_hat_batch
 from .exponents import critical_exponents, gamma, theory_lifespan
 from .functionals import (CHECK_NAMES, CheckNotApplicable, SolutionSamples,
                           inequality_check, ode_lemma_fit)
-from .model import CONFIG_TYPES, ConfigError, RunConfig, load_config
+from .model import CONFIG_TYPES, ConfigError, RunConfig, load_config, uniform_step
 from .solver import run
 from .sweep import (FIT_MIN_POINTS, SWEEP_HEADER, csv_text, emit_plot, fit_table,
                     read_sweep_csv, run_sweep, sweep_rows, write_csv)
@@ -231,9 +232,13 @@ def cmd_bq(args) -> int:
 def _read_solution_csv(path: str):
     """(t, r, u, ut) from a solve CSV of snapshot blocks, in time order."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # a file of no rows is refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if data.size == 0:
+        raise ConfigError(f"{path}: no snapshot rows")
     if data.shape[1] != 4:
         raise ConfigError(f"{path}: expected 4 columns t,r,u,ut")
     if not np.isfinite(data[:, :2]).all():
@@ -267,6 +272,7 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"unknown check {tok!r}; valid: "
                               f"{','.join(CHECK_TOKENS)}")
     t, r, u, ut = _read_solution_csv(args.solution)
+    uniform_step(r, f"{args.solution}: the r column")
     samples = SolutionSamples(params=cfg.model_params(), t=t, r=r, u=u, ut=ut)
     rows = []
     failed = []

@@ -13,11 +13,12 @@ and stays bounded.  The undamped comparison profile is the plane-wave average
                   = |S^{n-2}| int_{-1}^{1} (1-th^2)^((n-3)/2) e^(th*eta*r) dth,
 
 and the matching constant is lambda(eta) = psi_eta(r_ref)/varphi_eta(r_ref) at
-one fixed far radius r_ref.  The ratio still creeps up there: for
-V ~ mu r^-beta its far-field bias falls like r_ref^-(beta-1), so each doubling
-of r_ref shrinks the increment of lambda by 2^(beta-1).  For mu = 0 the ratio
-is constant: psi = varphi/|S^{n-1}| exactly (n = 3: psi = sinh(eta r)/(eta r)),
-and at eta = 0, psi = 1 and lambda = 1/|S^{n-1}|.
+one fixed far radius r_ref, both scaled by e^(-eta r_ref) (s and `varphi`).
+The ratio still creeps up there: for V ~ mu r^-beta its far-field bias falls
+like r_ref^-(beta-1), so each doubling of r_ref shrinks the increment of
+lambda by 2^(beta-1).  For mu = 0 the ratio is constant: psi =
+varphi/|S^{n-1}| exactly (n = 3: psi = sinh(eta r)/(eta r)), and at eta = 0,
+psi = 1 and lambda = 1/|S^{n-1}|.
 
 One integrator serves every solve.  The equation for (s, s') is linear, so a
 classical RK4 step is a fixed 2x2 propagator matrix; _rk4_propagate forms
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-from .model import sphere_area
+from .model import sphere_area, uniform_step
 
 DEFAULT_DR_ODE = 1e-3
 # a propagator block holds at most CHUNK output intervals and CHUNK_STEPS
@@ -81,9 +82,9 @@ def gauss_jacobi(m: int, a: float, b: float):
     return x, w
 
 
-def varphi(eta, r, n: int, scaled: bool = False):
-    """Plane-wave average; `scaled` returns e^(-eta r) * varphi (never
-    overflows since every quadrature exponent becomes <= 0).
+def varphi(eta, r, n: int):
+    """The plane-wave average scaled by e^(-eta r), which never overflows
+    since every quadrature exponent is <= 0.
 
     eta and r broadcast, so one call gives a profile (one eta, many r) or a
     family (many eta, one r).  Evaluated with Gauss-Jacobi quadrature matched
@@ -98,9 +99,7 @@ def varphi(eta, r, n: int, scaled: bool = False):
     m = int(0.6 * float(np.max(arg, initial=0.0))) + 40
     a = (n - 3) / 2.0
     nodes, weights = gauss_jacobi(m, a, a)
-    expo = np.multiply.outer(arg, nodes)       # (..., m)
-    if scaled:
-        expo = expo - arg[..., None]
+    expo = np.multiply.outer(arg, nodes) - arg[..., None]  # (..., m)
     return sphere_area(n - 1) * (np.exp(expo) @ weights)
 
 
@@ -187,10 +186,10 @@ def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
     """Normalized profiles psi_hat = psi/lambda for a family of eta >= 0.
 
     Returns (psi_hat, psi_hat_prime, lam) with rows indexed like etas, on the
-    output grid r_out (uniform, starting at 0).  All eta share one
-    integration (vectorized) and one matching radius, by default
-    r_ref = 0.8 * max(30/max(eta_min, 0.1), 1.05 r_out[-1]), so that lambda
-    is a smooth function of eta -- required when the family feeds a
+    output grid r_out (rising and uniform by model.uniform_step, starting at
+    exactly 0).  All eta share one integration and one matching radius, by
+    default r_ref = 0.8 * max(30/max(eta_min, 0.1), 1.05 r_out[-1]), so that
+    lambda is a smooth function of eta -- required when the family feeds a
     quadrature rule.  A row depends on the other rows only through eta_min
     (and, at round-off, the varphi node count).
     """
@@ -200,12 +199,8 @@ def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
         raise ValueError("need n >= 2, mu >= 0, beta > 0")
     if not np.all(etas >= 0.0):
         raise ValueError("eta must be >= 0")
-    if r_out.ndim != 1 or r_out.size < 2:
-        raise ValueError("r_out must be a 1-d grid with at least two nodes")
-    spac = np.diff(r_out)
-    if not np.allclose(spac, spac[0], rtol=1e-9, atol=0.0):
-        raise ValueError("r_out must be uniformly spaced")
-    if abs(r_out[0]) > 1e-12:
+    uniform_step(r_out, "r_out")
+    if r_out[0] != 0.0:
         raise ValueError("r_out must start at 0")
     if float(etas.max()) * r_out[-1] > 700.0:
         raise ValueError("eta*r_max > 700: psi ~ e^(eta r) overflows")
@@ -225,7 +220,7 @@ def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
             edges.append(min(edges[-1] + min(1e-3 * edges[-1], 0.1), r_ref))
         s_ref = _rk4_propagate(etas, mu, beta, n, np.array(edges), 1,
                                *state)[0][-1]
-    phi_ref = varphi(etas, r_ref, n, scaled=True)
+    phi_ref = varphi(etas, r_ref, n)
     lam = s_ref / phi_ref
     return (psi.T / lam[:, None],
             psip.T / lam[:, None],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,17 +77,14 @@ def theta(t):
 
 # --- the Y functional --------------------------------------------------------
 
-_YTABLE_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def _y_table(p_conj: float):
-    key = float(p_conj)
-    if key not in _YTABLE_CACHE:
-        s = np.linspace(0.5, 1.0, 4097)
-        y = theta(s) ** (2.0 * p_conj) / s
-        cum = np.concatenate(([0.0], np.cumsum(np.diff(s) * (y[1:] + y[:-1]) / 2.0)))
-        _YTABLE_CACHE[key] = (s, cum)
-    return _YTABLE_CACHE[key]
+    """(s, trapezoid integral of theta^{2p'}(s)/s from 1/2 to s) on 4097
+    nodes of [1/2, 1].  Cached per p_conj; the arrays are read-only."""
+    s = np.linspace(0.5, 1.0, 4097)
+    y = theta(s) ** (2.0 * p_conj) / s
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(s) * (y[1:] + y[:-1]) / 2.0)))
+    return _read_only(s), _read_only(cum)
 
 
 def y_weight(t, M: float, p_conj: float):
@@ -141,10 +138,9 @@ def _theta_weighted(w_t: np.ndarray, t: np.ndarray, M: float,
 
 @dataclass(frozen=True)
 class FunctionalSeries:
-    """Y[w](M) over an M-grid, with both derivative evaluations."""
+    """Y[w](M) over an M-grid, with its M-derivative by the exact identity."""
 
     Y_values: np.ndarray
-    dY_values: np.ndarray  # centered finite differences in M
     dY_direct: np.ndarray  # M^-1 * int int w theta_M^{2p'} (exact identity)
 
 
@@ -165,8 +161,7 @@ def y_series(w, t_grid, r_grid, n: int, p_conj: float, M_grid) -> FunctionalSeri
     w_t = np.trapezoid(w * rw, r, axis=1)
     Y = np.array([_y_weighted(w_t, t, M, p_conj) for M in M_grid])
     dYd = np.array([_theta_weighted(w_t, t, M, p_conj) / M for M in M_grid])
-    dY = np.gradient(Y, M_grid, edge_order=2)
-    return FunctionalSeries(Y_values=Y, dY_values=dY, dY_direct=dYd)
+    return FunctionalSeries(Y_values=Y, dY_direct=dYd)
 
 
 # --- solution samples --------------------------------------------------------

@@ -67,23 +67,15 @@ class RadialGrid:
     """Uniform radial grid with time step locked to a fixed fraction of dr
     (dr/2 by default, dr on the n = 3 grids of RunConfig.grid).
 
-    r_max is sized so the outer Dirichlet row is exact: data start in the unit
-    ball and propagate at speed one, so nothing reaches r_max before t_max as
-    long as r_max >= t_max + 1 + 2*dr.
+    The last radius r[-1] is sized so the outer Dirichlet row is exact: data
+    start in the unit ball and propagate at speed one, so nothing reaches it
+    before t_max as long as r[-1] >= t_max + 1 + 2*dr.
     """
 
     dr: float
     dt: float
     t_max: float
     r: np.ndarray = field(repr=False)
-
-    @property
-    def nr(self) -> int:
-        return self.r.size
-
-    @property
-    def r_max(self) -> float:
-        return float(self.r[-1])
 
     @property
     def n_steps(self) -> int:
@@ -107,6 +99,20 @@ def bump(r, k: int, amp: float):
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere S^(n-1) in R^n."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def uniform_step(x, name: str) -> float:
+    """The step of the grid x; ValueError naming x unless x is 1-d with two
+    or more nodes, its first step is in (0, inf) and every step equals the
+    first to 1e-9 relative (no absolute slack)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError(f"{name} must be a 1-d grid with at least two nodes")
+    steps = np.diff(x)
+    h = float(steps[0])
+    if not (0.0 < h < math.inf and np.allclose(steps, h, rtol=1e-9, atol=0.0)):
+        raise ValueError(f"{name} must be rising and uniform")
+    return h
 
 
 def build_grid(t_max: float, dr: float, cfl: float = 0.5) -> RadialGrid:

@@ -138,7 +138,7 @@ def run(params: ModelParams, grid: RadialGrid, *,
 
     initial optionally overrides (u0, v0); forcing(t, r_array) adds a source
     term (manufactured-solution runs).  Snapshots record (t, u, u_t) with a
-    centered u_t.
+    centered u_t; a time whose step lies outside 0..n_steps raises ValueError.
     """
     return run_block([params], grid, threshold=threshold,
                      snapshot_times=snapshot_times, forcing=forcing,
@@ -205,8 +205,10 @@ def run_block(params_list, grid: RadialGrid, *,
     if snapshot_times is not None:
         for ts in snapshot_times:
             idx = int(round(ts / dt))
-            if 0 <= idx <= n_steps:
-                snap_steps.setdefault(idx, ts)
+            if not 0 <= idx <= n_steps:
+                raise ValueError(f"snapshot time {ts:g} lies outside the run's "
+                                 f"steps 0..{n_steps} of dt {dt:g}")
+            snap_steps.setdefault(idx, ts)
     snapshots = [[] for _ in range(k)]
     status, t_end, last = ["completed"] * k, [n_steps * dt] * k, [n_steps] * k
     support_violation = np.zeros(k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import gauss_jacobi, psi_hat_batch
-from .model import ModelParams, potential
+from .model import ModelParams, potential, uniform_step
 
 DEFAULT_NODES = 64
 R = 2.0  # the shift of the decay weights t + R +- r; R > 1 keeps t + R - r > 0
@@ -77,9 +77,6 @@ class BqTable(BqRule):
     t_grid: np.ndarray
     values: np.ndarray  # (nt, nr)
 
-    def validate(self) -> None:
-        _check_rows(self.values)
-
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -108,20 +105,13 @@ class AsymptoticReport:
         return self.ratio_max / self.ratio_min
 
 
-def _uniform(x) -> bool:
-    """Whether the steps of the grid x (>= 2 nodes) are all x[1] - x[0]."""
-    return np.allclose(np.diff(x), x[1] - x[0], rtol=1e-12)
-
-
 def bq_rule(q: float, params: ModelParams, r_grid,
             nodes: int = DEFAULT_NODES) -> BqRule:
     """The eta rule of b_q and its eigenfunctions shot onto r_grid.
 
-    r_grid must be uniform starting at 0 (it doubles as the ODE output grid).
+    r_grid doubles as the ODE output grid: psi_hat_batch's r_out rule applies.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.size < 2 or r_grid[0] != 0.0 or not _uniform(r_grid):
-        raise ValueError("r_grid must be uniform, start at 0 and have >= 2 nodes")
     eta, w = eta_rule(q, nodes)
     psi_cache, _, _ = psi_hat_batch(eta, params.mu, params.beta, params.n, r_grid)
     return BqRule(q=q, n=params.n, mu=params.mu, beta=params.beta,
@@ -133,14 +123,14 @@ def build_bq(q: float, params: ModelParams, t_grid, r_grid,
     """The validated BqTable of b_q on t_grid x r_grid: bq_rule, then its
     rows at every t in one GEMM.
 
-    r_grid must be uniform starting at 0 (it doubles as the ODE output grid).
+    r_grid must be rising, uniform and start at 0, as bq_rule asks.
     Raises ArithmeticError when the table is not positive and strictly
     decreasing in t.
     """
     rule = bq_rule(q, params, r_grid, nodes)
     t_grid = np.asarray(t_grid, dtype=float)
     table = BqTable(**vars(rule), t_grid=t_grid, values=rule.at(t_grid))
-    table.validate()
+    _check_rows(table.values)
     return table
 
 
@@ -155,7 +145,7 @@ def verify_bq_identities(tq: BqTable) -> IdentityReport:
     two columns reach no cone point short of the whole grid, and every
     residual is that of a whole-rectangle evaluation, bit for bit.
 
-    tq's t_grid must be uniform (the differences in t use its first step).
+    tq's t_grid must pass model.uniform_step (the t differences use its step).
     The partners b_{q+1} and b_{q+2} are built here by bq_rule, on tq's
     radii and model with as many eta nodes, each from its own eta rule: the
     identities then test the quadrature, which partners taken from tq's
@@ -163,11 +153,11 @@ def verify_bq_identities(tq: BqTable) -> IdentityReport:
     computes their rows by one GEMM, the block's rows plus one on either
     side, so no whole partner table is built (a block GEMM may round an
     entry 1 ulp away from build_bq's whole-table GEMM), and the block's
-    arrays are freed before the next block.  Those rows pass the positivity
-    and strict-decrease check of BqTable.validate; consecutive blocks share
-    two rows, so every row and every pair of t-neighbours of a partner, the
-    first and last included, is checked as build_bq checks a whole table
-    (ArithmeticError otherwise).
+    arrays are freed before the next block.  Those rows pass _check_rows,
+    the positivity and strict-decrease check of build_bq; consecutive
+    blocks share two rows, so every row and every pair of t-neighbours of a
+    partner, the first and last included, is checked as build_bq checks a
+    whole table (ArithmeticError otherwise).
 
     The radial first derivative feeding the (n-1)/r term uses five-point
     (fourth-order) differences: V'(0) != 0 puts a genuine r^3 component into
@@ -179,8 +169,7 @@ def verify_bq_identities(tq: BqTable) -> IdentityReport:
     if t.size < 3 or r.size < 5:
         raise ValueError(f"the grid has {t.size} times and {r.size} radii; "
                          "the identities need >= 3 and >= 5")
-    if not _uniform(t):
-        raise ValueError("t_grid must be uniform")
+    uniform_step(t, "t_grid")
     params = ModelParams(n=tq.n, mu=tq.mu, beta=tq.beta)
     tq1, tq2 = (bq_rule(tq.q + j, params, r, tq.eta_nodes.size)
                 for j in (1.0, 2.0))

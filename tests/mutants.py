@@ -1,17 +1,19 @@
 """Planted defects that the test suite must catch.
 
 Each mutant is one exact-text substitution in a temporary copy of src/.  The
-mutant's test file then runs against that copy and must fail: a mutant that
-passes it has survived, and the file's gates cannot see that defect.  A
-target text that does not occur exactly once is an error, so an edit to the
-code cannot disarm a mutant without notice.  pytest does not collect this
-file.  Run it from anywhere in the checkout:
+test the mutant was planted for (a pytest node) then runs alone against that
+copy and must fail: a mutant that passes it has survived, and that test
+cannot see the defect, whatever other tests may.  A target text that does
+not occur exactly once is an error, so an edit to the code cannot disarm a
+mutant without notice.  pytest does not collect this file.  Run it from
+anywhere in the checkout:
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # the named ones
 
 Exit 0 when every mutant is killed, 1 when one survives, 2 on a target that
-does not match or a test run that ends without a verdict.
+does not match or a test run that ends without a verdict (a node that names
+no test, say).
 """
 from __future__ import annotations
 
@@ -25,64 +27,65 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# name: (file under src/strauss_lab, exact text, its replacement, test file)
+# name: (file under src/strauss_lab, exact text, its replacement, the pytest
+# node of the test that must catch it)
 MUTANTS = {
     "damping_removed": (
         "solver.py",
         "    V = potential(r, first.mu, first.beta)\n",
         "    V = 0.0 * potential(r, first.mu, first.beta)\n",
-        "tests/test_acceptance.py"),
+        "tests/test_acceptance.py::test_criterion_4_solver_validation"),
     "beta_ignored": (
         "model.py",
         "    return mu * (1.0 + np.asarray(r, dtype=float)) ** (-beta)\n",
         "    return mu + 0.0 * np.asarray(r, dtype=float)\n",
-        "tests/test_acceptance.py"),
+        "tests/test_acceptance.py::test_criterion_3_bq_validity"),
     "power_ut_corrector_dropped": (
         "solver.py",
         "zip((um, un), scales)",
         "zip((um,), scales)",
-        "tests/test_acceptance.py"),
+        "tests/test_acceptance.py::test_criterion_6_glassey_scaling"),
     "last_row_gap_kept": (
         "solver.py",
         "        gn[:, m:] = gap[m - S:]\n",
         "        gn[:-1, m:] = gap[m - S:]\n",
-        "tests/test_solver.py"),
+        "tests/test_solver.py::test_support_window_holds_in_every_row"),
     "origin_rule_at_unit_step": (
         "solver.py",
         "        if even:\n            gn[:, 0] = ",
         "        if False:\n            gn[:, 0] = ",
-        "tests/test_solver.py"),
+        "tests/test_solver.py::test_free_wave_at_the_unit_step"),
     "richardson_dropped": (
         "sweep.py",
         "T_ext, unc = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0, abs(Ts[-1] - Ts[-2])",
         "T_ext, unc = Ts[-1], abs(Ts[-1] - Ts[-2])",
-        "tests/test_solver.py"),
+        "tests/test_solver.py::test_richardson_step_exact_power_ut"),
     "identity_window_narrowed": (
         "testfunc.py",
         '"right")) + 2))',
         '"right")) + 1))',
-        "tests/test_testfunc.py"),
+        "tests/test_testfunc.py::test_identity_window_matches_whole_rectangle"),
     "partner_rows_unchecked": (
         "testfunc.py",
         "    _check_rows(p1)\n    _check_rows(p2)\n",
         "",
-        "tests/test_testfunc.py"),
+        "tests/test_testfunc.py::test_identities_check_every_partner_row"),
     "second_partner_at_q_plus_1": (
         "testfunc.py",
         "for j in (1.0, 2.0))",
         "for j in (1.0, 1.0))",
-        "tests/test_testfunc.py"),
+        "tests/test_testfunc.py::test_bq_identities_coarse"),
     "flagged_rows_fitted": (
         "sweep.py",
         "if not (censored or unreliable)",
         "if True",
-        "tests/test_sweep.py"),
+        "tests/test_sweep.py::test_fit_table_clean_rows_and_override"),
     "eager_pool_import": (
         "sweep.py",
         "from dataclasses import dataclass, replace\n",
         "from concurrent.futures import ProcessPoolExecutor\n"
         "from dataclasses import dataclass, replace\n",
-        "tests/test_cli.py"),
+        "tests/test_cli.py::test_one_process_commands_load_no_pool_and_no_numpy_ma"),
 }
 
 
@@ -101,9 +104,9 @@ def plant(src: Path, name: str) -> None:
     path.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def run_mutant(name: str) -> tuple[int, list[str]]:
-    """pytest's exit code and FAILED lines on the mutant's test file, run
-    against a mutated copy."""
+def run_mutant(name: str) -> int:
+    """pytest's exit code on the mutant's own test, run alone against a
+    mutated copy."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src,
@@ -118,11 +121,9 @@ def run_mutant(name: str) -> tuple[int, list[str]]:
         if not Path(where.strip()).is_relative_to(src):
             raise TargetError(f"{name}: the tests would import {where.strip()}, "
                               f"not the mutated copy")
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             MUTANTS[name][3]], env=env, cwd=ROOT, capture_output=True, text=True)
-        return done.returncode, [line for line in done.stdout.splitlines()
-                                 if line.startswith("FAILED")]
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             MUTANTS[name][3]], env=env, cwd=ROOT, capture_output=True).returncode
 
 
 def main(argv: list[str]) -> int:
@@ -135,17 +136,15 @@ def main(argv: list[str]) -> int:
     for name in names:
         start = time.monotonic()
         try:
-            rc, failed = run_mutant(name)
+            rc = run_mutant(name)
         except TargetError as exc:
             print(f"error    {exc}")
             status = 2
             continue
         # pytest exits 1 when a test failed; 2 to 5 mean no verdict
         verdict = {0: "SURVIVED", 1: "killed"}.get(rc, f"error (pytest exit {rc})")
-        print(f"{verdict:8} {name} [{MUTANTS[name][3]}, "
-              f"{time.monotonic() - start:.1f} s]", flush=True)
-        for line in failed:
-            print(f"         {line[:100]}")
+        print(f"{verdict:8} {name} {'by' if rc == 1 else 'against'} "
+              f"{MUTANTS[name][3]} [{time.monotonic() - start:.1f} s]", flush=True)
         if rc == 0:
             status = max(status, 1)
         elif rc != 1:

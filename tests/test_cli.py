@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from strauss_lab import cli
 from strauss_lab.cli import _read_solution_csv, build_parser, main, resolve_config
 from strauss_lab.eigen import psi_hat_batch
-from strauss_lab.model import RunConfig
+from strauss_lab.model import ConfigError, RunConfig
 from strauss_lab.sweep import csv_text, write_csv
 from strauss_lab.testfunc import build_bq
 
@@ -162,6 +162,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
     # a fit needs 4 points from a rising eps range
     ["sweep", "--eps-count", "3", "--dr", "0.1"],
     ["sweep", "--eps-min", "1", "--eps-max", "0.5", "--dr", "0.1"],
+    # a snapshot time beyond the run is refused, not dropped
+    ["solve", "--snap-times", "0.5,5", "--dr", "0.1"],
+    ["solve", "--snap-times", "5", "--dr", "0.1"],
 ])
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     # a short coarse run, should a check be missed; a --t-max in argv wins
@@ -216,11 +219,16 @@ def test_every_config_key_has_a_flag(tmp_path):
      "t,r,u,ut\n0,0,1,1\n0,0.1,1,1\n1,0,1,1\n"),
     (["verify", "--checks", "5.1", "--solution"],
      "t,r,u,ut\n0,0,1,1\n0,0.1,1,1\n0,0,1,1\n1,0.1,1,1\n"),
+    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n"),
+    # a falling r column sent the eigen solve's graded tail away from r_ref,
+    # and verify never returned
+    (["verify", "--checks", "5.1", "--solution"],
+     "t,r,u,ut\n10,0,0,0\n10,-0.05,0,0\n10,-0.1,0,0\n"),
 ], ids=["fit-non-numeric", "fit-short-row", "fit-empty", "fit-bad-uncertainty",
         "fit-flag-TRUE", "fit-flag-yes", "fit-flag-1", "fit-flag-empty",
         "fit-repeated-column", "verify-non-numeric", "verify-inf-t",
         "verify-nan-t", "verify-inf-r", "verify-nan-r", "verify-partial-snapshot",
-        "verify-time-splits-block"])
+        "verify-time-splits-block", "verify-no-rows", "verify-falling-r"])
 def test_malformed_csv_exits_2(argv, text, tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -701,6 +709,14 @@ def test_verify_mismatched_r_blocks(tmp_path, capsys):
               [(t, r, 1.0, 0.0) for r in (0.0, 0.1) for t in (0.0, 0.5)])
     assert main(["verify", "--solution", str(path), "--checks", "5.1"]) == 2
     assert "not contiguous" in capsys.readouterr().err
+
+
+def test_solution_without_rows_is_refused_without_a_warning(tmp_path, recwarn):
+    path = tmp_path / "header_only.csv"
+    path.write_text("t,r,u,ut\n")
+    with pytest.raises(ConfigError, match="no snapshot rows"):
+        _read_solution_csv(str(path))
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("nr", [2, 3])

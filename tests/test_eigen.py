@@ -34,7 +34,7 @@ def test_undamped_matches_varphi_exactly():
     # normalized profile and varphi agree on the whole grid, not just far out
     r = _grid(40.0)
     psi_hat, _, _ = psi_hat_batch([1.5], 0.0, 3.0, 3, r)
-    phi = varphi(1.5, r, 3)
+    phi = np.exp(1.5 * r) * varphi(1.5, r, 3)
     rel = np.abs(psi_hat[0] - phi) / np.abs(phi)
     assert float(np.max(rel)) < 1e-9
 
@@ -44,17 +44,16 @@ def test_varphi_closed_form_n3():
     r = np.linspace(0.1, 10.0, 37)
     eta = 0.7
     exact = 4.0 * np.pi * np.sinh(eta * r) / (eta * r)
-    np.testing.assert_allclose(varphi(eta, r, 3), exact, rtol=1e-12)
-    scaled = varphi(eta, r, 3, scaled=True)
-    np.testing.assert_allclose(scaled, np.exp(-eta * r) * exact, rtol=1e-12)
+    np.testing.assert_allclose(varphi(eta, r, 3), np.exp(-eta * r) * exact,
+                               rtol=1e-12)
 
 
 def test_varphi_family_matches_scalar():
     etas = np.array([0.25, 1.0, 2.0])
-    fam = varphi(etas, 5.0, 3, scaled=True)
+    fam = varphi(etas, 5.0, 3)
     for eta, val in zip(etas, fam):
-        assert val == pytest.approx(float(varphi(eta, np.array([5.0]), 3,
-                                                 scaled=True)[0]), rel=1e-12)
+        assert val == pytest.approx(float(varphi(eta, np.array([5.0]), 3)[0]),
+                                    rel=1e-12)
 
 
 def test_rescaled_profile_bounded_and_stable():
@@ -163,6 +162,16 @@ def test_guards():
             ([1.0], 1.0, 0.0, 3, 10.0)]:
         with pytest.raises(ValueError):
             psi_hat_batch(etas, mu, beta, n, _grid(r_max))
+
+
+def test_r_out_must_rise_from_exactly_0():
+    # a falling grid sent the graded tail's step below 0, away from r_ref,
+    # and the call never returned; a first node of 1e-13 is not 0
+    falling = -0.05 * np.arange(101)
+    offset = np.append(1e-13, 0.01 * np.arange(1, 11))
+    for r_out, why in ((falling, "rising and uniform"), (offset, "start at 0")):
+        with pytest.raises(ValueError, match=why):
+            psi_hat_batch([1.0], 1.0, 2.5, 3, r_out)
 
 
 def _mp_gauss_jacobi(m, a, b, x0):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from strauss_lab.model import (NONLINEARITIES, ConfigError, ModelParams,
                                RunConfig, bump, build_grid, initial_data,
                                load_config, parse_config_text, potential,
-                               sphere_area)
+                               sphere_area, uniform_step)
 from strauss_lab.sweep import format_value
 
 from helpers import bump_integral
@@ -72,7 +72,7 @@ def test_build_grid_contract():
     g = build_grid(t_max=10.0, dr=0.02)
     assert g.dt == pytest.approx(0.01)
     assert g.r[0] == 0.0
-    assert g.r_max >= 10.0 + 1.0 + 2.0 * 0.02 - 1e-12
+    assert g.r[-1] >= 10.0 + 1.0 + 2.0 * 0.02 - 1e-12
     assert np.allclose(np.diff(g.r), 0.02)
     assert g.n_steps == 1000
     with pytest.raises(ValueError):
@@ -106,6 +106,27 @@ def test_parse_config_text_roundtrip():
     assert cfg.t_max == 30.0 and cfg.refine_levels == 3
     # untouched keys keep defaults
     assert cfg.dr == RunConfig().dr
+
+
+@settings(deadline=None)
+@given(a=st.sampled_from([0.0, 1.0]), h=st.floats(1e-4, 1.0),
+       n=st.integers(3, 5000), data=st.data())
+def test_uniform_step_admits_the_command_grids_only(a, h, n, data):
+    # a + h*k is how the commands build their t and r grids
+    x = a + h * np.arange(n)
+    assert uniform_step(x, "x") == x[1] - x[0]
+    moved = x.copy()
+    moved[data.draw(st.integers(1, n - 1)):] += 1e-8 * h  # one step, 1e-8 relative
+    not_rising = a + data.draw(st.floats(-1.0, 0.0)) * np.arange(n)
+    for bad in (moved, not_rising):
+        with pytest.raises(ValueError, match="x must be rising and uniform"):
+            uniform_step(bad, "x")
+
+
+def test_uniform_step_needs_two_nodes():
+    for x in (np.array([]), np.array([0.0]), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            uniform_step(x, "x")
 
 
 def _finite(**kw):

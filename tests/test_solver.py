@@ -457,7 +457,7 @@ ORACLE_DRS = (0.04, 0.02, 0.01, 0.005, 0.0025)
 
 def _constant_data_t_end(params, dr, u0, v0):
     grid = build_grid(10.0, dr)
-    one = np.ones(grid.nr)
+    one = np.ones(grid.r.size)
     out = run_block([params], grid, initial=[(u0 * one, v0 * one)],
                     enforce_support=False)[0]
     assert out.status == "blew_up"

@@ -7,13 +7,13 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from scipy.special import exp1, gammainc, hyp2f1
 
 from strauss_lab import testfunc
 from strauss_lab.model import ModelParams, potential
-from strauss_lab.testfunc import (BqRule, BqTable, IdentityReport, bq_rule,
-                                  build_bq, eta_rule, hyper2f1,
+from strauss_lab.testfunc import (BqRule, BqTable, IdentityReport, _check_rows,
+                                  bq_rule, build_bq, eta_rule, hyper2f1,
                                   hyper2f1_compensation, verify_bq_asymptotics,
                                   verify_bq_identities)
 
@@ -102,15 +102,14 @@ def test_bq_table_validate():
     t = np.array([1.0, 2.0, 3.0])
     r = np.linspace(0.0, 2.0, 21)
     table = build_bq(1.1, params, t, r)
-    table.validate()  # strictly positive, strictly decreasing in t
-    broken = replace(table, values=np.flip(table.values, axis=0))
+    _check_rows(table.values)  # strictly positive, strictly decreasing in t
     with pytest.raises(ArithmeticError):
-        broken.validate()
+        _check_rows(np.flip(table.values, axis=0))
     for value, why in ((table.values[0, 4], "decreasing"), (np.nan, "positivity")):
         values = table.values.copy()
         values[1, 4] = value  # equal to its t-neighbour, or NaN
         with pytest.raises(ArithmeticError, match=why):
-            replace(table, values=values).validate()
+            _check_rows(values)
 
 
 # --- identities ------------------------------------------------------------------
@@ -200,6 +199,17 @@ def test_bq_identities_refuse_nonuniform_t():
     # not an identity failure (this grid read worst = 6.76 when accepted)
     t = 1.0 + 0.02 * np.arange(80) ** 1.05
     tq = build_bq(0.5, _params(), t, 0.05 * np.arange(41), nodes=16)
+    with pytest.raises(ValueError, match="uniform"):
+        verify_bq_identities(tq)
+
+
+def test_bq_identities_refuse_jittered_t():
+    # steps of 0.01 +- 4e-9 (8e-7 relative): an absolute slack of 1e-8 once
+    # admitted this grid, and res_dtt read 1.64e-4 against 4.19e-6 on the
+    # clean grid
+    k = np.arange(32)
+    t = 1.0 + 0.01 * k + 4e-9 * (k % 2)
+    tq = build_bq(0.5, _params(), t, 0.01 * np.arange(101))
     with pytest.raises(ValueError, match="uniform"):
         verify_bq_identities(tq)
 
