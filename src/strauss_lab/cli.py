@@ -272,7 +272,7 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"unknown check {tok!r}; valid: "
                               f"{','.join(CHECK_TOKENS)}")
     t, r, u, ut = _read_solution_csv(args.solution)
-    uniform_step(r, f"{args.solution}: the r column")
+    uniform_step(r, f"{args.solution}: the r column", start=0.0)
     samples = SolutionSamples(params=cfg.model_params(), t=t, r=r, u=u, ut=ut)
     rows = []
     failed = []

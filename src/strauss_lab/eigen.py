@@ -199,9 +199,7 @@ def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
         raise ValueError("need n >= 2, mu >= 0, beta > 0")
     if not np.all(etas >= 0.0):
         raise ValueError("eta must be >= 0")
-    uniform_step(r_out, "r_out")
-    if r_out[0] != 0.0:
-        raise ValueError("r_out must start at 0")
+    uniform_step(r_out, "r_out", start=0.0)
     if float(etas.max()) * r_out[-1] > 700.0:
         raise ValueError("eta*r_max > 700: psi ~ e^(eta r) overflows")
     if r_ref is None:

@@ -101,17 +101,18 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def uniform_step(x, name: str) -> float:
+def uniform_step(x, name: str, start: float | None = None) -> float:
     """The step of the grid x; ValueError naming x unless x is 1-d with two
-    or more nodes, its first step is in (0, inf) and every step equals the
-    first to 1e-9 relative (no absolute slack)."""
+    or more nodes, its first step is in (0, inf), every step equals the
+    first to 1e-9 relative (no absolute slack) and x[0] is start, if given."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"{name} must be a 1-d grid with at least two nodes")
-    steps = np.diff(x)
-    h = float(steps[0])
-    if not (0.0 < h < math.inf and np.allclose(steps, h, rtol=1e-9, atol=0.0)):
+    h = float(x[1] - x[0])
+    if not (0.0 < h < math.inf and np.allclose(np.diff(x), h, rtol=1e-9, atol=0.0)):
         raise ValueError(f"{name} must be rising and uniform")
+    if start is not None and x[0] != start:
+        raise ValueError(f"{name} must start at {start:g}")
     return h
 
 
@@ -131,8 +132,7 @@ def build_grid(t_max: float, dr: float, cfl: float = 0.5) -> RadialGrid:
         raise ValueError(f"t_max {t_max} rounds to 0 steps of dt {cfl * dr}")
     need = t_max + 1.0 + 2.0 * dr
     nr = int(math.ceil(need / dr - 1e-12)) + 1
-    r = np.arange(nr) * dr
-    return RadialGrid(dr=dr, dt=cfl * dr, t_max=t_max, r=r)
+    return RadialGrid(dr=dr, dt=cfl * dr, t_max=t_max, r=np.arange(nr) * dr)
 
 
 def initial_data(params: ModelParams, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,9 @@ damping and 1/D sit in per-node coefficients, each built once per run (the
 origin rule in P_0 and C_0, M_0 = 0).  It is the scheme above in another
 order of operations: u agrees with the unfolded update to round-off (tests
 pin it at 1e-11 relative).  So does |x|^p by _abs_power's multiplies and
-square roots in place of pow.
+square roots in place of pow.  At the unit step C = (2/dt^2 - 2/dr^2)/D is
++0 off node 0, which takes the even value, so the update has no centre term
+and skips its pass, keeping every bit: at finite u that pass adds only zeros.
 
 The raw stencil widens discrete support by one node per step, i.e. faster than
 the physical speed; the values it would place beyond r = t + 1 + 2dr are a
@@ -41,18 +43,18 @@ data are cut at the t = 0 window r <= 1 + 2dr by the same rule.
 
 run_block advances problems that differ only in their data (the eps values
 of one level of sweep.run_sweep's lifespan ladder) in a packed layout; run()
-is its one-row case.  The live rows'
-windows lie back to back in flat buffers at a row stride S >= m + 2, so each
-array pass of a step is one contiguous ufunc call over rows*S - 1 nodes
-rather than one call on a (rows, m) strided view, which costs about three
-times as much.  Every row's gap nodes are computed with the rest and reset
-each step: +0 for the right neighbour of a row's last node and -0 for the
-left neighbour of the next row's origin, where M_0 = +0 makes the added term
--0, which changes no value.  So each row's numbers are bit for bit those of
-its own run().  S grows with the window, the rows moving inside the same
-buffers, and the coefficients are tiled at stride S for the live rows.  The
-span depends on the live rows and S alone, so its views are rebuilt only as
-S grows or a row leaves.
+is its one-row case.  The live rows' windows lie back to back in flat
+buffers at a row stride S >= m + 2, so each array pass of a step is one
+contiguous ufunc call over rows*S - 1 nodes rather than one call on a
+(rows, m) strided view, which costs about three times as much.  Every row's
+gap nodes are computed with the rest and reset each step: +0 for the right
+neighbour of a row's last node and -0 for the left neighbour of the next
+row's origin, where M_0 = +0 makes the added term -0, which changes no
+value.  So each row's numbers are bit for bit those of its own run().  S
+grows with the window, the rows moving inside the same buffers, and the
+coefficients are tiled at stride S for the live rows.  The span depends on
+the live rows and S alone, so its views are rebuilt only as S grows or a
+row leaves.
 """
 from __future__ import annotations
 
@@ -155,11 +157,9 @@ def run_block(params_list, grid: RadialGrid, *,
     """run() for a block of problems that differ only in their data.
 
     The problems share n, mu, beta, p and the nonlinearity, hence V and the
-    active window of m nodes.  The live rows lie back to back in flat
-    buffers, row j's window from j*S, so each array pass of a step is one
-    contiguous call over rows*S - 1 nodes, on views rebuilt only as S grows
-    or a row leaves (at its own blow-up or instability).  Every row's
-    numbers are bit for bit those of its own run().  initial is None or one
+    active window of m nodes.  A row leaves at its own blow-up or
+    instability; every row's numbers are bit for bit those of its own run()
+    (the module docstring gives the packed layout).  initial is None or one
     (u0, v0) pair per problem, cut at the t = 0 window like the model data.
     """
     params_list = list(params_list)
@@ -201,14 +201,13 @@ def run_block(params_list, grid: RadialGrid, *,
             return P, C, M, Bd, invD, invD / dt ** p, invD / (2.0 * dt) ** p
         return P, C, M, Bd, invD
 
-    snap_steps = {}
-    if snapshot_times is not None:
-        for ts in snapshot_times:
-            idx = int(round(ts / dt))
-            if not 0 <= idx <= n_steps:
-                raise ValueError(f"snapshot time {ts:g} lies outside the run's "
-                                 f"steps 0..{n_steps} of dt {dt:g}")
-            snap_steps.setdefault(idx, ts)
+    snap_steps = set()
+    for ts in () if snapshot_times is None else snapshot_times:
+        idx = int(round(ts / dt))
+        if not 0 <= idx <= n_steps:
+            raise ValueError(f"snapshot time {ts:g} lies outside the run's "
+                             f"steps 0..{n_steps} of dt {dt:g}")
+        snap_steps.add(idx)
     snapshots = [[] for _ in range(k)]
     status, t_end, last = ["completed"] * k, [n_steps * dt] * k, [n_steps] * k
     support_violation = np.zeros(k)
@@ -231,14 +230,13 @@ def run_block(params_list, grid: RadialGrid, *,
     tiled = _fresh_zeros((len(coefficients(0, 1)), k * (nr + 1)))  # 5 or 7 rows
     gap = np.zeros(nr + 2)
     gap[-1] = -0.0
-    ids = np.arange(k)  # block row -> problem index
+    ids = owner = np.arange(k)  # block and history row -> problem, live rows first
 
     def stride(m):
         return min(m + 2 + max(32, m // 32), nr + 1)
 
-    def as_rows(x, rows=None):
-        rows = ids.size if rows is None else rows
-        return x[:rows * S].reshape(rows, S)
+    def as_rows(x):
+        return x[:ids.size * S].reshape(ids.size, S)
 
     def tile(lo):
         # the coefficients at stride S: row 0's from node lo on, then rows
@@ -247,17 +245,15 @@ def run_block(params_list, grid: RadialGrid, *,
         tiled[:, min(lo, w):w] = coefficients(min(lo, w), w)
         tiled[:, S:ids.size * S].reshape(len(tiled), -1, S)[...] = tiled[:, None, :S]
 
-    def row(x, j):
-        # row j of a state buffer as a full grid array
+    def row(x, j):  # row j of a state buffer as a full grid array
         full = np.zeros(nr)
         full[:m] = x[j * S:j * S + m]
         return full
 
-    def check_support(x, t):
-        if not enforce_support:
-            tail = np.max(np.abs(as_rows(x)[:, window(t):nr]), axis=-1)
-            seen = support_violation[ids]
-            support_violation[ids] = np.where(tail > seen, tail, seen)
+    def check_support(x, t):  # for runs that do not zero the tail
+        tail = np.max(np.abs(as_rows(x)[:, window(t):nr]), axis=-1)
+        seen = support_violation[ids]
+        support_violation[ids] = np.where(tail > seen, tail, seen)
 
     S = stride(active(2.0 * dt))
     tile(0)
@@ -288,17 +284,17 @@ def run_block(params_list, grid: RadialGrid, *,
     max_hist[:, 1] = np.abs(u1).max(axis=1)
     for x in (u_prev, u, u_next):
         x[S - 1:k * S:S] = -0.0
-    check_support(u, dt)
+    if not enforce_support:
+        check_support(u, dt)
 
     def views(x):
-        # the live rows' span, its right and left neighbours, its nodes after
-        # the first (the ones a left neighbour is added to), and the rows
-        return x[:span], x[1:span + 1], x[:span - 1], x[1:span], as_rows(x)
+        # span, right and left neighbours, nodes after the first, rows, nodes 0-2
+        rows = as_rows(x)
+        return x[:span], x[1:span + 1], x[:span - 1], x[1:span], rows, *rows[:, :3].T
 
     live = None  # the (rows, S) of the views and coefficient slices
     for step in range(1, n_steps):
-        t = step * dt
-        t_next = t + dt
+        t, t_next = step * dt, step * dt + dt
         m = active(t_next)
         if m > S - 2:  # grow the stride, moving the rows from the last
             S_old, S = S, stride(m)
@@ -309,17 +305,18 @@ def run_block(params_list, grid: RadialGrid, *,
             tile(S_old)
         if (ids.size, S) != live:
             live, span = (ids.size, S), ids.size * S - 1
-            vp, vu, vn, (tmp, _, _, tmp1, _), (lin, _, _, lin1, _) = map(
+            vp, vu, vn, (tmp, _, _, tmp1, *_), (lin, _, _, lin1, *_) = map(
                 views, (u_prev, u, u_next, tmp_b, lin_b))
             Pm, Cm, Mm, Bm, invDm, *scales = tiled[:, :span]
             Mm = Mm[1:]
             starts = np.arange(0, span, S)
-        (um, ur, ul, *_), (upm, *_), (un, _, _, un1, gn) = vu, vp, vn
+        (um, ur, ul, *_), (upm, *_), (un, _, _, un1, gn, n0, n1, n2) = vu, vp, vn
         # power_ut keeps the part without N for its predictor and corrector
         out, out1 = (lin, lin1) if mode == "power_ut" else (un, un1)
         np.multiply(ur, Pm, out=out)
-        np.multiply(um, Cm, out=tmp)
-        out += tmp
+        if not even:  # at the unit step C is +0 off node 0, which the even write sets
+            np.multiply(um, Cm, out=tmp)
+            out += tmp
         np.multiply(ul, Mm, out=tmp1)
         out1 += tmp1
         np.multiply(upm, Bm, out=tmp)
@@ -340,9 +337,12 @@ def run_block(params_list, grid: RadialGrid, *,
                 tmp *= scale
                 np.add(lin, tmp, out=un)
         gn[:, m:] = gap[m - S:]
-        if even:
-            gn[:, 0] = (4.0 * gn[:, 1] - gn[:, 2]) / 3.0
-        check_support(u_next, t_next)
+        if even:  # (4u_1 - u_2)/3, the same three operations in place
+            np.multiply(n1, 4.0, out=n0)
+            n0 -= n2
+            n0 /= 3.0
+        if not enforce_support:
+            check_support(u_next, t_next)
 
         if step in snap_steps:
             for j, i in enumerate(ids):
@@ -350,8 +350,7 @@ def run_block(params_list, grid: RadialGrid, *,
                                      (row(u_next, j) - row(u_prev, j)) / (2.0 * dt)))
 
         np.abs(un, out=tmp)
-        mx = np.maximum.reduceat(tmp, starts)
-        max_hist[:, step + 1][ids] = mx
+        mx = np.maximum.reduceat(tmp, starts, out=max_hist[:ids.size, step + 1])
         if not all(x <= threshold for x in mx.tolist()):  # NaN and inf fail too
             stop = ~(mx <= threshold)
             for j in np.flatnonzero(stop):
@@ -361,13 +360,16 @@ def run_block(params_list, grid: RadialGrid, *,
                 if status[i] == "blew_up" and (step + 1) in snap_steps:
                     snapshots[i].append((t_next, row(u_next, j),
                                          (row(u_next, j) - row(u, j)) / dt))
-            ids = ids[~stop]
+            # live rows, histories and ids move up, the leavers' histories after
+            keep = np.count_nonzero(~stop)
+            if stop[:keep].any():
+                order = np.argsort(stop, kind="stable")
+                for x in (as_rows(u)[:, :m], as_rows(u_next)[:, :m],
+                          max_hist[:ids.size, :step + 2], ids):
+                    x[...] = x[order]
+            ids = ids[:keep]
             if ids.size == 0:
                 break
-            if stop[:ids.size].any():  # move the live rows up
-                for x in (u, u_next):
-                    block = as_rows(x, stop.size)[:, :m]
-                    block[:ids.size] = block[~stop]
         u_prev, u, u_next = u, u_next, u_prev
         vp, vu, vn = vu, vn, vp
 
@@ -380,12 +382,12 @@ def run_block(params_list, grid: RadialGrid, *,
     return [SolveOutcome(
         status=status[i],
         t_end=t_end[i],
-        max_abs_u=max_hist[i, :last[i] + 1],
+        max_abs_u=max_hist[b, :last[i] + 1],
         snapshots=snapshots[i],
         params=params_list[i],
         grid=grid,
         support_violation=float(support_violation[i]),
-    ) for i in range(k)]
+    ) for i, b in sorted(zip(owner.tolist(), range(k)))]  # problem i, history row b
 
 
 # --- exact solution of the undamped 3d problem (oracle) -----------------------

@@ -52,9 +52,14 @@ MUTANTS = {
         "tests/test_solver.py::test_support_window_holds_in_every_row"),
     "origin_rule_at_unit_step": (
         "solver.py",
-        "        if even:\n            gn[:, 0] = ",
-        "        if False:\n            gn[:, 0] = ",
+        "        if even:  # (4u_1 - u_2)/3",
+        "        if False:  # (4u_1 - u_2)/3",
         "tests/test_solver.py::test_free_wave_at_the_unit_step"),
+    "centre_term_dropped_off_unit_step": (
+        "solver.py",
+        "        if not even:  # at the unit step C is +0",
+        "        if False:  # at the unit step C is +0",
+        "tests/test_solver.py::test_solver_second_order_against_oracle"),
     "richardson_dropped": (
         "sweep.py",
         "T_ext, unc = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0, abs(Ts[-1] - Ts[-2])",

@@ -224,11 +224,17 @@ def test_every_config_key_has_a_flag(tmp_path):
     # and verify never returned
     (["verify", "--checks", "5.1", "--solution"],
      "t,r,u,ut\n10,0,0,0\n10,-0.05,0,0\n10,-0.1,0,0\n"),
+    # a uniform r column that starts above 0 reached the eigen solve, which
+    # refused it as "r_out must start at 0", naming no file
+    (["verify", "--checks", "5.1", "--solution"],
+     "t,r,u,ut\n0,0.05,0,0\n0,0.1,0,0\n0,0.15,0,0\n"
+     "10,0.05,0,0\n10,0.1,0,0\n10,0.15,0,0\n"),
 ], ids=["fit-non-numeric", "fit-short-row", "fit-empty", "fit-bad-uncertainty",
         "fit-flag-TRUE", "fit-flag-yes", "fit-flag-1", "fit-flag-empty",
         "fit-repeated-column", "verify-non-numeric", "verify-inf-t",
         "verify-nan-t", "verify-inf-r", "verify-nan-r", "verify-partial-snapshot",
-        "verify-time-splits-block", "verify-no-rows", "verify-falling-r"])
+        "verify-time-splits-block", "verify-no-rows", "verify-falling-r",
+        "verify-offset-r"])
 def test_malformed_csv_exits_2(argv, text, tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(text)

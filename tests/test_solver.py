@@ -1,6 +1,7 @@
 """Solver checks: oracle convergence, support, energy, blow-up detection."""
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -389,6 +390,33 @@ def test_block_rows_match_single_runs_at_the_unit_step(mode, p, amp, eps, t_max,
     # the even origin value is written into every live row of the block
     _assert_block_matches_single_runs(build_grid(t_max, dr, 1.0), mode, p, amp,
                                       eps, statuses)
+
+
+@pytest.mark.parametrize("mode, p, amp, eps, t_max, dr, lasts, digest", [
+    # the middle row leaves first, at step 35, on the step (34) the row
+    # stride grows; the last row then moves up and leaves at step 68, on
+    # the next growth (67)
+    ("power_u", 2.0, 20.0, (0.5, 1.09, 0.755), 8.0, 0.04, (146, 35, 68),
+     "b347e0641c7af5565dccbc8e1cbf065e38c20e99b8bd515de3d318f6bf19247c"),
+    # the first row leaves first, then the one that moved up into its
+    # place, at step 233, as the stride grows (232)
+    ("power_ut", 1.5, 2.0, (3.0, 2.25, 2.0), 10.0, 0.02, (182, 233, 257),
+     "7595cc1305895f050cdb528870e52873da2d11e1f89a364f4433cb780d3ba82c"),
+])
+def test_unit_step_block_histories_pinned(mode, p, amp, eps, t_max, dr, lasts, digest):
+    # status, t_end and the max|u| history of every row, bit for bit, as a
+    # block moves its rows' histories when one leaves
+    base = ModelParams(n=3, p=p, mu=1.0, beta=3.0, nonlinearity=mode,
+                       f_amp=amp, g_amp=amp)
+    block = run_block([replace(base, eps=e) for e in eps], build_grid(t_max, dr, 1.0),
+                      threshold=1e4)
+    assert tuple(out.max_abs_u.size - 1 for out in block) == lasts
+    h = hashlib.sha256()
+    for out in block:
+        h.update(out.status.encode())
+        h.update(np.float64(out.t_end).tobytes())
+        h.update(out.max_abs_u.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_support_window_holds_in_every_row():
