@@ -20,15 +20,16 @@ lambda by 2^(beta-1).  For mu = 0 the ratio is constant: psi =
 varphi/|S^{n-1}| exactly (n = 3: psi = sinh(eta r)/(eta r)), and at eta = 0,
 psi = 1 and lambda = 1/|S^{n-1}|.
 
-One integrator serves every solve.  The equation for (s, s') is linear, so a
-classical RK4 step is a fixed 2x2 propagator matrix; _rk4_propagate forms
-the propagators of a block of steps for all eta at once with element-wise
-array algebra, multiplies those of each output interval together, and chains
-the interval products into its output rows.  Each coefficient is formed
-once (K1 is A(r) itself, and A(r + h/2) serves K2 and K3), with the
-arithmetic of the textbook formulas, bit for bit.  The near segment takes
-steps h <= dr aligned with the output grid.  The far tail, which only feeds
-lambda, takes graded steps h = min(1e-3 r, 0.1) and lands exactly on r_ref.
+One integrator serves every solve.  The equation for (s, s') is linear and
+affine in eta, so a classical RK4 step is a 2x2 propagator matrix of
+polynomials of degree <= 4 in eta.  _rk4_steps forms their coefficients once
+for a block of steps and evaluates every eta with one GEMM; the propagators
+match the stage-by-stage formulas to round-off and keep (s, s') = (1, 0)
+exactly at eta = 0.  _rk4_propagate multiplies the propagators of each
+output interval together and chains the interval products into its output
+rows.  The near segment takes steps h <= dr aligned with the output grid.
+The far tail, which only feeds lambda, takes graded steps
+h = min(1e-3 r, 0.1) and lands exactly on r_ref.
 """
 from __future__ import annotations
 
@@ -103,46 +104,60 @@ def varphi(eta, r, n: int):
     return sphere_area(n - 1) * (np.exp(expo) @ weights)
 
 
+def _rk4_steps(powers, mu, beta, n, r, h):
+    """RK4 step matrices P00, P01, P10, P11 from r to r + h (L steps), each
+    (L, eta count); powers holds the rows 1, eta, ..., eta^4.
+
+    y' = A y with y = (s, s'), A = [[0, 1], [eta w, -q - 2 eta]], q = (n-1)/r,
+    w = V - q, and P = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A(r),
+    K2 = A(r+h/2)(I + h/2 K1), K3 = A(r+h/2)(I + h/2 K2), K4 = A(r+h)(I + h K3).
+    Row 0 of A X is row 1 of X, so K_(i+1) = [v_i; R_(i+1)] with v_0 = e1,
+    v_i = e1 + tau_i R_i, u_i = e0 + tau_i v_(i-1) and R_(i+1) =
+    -q v_i + eta (w u_i - 2 v_i), and P - I = [h e1 + h^2/6 (R1 + R2 + R3);
+    h/6 (R1 + 2 R2 + 2 R3 + R4)], a GEMM of its eta^k coefficients.
+    """
+    x = r + h * np.array([[0.0], [0.5], [1.0]])  # r, r + h/2, r + h
+    mq = (1.0 - n) / x  # -q
+    w = mu * (1.0 + x) ** (-beta) + mq
+    # R[i, k]: the eta^k coefficient of R_(i+1), columns then steps
+    R = np.zeros((4, 5, 2, r.size))
+    R[0, 0, 1], R[0, 1, 0], R[0, 1, 1] = mq[0], w[0], -2.0
+    v = np.array([[[0.0], [1.0]]])  # v_0 = e1
+    half = 0.5 * h
+    for i, (j, tau) in enumerate(((1, half), (1, half), (2, h))):
+        u = tau * v
+        u[0, 0] += 1.0
+        v = tau * R[i, :i + 2]
+        v[0, 1] += 1.0
+        np.multiply(mq[j], v, out=R[i + 1, :i + 2])
+        R[i + 1, 1:i + 3] -= 2.0 * v
+        R[i + 1, 1:i + 2] += w[j] * u
+    C = np.empty((5, 2, 2, r.size))  # eta power, row, column, step
+    T = R[0] + R[1] + R[2]
+    np.multiply(h * h / 6.0, T, out=C[:, 0])
+    C[0, 0, 1] += h
+    np.multiply(h / 6.0, T + R[1] + R[2] + R[3], out=C[:, 1])
+    P = (C.reshape(5, -1).T @ powers).reshape(4, r.size, -1)
+    P[::3] += 1.0  # P00 and P11
+    return P
+
+
 def _rk4_propagate(etas, mu, beta, n, edges, every, s, sp):
     """Classical RK4 steps between consecutive `edges`, for all etas at once.
 
     Starts from the state (s, s') at edges[0] and returns the (s, s') rows
-    at edges[every], edges[2*every], ...  The equation is linear,
-    y' = A(r) y with y = (s, s'), so a step is the 2x2 matrix
-    P = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A(r),
-    K2 = A(r+h/2)(I + h/2 K1), K3 = A(r+h/2)(I + h/2 K2), K4 = A(r+h)(I + h K3).
+    at edges[every], edges[2*every], ...
     """
-    etas = np.asarray(etas, dtype=float)
-    bnr = n - 1.0
-    m2eta = -2.0 * etas
+    powers = np.vander(np.asarray(etas, dtype=float), 5, increasing=True).T
     n_int = (edges.size - 1) // every
-    out_s = np.empty((n_int, etas.size))
+    out_s = np.empty((n_int, powers.shape[1]))
     out_sp = np.empty_like(out_s)
-
-    def coeffs(x):
-        """c, d of A(x) = [[0, 1], [c, d]]; (-2 eta) - q equals -(2 eta + q)."""
-        q = bnr / x
-        return etas * (mu * (1.0 + x) ** (-beta) - q), m2eta - q
-
-    def times_a(c, d, K, tau):
-        """A (I + tau K) for A = [[0, 1], [c, d]]; matrices as 4-tuples."""
-        b00, b01 = 1.0 + tau * K[0], tau * K[1]
-        b10, b11 = tau * K[2], 1.0 + tau * K[3]
-        return b10, b11, c * b00 + d * b10, c * b01 + d * b11
-
     per = max(1, min(CHUNK, CHUNK_STEPS // every))
     for lo in range(0, n_int, per):
         hi = min(lo + per, n_int)
-        e = edges[lo * every:hi * every + 1, None]
-        r, h = e[:-1], np.diff(e, axis=0)
-        K1 = (0.0, 1.0, *coeffs(r))  # A(r) (I + 0): c*1 + d*0 = c, c*0 + d*1 = d
-        c_mid, d_mid = coeffs(r + 0.5 * h)
-        K2 = times_a(c_mid, d_mid, K1, 0.5 * h)
-        K3 = times_a(c_mid, d_mid, K2, 0.5 * h)
-        K4 = times_a(*coeffs(r + h), K3, h)
-        K = [h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-             for k1, k2, k3, k4 in zip(K1, K2, K3, K4)]
-        P = [x.reshape(hi - lo, every, -1) for x in (1.0 + K[0], K[1], K[2], 1.0 + K[3])]
+        e = edges[lo * every:hi * every + 1]
+        P = _rk4_steps(powers, mu, beta, n, e[:-1], np.diff(e)).reshape(
+            4, hi - lo, every, -1)
         # product over each output interval (later steps multiply from the left)
         M = [p[:, 0] for p in P]
         for j in range(1, every):

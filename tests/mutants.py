@@ -65,6 +65,11 @@ MUTANTS = {
         "T_ext, unc = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0, abs(Ts[-1] - Ts[-2])",
         "T_ext, unc = Ts[-1], abs(Ts[-1] - Ts[-2])",
         "tests/test_solver.py::test_richardson_step_exact_power_ut"),
+    "eta4_term_dropped": (
+        "eigen.py",
+        "(C.reshape(5, -1).T @ powers)",
+        "(C[:4].reshape(4, -1).T @ powers[:4])",
+        "tests/test_eigen.py::test_rk4_steps_match_the_stage_formulas"),
     "identity_window_narrowed": (
         "testfunc.py",
         '"right")) + 2))',

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -126,18 +129,29 @@ def test_psi_hat_batch_node_spacing_insensitive():
     np.testing.assert_allclose(a[2], b[2], rtol=1e-8)
 
 
-def test_psi_hat_batch_memory_bounded_on_a_coarse_grid():
-    # a block holds at most 640 RK4 steps: at output step 0.1 (100 steps an
-    # interval) 64 eta peaked at 56.7 MB when a block held 64 intervals
-    eta, _ = eta_rule(0.5, 64)
-    r_out = 0.1 * np.arange(51)
+def _peak_bytes(etas, r_out):
+    """tracemalloc's peak over one psi_hat_batch call."""
     tracemalloc.start()
     try:
-        psi_hat_batch(eta, 1.0, 2.5, 3, r_out)
-        _, peak = tracemalloc.get_traced_memory()
+        psi_hat_batch(etas, 1.0, 2.5, 3, r_out)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+
+
+def test_psi_hat_batch_memory_bounded_on_a_coarse_grid():
+    # a block holds at most 640 RK4 steps: at output step 0.1 (100 steps an
+    # interval) 64 eta peaked at 56.7 MB when a block held 64 intervals, and
+    # at 9.6 MB with step matrices formed stage by stage for every eta; the
+    # polynomial coefficients and one GEMM a block peak at 5.1 MB
+    eta, _ = eta_rule(0.5, 64)
+    assert _peak_bytes(eta, 0.1 * np.arange(51)) < 6e6
+
+
+def test_psi_hat_batch_memory_bounded_on_the_criterion_3_grid():
+    # 64 eta on r in [0, 20] at 0.01: 12.5 MB stage by stage, 7.9 MB now
+    eta, _ = eta_rule(0.5, 64)
+    assert _peak_bytes(eta, 0.01 * np.arange(2001)) < 9e6
 
 
 @pytest.mark.parametrize("step", [0.01, 0.1])
@@ -151,6 +165,64 @@ def test_psi_hat_batch_bits_independent_of_block_size(step, monkeypatch):
     monkeypatch.setattr(eigen, "CHUNK_STEPS", 1)
     for a, b in zip(default, psi_hat_batch(eta, 1.0, 2.5, 3, r_out, r_ref=5.0)):
         assert a.tobytes() == b.tobytes()
+
+
+def _stage_steps(etas, mu, beta, n, r, h):
+    """The RK4 step matrices stage by stage, as the textbook writes them:
+    (P00, P01, P10, P11), each (r rows, eta columns)."""
+    r, h = r[:, None], h[:, None]
+
+    def coeffs(x):
+        """c, d of A(x) = [[0, 1], [c, d]]."""
+        q = (n - 1.0) / x
+        return etas * (mu * (1.0 + x) ** (-beta) - q), -2.0 * etas - q
+
+    def times_a(c, d, K, tau):
+        """A (I + tau K) for A = [[0, 1], [c, d]]; matrices as 4-tuples."""
+        b00, b01 = 1.0 + tau * K[0], tau * K[1]
+        b10, b11 = tau * K[2], 1.0 + tau * K[3]
+        return b10, b11, c * b00 + d * b10, c * b01 + d * b11
+
+    K1 = (0.0, 1.0, *coeffs(r))
+    c_mid, d_mid = coeffs(r + 0.5 * h)
+    K2 = times_a(c_mid, d_mid, K1, 0.5 * h)
+    K3 = times_a(c_mid, d_mid, K2, 0.5 * h)
+    K4 = times_a(*coeffs(r + h), K3, h)
+    K = [h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+         for k1, k2, k3, k4 in zip(K1, K2, K3, K4)]
+    return 1.0 + K[0], K[1], K[2], 1.0 + K[3]
+
+
+@pytest.mark.parametrize("h, r_max", [(1e-3, 20.0), (0.1, 240.0)])
+def test_rk4_steps_match_the_stage_formulas(h, r_max):
+    # near steps (h = dr_ode) and graded-tail steps at their largest: the
+    # polynomial coefficients evaluated by one GEMM give the stage formulas'
+    # step matrices to round-off, and at eta = 0 they keep (s, s') = (1, 0)
+    rng = np.random.default_rng(11)
+    r = h * (r_max / h) ** rng.uniform(0.0, 1.0, 400)
+    steps = np.full_like(r, h)
+    etas = np.append(0.0, rng.uniform(0.0, 1.0, 31))
+    powers = np.vander(etas, 5, increasing=True).T
+    for n, mu in [(2, 1.0), (3, 1.0), (3, 0.0), (5, 1.0)]:
+        P = eigen._rk4_steps(powers, mu, 2.5, n, r, steps)
+        for new, ref in zip(P, _stage_steps(etas, mu, 2.5, n, r, steps)):
+            np.testing.assert_allclose(new, ref, rtol=0.0, atol=1e-14)
+        assert np.all(P[0][:, 0] == 1.0) and np.all(P[2][:, 0] == 0.0)
+
+
+def test_rk4_steps_bits_independent_of_blas_threads():
+    # the coefficient GEMM of a full near block against 512 eta: one and two
+    # OpenBLAS threads split the rows and columns, and every entry keeps its bits
+    code = ("import hashlib, numpy as np; from strauss_lab.eigen import _rk4_steps; "
+            "r = 1e-3 * np.arange(1.0, 641.0); "
+            "P = _rk4_steps(np.vander(np.linspace(0.0, 1.0, 512), 5, increasing=True).T, "
+            "1.0, 2.5, 3, r, np.full_like(r, 1e-3)); "
+            "print(hashlib.sha256(P.tobytes()).hexdigest())")
+    digests = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, check=True,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads)).stdout
+               for threads in ("1", "2")}
+    assert len(digests) == 1
 
 
 def test_guards():

@@ -4,8 +4,11 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strauss_lab.exponents import (critical_exponents, gamma, theory_lifespan)
+from strauss_lab.exponents import (PS_EQUALITY_TOL, critical_exponents, gamma,
+                                   theory_lifespan)
 
 
 def test_strauss_exponent_closed_forms():
@@ -81,3 +84,59 @@ def test_theory_lifespan_validation():
         theory_lifespan(3, 1.0, "power_u")
     with pytest.raises(ValueError):
         theory_lifespan(3, 2.0, "cubic")
+
+
+def _branches(n):
+    """(nonlinearity, branch, p_lo, p_hi, p_crit) for each polynomial branch
+    of dimension n: the branch holds p in (p_lo, p_hi]; a subcritical branch
+    ends just over PS_EQUALITY_TOL below its critical exponent p_crit."""
+    exps = critical_exponents(n)
+    knee = n / (n - 1.0)
+    below = 1.0 - 2.0 * PS_EQUALITY_TOL
+    return [("power_u", "power_u_low", 1.0, knee, None),
+            ("power_u", "power_u_subcritical", knee, exps.p_strauss * below, exps.p_strauss),
+            ("power_ut", "power_ut_subcritical", 1.0, exps.p_glassey * below, exps.p_glassey)]
+
+
+_dims = st.integers(2, 5)
+
+
+@settings(deadline=None)
+@given(n=_dims, b=st.integers(0, 2), t=st.floats(1e-6, 1.0 - 1e-6),
+       step=st.floats(1e-6, 1.0))
+def test_theory_lifespan_polynomial_exponent_rises_in_each_branch(n, b, t, step):
+    # within a branch the exponent is finite, positive and strictly rising in p
+    nonlinearity, branch, lo, hi, _ = _branches(n)[b]
+    bounds = []
+    for u in (t, min(t + step, 1.0)):
+        bound = theory_lifespan(n, lo + u * (hi - lo), nonlinearity)
+        assert (bound.kind, bound.branch) == ("polynomial", branch)
+        assert math.isfinite(bound.exponent) and bound.exponent > 0.0
+        bounds.append(bound.exponent)
+    assert bounds[0] < bounds[1]
+
+
+@settings(deadline=None)
+@given(n=_dims, b=st.integers(1, 2), log_gap=st.floats(-8.5, -3.0))
+def test_theory_lifespan_exponent_unbounded_below_the_critical_exponent(n, b, log_gap):
+    # p_crit - gap, gap down to 3e-9: the exponent grows like 1/gap
+    nonlinearity, branch, _, _, p_crit = _branches(n)[b]
+    gap = 10.0 ** log_gap
+    bound = theory_lifespan(n, p_crit - gap, nonlinearity)
+    assert bound.branch == branch
+    assert bound.exponent * gap > 0.1
+
+
+@settings(deadline=None)
+@given(n=_dims, nonlinearity=st.sampled_from(["power_u", "power_ut"]),
+       offset=st.floats(-0.999, 0.999), above=st.floats(1.001, 1e9))
+def test_theory_lifespan_critical_and_supercritical(n, nonlinearity, offset, above):
+    # |p - p_crit| <= PS_EQUALITY_TOL is the critical case; above it, no bound
+    exps = critical_exponents(n)
+    p_crit = exps.p_strauss if nonlinearity == "power_u" else exps.p_glassey
+    crit = theory_lifespan(n, p_crit + offset * PS_EQUALITY_TOL, nonlinearity)
+    assert (crit.kind, crit.branch) == ("exponential", f"{nonlinearity}_critical")
+    assert math.isfinite(crit.exponent) and crit.exponent > 0.0
+    sup = theory_lifespan(n, p_crit + min(above * PS_EQUALITY_TOL, 2.0), nonlinearity)
+    assert (sup.kind, sup.branch) == ("infinite", f"{nonlinearity}_supercritical")
+    assert math.isnan(sup.exponent)
