@@ -306,7 +306,7 @@ def cmd_verify(args) -> int:
 def cmd_odelemma(args) -> int:
     deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_count)
     result = ode_lemma_fit(args.p1, args.p2, K1=args.k1, K2=args.k2,
-                           delta_grid=deltas, cap=args.cap)
+                           delta_grid=deltas)
     rows = []
     for d, logT in zip(result.delta_grid, result.logT_grid):
         try:
@@ -410,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-min", type=float, default=1e-4)
     p.add_argument("--delta-max", type=float, default=1e-2)
     p.add_argument("--delta-count", type=int, default=8)
-    p.add_argument("--cap", type=float, default=1e8)
     p.add_argument("--tol", type=float, default=0.10,
                    help="allowed relative slope deviation from theory")
     p.add_argument("--out", help="CSV delta,T,loglogT")

@@ -19,7 +19,6 @@ from .model import ModelParams, initial_data, potential, sphere_area
 from .testfunc import build_bq
 
 GRID_CAP_FRAC = 0.8  # check grids end at this fraction of t_last
-ODE_DX = 0.01  # the RK4 step in x = log phi of the extremal ODE's second phase
 CHECK_NAMES = ("ineq_3_4", "ineq_3_16", "ineq_4_9", "ineq_4_15",
                "ineq_5_1", "ineq_5_11")
 
@@ -452,7 +451,7 @@ def inequality_check(samples: SolutionSamples, which: str,
 
 @dataclass(frozen=True)
 class OdeLemmaResult:
-    """Escape times of the extremal comparison ODE and the fitted scaling."""
+    """Exact escape times of the extremal comparison ODE and their scaling."""
 
     p1: float
     p2: float
@@ -465,19 +464,23 @@ class OdeLemmaResult:
         return (self.p1 - 1.0) / (self.p1 - self.p2 + 1.0)
 
 
-def ode_escape_logT(p1: float, p2: float, K1: float, K2: float, delta: float,
-                    cap: float = 1e8) -> float:
-    """tau* = log T where the extremal system escapes to the cap.
+def ode_escape_logT(p1: float, p2: float, K1: float, K2: float,
+                    delta: float) -> float:
+    """tau* = log T where the extremal system escapes to phi = infinity.
 
     System: phi' = max(delta/(K1 t), phi^{p1}/(K2 t (log t)^{p2-1})) from
-    t0 = e with phi(t0) = 0.  In tau = log t the first branch is linear
-    (phi = delta (tau-1)/K1); the crossing is found by bisection, and the
-    second phase integrates d tau/d phi with RK4 on a log-phi ladder, plus
-    the frozen-tau analytic tail beyond the cap.
+    t0 = e with phi(t0) = 0.  In tau = log t the first branch is linear,
+    phi = delta (tau-1)/K1, up to the slope crossing tau_c, found by
+    bisection.  After it the second branch holds for good: phi stays on or
+    above that line, and the gap between the slopes rises strictly along
+    it (p2 < p1 + 1).  Separating phi^{-p1} dphi = dtau / (K2 tau^{p2-1})
+    and using phi_c^{p1} = delta K2 tau_c^{p2-1} / K1 at the crossing gives
+    tau* = tau_c (1 + a s)^{1/a}, a = 2 - p2, s = (1 - 1/tau_c)/(p1 - 1),
+    and tau_c e^s at a = 0.  Since |a| < p1 - 1 and s < 1/(p1 - 1),
+    1 + a s > 0 and every escape is finite.
     """
-    if not (delta > 0.0 and K1 > 0.0 and K2 > 0.0 and cap > 0.0
-            and math.isfinite(K1 * cap / delta)):
-        raise ValueError("delta, K1, K2 and cap must be positive, K1*cap/delta finite")
+    if not (delta > 0.0 and K1 > 0.0 and K2 > 0.0):
+        raise ValueError("delta, K1 and K2 must be positive")
     if not (p1 > 1.0 and p2 < p1 + 1.0):
         raise ValueError("lemma hypothesis requires p1 > 1 and p2 < p1 + 1")
 
@@ -487,48 +490,32 @@ def ode_escape_logT(p1: float, p2: float, K1: float, K2: float, delta: float,
                 - (p2 - 1.0) * math.log(tau)
                 - math.log(delta * K2 / K1))
 
-    # phase 1 reaches phi = cap at tau_cap; the crossing must come before it
-    lo, hi = 1.0 + 1e-9, 1.0 + K1 * cap / delta
+    lo, hi = 1.0 + 1e-9, 2.0
     if crossing_gap(lo) >= 0.0:
         raise ValueError("delta too large: no slope crossing after t0")
-    if crossing_gap(hi) < 0.0:
-        raise ValueError(f"the slope crossing lies beyond phi = cap = {cap:g} "
-                         f"at delta = {delta:g}; raise --cap")
+    while crossing_gap(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+        if math.isinf(hi):
+            raise ValueError("the slope crossing overflows float range "
+                             f"at delta = {delta:g}")
     # the gap increases strictly in tau (p2 < p1 + 1): bisect to the last bit
     while (tau_c := 0.5 * (lo + hi)) not in (lo, hi):
         if crossing_gap(tau_c) < 0.0:
             lo = tau_c
         else:
             hi = tau_c
-    phi_c = delta * (tau_c - 1.0) / K1
-
-    def dtau_dx(x, tau):
-        phi = math.exp(x)
-        return min(K1 * phi / delta,
-                   K2 * tau ** (p2 - 1.0) * phi ** (1.0 - p1))
-
-    x = math.log(phi_c)
-    x_end = math.log(cap)
-    n_steps = max(1, int(math.ceil((x_end - x) / ODE_DX)))
-    h = (x_end - x) / n_steps
-    tau = tau_c
-    for _ in range(n_steps):
-        k1 = dtau_dx(x, tau)
-        k2 = dtau_dx(x + 0.5 * h, tau + 0.5 * h * k1)
-        k3 = dtau_dx(x + 0.5 * h, tau + 0.5 * h * k2)
-        k4 = dtau_dx(x + h, tau + h * k3)
-        tau += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x += h
-    tail = K2 * tau ** (p2 - 1.0) * cap ** (1.0 - p1) / (p1 - 1.0)
-    return tau + tail
+    a = 2.0 - p2
+    s = (1.0 - 1.0 / tau_c) / (p1 - 1.0)
+    return tau_c * (math.exp(math.log1p(a * s) / a) if a else math.exp(s))
 
 
 def ode_lemma_fit(p1: float, p2: float, K1: float = 1.0, K2: float = 1.0,
-                  delta_grid=None, cap: float = 1e8) -> OdeLemmaResult:
+                  delta_grid=None) -> OdeLemmaResult:
     """Escape-time scaling of the extremal system against the lemma exponent.
 
-    Fits the slope of log log T versus log(1/delta); the comparison lemma
-    predicts (p1-1)/(p1-p2+1).
+    Fits the slope of log log T versus log(1/delta) over the exact escape
+    times of `ode_escape_logT`; the comparison lemma predicts
+    (p1-1)/(p1-p2+1).
     """
     if delta_grid is None:
         delta_grid = np.geomspace(1e-4, 1e-2, 8)
@@ -536,8 +523,7 @@ def ode_lemma_fit(p1: float, p2: float, K1: float = 1.0, K2: float = 1.0,
     distinct = len(set(delta_grid.tolist()))
     if distinct < 2:
         raise ValueError(f"need 2 distinct delta values to fit a slope, got {distinct}")
-    logT = np.array([ode_escape_logT(p1, p2, K1, K2, d, cap=cap)
-                     for d in delta_grid])
+    logT = np.array([ode_escape_logT(p1, p2, K1, K2, d) for d in delta_grid])
     order = np.argsort(delta_grid)
     if not np.all(np.diff(logT[order]) < 0.0):
         raise ArithmeticError("escape times not strictly increasing as "

@@ -90,6 +90,11 @@ MUTANTS = {
         "if not (censored or unreliable)",
         "if True",
         "tests/test_sweep.py::test_fit_table_clean_rows_and_override"),
+    "escape_at_p2_2_limit": (
+        "functionals.py",
+        "(math.exp(math.log1p(a * s) / a) if a else math.exp(s))",
+        "math.exp(s)",
+        "tests/test_functionals.py::test_ode_escape_matches_scipy_oracle"),
     "eager_pool_import": (
         "sweep.py",
         "from dataclasses import dataclass, replace\n",

@@ -755,18 +755,28 @@ def test_odelemma_tight_tolerance(capsys):
 
 
 @pytest.mark.parametrize("flags", [
+    ["--p1", "2", "--p2", "2.9"],
+    ["--p1", "3.333", "--p2", "3.726", "--k1", "1.795", "--k2", "1.972",
+     "--delta-min", "1e-5", "--delta-max", "2e-5"],
+])
+def test_odelemma_far_crossings_match_theory(flags, capsys):
+    assert main(["odelemma", *flags, "--tol", "1e-6"]) == 0
+    assert "fitted slope" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
     ["--p1", "2", "--p2", "3.5"],  # the lemma needs p2 < p1 + 1
     ["--p1", "1", "--p2", "0.5"],  # ... and p1 > 1
     ["--p1", "2", "--p2", "2", "--delta-min", "0"],
     ["--p1", "2", "--p2", "2", "--k1", "0"],
-    ["--p1", "2", "--p2", "2", "--cap", "0"],
+    ["--p1", "2", "--p2", "2", "--k2", "0"],
     ["--p1", "2", "--p2", "2", "--delta-count", "1"],
     ["--p1", "2", "--p2", "2", "--delta-min", "inf"],
     ["--p1", "2", "--p2", "2", "--tol", "nan"],
-    # the slope crossing lies beyond phi = cap
-    ["--p1", "2", "--p2", "2.9"],
-    ["--p1", "3.333", "--p2", "3.726", "--k1", "1.795", "--k2", "1.972",
-     "--delta-min", "1e-5", "--delta-max", "2e-5"],
+    # the slope crossing overflows float range
+    ["--p1", "2", "--p2", "2.99"],
+    # delta too large: no slope crossing after t0
+    ["--p1", "2", "--p2", "2", "--delta-min", "1e18", "--delta-max", "1e19"],
     # one distinct delta leaves no slope to fit
     ["--p1", "2", "--p2", "2", "--delta-count", "2", "--delta-min", "1e-2",
      "--delta-max", "1e-2"],

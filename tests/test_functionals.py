@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from strauss_lab.functionals import (CheckNotApplicable, RatioSeries,
                                      SolutionSamples, cutoff, data_constants,
@@ -263,8 +265,63 @@ def test_ode_escape_validation():
         ode_escape_logT(2.0, 3.5, 1.0, 1.0, 1e-3)  # p2 >= p1 + 1
     with pytest.raises(ValueError):
         ode_escape_logT(2.0, 2.0, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="delta too large"):
+        ode_escape_logT(2.0, 2.0, 1.0, 1.0, 1e19)
+    with pytest.raises(ValueError, match="overflows float range"):
+        ode_escape_logT(2.0, 2.99, 1.0, 1.0, 1e-4)
     with pytest.raises(ValueError, match="2 distinct delta values"):
         ode_lemma_fit(2.0, 2.0, delta_grid=[1e-2, 1e-2])
+
+
+ODE_ORACLE_CASES = [(2.0, 2.0, 1.0, 1.0), (2.5, 2.5, 1.0, 1.0),
+                    (2.5, 2.0, 1.0, 1.0), (2.0, 1.0, 1.0, 1.0),
+                    (2.0, 2.9, 1.0, 1.0), (3.333, 3.726, 1.795, 1.972)]
+
+
+def _ode_escape_oracle(p1, p2, K1, K2, delta):
+    """Escape time of the original min-form ODE, integrated by scipy.
+
+    In x = log phi: dtau/dx = min(K1 phi/delta, K2 tau^{p2-1} phi^{1-p1}),
+    from the slope crossing (brentq on the slope ratio along the line
+    phi = delta (tau-1)/K1) out to phi^{p1-1} = e^60 phi_c^{p1-1}, plus the
+    frozen-tau tail beyond it.
+    """
+    def gap(tau):
+        return (p1 * math.log(delta * (tau - 1.0) / K1)
+                - (p2 - 1.0) * math.log(tau) - math.log(delta * K2 / K1))
+
+    hi = 2.0
+    while gap(hi) < 0.0:
+        hi *= 2.0
+    tau_c = brentq(gap, 1.0 + 1e-12, hi, xtol=1e-300, rtol=8.9e-16)
+    x_c = math.log(delta * (tau_c - 1.0) / K1)
+    x_end = x_c + 60.0 / (p1 - 1.0)
+
+    def rhs(x, y):
+        phi = math.exp(x)
+        return [min(K1 * phi / delta,
+                    K2 * y[0] ** (p2 - 1.0) * phi ** (1.0 - p1))]
+
+    sol = solve_ivp(rhs, (x_c, x_end), [tau_c], method="DOP853",
+                    rtol=1e-13, atol=1e-300)
+    assert sol.success
+    tau = float(sol.y[0, -1])
+    return tau + K2 * tau ** (p2 - 1.0) * math.exp((1.0 - p1) * x_end) / (p1 - 1.0)
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("p1,p2,K1,K2", ODE_ORACLE_CASES)
+def test_ode_escape_matches_scipy_oracle(p1, p2, K1, K2, delta):
+    got = ode_escape_logT(p1, p2, K1, K2, delta)
+    want = _ode_escape_oracle(p1, p2, K1, K2, delta)
+    assert abs(got - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-2])
+def test_ode_escape_continuous_across_p2_2(delta):
+    at_2 = ode_escape_logT(2.5, 2.0, 1.0, 1.0, delta)
+    for p2 in (2.0 - 1e-9, 2.0 + 1e-9):
+        assert abs(ode_escape_logT(2.5, p2, 1.0, 1.0, delta) - at_2) <= 1e-7 * at_2
 
 
 def test_ode_lemma_fit_matches_theory():
