@@ -25,11 +25,14 @@ affine in eta, so a classical RK4 step is a 2x2 propagator matrix of
 polynomials of degree <= 4 in eta.  _rk4_steps forms their coefficients once
 for a block of steps and evaluates every eta with one GEMM; the propagators
 match the stage-by-stage formulas to round-off and keep (s, s') = (1, 0)
-exactly at eta = 0.  _rk4_propagate multiplies the propagators of each
-output interval together and chains the interval products into its output
-rows.  The near segment takes steps h <= dr aligned with the output grid.
+exactly at eta = 0.  The near segment takes steps h <= dr aligned with the
+output grid: _rk4_propagate multiplies the propagators of each output
+interval together and chains the interval products into its output rows,
+two numpy calls a row on the stacked (s, s') state.
 The far tail, which only feeds lambda, takes graded steps
-h = min(1e-3 r, 0.1) and lands exactly on r_ref.
+h = min(1e-3 r, 0.1) and lands exactly on r_ref: _rk4_tail reduces each
+block of propagators to their one product by pairwise multiplication, so it
+applies one matrix a block, not one a step.
 """
 from __future__ import annotations
 
@@ -142,6 +145,24 @@ def _rk4_steps(powers, mu, beta, n, r, h):
     return P
 
 
+def _mul2(a, b):
+    """The 2x2 matrix products a b, the matrix entries on the first two axes."""
+    t = a[:, :, None] * b  # t[i, k, j] = a[i, k] b[k, j]
+    return np.add(t[:, 0], t[:, 1], out=t[:, 0])
+
+
+def _interval_products(powers, mu, beta, n, e, every):
+    """The product of the RK4 step matrices over each run of `every` steps
+    between consecutive `e`, later steps multiplying from the left: entries
+    first, (2, 2, runs, eta count).  The step matrices are freed on return."""
+    P = _rk4_steps(powers, mu, beta, n, e[:-1], np.diff(e)).reshape(
+        2, 2, (e.size - 1) // every, every, -1)
+    M = P[:, :, :, 0]
+    for j in range(1, every):
+        M = _mul2(P[:, :, :, j], M)
+    return M
+
+
 def _rk4_propagate(etas, mu, beta, n, edges, every, s, sp):
     """Classical RK4 steps between consecutive `edges`, for all etas at once.
 
@@ -150,25 +171,39 @@ def _rk4_propagate(etas, mu, beta, n, edges, every, s, sp):
     """
     powers = np.vander(np.asarray(etas, dtype=float), 5, increasing=True).T
     n_int = (edges.size - 1) // every
-    out_s = np.empty((n_int, powers.shape[1]))
-    out_sp = np.empty_like(out_s)
+    out = np.empty((n_int, 2, powers.shape[1]))  # the (s, s') rows
+    state, prod = np.stack([s, sp]), np.empty((2, 2, powers.shape[1]))
     per = max(1, min(CHUNK, CHUNK_STEPS // every))
     for lo in range(0, n_int, per):
         hi = min(lo + per, n_int)
-        e = edges[lo * every:hi * every + 1]
-        P = _rk4_steps(powers, mu, beta, n, e[:-1], np.diff(e)).reshape(
-            4, hi - lo, every, -1)
-        # product over each output interval (later steps multiply from the left)
-        M = [p[:, 0] for p in P]
-        for j in range(1, every):
-            a00, a01, a10, a11 = (p[:, j] for p in P)
-            M = [a00 * M[0] + a01 * M[2], a00 * M[1] + a01 * M[3],
-                 a10 * M[0] + a11 * M[2], a10 * M[1] + a11 * M[3]]
-        for i in range(hi - lo):
-            np.add(M[0][i] * s, M[1][i] * sp, out=out_s[lo + i])
-            np.add(M[2][i] * s, M[3][i] * sp, out=out_sp[lo + i])
-            s, sp = out_s[lo + i], out_sp[lo + i]
-    return out_s, out_sp
+        M = _interval_products(powers, mu, beta, n,
+                               edges[lo * every:hi * every + 1], every)
+        for m, row in zip(M.transpose(2, 0, 1, 3), out[lo:hi]):
+            np.multiply(m, state, out=prod)
+            state = np.add(prod[:, 0], prod[:, 1], out=row)
+    return out[:, 0], out[:, 1]
+
+
+def _rk4_tail(etas, mu, beta, n, edges, s, sp):
+    """Classical RK4 steps between consecutive `edges`, for all etas at once:
+    the (s, s') state at edges[-1] from the state (s, s') at edges[0].
+
+    Each block of <= CHUNK_STEPS propagators is multiplied in pairs, the
+    later from the left, with an odd one carried over, until one product is
+    left; that product is applied to the state.
+    """
+    powers = np.vander(np.asarray(etas, dtype=float), 5, increasing=True).T
+    for lo in range(0, edges.size - 1, CHUNK_STEPS):
+        e = edges[lo:lo + CHUNK_STEPS + 1]
+        M = _interval_products(powers, mu, beta, n, e, 1)
+        while M.shape[2] > 1:
+            pairs = _mul2(M[:, :, 1::2], M[:, :, 0:-1:2])
+            if M.shape[2] % 2:
+                pairs = np.concatenate([pairs, M[:, :, -1:]], axis=2)
+            M = pairs
+        (m00, m01), (m10, m11) = M[:, :, 0]
+        s, sp = m00 * s + m01 * sp, m10 * s + m11 * sp
+    return s, sp
 
 
 def _shoot(etas, mu, beta, n, r_out, dr):
@@ -188,12 +223,21 @@ def _shoot(etas, mu, beta, n, r_out, dr):
     edges = np.maximum(np.arange((r_out.size - 1) * k + 1) * h, h)
     s, sp = _rk4_propagate(etas, mu, beta, n, edges, k,
                            e * p1, e * (c * h / n - etas * p1))
-    grow = np.exp(etas * edges[k::k, None])
-    psi = np.vstack([np.ones_like(etas), grow * s])
+    # psi = grow s and psi' = grow (s' + eta s) with grow = e^(eta r), each
+    # built in its own array below row 0
+    psi = np.empty((r_out.size, etas.size))
+    psip = np.empty_like(psi)
+    psi[0], psip[0] = 1.0, 0.0
+    grow = psi[1:]
+    np.multiply(etas, edges[k::k, None], out=grow)
+    np.exp(grow, out=grow)
+    np.multiply(etas, s, out=psip[1:])
+    psip[1:] += sp
+    psip[1:] *= grow
+    grow *= s
     if np.any(psi <= 0.0):
         raise ArithmeticError("integration fault: psi lost positivity")
-    psip = np.vstack([np.zeros_like(etas), grow * (sp + etas * s)])
-    return psi, psip, (s[-1], sp[-1])
+    return psi, psip, (s[-1].copy(), sp[-1].copy())  # frees s and sp
 
 
 def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
@@ -231,8 +275,7 @@ def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
         edges = [float(r_out[-1])]
         while edges[-1] < r_ref:
             edges.append(min(edges[-1] + min(1e-3 * edges[-1], 0.1), r_ref))
-        s_ref = _rk4_propagate(etas, mu, beta, n, np.array(edges), 1,
-                               *state)[0][-1]
+        s_ref = _rk4_tail(etas, mu, beta, n, np.array(edges), *state)[0]
     phi_ref = varphi(etas, r_ref, n)
     lam = s_ref / phi_ref
     return (psi.T / lam[:, None],

@@ -50,9 +50,10 @@ class BqRule:
 
     b_q(t, r_j) = sum_k weights_k e^{-eta_k t} psi_hat_k(r_j), so the rows
     at a set of times are one GEMM.  A rule is (nodes, nr) numbers where a
-    table (BqTable, a rule with its rows on a t-grid) is (nt, nr);
-    verify_bq_identities builds the rules of b_{q+1} and b_{q+2} and reads
-    their rows one block at a time.
+    table (BqTable, a rule with its rows on a t-grid) is (nt, nr).
+    bq_rules builds the rules of several q from one shoot;
+    verify_bq_identities builds those of b_{q+1} and b_{q+2} with it and
+    reads their rows one block at a time.
     """
 
     q: float
@@ -105,29 +106,37 @@ class AsymptoticReport:
         return self.ratio_max / self.ratio_min
 
 
-def bq_rule(q: float, params: ModelParams, r_grid,
-            nodes: int = DEFAULT_NODES) -> BqRule:
-    """The eta rule of b_q and its eigenfunctions shot onto r_grid.
+def bq_rules(qs, params: ModelParams, r_grid,
+             nodes: int = DEFAULT_NODES) -> tuple[BqRule, ...]:
+    """The eta rules of b_q for each q in qs, with their eigenfunctions shot
+    onto r_grid by one psi_hat_batch call over all their nodes.
 
     r_grid doubles as the ODE output grid: psi_hat_batch's r_out rule applies.
+    The rules share one matching radius, set by the smallest node of all; at
+    64 nodes every q up to 50 has a node below 0.1, so each rule keeps the
+    radius of its own shoot (the b_{q+1}, b_{q+2} rows of criterion 3 are
+    those of separate shoots, bit for bit).
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    eta, w = eta_rule(q, nodes)
-    psi_cache, _, _ = psi_hat_batch(eta, params.mu, params.beta, params.n, r_grid)
-    return BqRule(q=q, n=params.n, mu=params.mu, beta=params.beta,
-                  eta_nodes=eta, weights=w, psi_cache=psi_cache, r_grid=r_grid)
+    eta, w = zip(*(eta_rule(q, nodes) for q in qs))
+    psi_hat, _, _ = psi_hat_batch(np.concatenate(eta), params.mu,
+                                  params.beta, params.n, r_grid)
+    return tuple(BqRule(q=q, n=params.n, mu=params.mu, beta=params.beta,
+                        eta_nodes=e, weights=wk, psi_cache=rows, r_grid=r_grid)
+                 for q, e, wk, rows in zip(qs, eta, w,
+                                           np.split(psi_hat, len(qs))))
 
 
 def build_bq(q: float, params: ModelParams, t_grid, r_grid,
              nodes: int = DEFAULT_NODES) -> BqTable:
-    """The validated BqTable of b_q on t_grid x r_grid: bq_rule, then its
-    rows at every t in one GEMM.
+    """The validated BqTable of b_q on t_grid x r_grid: its rule from
+    bq_rules, then the rule's rows at every t in one GEMM.
 
-    r_grid must be rising, uniform and start at 0, as bq_rule asks.
+    r_grid must be rising, uniform and start at 0, as bq_rules asks.
     Raises ArithmeticError when the table is not positive and strictly
     decreasing in t.
     """
-    rule = bq_rule(q, params, r_grid, nodes)
+    rule, = bq_rules((q,), params, r_grid, nodes)
     t_grid = np.asarray(t_grid, dtype=float)
     table = BqTable(**vars(rule), t_grid=t_grid, values=rule.at(t_grid))
     _check_rows(table.values)
@@ -146,10 +155,11 @@ def verify_bq_identities(tq: BqTable) -> IdentityReport:
     residual is that of a whole-rectangle evaluation, bit for bit.
 
     tq's t_grid must pass model.uniform_step (the t differences use its step).
-    The partners b_{q+1} and b_{q+2} are built here by bq_rule, on tq's
-    radii and model with as many eta nodes, each from its own eta rule: the
-    identities then test the quadrature, which partners taken from tq's
-    rule (its weights times eta) would satisfy by construction.  Each block
+    The partners b_{q+1} and b_{q+2} are built here by one bq_rules call,
+    on tq's radii and model with as many eta nodes, each with its own eta
+    rule and the two shot together: the identities then test the
+    quadrature, which partners taken from tq's rule (its weights times eta)
+    would satisfy by construction.  Each block
     computes their rows by one GEMM, the block's rows plus one on either
     side, so no whole partner table is built (a block GEMM may round an
     entry 1 ulp away from build_bq's whole-table GEMM), and the block's
@@ -171,8 +181,8 @@ def verify_bq_identities(tq: BqTable) -> IdentityReport:
                          "the identities need >= 3 and >= 5")
     uniform_step(t, "t_grid")
     params = ModelParams(n=tq.n, mu=tq.mu, beta=tq.beta)
-    tq1, tq2 = (bq_rule(tq.q + j, params, r, tq.eta_nodes.size)
-                for j in (1.0, 2.0))
+    tq1, tq2 = bq_rules((tq.q + 1.0, tq.q + 2.0), params, r,
+                        tq.eta_nodes.size)
     V = potential(r, tq.mu, tq.beta)
     res = np.zeros(4)
     for lo in range(1, t.size - 1, 64):

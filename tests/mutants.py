@@ -70,6 +70,11 @@ MUTANTS = {
         "(C.reshape(5, -1).T @ powers)",
         "(C[:4].reshape(4, -1).T @ powers[:4])",
         "tests/test_eigen.py::test_rk4_steps_match_the_stage_formulas"),
+    "tail_odd_step_dropped": (
+        "eigen.py",
+        "                pairs = np.concatenate([pairs, M[:, :, -1:]], axis=2)\n",
+        "                pass\n",
+        "tests/test_eigen.py::test_criterion3_family_pinned"),
     "identity_window_narrowed": (
         "testfunc.py",
         '"right")) + 2))',
@@ -82,8 +87,8 @@ MUTANTS = {
         "tests/test_testfunc.py::test_identities_check_every_partner_row"),
     "second_partner_at_q_plus_1": (
         "testfunc.py",
-        "for j in (1.0, 2.0))",
-        "for j in (1.0, 1.0))",
+        "(tq.q + 1.0, tq.q + 2.0)",
+        "(tq.q + 1.0, tq.q + 1.0)",
         "tests/test_testfunc.py::test_bq_identities_coarse"),
     "flagged_rows_fitted": (
         "sweep.py",

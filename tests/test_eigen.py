@@ -143,15 +143,24 @@ def test_psi_hat_batch_memory_bounded_on_a_coarse_grid():
     # a block holds at most 640 RK4 steps: at output step 0.1 (100 steps an
     # interval) 64 eta peaked at 56.7 MB when a block held 64 intervals, and
     # at 9.6 MB with step matrices formed stage by stage for every eta; the
-    # polynomial coefficients and one GEMM a block peak at 5.1 MB
+    # polynomial coefficients and one GEMM a block peak at 5.1 MB, and at
+    # 3.0 MB with each block's step matrices freed once multiplied
     eta, _ = eta_rule(0.5, 64)
     assert _peak_bytes(eta, 0.1 * np.arange(51)) < 6e6
 
 
 def test_psi_hat_batch_memory_bounded_on_the_criterion_3_grid():
-    # 64 eta on r in [0, 20] at 0.01: 12.5 MB stage by stage, 7.9 MB now
+    # 64 eta on r in [0, 20] at 0.01: 12.5 MB stage by stage, 7.9 MB with
+    # psi and psi' stacked from temporaries, 4.9 MB built in place
     eta, _ = eta_rule(0.5, 64)
-    assert _peak_bytes(eta, 0.01 * np.arange(2001)) < 9e6
+    assert _peak_bytes(eta, 0.01 * np.arange(2001)) < 6.5e6
+
+
+def test_psi_hat_batch_memory_bounded_for_both_partners():
+    # the 128 eta of the b_{q+1} and b_{q+2} rules in one shoot on the same
+    # grid: 15.5 MB stacked from temporaries, 9.6 MB built in place
+    eta = np.concatenate([eta_rule(q, 64)[0] for q in (1.5, 2.5)])
+    assert _peak_bytes(eta, 0.01 * np.arange(2001)) < 11.5e6
 
 
 @pytest.mark.parametrize("step", [0.01, 0.1])
@@ -165,6 +174,26 @@ def test_psi_hat_batch_bits_independent_of_block_size(step, monkeypatch):
     monkeypatch.setattr(eigen, "CHUNK_STEPS", 1)
     for a, b in zip(default, psi_hat_batch(eta, 1.0, 2.5, 3, r_out, r_ref=5.0)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_near_segment_rows_are_the_plain_product_chain():
+    # each output interval multiplies its step matrices in order, the later
+    # from the left, and each row applies that product to the row before:
+    # the stacked arrays of _rk4_propagate give these bits exactly
+    eta = np.linspace(0.0, 1.0, 7)
+    edges = np.maximum(0.01 * np.arange(31), 0.01)  # a first step of length 0
+    s0, sp0 = np.exp(-0.01 * eta), -0.5 * eta
+    s, sp = eigen._rk4_propagate(eta, 1.0, 2.5, 3, edges, 3, s0, sp0)
+    P = eigen._rk4_steps(np.vander(eta, 5, increasing=True).T, 1.0, 2.5, 3,
+                         edges[:-1], np.diff(edges))
+    for i in range(10):
+        m = P[:, 3 * i]
+        for a in P[:, 3 * i + 1:3 * i + 3].transpose(1, 0, 2):
+            m = [a[0] * m[0] + a[1] * m[2], a[0] * m[1] + a[1] * m[3],
+                 a[2] * m[0] + a[3] * m[2], a[2] * m[1] + a[3] * m[3]]
+        s0, sp0 = m[0] * s0 + m[1] * sp0, m[2] * s0 + m[3] * sp0
+        assert s[i].tobytes() == s0.tobytes()
+        assert sp[i].tobytes() == sp0.tobytes()
 
 
 def _stage_steps(etas, mu, beta, n, r, h):
@@ -341,13 +370,16 @@ PIN_PHI_PRIME = [0.0, 4.963827372515123, 147.0764886932225,
 
 def test_criterion3_family_pinned(monkeypatch):
     steps = []
-    propagate = eigen._rk4_propagate
+    propagate, tail = eigen._rk4_propagate, eigen._rk4_tail
 
-    def counting(etas, mu, beta, n, edges, every, s, sp):
-        steps.append(edges.size - 1)
-        return propagate(etas, mu, beta, n, edges, every, s, sp)
+    def counting(func):
+        def run(etas, mu, beta, n, edges, *rest):
+            steps.append(edges.size - 1)
+            return func(etas, mu, beta, n, edges, *rest)
+        return run
 
-    monkeypatch.setattr(eigen, "_rk4_propagate", counting)
+    monkeypatch.setattr(eigen, "_rk4_propagate", counting(propagate))
+    monkeypatch.setattr(eigen, "_rk4_tail", counting(tail))
     eta, _ = eta_rule(0.5, 64)
     psi_hat, _, lam = psi_hat_batch(eta, 1.0, 2.5, 3, 0.01 * np.arange(2001))
     np.testing.assert_allclose(lam[PIN_NODES], PIN_LAM, rtol=1e-10)

@@ -13,7 +13,7 @@ from scipy.special import exp1, gammainc, hyp2f1
 from strauss_lab import testfunc
 from strauss_lab.model import ModelParams, potential
 from strauss_lab.testfunc import (BqRule, BqTable, IdentityReport, _check_rows,
-                                  bq_rule, build_bq, eta_rule, hyper2f1,
+                                  bq_rules, build_bq, eta_rule, hyper2f1,
                                   hyper2f1_compensation, verify_bq_asymptotics,
                                   verify_bq_identities)
 
@@ -167,7 +167,8 @@ def test_identity_window_matches_whole_rectangle(t0, monkeypatch):
              for q in (0.5, 1.5, 2.5)}
     tables = [BqTable(**vars(rule), t_grid=t, values=rule.at(t))
               for rule in rules.values()]
-    monkeypatch.setattr(testfunc, "bq_rule", lambda q, *args: rules[q])
+    monkeypatch.setattr(testfunc, "bq_rules",
+                        lambda qs, *args: tuple(rules[q] for q in qs))
     edge = int(np.searchsorted(r, t[64], "right")) - 1
     tables[0].values[64, edge + 2] *= 1e3
     residuals = _whole_rectangle_residuals(*tables)
@@ -215,7 +216,7 @@ def test_bq_identities_refuse_jittered_t():
 
 
 def test_identities_from_rules_match_tables():
-    # build_bq is bq_rule plus one GEMM, so a rule's rows are the table's;
+    # build_bq is bq_rules plus one GEMM, so a rule's rows are the table's;
     # the partners the check builds and reads block by block give the
     # whole-rectangle residuals of tables with tq's eta-node count
     params = _params()
@@ -223,12 +224,44 @@ def test_identities_from_rules_match_tables():
     r = 0.02 * np.arange(351)
     tables = [build_bq(q, params, t, r, nodes=32) for q in (0.5, 1.5, 2.5)]
     for table in tables[1:]:
-        rule = bq_rule(table.q, params, r, nodes=32)
+        rule, = bq_rules((table.q,), params, r, nodes=32)
         np.testing.assert_array_equal(rule.at(t), table.values)
         np.testing.assert_array_equal(rule.psi_cache, table.psi_cache)
     got = astuple(verify_bq_identities(tables[0]))
     want = [np.max(e) for e in _whole_rectangle_residuals(*tables)]
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_identities_shoot_both_partners_at_once(monkeypatch):
+    # b_{q+1} and b_{q+2} come from one psi_hat_batch call over their nodes
+    calls = []
+    shoot = testfunc.psi_hat_batch
+
+    def counting(etas, *args, **kwargs):
+        calls.append(len(etas))
+        return shoot(etas, *args, **kwargs)
+
+    tq = build_bq(0.5, _params(), 1.0 + 0.05 * np.arange(41),
+                  0.05 * np.arange(41), nodes=16)
+    monkeypatch.setattr(testfunc, "psi_hat_batch", counting)
+    assert np.isfinite(verify_bq_identities(tq).worst)
+    assert calls == [32]
+
+
+def test_joint_shoot_rows_match_separate_shoots():
+    # at 64 nodes every family's smallest node is below 0.1, so the joint
+    # shoot has each family's own matching radius and its rows bit for bit
+    params = _params()
+    t = 1.0 + 0.05 * np.arange(101)
+    r = 0.05 * np.arange(121)
+    joint = bq_rules((1.5, 2.5), params, r)
+    for rule in joint:
+        alone, = bq_rules((rule.q,), params, r)
+        assert rule.eta_nodes.min() < 0.1
+        assert rule.eta_nodes.tobytes() == alone.eta_nodes.tobytes()
+        assert rule.weights.tobytes() == alone.weights.tobytes()
+        assert rule.psi_cache.tobytes() == alone.psi_cache.tobytes()
+        assert rule.at(t).tobytes() == alone.at(t).tobytes()
 
 
 def test_identities_build_no_whole_partner_table(monkeypatch):
@@ -240,8 +273,9 @@ def test_identities_build_no_whole_partner_table(monkeypatch):
     t = 1.0 + 0.001 * np.arange(8192)  # 128 blocks
     r = 0.05 * np.arange(101)
     tq = build_bq(0.5, params, t, r, nodes=16)
-    rules = {q: bq_rule(q, params, r, 16) for q in (1.5, 2.5)}
-    monkeypatch.setattr(testfunc, "bq_rule", lambda q, *args: rules[q])
+    rules = dict(zip((1.5, 2.5), bq_rules((1.5, 2.5), params, r, 16)))
+    monkeypatch.setattr(testfunc, "bq_rules",
+                        lambda qs, *args: tuple(rules[q] for q in qs))
     tracemalloc.start()
     try:
         rep = verify_bq_identities(tq)
@@ -279,15 +313,14 @@ def test_identities_check_every_partner_row(partner, row, src, scale, why,
     t = 1.0 + 0.02 * np.arange(130)  # two 64-row blocks: rows 1-64, 65-128
     tq = build_bq(0.5, _params(), t, 0.05 * np.arange(41), nodes=16)
     assert np.isfinite(verify_bq_identities(tq).worst)
-    rule = testfunc.bq_rule
+    rules = testfunc.bq_rules
 
-    def planted(q, *args):
-        if q != tq.q + partner:
-            return rule(q, *args)
-        return _PlantedRule(**vars(rule(q, *args)), row_t=t[row], src_t=t[src],
-                            scale=scale)
+    def planted(qs, *args):
+        return tuple(_PlantedRule(**vars(rule), row_t=t[row], src_t=t[src],
+                                  scale=scale) if q == tq.q + partner else rule
+                     for q, rule in zip(qs, rules(qs, *args)))
 
-    monkeypatch.setattr(testfunc, "bq_rule", planted)
+    monkeypatch.setattr(testfunc, "bq_rules", planted)
     with pytest.raises(ArithmeticError, match=why):
         verify_bq_identities(tq)
 
