@@ -6,7 +6,7 @@ The Cauchy problem under study is
 
 with radial initial data u(0) = eps*f, u_t(0) = eps*g supported in the unit
 ball.  beta > 2 is the scattering range the lifespan theorems cover; smaller
-beta is allowed for experiments but flagged.
+beta is accepted and not flagged, and theory_lifespan ignores mu and beta.
 """
 from __future__ import annotations
 

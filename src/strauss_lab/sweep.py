@@ -24,15 +24,15 @@ precision (%.17g), NaN spelled literally, booleans as true/false, LF endings.
 write_csv is the one CSV writer.  A row may hold equal-length 1-d float arrays
 beside scalars: it stands for one line per array element, with its scalars
 repeated on every line, and gives the same bytes as those lines written as
-scalar rows.  SVG plots are assembled from strings only, so identical input
-gives identical bytes.
+scalar rows.  Only float cells go through %.17g; a reused array (r) and the
+all-+0.0 trailing lines are written as text, with the same bytes.  SVG plots
+are assembled from strings only, so identical input gives identical bytes.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -57,22 +57,35 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _csv_chunks(header, rows):
-    """The header line, then the lines of each row as one string.
+def _joined_lines(parts, texts, start, stop):
+    """Lines start..stop-1 of a row: parts with texts' cells joined in."""
+    if not texts or start == stop:
+        return parts[0] * (stop - start)
+    mids = texts[0][start:stop]
+    for part, cells in zip(parts[1:-1], texts[1:]):
+        mids = list(map(part.join, zip(mids, cells[start:stop])))
+    return parts[0] + (parts[-1] + parts[0]).join(mids) + parts[-1]
 
-    A row's lines come from one template in one % call.  An array goes in as
-    floats under "%.17g", or as format_value cells when it holds a NaN ("%.17g"
-    spells it "nan") or repeats its cell one row up, like r: cells are reused.
+
+def _csv_chunks(header, rows):
+    """The header line, then the lines of each row as text.
+
+    Only float cells pass through "%.17g", as one interleaved list per row.
+    An array that holds a NaN ("%.17g" spells it "nan") or repeats its cell
+    one row up, like r, is a text column: its format_value cells are reused
+    and joined in.  So is a zero tail, the trailing lines whose float cells
+    are all +0.0, with the literal "0".  Each cell reads as format_value's.
     """
     yield ",".join(header) + "\n"
     last = {}  # cell index -> (dtype, bytes) of its array and that array's cells
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        fields, cols = [], []
+        parts, texts, floats = [[]], [], []  # a line's pieces between text columns
         for k, v in enumerate(row):
+            parts[-1] += [","] if k else []
             if not (isinstance(v, np.ndarray) and v.ndim == 1):
-                fields.append(format_value(v).replace("%", "%%"))
+                parts[-1].append(format_value(v).replace("%", "%%"))
                 continue
             key = (v.dtype.str, v.tobytes())
             seen, cells = last.get(k, (None, None))
@@ -80,13 +93,25 @@ def _csv_chunks(header, rows):
                 cells = ([format_value(x) for x in v.tolist()]
                          if key == seen or np.isnan(v).any() else None)
             last[k] = (key, cells)
-            fields.append("%.17g" if cells is None else "%s")
-            cols.append(v.tolist() if cells is None else cells)
-        sizes = {len(c) for c in cols}
+            if cells is None:
+                floats.append(v)
+                parts[-1].append("%.17g")
+            else:
+                texts.append(cells)
+                parts.append([])
+        parts[-1].append("\n")
+        sizes = {len(c) for c in texts} | {v.size for v in floats}
         if len(sizes) > 1:
             raise ValueError(f"array cells of different lengths {sorted(sizes)}")
-        lines = (",".join(fields) + "\n") * (sizes.pop() if sizes else 1)
-        yield lines % tuple(chain.from_iterable(zip(*cols)))
+        size, live = (sizes.pop() if sizes else 1), 0
+        if floats:  # the lines up to the last float cell other than +0.0
+            cols = np.column_stack(floats)
+            cell = np.flatnonzero((cols != 0) | np.signbit(cols)).max(initial=-1)
+            live = int(cell) // len(floats) + 1
+            yield (_joined_lines(["".join(p) for p in parts], texts, 0, live)
+                   % tuple(cols[:live].ravel().tolist()))
+        tail = ["".join(p) % ((0,) * p.count("%.17g")) for p in parts]
+        yield _joined_lines(tail, texts, live, size)
 
 
 def csv_text(header, rows) -> str:

@@ -100,6 +100,11 @@ MUTANTS = {
         "(math.exp(math.log1p(a * s) / a) if a else math.exp(s))",
         "math.exp(s)",
         "tests/test_functionals.py::test_ode_escape_matches_scipy_oracle"),
+    "zero_tail_takes_negative_zero": (
+        "sweep.py",
+        "(cols != 0) | np.signbit(cols)",
+        "(cols != 0)",
+        "tests/test_sweep.py::test_write_csv_array_cells_match_csv_text[zero_tail]"),
     "eager_pool_import": (
         "sweep.py",
         "from dataclasses import dataclass, replace\n",

@@ -73,6 +73,7 @@ def test_csv_text_shape():
 
 _R = np.linspace(0.0, 0.4, 5)
 _X = np.array([np.nan, -0.0, 1.5])
+_R6 = np.linspace(0.0, 0.5, 6)
 ARRAY_ROWS = {
     # solve snapshots (t, r, u, ut): r repeats, u and ut hold NaN, inf, -0.0
     "snapshots": (("t", "r", "u", "ut"), [
@@ -88,6 +89,25 @@ ARRAY_ROWS = {
         ("", 7, -0.0, _X + 1.0, _X),
     ]),
     "ragged": (("a", "b", "c"), [(1.0, np.zeros(2), np.zeros(3))]),
+    # solve rows whose float cells end in runs of +0.0 (a zero tail, written
+    # as text) beside a repeated r and a scalar with "%" in it
+    "zero_tail": (("note", "t", "r", "u", "ut"), [
+        ("5% nan", 0.0, _R6, np.array([1.0, 2.0, 0.5, 0.0, 0.0, 0.0]),
+         np.array([np.inf, 0.25, 0.0, 0.0, 0.0, 0.0])),
+        # r repeats: a text column beside two floats that end in +0.0
+        ("5% nan", 0.1, _R6, np.array([0.5, -1.0, 0.0, 0.0, 0.0, 0.0]),
+         np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0])),
+        # the last float cell is -0.0: no tail, and it stays "-0"
+        ("%%", 0.2, _R6, np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+         np.array([0.0, 0.0, 0.0, 0.0, 0.0, -0.0])),
+        # the would-be tail holds a NaN
+        ("", 0.3, _R6, np.array([1.0, 0.0, 0.0, np.nan, 0.0, 0.0]),
+         np.zeros(6)),
+        # every float cell is +0.0: every line is tail
+        ("%", 0.4, _R6, np.zeros(6), np.zeros(6)),
+        # only u ends in zeros
+        ("", 0.5, _R6, np.zeros(6), np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0])),
+    ]),
 }
 
 
@@ -103,6 +123,8 @@ def test_write_csv_array_cells_match_csv_text(case, tmp_path):
     cells = [tuple(v[j] if isinstance(v, np.ndarray) else v for v in row)
              for row in rows for j in range(size)]
     text = csv_text(header, cells)
+    assert text == "".join(",".join(map(format_value, line)) + "\n"
+                           for line in [header, *cells])
     assert "NaN" in text and "inf" in text
     write_csv(str(path), header, rows)
     assert path.read_bytes() == text.encode("utf-8")
@@ -112,7 +134,7 @@ def test_write_csv_array_cells_match_csv_text(case, tmp_path):
 def _array_table(draw):
     """A header and rows whose columns each hold either 1-d float arrays, of
     one length within a row, or scalars; an array cell may repeat the one a
-    row up."""
+    row up, and it may end in a run of +0.0 and -0.0."""
     kinds = draw(st.lists(st.sampled_from(["array", "float", "flag", "text"]),
                           min_size=1, max_size=5))
     scalars = {"float": st.floats(), "flag": st.booleans(),
@@ -126,8 +148,12 @@ def _array_table(draw):
             elif rows and rows[-1][k].size == size and draw(st.booleans()):
                 row.append(rows[-1][k].copy())
             else:
-                row.append(np.array(draw(st.lists(st.floats(), min_size=size,
-                                                  max_size=size))))
+                zeros = draw(st.integers(0, size))
+                row.append(np.array(
+                    draw(st.lists(st.floats(), min_size=size - zeros,
+                                  max_size=size - zeros))
+                    + draw(st.lists(st.sampled_from([0.0, 0.0, -0.0]),
+                                    min_size=zeros, max_size=zeros))))
         rows.append(tuple(row))
     return tuple(f"c{k}" for k in range(len(kinds))), rows
 
