@@ -71,6 +71,12 @@ def theory_lifespan(n: int, p: float, nonlinearity: str) -> TheoryBound:
     critical regimes), "power_ut" the Glassey one; "none" (linear) has no
     finite lifespan.  p <= 1 is rejected.  Ties with the critical exponent
     within PS_EQUALITY_TOL are treated as critical.
+
+    Below pS the power_u exponent is 2p(p-1)/gamma(p, n), except on
+    1 < p < 2/(n-1), where (p-1)/(n+1-(n-1)p) is the smaller bound: the
+    two-dimensional lifespan eps^-(p-1)/(3-p) for 1 < p < 2.  Both forms
+    meet at p = 2/(n-1), a point above 1 for n = 2 only, so the exponent is
+    continuous in p.
     """
     if p <= 1.0:
         raise ValueError(f"need p > 1, got p={p}")
@@ -84,8 +90,8 @@ def theory_lifespan(n: int, p: float, nonlinearity: str) -> TheoryBound:
             return TheoryBound("exponential", p * (p - 1.0), "power_u_critical")
         if p > ps:
             return TheoryBound("infinite", math.nan, "power_u_supercritical")
-        if p <= n / (n - 1.0):
-            expo = 2.0 * (p - 1.0) / (n + 1.0 - (n - 1.0) * p)
+        if p < 2.0 / (n - 1.0):  # n = 2 only: the smaller bound below p = 2
+            expo = (p - 1.0) / (n + 1.0 - (n - 1.0) * p)
             return TheoryBound("polynomial", expo, "power_u_low")
         expo = 2.0 * p * (p - 1.0) / gamma(p, n)
         return TheoryBound("polynomial", expo, "power_u_subcritical")

@@ -41,23 +41,29 @@ spurious tail far below scheme accuracy.  run() zeroes that band each step
 test runs with enforcement off and checks the tail really is negligible.  The
 data are cut at the t = 0 window r <= 1 + 2dr by the same rule.
 
-run_block advances problems that differ only in their data (the eps values
-of one level of sweep.run_sweep's lifespan ladder) in a packed layout; run()
-is its one-row case.  The live rows' windows lie back to back in flat
-buffers at a row stride S >= m + 2, so each array pass of a step is one
-contiguous ufunc call over rows*S - 1 nodes rather than one call on a
-(rows, m) strided view, which costs about three times as much.  Every row's
-gap nodes are computed with the rest and reset each step: +0 for the right
-neighbour of a row's last node and -0 for the left neighbour of the next
-row's origin, where M_0 = +0 makes the added term -0, which changes no
-value.  So each row's numbers are bit for bit those of its own run().  S
-grows with the window, the rows moving inside the same buffers, and the
-coefficients are tiled at stride S for the live rows.  The span depends on
-the live rows and S alone, so its views are rebuilt only as S grows or a
-row leaves.
+run_block advances problems that share their equation, each on its own grid
+(every eps at every level of sweep.run_sweep's lifespan ladder), in a packed
+layout; run() is its one-row case.  The live rows' windows lie back to back
+in flat buffers at a row stride S >= m + 2 for the largest window m, so each
+array pass of a step is one contiguous ufunc call over rows*S - 1 nodes
+rather than one call on a (rows, m) strided view, which costs about three
+times as much.  Every row's gap nodes are computed with the rest and reset
+each step: +0 for the right neighbour of a row's last node and -0 for the
+left neighbour of the next row's origin, where M_0 = +0 makes the added term
+-0, which changes no value.  So each row's numbers are bit for bit those of
+its own run().  The grids must share dt/dr, as the levels of a ladder do, so
+every window grows by the same nodes a step and a coarse row's window is a
+fixed count shorter than a fine row's: the shared stride wastes little.
+Each grid's rows lie together with their own coefficients, window, step
+count and time, and leave at their own blow-up or last step.  S grows with
+the largest window, the rows moving inside the same buffers, and the
+coefficients the step reads are tiled at stride S for the live rows and move
+with them.  The span depends on the live rows and S alone, so its views are
+rebuilt only as S grows or a row leaves.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 from dataclasses import dataclass
@@ -148,46 +154,64 @@ def run(params: ModelParams, grid: RadialGrid, *,
                      enforce_support=enforce_support)[0]
 
 
-def run_block(params_list, grid: RadialGrid, *,
+def run_block(params_list, grids, *,
               threshold: float = 1e6,
               snapshot_times=None,
               forcing=None,
               initial=None,
               enforce_support: bool = True) -> list[SolveOutcome]:
-    """run() for a block of problems that differ only in their data.
+    """run() for a block of problems that share their equation, each on its
+    own grid.
 
-    The problems share n, mu, beta, p and the nonlinearity, hence V and the
-    active window of m nodes.  A row leaves at its own blow-up or
-    instability; every row's numbers are bit for bit those of its own run()
-    (the module docstring gives the packed layout).  initial is None or one
-    (u0, v0) pair per problem, cut at the t = 0 window like the model data.
+    grids is one RadialGrid for every problem or one per problem.  The
+    problems share n, mu, beta, p and the nonlinearity, and the grids share
+    dt/dr, as the levels of a dr ladder do (RunConfig.grid).  Each row keeps
+    its grid's coefficients, window, step count and time: it leaves at its
+    own blow-up or instability, or completed at its grid's last step, and
+    its numbers are bit for bit those of its own run() (the module docstring
+    gives the packed layout).  Snapshot times are read on each row's grid,
+    forcing(t, r) is called per grid with that grid's time and radii, and
+    initial is None or one (u0, v0) pair per problem on its grid, cut at the
+    t = 0 window like the model data.
     """
     params_list = list(params_list)
     if not params_list:
         raise ValueError("a block needs at least one problem")
+    k = len(params_list)
+    grids = [grids] * k if isinstance(grids, RadialGrid) else list(grids)
+    if len(grids) != k:
+        raise ValueError(f"a block needs one grid per problem, got {len(grids)} "
+                         f"for {k} problems")
     first = params_list[0]
     shared = (first.n, first.mu, first.beta, first.p, first.nonlinearity)
     if any((q.n, q.mu, q.beta, q.p, q.nonlinearity) != shared for q in params_list):
         raise ValueError("a block's problems must share n, mu, beta, p and nonlinearity")
     if first.n > 5:  # the stencil's eigenvalues turn complex: no dt is stable
         raise ValueError(f"the solver needs n <= 5, got n = {first.n}")
-    r = grid.r
-    nr, k = r.size, len(params_list)
-    dr, dt = grid.dr, grid.dt
     n, p, mode = first.n, first.p, first.nonlinearity
-    even = n == 3 and dt == dr  # the unit step, with the even origin value
-    if dt > dr / 2 and not even:
-        raise ValueError(f"the solver needs dt <= dr/2, or dt = dr for n = 3; "
-                         f"got dt = {dt} and dr = {dr} for n = {n}")
+    levels = list({id(g): g for g in grids}.values())  # the distinct grids, first use first
+    if any(not math.isclose(g.dt / g.dr, levels[0].dt / levels[0].dr, rel_tol=1e-9)
+           for g in levels):
+        raise ValueError("a block's grids must share dt/dr")
+    for g in levels:
+        if g.dt > g.dr / 2 and not (n == 3 and g.dt == g.dr):
+            raise ValueError(f"the solver needs dt <= dr/2, or dt = dr for n = 3; "
+                             f"got dt = {g.dt} and dr = {g.dr} for n = {n}")
+    even = n == 3 and levels[0].dt == levels[0].dr  # the unit step, with the even origin value
     power = _abs_power(p)
-    V = potential(r, first.mu, first.beta)
-    c = (n - 1.0) / r[1:]
-    n_steps = grid.n_steps
+    Vs = [potential(g.r, first.mu, first.beta) for g in levels]
+    cs = [(n - 1.0) / g.r[1:] for g in levels]
+    where = {id(g): L for L, g in enumerate(levels)}
+    lev = [where[id(g)] for g in grids]  # problem -> level
+    nr = max(g.r.size for g in levels)
+    n_max = max(g.n_steps for g in levels)
+    bounds = [(g.dt, g.dr, g.r.size - 1) for g in levels]  # each level's step, dr and last node
 
-    def coefficients(lo, hi):
-        # the folded coefficients of u+ = P u[i+1] + C u[i] + M u[i-1]
+    def coefficients(L, lo, hi):
+        # level L's folded coefficients of u+ = P u[i+1] + C u[i] + M u[i-1]
         # - Bd u_prev + (N + F) invD on nodes lo..hi-1, then for power_ut
         # the scales of N; the origin rule has no u[i-1], so M[0] = +0
+        dr, dt, V, c = levels[L].dr, levels[L].dt, Vs[L], cs[L]
         o = int(lo == 0)  # the origin's place in the range
         D = 1.0 / dt ** 2 + V[lo:hi] / (2.0 * dt)
         Bd = (1.0 / dt ** 2 - V[lo:hi] / (2.0 * dt)) / D
@@ -201,36 +225,57 @@ def run_block(params_list, grid: RadialGrid, *,
             return P, C, M, Bd, invD, invD / dt ** p, invD / (2.0 * dt) ** p
         return P, C, M, Bd, invD
 
-    snap_steps = set()
+    # which coefficients the step reads, the ones it tiles: not C at the unit
+    # step, where it is +0 off node 0, nor invD where no N or F term reads it
+    reads = ((True, not even, True, True, mode == "power_u" or forcing is not None)
+             + (True, True) * (mode == "power_ut"))
+
+    snap_steps = [set() for _ in levels]
     for ts in () if snapshot_times is None else snapshot_times:
-        idx = int(round(ts / dt))
-        if not 0 <= idx <= n_steps:
-            raise ValueError(f"snapshot time {ts:g} lies outside the run's "
-                             f"steps 0..{n_steps} of dt {dt:g}")
-        snap_steps.add(idx)
+        for g, steps in zip(levels, snap_steps):
+            idx = int(round(ts / g.dt))
+            if not 0 <= idx <= g.n_steps:
+                raise ValueError(f"snapshot time {ts:g} lies outside the run's "
+                                 f"steps 0..{g.n_steps} of dt {g.dt:g}")
+            steps.add(idx)
     snapshots = [[] for _ in range(k)]
-    status, t_end, last = ["completed"] * k, [n_steps * dt] * k, [n_steps] * k
+    status = ["completed"] * k
+    t_end, last = [g.n_steps * g.dt for g in grids], [g.n_steps for g in grids]
     support_violation = np.zeros(k)
-    max_hist = _fresh_zeros((k, n_steps + 1))
+    max_hist = _fresh_zeros((k, n_max + 1))
 
-    def window(t):
-        # active nodes: r <= t + 1 + 2dr, last node stays Dirichlet
-        m = int(math.floor((t + 1.0 + 2.0 * dr) / dr + 1e-9)) + 1
-        return min(m, nr - 1)
+    def window(g, t):
+        # active nodes of grid g at time t: r <= t + 1 + 2dr, last node stays Dirichlet
+        m = int(math.floor((t + 1.0 + 2.0 * g.dr) / g.dr + 1e-9)) + 1
+        return min(m, g.r.size - 1)
 
-    active = window if enforce_support else lambda t: nr - 1
+    def active(g, t):
+        return window(g, t) if enforce_support else g.r.size - 1
 
     # The packed layout.  Row j holds its window at j*S.., then the gap
     # nodes up to (j+1)*S: +0 from node m on (the right neighbour of node
     # m-1) and -0 at the last, which row j+1's node 0 reads as its left
     # neighbour: M[0]*(-0) = -0 adds nothing, signed zeros included.  So
-    # S >= m+2, and S grows by a fixed rule of m when the window reaches the
-    # -0.  All live rows' gaps but the last -0 are computed, then reset.
+    # S >= m+2 for the largest live window, and S grows by a fixed rule of m
+    # when that window reaches the -0.  All live rows' gaps but the last -0
+    # are computed, then reset.  Each level's rows lie together, in level
+    # order, with their own coefficients, window and step count.
     u_prev, u, u_next, lin_b, tmp_b = (_fresh_zeros((k * (nr + 1),)) for _ in range(5))
-    tiled = _fresh_zeros((len(coefficients(0, 1)), k * (nr + 1)))  # 5 or 7 rows
+    tiled = _fresh_zeros((sum(reads), k * (nr + 1)))
     gap = np.zeros(nr + 2)
     gap[-1] = -0.0
-    ids = owner = np.arange(k)  # block and history row -> problem, live rows first
+    # block and history row -> problem, live rows first, each level's together
+    ids = owner = np.array(sorted(range(k), key=lev.__getitem__))
+    counts = [lev.count(L) for L in range(len(levels))]  # live rows per level
+
+    def spans():
+        # (level, its grid, first row, end row) of every level with live rows
+        out, a = [], 0
+        for L, cnt in enumerate(counts):
+            if cnt:
+                out.append((L, levels[L], a, a + cnt))
+            a += cnt
+        return out
 
     def stride(m):
         return min(m + 2 + max(32, m // 32), nr + 1)
@@ -239,53 +284,82 @@ def run_block(params_list, grid: RadialGrid, *,
         return x[:ids.size * S].reshape(ids.size, S)
 
     def tile(lo):
-        # the coefficients at stride S: row 0's from node lo on, then rows
-        # 1.. copied from row 0; nodes from nr-1 on are gap, whatever theirs
-        w = min(S, nr - 1)
-        tiled[:, min(lo, w):w] = coefficients(min(lo, w), w)
-        tiled[:, S:ids.size * S].reshape(len(tiled), -1, S)[...] = tiled[:, None, :S]
+        # each level's coefficients at stride S on its rows from node lo on;
+        # nodes from the level's nr-1 on are gap, whatever theirs
+        for L, g, a, b in live_levels:
+            w = min(S, g.r.size - 1)
+            coefs = [x for x, read in zip(coefficients(L, min(lo, w), w), reads) if read]
+            tiled[:, a * S:b * S].reshape(len(tiled), b - a, S)[:, :, min(lo, w):w] = \
+                np.array(coefs)[:, None]
 
-    def row(x, j):  # row j of a state buffer as a full grid array
-        full = np.zeros(nr)
+    def row(x, j, m, size):  # row j of a state buffer as a full grid array
+        full = np.zeros(size)
         full[:m] = x[j * S:j * S + m]
         return full
 
-    def check_support(x, t):  # for runs that do not zero the tail
-        tail = np.max(np.abs(as_rows(x)[:, window(t):nr]), axis=-1)
-        seen = support_violation[ids]
-        support_violation[ids] = np.where(tail > seen, tail, seen)
+    def check_support(x, g, a, b, t):  # for runs that do not zero the tail
+        tail = np.max(np.abs(as_rows(x)[a:b, window(g, t):g.r.size]), axis=-1)
+        seen = support_violation[ids[a:b]]
+        support_violation[ids[a:b]] = np.where(tail > seen, tail, seen)
 
-    S = stride(active(2.0 * dt))
+    def leave(stop, older, newer, step):
+        # the stopped rows leave at step, newer's, each but an unstable one
+        # with its snapshot (backward velocity) if step is one; the live
+        # rows move up in the states, coefficients, histories and ids, the
+        # leavers' histories after
+        nonlocal ids, live_levels, next_end
+        for j in np.flatnonzero(stop):
+            i = ids[j]
+            g, m = grids[i], ms[lev[i]]
+            if status[i] != "unstable" and step in snap_steps[lev[i]]:
+                snapshots[i].append((t_end[i], row(newer, j, m, g.r.size),
+                                     (row(newer, j, m, g.r.size)
+                                      - row(older, j, m, g.r.size)) / g.dt))
+        keep = np.count_nonzero(~stop)
+        if stop[:keep].any():
+            order = np.argsort(stop, kind="stable")
+            for x in (*map(as_rows, (older, newer, *tiled)),
+                      max_hist[:ids.size, :step + 1], ids):
+                x[...] = x[order]
+        for L, _, a, b in live_levels:
+            counts[L] -= int(np.count_nonzero(stop[a:b]))
+        ids, live_levels = ids[:keep], spans()
+        next_end = min((g.n_steps for _, g, _, _ in live_levels), default=0)
+
+    live_levels = spans()
+    S = stride(max(active(g, 2.0 * g.dt) for g in levels))
     tile(0)
-    # the data, cut to the t = 0 window like every later level: u0 in
-    # u_prev and v0 in lin_b, which is free until the first step
-    m0, m = active(0.0), active(dt)
-    u0, v0 = as_rows(u_prev)[:, :m], as_rows(lin_b)[:, :m]
-    for i, q in enumerate(params_list):
-        data = initial_data(q, r) if initial is None else initial[i]
-        u0[i, :m0], v0[i, :m0] = (a[:m0] for a in data)
-    max_hist[:, 0] = np.abs(u0).max(axis=1)
-    if 0 in snap_steps:
-        for i in range(k):
-            snapshots[i].append((0.0, row(u_prev, i), row(lin_b, i)))
+    ms = [active(g, g.dt) for g in levels]  # each level's window at the last step
+    for L, g, a, b in live_levels:
+        r, dr, dt, m, m0 = g.r, g.dr, g.dt, ms[L], active(g, 0.0)
+        # the data, cut to the t = 0 window like every later level: u0 in
+        # u_prev and v0 in lin_b, which is free until the first step
+        u0, v0 = as_rows(u_prev)[a:b, :m], as_rows(lin_b)[a:b, :m]
+        for j, i in enumerate(owner[a:b].tolist()):
+            data = initial_data(params_list[i], r) if initial is None else initial[i]
+            u0[j, :m0], v0[j, :m0] = (x[:m0] for x in data)
+        max_hist[a:b, 0] = np.abs(u0).max(axis=1)
+        for j in range(a, b) if 0 in snap_steps[L] else ():
+            snapshots[owner[j]].append((0.0, row(u_prev, j, m, r.size),
+                                        row(lin_b, j, m, r.size)))
 
-    # Taylor start: u1 = u0 + dt*v0 + dt^2/2 * (lap - V*v0 + N + F)
-    lap = _laplacian(as_rows(u_prev), m, dr, n, c) - V[:m] * v0
-    if mode != "none":
-        nl = np.empty((k, m))
-        power(u0 if mode == "power_u" else v0, nl, np.empty((k, m)))
-        lap += nl
-    if forcing is not None:
-        lap += forcing(0.0, r[:m])
-    u1 = as_rows(u)[:, :m]
-    u1[...] = u0 + v0 * dt + lap * (0.5 * dt * dt)
-    if even:
-        u1[:, 0] = (4.0 * u1[:, 1] - u1[:, 2]) / 3.0
-    max_hist[:, 1] = np.abs(u1).max(axis=1)
+        # Taylor start: u1 = u0 + dt*v0 + dt^2/2 * (lap - V*v0 + N + F)
+        lap = _laplacian(as_rows(u_prev)[a:b], m, dr, n, cs[L]) - Vs[L][:m] * v0
+        if mode != "none":
+            nl = np.empty((b - a, m))
+            power(u0 if mode == "power_u" else v0, nl, np.empty((b - a, m)))
+            lap += nl
+        if forcing is not None:
+            lap += forcing(0.0, r[:m])
+        u1 = as_rows(u)[a:b, :m]
+        u1[...] = u0 + v0 * dt + lap * (0.5 * dt * dt)
+        if even:
+            u1[:, 0] = (4.0 * u1[:, 1] - u1[:, 2]) / 3.0
+        max_hist[a:b, 1] = np.abs(u1).max(axis=1)
+        if not enforce_support:
+            check_support(u, g, a, b, dt)
     for x in (u_prev, u, u_next):
         x[S - 1:k * S:S] = -0.0
-    if not enforce_support:
-        check_support(u, dt)
 
     def views(x):
         # span, right and left neighbours, nodes after the first, rows, nodes 0-2
@@ -293,24 +367,46 @@ def run_block(params_list, grid: RadialGrid, *,
         return x[:span], x[1:span + 1], x[:span - 1], x[1:span], rows, *rows[:, :3].T
 
     live = None  # the (rows, S) of the views and coefficient slices
-    for step in range(1, n_steps):
-        t, t_next = step * dt, step * dt + dt
-        m = active(t_next)
+    watch = any(snap_steps) or not enforce_support  # a step may record a row
+    next_end = min(g.n_steps for g in levels)  # the first last step of a live row
+    for step in range(1, n_max + 1):
+        if step == next_end:  # the rows of the grids that end here complete
+            leave(np.array([grids[i].n_steps == step for i in ids.tolist()]),
+                  u_prev, u, step)
+            if ids.size == 0:
+                break
+        m = 0  # each level's window at t + dt by window() written out, m the largest
+        for L, g, _, _ in live_levels:
+            dt, dr, cap = bounds[L]
+            ms[L] = w = (min(math.floor((step * dt + dt + 1.0 + 2.0 * dr) / dr + 1e-9) + 1,
+                             cap) if enforce_support else cap)
+            if w > m:
+                m = w
         if m > S - 2:  # grow the stride, moving the rows from the last
             S_old, S = S, stride(m)
-            for x in (u_prev, u, u_next):
+            for x in (u_prev, u, u_next, tiled):
                 for j in range(ids.size - 1, 0, -1):
-                    x[j * S:j * S + S_old - 1] = x[j * S_old:j * S_old + S_old - 1]
+                    x[..., j * S:j * S + S_old] = x[..., j * S_old:(j + 1) * S_old]
+            for x in (u_prev, u, u_next):
                 as_rows(x)[:, S_old - 1:] = gap[S_old - 1 - S:]
             tile(S_old)
         if (ids.size, S) != live:
             live, span = (ids.size, S), ids.size * S - 1
-            vp, vu, vn, (tmp, _, _, tmp1, *_), (lin, _, _, lin1, *_) = map(
-                views, (u_prev, u, u_next, tmp_b, lin_b))
-            Pm, Cm, Mm, Bm, invDm, *scales = tiled[:, :span]
+            (tmp, _, _, tmp1, *_), (lin, _, _, lin1, *_) = map(views, (tmp_b, lin_b))
+            coefs = iter(tiled[:, :span])
+            Pm, Cm, Mm, Bm, invDm, *scales = (next(coefs) if read else None
+                                               for read in reads)
             Mm = Mm[1:]
             starts = np.arange(0, span, S)
-        (um, ur, ul, *_), (upm, *_), (un, _, _, un1, gn, n0, n1, n2) = vu, vp, vn
+            # the views of the three turns of the ring u_prev, u, u_next
+            turns = []
+            for older, now, newer in ((u_prev, u, u_next), (u, u_next, u_prev),
+                                      (u_next, u_prev, u)):
+                (um, ur, ul, *_), vn = views(now), views(newer)
+                turns.append((older, now, newer, older[:span], um, ur, ul,
+                              vn[0], vn[3], *vn[4:]))
+            ring = itertools.cycle(turns)
+            u_prev, u, u_next, upm, um, ur, ul, un, un1, gn, n0, n1, n2 = next(ring)
         # power_ut keeps the part without N for its predictor and corrector
         out, out1 = (lin, lin1) if mode == "power_ut" else (un, un1)
         np.multiply(ur, Pm, out=out)
@@ -322,8 +418,9 @@ def run_block(params_list, grid: RadialGrid, *,
         np.multiply(upm, Bm, out=tmp)
         out -= tmp
         if forcing is not None:
-            as_rows(lin_b if mode == "power_ut" else u_next)[:, :m] += \
-                forcing(t, r[:m]) * invDm[:m]
+            for L, g, a, b in live_levels:
+                as_rows(lin_b if mode == "power_ut" else u_next)[a:b, :ms[L]] += \
+                    forcing(step * g.dt, g.r[:ms[L]]) * invDm[a * S:a * S + ms[L]]
         if mode == "power_u":
             power(um, tmp, lin)
             tmp *= invDm
@@ -336,48 +433,33 @@ def run_block(params_list, grid: RadialGrid, *,
                 power(tmp, tmp, un)
                 tmp *= scale
                 np.add(lin, tmp, out=un)
-        gn[:, m:] = gap[m - S:]
-        if even:  # (4u_1 - u_2)/3, the same three operations in place
-            np.multiply(n1, 4.0, out=n0)
-            n0 -= n2
-            n0 /= 3.0
-        if not enforce_support:
-            check_support(u_next, t_next)
-
-        if step in snap_steps:
-            for j, i in enumerate(ids):
-                snapshots[i].append((t, row(u, j),
-                                     (row(u_next, j) - row(u_prev, j)) / (2.0 * dt)))
+        for L, _, a, b in live_levels:
+            gn[a:b, ms[L]:] = gap[ms[L] - S:]
+        if even:  # (4u_1 - u_2)/3 in every row, with the same operations on floats
+            n0[:] = [(4.0 * x1 - x2) / 3.0 for x1, x2 in zip(n1.tolist(), n2.tolist())]
+        for L, g, a, b in live_levels if watch else ():
+            if not enforce_support:
+                check_support(u_next, g, a, b, step * g.dt + g.dt)
+            for j in range(a, b) if step in snap_steps[L] else ():
+                size = g.r.size
+                snapshots[ids[j]].append(
+                    (step * g.dt, row(u, j, ms[L], size),
+                     (row(u_next, j, ms[L], size) - row(u_prev, j, ms[L], size))
+                     / (2.0 * g.dt)))
 
         np.abs(un, out=tmp)
         mx = np.maximum.reduceat(tmp, starts, out=max_hist[:ids.size, step + 1])
-        if not all(x <= threshold for x in mx.tolist()):  # NaN and inf fail too
+        # the rounded sum of the maxima is at least each one; NaN fails it too
+        if not sum(mx.tolist()) <= threshold and not (mx <= threshold).all():
             stop = ~(mx <= threshold)
             for j in np.flatnonzero(stop):
                 i = ids[j]
                 status[i] = "blew_up" if np.isfinite(mx[j]) else "unstable"
-                t_end[i], last[i] = t_next, step + 1
-                if status[i] == "blew_up" and (step + 1) in snap_steps:
-                    snapshots[i].append((t_next, row(u_next, j),
-                                         (row(u_next, j) - row(u, j)) / dt))
-            # live rows, histories and ids move up, the leavers' histories after
-            keep = np.count_nonzero(~stop)
-            if stop[:keep].any():
-                order = np.argsort(stop, kind="stable")
-                for x in (as_rows(u)[:, :m], as_rows(u_next)[:, :m],
-                          max_hist[:ids.size, :step + 2], ids):
-                    x[...] = x[order]
-            ids = ids[:keep]
+                t_end[i], last[i] = step * grids[i].dt + grids[i].dt, step + 1
+            leave(stop, u, u_next, step + 1)
             if ids.size == 0:
                 break
-        u_prev, u, u_next = u, u_next, u_prev
-        vp, vu, vn = vu, vn, vp
-
-    # rows that reached t_max; final snapshot with backward velocity
-    if n_steps in snap_steps and n_steps >= 1:
-        for j, i in enumerate(ids):
-            snapshots[i].append((n_steps * dt, row(u, j),
-                                 (row(u, j) - row(u_prev, j)) / dt))
+        u_prev, u, u_next, upm, um, ur, ul, un, un1, gn, n0, n1, n2 = next(ring)
 
     return [SolveOutcome(
         status=status[i],
@@ -385,7 +467,7 @@ def run_block(params_list, grid: RadialGrid, *,
         max_abs_u=max_hist[b, :last[i] + 1],
         snapshots=snapshots[i],
         params=params_list[i],
-        grid=grid,
+        grid=grids[i],
         support_violation=float(support_violation[i]),
     ) for i, b in sorted(zip(owner.tolist(), range(k)))]  # problem i, history row b
 

@@ -1,11 +1,12 @@
 """Lifespan sweeps, scaling-law fits and deterministic CSV/SVG output.
 
-run_sweep is the lifespan ladder: each refinement level advances all eps as
-one solver block, solver.run_block, so all eps share each array pass of a
-step, and the levels run in worker processes when jobs > 1.  The process pool
-is imported when first used, so a one-process run never loads
-concurrent.futures or multiprocessing.  Every blow-up time is a pure function
-of (config, eps, level), bit for bit what a one-row run gives, and the pure
+run_sweep is the lifespan ladder: in one process every eps at every
+refinement level advances as one solver block, solver.run_block, so all rows
+share each array pass of a step and each step's fixed cost; with jobs > 1
+each level is one block in a worker process.  The process pool is imported
+when first used, so a one-process run never loads concurrent.futures or
+multiprocessing.  Every blow-up time is a pure function of (config, eps,
+level), bit for bit what a one-row run gives, and the pure
 lifespan_from_levels turns one eps's times into its T and flags, so the table
 is identical for any worker count.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exponents import theory_lifespan
-from .model import ConfigError, RadialGrid, RunConfig
+from .model import ConfigError, RunConfig
 from .solver import run_block
 
 FIT_MIN_POINTS = 4
@@ -156,35 +157,40 @@ def lifespan_from_levels(eps: float, T_levels) -> LifespanResult:
                           uncertainty=unc, censored=censored, unreliable=unreliable)
 
 
-def _blowup_times(params_list, grid: RadialGrid, threshold: float) -> list[float]:
-    """Blow-up time of each problem on one grid, NaN where it did not blow up."""
+def _blowup_times(params_list, grids, threshold: float) -> list[float]:
+    """Blow-up time of each problem on its grid (one grid for all, or one
+    per problem), NaN where it did not blow up."""
     return [out.t_end if out.status == "blew_up" else math.nan
-            for out in run_block(params_list, grid, threshold=threshold)]
+            for out in run_block(params_list, grids, threshold=threshold)]
 
 
 def run_sweep(cfg: RunConfig, eps_values, jobs: int = 1) -> list[LifespanResult]:
     """One LifespanResult per eps, in eps order, worker-count independent.
 
-    The ladder's cfg.refine_levels levels start at cfg.dr and halve it.  Each
-    level runs all eps as one run_block; the levels run in this process, or
-    in min(jobs, levels) worker processes, the one process pool of the lab,
-    imported only here, when jobs > 1 first needs it.
+    The ladder's cfg.refine_levels levels start at cfg.dr and halve it.  In
+    this process the whole ladder, every eps at every level, is one
+    run_block; with jobs > 1 each level is one run_block in one of
+    min(jobs, levels) worker processes, the one process pool of the lab,
+    imported only here, when it is first needed.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     params_list = [replace(cfg, eps=float(eps)).model_params() for eps in eps_values]
     if not params_list:
         return []
-    levels = cfg.refine_levels
+    levels, count = cfg.refine_levels, len(params_list)
     grids = [cfg.grid(cfg.dr / 2 ** lev) for lev in range(levels)]
-    work = (_blowup_times, [params_list] * levels, grids, [cfg.u_threshold] * levels)
     workers = min(jobs, levels)
     if workers <= 1:
-        per_level = list(map(*work))
+        times = _blowup_times(params_list * levels,
+                              [grid for grid in grids for _ in params_list],
+                              cfg.u_threshold)
+        per_level = [times[i:i + count] for i in range(0, len(times), count)]
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_level = list(pool.map(*work))
+            per_level = list(pool.map(_blowup_times, [params_list] * levels, grids,
+                                      [cfg.u_threshold] * levels))
     return [lifespan_from_levels(params.eps, Ts)
             for params, Ts in zip(params_list, zip(*per_level))]
 

@@ -32,8 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = {
     "damping_removed": (
         "solver.py",
-        "    V = potential(r, first.mu, first.beta)\n",
-        "    V = 0.0 * potential(r, first.mu, first.beta)\n",
+        "    Vs = [potential(g.r, first.mu, first.beta) for g in levels]\n",
+        "    Vs = [0.0 * potential(g.r, first.mu, first.beta) for g in levels]\n",
         "tests/test_acceptance.py::test_criterion_4_solver_validation"),
     "beta_ignored": (
         "model.py",
@@ -47,9 +47,19 @@ MUTANTS = {
         "tests/test_acceptance.py::test_criterion_6_glassey_scaling"),
     "last_row_gap_kept": (
         "solver.py",
-        "        gn[:, m:] = gap[m - S:]\n",
-        "        gn[:-1, m:] = gap[m - S:]\n",
+        "            gn[a:b, ms[L]:] = gap[ms[L] - S:]\n",
+        "            gn[a:b - 1, ms[L]:] = gap[ms[L] - S:]\n",
         "tests/test_solver.py::test_support_window_holds_in_every_row"),
+    "gap_reset_at_the_finest_window": (
+        "solver.py",
+        "            gn[a:b, ms[L]:] = gap[ms[L] - S:]\n",
+        "            gn[a:b, m:] = gap[m - S:]\n",
+        "tests/test_solver.py::test_ladder_block_rows_match_single_runs"),
+    "coefficients_left_behind": (
+        "solver.py",
+        "(*map(as_rows, (older, newer, *tiled)),",
+        "(*map(as_rows, (older, newer)),",
+        "tests/test_solver.py::test_ladder_block_rows_match_single_runs"),
     "origin_rule_at_unit_step": (
         "solver.py",
         "        if even:  # (4u_1 - u_2)/3",
@@ -60,6 +70,11 @@ MUTANTS = {
         "        if not even:  # at the unit step C is +0",
         "        if False:  # at the unit step C is +0",
         "tests/test_solver.py::test_solver_second_order_against_oracle"),
+    "low_branch_factor_2": (
+        "exponents.py",
+        "            expo = (p - 1.0) / (n + 1.0 - (n - 1.0) * p)\n",
+        "            expo = 2.0 * (p - 1.0) / (n + 1.0 - (n - 1.0) * p)\n",
+        "tests/test_sweep.py::test_low_p_power_u_sweep_reads_consistent"),
     "richardson_dropped": (
         "sweep.py",
         "T_ext, unc = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0, abs(Ts[-1] - Ts[-2])",

@@ -63,11 +63,13 @@ def test_criterion_1_exponent_arithmetic(capsys):
         _check(fails, abs(gamma(e.p_strauss, n)) < 1e-9,
                f"gamma(pS({n}),{n}) = {gamma(e.p_strauss, n):.2e}")
     # branch classifier: exponents exactly as the closed forms evaluate
-    n = 3
-    low = theory_lifespan(n, 1.4, "power_u")
+    low = theory_lifespan(2, 1.5, "power_u")  # p < 2/(n-1): n = 2 only
     _check(fails, low.kind == "polynomial" and low.exponent ==
-           2.0 * (1.4 - 1.0) / (n + 1.0 - (n - 1.0) * 1.4),
-           "low power_u branch")
+           (1.5 - 1.0) / (2 + 1.0 - (2 - 1.0) * 1.5), "low power_u branch")
+    n = 3
+    near = theory_lifespan(n, 1.4, "power_u")
+    _check(fails, near.branch == "power_u_subcritical" and near.exponent ==
+           2.0 * 1.4 * (1.4 - 1.0) / gamma(1.4, n), "power_u branch at p = 1.4")
     sub = theory_lifespan(n, 2.0, "power_u")
     _check(fails, sub.exponent == 2.0 * 2.0 * 1.0 / gamma(2.0, n),
            "subcritical power_u branch")

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strauss_lab.exponents import (PS_EQUALITY_TOL, critical_exponents, gamma,
@@ -42,11 +42,14 @@ def test_dimension_validation():
 
 def test_theory_lifespan_power_u_branches():
     exps = critical_exponents(3)
-    # low branch p <= n/(n-1)
-    low = theory_lifespan(3, 1.4, "power_u")
-    assert low.kind == "polynomial"
-    assert low.branch == "power_u_low"
-    assert low.exponent == pytest.approx(2.0 * 0.4 / (4.0 - 2.0 * 1.4), abs=1e-14)
+    # n = 3 has no low branch: p = 1.4 is subcritical
+    near = theory_lifespan(3, 1.4, "power_u")
+    assert (near.kind, near.branch) == ("polynomial", "power_u_subcritical")
+    assert near.exponent == pytest.approx(2.0 * 1.4 * 0.4 / gamma(1.4, 3), abs=1e-14)
+    # the low branch p < 2/(n-1) exists for n = 2: (p-1)/(3-p)
+    low = theory_lifespan(2, 1.5, "power_u")
+    assert (low.kind, low.branch) == ("polynomial", "power_u_low")
+    assert low.exponent == pytest.approx(1.0 / 3.0, abs=1e-14)
     # subcritical branch: the n=3, p=2 exponent is exactly 2
     sub = theory_lifespan(3, 2.0, "power_u")
     assert sub.branch == "power_u_subcritical"
@@ -60,6 +63,16 @@ def test_theory_lifespan_power_u_branches():
     sup = theory_lifespan(3, 3.0, "power_u")
     assert sup.kind == "infinite"
     assert math.isnan(sup.exponent)
+
+
+def test_theory_lifespan_power_u_continuous_at_the_n2_knee():
+    # the low and subcritical forms meet at p = 2/(n-1) = 2, both at 1
+    below = theory_lifespan(2, math.nextafter(2.0, 1.0), "power_u")
+    at, above = theory_lifespan(2, 2.0, "power_u"), theory_lifespan(2, 2.0 + 1e-12, "power_u")
+    assert below.branch == "power_u_low"
+    assert at.branch == above.branch == "power_u_subcritical"
+    for bound in (below, at, above):
+        assert bound.exponent == pytest.approx(1.0, abs=1e-11)
 
 
 def test_theory_lifespan_power_ut_branches():
@@ -88,14 +101,19 @@ def test_theory_lifespan_validation():
 
 def _branches(n):
     """(nonlinearity, branch, p_lo, p_hi, p_crit) for each polynomial branch
-    of dimension n: the branch holds p in (p_lo, p_hi]; a subcritical branch
-    ends just over PS_EQUALITY_TOL below its critical exponent p_crit."""
+    of dimension n, the two subcritical ones first: the branch holds p in
+    (p_lo, p_hi]; a subcritical branch ends just over PS_EQUALITY_TOL below
+    its critical exponent p_crit, and the low one, n = 2 only, just below
+    the knee p = 2/(n-1)."""
     exps = critical_exponents(n)
-    knee = n / (n - 1.0)
+    knee = 2.0 / (n - 1.0) if n == 2 else 1.0
     below = 1.0 - 2.0 * PS_EQUALITY_TOL
-    return [("power_u", "power_u_low", 1.0, knee, None),
-            ("power_u", "power_u_subcritical", knee, exps.p_strauss * below, exps.p_strauss),
-            ("power_ut", "power_ut_subcritical", 1.0, exps.p_glassey * below, exps.p_glassey)]
+    branches = [
+        ("power_u", "power_u_subcritical", knee, exps.p_strauss * below, exps.p_strauss),
+        ("power_ut", "power_ut_subcritical", 1.0, exps.p_glassey * below, exps.p_glassey)]
+    if n == 2:
+        branches.append(("power_u", "power_u_low", 1.0, math.nextafter(knee, 1.0), None))
+    return branches
 
 
 _dims = st.integers(2, 5)
@@ -106,6 +124,7 @@ _dims = st.integers(2, 5)
        step=st.floats(1e-6, 1.0))
 def test_theory_lifespan_polynomial_exponent_rises_in_each_branch(n, b, t, step):
     # within a branch the exponent is finite, positive and strictly rising in p
+    assume(b < len(_branches(n)))
     nonlinearity, branch, lo, hi, _ = _branches(n)[b]
     bounds = []
     for u in (t, min(t + step, 1.0)):
@@ -117,7 +136,7 @@ def test_theory_lifespan_polynomial_exponent_rises_in_each_branch(n, b, t, step)
 
 
 @settings(deadline=None)
-@given(n=_dims, b=st.integers(1, 2), log_gap=st.floats(-8.5, -3.0))
+@given(n=_dims, b=st.integers(0, 1), log_gap=st.floats(-8.5, -3.0))
 def test_theory_lifespan_exponent_unbounded_below_the_critical_exponent(n, b, log_gap):
     # p_crit - gap, gap down to 3e-9: the exponent grows like 1/gap
     nonlinearity, branch, _, _, p_crit = _branches(n)[b]

@@ -419,6 +419,44 @@ def test_unit_step_block_histories_pinned(mode, p, amp, eps, t_max, dr, lasts, d
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize("mode, p, amp, eps, t_max, dr, cfl, threshold, statuses", [
+    # the middle eps is censored: its coarse row completes at step 150
+    # while the fine rows run on to step 300
+    ("power_u", 2.2, 20.0, (0.7, 0.05, 1.0), 6.0, 0.04, 1.0, 1e4,
+     (("blew_up", "completed", "blew_up"),) * 2),
+    # three levels at dt = dr/2; coarse rows leave before finer ones
+    ("power_ut", 1.5, 2.0, (2.0, 3.0, 1.0, 2.5), 6.0, 0.04, 0.5, 1e4,
+     (("blew_up", "blew_up", "completed", "blew_up"),) * 3),
+    ("none", 2.0, 1.0, (1.0, 0.5), 3.0, 0.04, 1.0, 1e4, (("completed",) * 2,) * 2),
+    # max|u| overflows before it passes the threshold: unstable rows, and a
+    # censored coarse row beside them
+    ("power_u", 2.0, 20.0, (1.0, 0.7, 0.5), 6.0, 0.04, 1.0, 1e300,
+     (("unstable", "unstable", "completed"), ("unstable", "blew_up", "unstable"))),
+    ("power_u", 2.0, 20.0, (1.0, 0.7, 0.5), 6.0, 0.04, 1.0, 1e4, (("blew_up",) * 3,)),
+    # the coarse grid takes one step: its rows complete after the Taylor start
+    ("power_u", 2.0, 20.0, (1.0, 0.05), 0.08, 0.08, 1.0, 1e4, (("completed",) * 2,) * 2),
+])
+def test_ladder_block_rows_match_single_runs(mode, p, amp, eps, t_max, dr, cfl,
+                                             threshold, statuses):
+    # every eps on every level of a dr ladder in one block, the rows given
+    # eps by eps, so each grid's rows are gathered from across the block
+    grids = [build_grid(t_max, dr / 2 ** lev, cfl) for lev in range(len(statuses))]
+    base = ModelParams(n=3, p=p, mu=1.0, beta=3.0, nonlinearity=mode,
+                       f_amp=amp, g_amp=amp)
+    rows = [(replace(base, eps=e), grid) for e in eps for grid in grids]
+    kw = dict(threshold=threshold,
+              snapshot_times=grids[-1].dt * np.arange(grids[-1].n_steps + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = run_block([q for q, _ in rows], [grid for _, grid in rows], **kw)
+        singles = [run(q, grid, **kw) for q, grid in rows]
+    # statuses are listed level by level, the rows eps by eps
+    assert [out.status for out in block] == [s for per_eps in zip(*statuses)
+                                             for s in per_eps]
+    for (q, grid), out, single in zip(rows, block, singles):
+        assert out.grid is grid and out.params == q
+        _assert_same_outcome(out, single)
+
+
 def test_support_window_holds_in_every_row():
     # run() is a block's last row, so the tests above cannot see a defect
     # there; here every row must hold +0 beyond r = t + 1 + 2dr.  eps = 1.1
@@ -454,6 +492,11 @@ def test_block_rejects_mixed_problems():
         run_block([ModelParams(p=2.0), ModelParams(p=3.0)], grid)
     with pytest.raises(ValueError, match="at least one problem"):
         run_block([], grid)
+    # a ladder's grids share dt/dr; these step at dr/2 and at dr
+    with pytest.raises(ValueError, match="share dt/dr"):
+        run_block([ModelParams()] * 2, [grid, build_grid(1.0, 0.05, 1.0)])
+    with pytest.raises(ValueError, match="one grid per problem"):
+        run_block([ModelParams()] * 2, [grid])
 
 
 def test_wide_initial_data_cut_to_window():

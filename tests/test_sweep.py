@@ -215,6 +215,24 @@ def test_sweep_csv_pinned(config, eps_min, eps_max, count, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n, p, t_max, exponent", [
+    # the low power_u branch, n = 2 only: T ~ eps^-(p-1)/(3-p) = eps^-1/3
+    (2, 1.5, 150.0, 1.0 / 3.0),
+    # n = 3 has no low branch: 2p(p-1)/gamma(p, 3) = 0.3043 at p = 1.4
+    (3, 1.4, 210.0, 2.0 * 1.4 * 0.4 / 3.68),
+], ids=["n2_p1.5", "n3_p1.4"])
+def test_low_p_power_u_sweep_reads_consistent(n, p, t_max, exponent):
+    # one level at dr 0.04 fits slopes 0.003 below the bound
+    cfg = RunConfig(n=n, p=p, nonlinearity="power_u", mu=1.0, beta=3.0,
+                    f_amp=1.0, g_amp=1.0, t_max=t_max, dr=0.04, refine_levels=1)
+    results = run_sweep(cfg, np.geomspace(5e-4, 0.05, 6))
+    assert max(r.T_extrapolated for r in results) < cfg.t_max
+    fit = fit_table(cfg, sweep_rows(results), tolerance=0.05)
+    assert fit.theory_exponent == pytest.approx(exponent, abs=1e-14)
+    assert fit.verdict == "consistent"
+    assert abs(fit.slope - fit.theory_exponent) < 0.01
+
+
 def test_sweep_rows_censored_to_nan():
     res = LifespanResult(eps=0.1, T_levels=(9.0, 9.5),
                          T_extrapolated=9.7, uncertainty=0.5, censored=True,
