@@ -88,7 +88,7 @@ def cmd_exponents(args) -> int:
     cfg = resolve_config(args)
     n = cfg.n
     exps = critical_exponents(n)
-    bound = theory_lifespan(n, cfg.p, cfg.nonlinearity)
+    bound = theory_lifespan(n, cfg.p, cfg.nonlinearity, cfg.mu, cfg.beta)
     g = gamma(cfg.p, n)
     print(f"n            = {n}")
     print(f"p_strauss    = {exps.p_strauss:.15g}")
@@ -100,6 +100,8 @@ def cmd_exponents(args) -> int:
         shape = f"T <= C eps^-{bound.exponent:.15g}"
     elif bound.kind == "exponential":
         shape = f"T <= exp(C eps^-{bound.exponent:.15g})"
+    elif bound.kind == "needs_beta_gt_2":
+        shape = f"no bound proved: the theorems assume beta > 2, got beta = {cfg.beta:g}"
     else:
         shape = "no upper bound asserted"
     print(f"bound        = {bound.kind}  {shape}  [{bound.branch}]")

@@ -10,7 +10,9 @@ three critical exponents of the spatial dimension n:
 
 ``theory_lifespan`` returns the shape of the proved upper bound on the maximal
 existence time for small data of size eps: T <= C*eps^(-a) (polynomial),
-T <= exp(C*eps^(-a)) (exponential, critical case), or none (supercritical, linear).
+T <= exp(C*eps^(-a)) (exponential, critical case), or none (supercritical,
+linear, or damping mu > 0 outside the scattering range beta > 2 the bounds
+assume).
 """
 from __future__ import annotations
 
@@ -34,8 +36,10 @@ class TheoryBound:
     """Shape of the proved lifespan upper bound at (n, p, nonlinearity).
 
     kind is one of "polynomial" (T <= C eps^-exponent), "exponential"
-    (T <= exp(C eps^-exponent)) or "infinite" (no upper bound asserted,
-    exponent is NaN).  branch names which regime produced the bound.
+    (T <= exp(C eps^-exponent)), "infinite" (no upper bound asserted,
+    exponent is NaN) or "needs_beta_gt_2" (damping mu > 0 with beta <= 2,
+    outside the hypothesis of the theorems: no bound proved, exponent NaN).
+    branch names which regime produced the bound.
     """
 
     kind: str
@@ -64,12 +68,16 @@ def gamma(p: float, n: int) -> float:
     return 2.0 + (n + 1.0) * p - (n - 1.0) * p * p
 
 
-def theory_lifespan(n: int, p: float, nonlinearity: str) -> TheoryBound:
-    """Classify (n, p) and return the proved lifespan upper-bound shape.
+def theory_lifespan(n: int, p: float, nonlinearity: str,
+                    mu: float = 0.0, beta: float = 3.0) -> TheoryBound:
+    """Classify (n, p) and return the proved lifespan upper-bound shape for
+    the damping mu*(1+r)^-beta.
 
     nonlinearity "power_u" uses the Strauss landscape (three subcritical/
     critical regimes), "power_ut" the Glassey one; "none" (linear) has no
-    finite lifespan.  p <= 1 is rejected.  Ties with the critical exponent
+    finite lifespan.  The bounds are proved for mu = 0 or scattering damping,
+    beta > 2: a nonlinear problem with mu > 0 and beta <= 2 has the kind
+    "needs_beta_gt_2".  p <= 1 is rejected.  Ties with the critical exponent
     within PS_EQUALITY_TOL are treated as critical.
 
     Below pS the power_u exponent is 2p(p-1)/gamma(p, n), except on
@@ -83,6 +91,11 @@ def theory_lifespan(n: int, p: float, nonlinearity: str) -> TheoryBound:
     exps = critical_exponents(n)
     if nonlinearity == "none":
         return TheoryBound("infinite", math.nan, "linear")
+    if nonlinearity not in ("power_u", "power_ut"):
+        raise ValueError(f"unknown nonlinearity {nonlinearity!r} "
+                         f"(use power_u, power_ut or none)")
+    if mu > 0.0 and beta <= 2.0:
+        return TheoryBound("needs_beta_gt_2", math.nan, f"{nonlinearity}_beta_le_2")
 
     if nonlinearity == "power_u":
         ps = exps.p_strauss
@@ -96,13 +109,10 @@ def theory_lifespan(n: int, p: float, nonlinearity: str) -> TheoryBound:
         expo = 2.0 * p * (p - 1.0) / gamma(p, n)
         return TheoryBound("polynomial", expo, "power_u_subcritical")
 
-    if nonlinearity == "power_ut":
-        pg = exps.p_glassey
-        if abs(p - pg) <= PS_EQUALITY_TOL:
-            return TheoryBound("exponential", p - 1.0, "power_ut_critical")
-        if p > pg:
-            return TheoryBound("infinite", math.nan, "power_ut_supercritical")
-        expo = 1.0 / (1.0 / (p - 1.0) - (n - 1.0) / 2.0)
-        return TheoryBound("polynomial", expo, "power_ut_subcritical")
-
-    raise ValueError(f"unknown nonlinearity {nonlinearity!r} (use power_u, power_ut or none)")
+    pg = exps.p_glassey
+    if abs(p - pg) <= PS_EQUALITY_TOL:
+        return TheoryBound("exponential", p - 1.0, "power_ut_critical")
+    if p > pg:
+        return TheoryBound("infinite", math.nan, "power_ut_supercritical")
+    expo = 1.0 / (1.0 / (p - 1.0) - (n - 1.0) / 2.0)
+    return TheoryBound("polynomial", expo, "power_ut_subcritical")

@@ -6,7 +6,8 @@ The Cauchy problem under study is
 
 with radial initial data u(0) = eps*f, u_t(0) = eps*g supported in the unit
 ball.  beta > 2 is the scattering range the lifespan theorems cover; smaller
-beta is accepted and not flagged, and theory_lifespan ignores mu and beta.
+beta is accepted, and with mu > 0 theory_lifespan then returns no bound (kind
+"needs_beta_gt_2"), so fits are refused.
 """
 from __future__ import annotations
 
@@ -69,13 +70,14 @@ class RadialGrid:
 
     The last radius r[-1] is sized so the outer Dirichlet row is exact: data
     start in the unit ball and propagate at speed one, so nothing reaches it
-    before t_max as long as r[-1] >= t_max + 1 + 2*dr.
+    before t_max as long as r[-1] >= t_max + 1 + 2*dr.  Grids compare and
+    hash by (dr, dt, t_max), which fix r.
     """
 
     dr: float
     dt: float
     t_max: float
-    r: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_steps(self) -> int:

@@ -26,7 +26,7 @@ corrector pass, or zero.
 
 Each step runs in folded form, u+_i = P_i u_{i+1} + C_i u_i + M_i u_{i-1}
 - Bd_i u-_i + (N_i + F_i)/D_i with D = 1/dt^2 + V/(2dt): the stencil, the
-damping and 1/D sit in per-node coefficients, each built once per run (the
+damping and 1/D sit in per-node coefficients, each built once per grid (the
 origin rule in P_0 and C_0, M_0 = 0).  It is the scheme above in another
 order of operations: u agrees with the unfolded update to round-off (tests
 pin it at 1e-11 relative).  So does |x|^p by _abs_power's multiplies and
@@ -54,12 +54,14 @@ left neighbour of the next row's origin, where M_0 = +0 makes the added term
 its own run().  The grids must share dt/dr, as the levels of a ladder do, so
 every window grows by the same nodes a step and a coarse row's window is a
 fixed count shorter than a fine row's: the shared stride wastes little.
-Each grid's rows lie together with their own coefficients, window, step
-count and time, and leave at their own blow-up or last step.  S grows with
-the largest window, the rows moving inside the same buffers, and the
-coefficients the step reads are tiled at stride S for the live rows and move
-with them.  The span depends on the live rows and S alone, so its views are
-rebuilt only as S grows or a row leaves.
+Grids are grouped by value, so equal grids built apart are one grid of the
+block.  Each grid's rows lie together with their own window, step count and
+time, and leave at their own blow-up or last step.  S grows with the largest
+window, the rows moving inside the same buffers.  Each grid's coefficients
+are built once, on all its nodes, and the ones the step reads are tiled at
+stride S onto the grid's live rows; the span, its views and the tiled
+coefficients depend on the live rows and S alone, so they are rebuilt only
+as S grows or a row leaves.
 """
 from __future__ import annotations
 
@@ -189,7 +191,7 @@ def run_block(params_list, grids, *,
     if first.n > 5:  # the stencil's eigenvalues turn complex: no dt is stable
         raise ValueError(f"the solver needs n <= 5, got n = {first.n}")
     n, p, mode = first.n, first.p, first.nonlinearity
-    levels = list({id(g): g for g in grids}.values())  # the distinct grids, first use first
+    levels = list(dict.fromkeys(grids))  # the distinct grids by value, first use first
     if any(not math.isclose(g.dt / g.dr, levels[0].dt / levels[0].dr, rel_tol=1e-9)
            for g in levels):
         raise ValueError("a block's grids must share dt/dr")
@@ -201,34 +203,31 @@ def run_block(params_list, grids, *,
     power = _abs_power(p)
     Vs = [potential(g.r, first.mu, first.beta) for g in levels]
     cs = [(n - 1.0) / g.r[1:] for g in levels]
-    where = {id(g): L for L, g in enumerate(levels)}
-    lev = [where[id(g)] for g in grids]  # problem -> level
+    lev = [levels.index(g) for g in grids]  # problem -> level
     nr = max(g.r.size for g in levels)
     n_max = max(g.n_steps for g in levels)
-    bounds = [(g.dt, g.dr, g.r.size - 1) for g in levels]  # each level's step, dr and last node
-
-    def coefficients(L, lo, hi):
-        # level L's folded coefficients of u+ = P u[i+1] + C u[i] + M u[i-1]
-        # - Bd u_prev + (N + F) invD on nodes lo..hi-1, then for power_ut
-        # the scales of N; the origin rule has no u[i-1], so M[0] = +0
-        dr, dt, V, c = levels[L].dr, levels[L].dt, Vs[L], cs[L]
-        o = int(lo == 0)  # the origin's place in the range
-        D = 1.0 / dt ** 2 + V[lo:hi] / (2.0 * dt)
-        Bd = (1.0 / dt ** 2 - V[lo:hi] / (2.0 * dt)) / D
-        cr = c[lo + o - 1:hi - 1]
-        P = np.append(np.full(o, 2.0 * n / dr ** 2), 1.0 / dr ** 2 + cr / (2.0 * dr)) / D
-        C = (2.0 / dt ** 2
-             - np.append(np.full(o, 2.0 * n), np.full(cr.size, 2.0)) / dr ** 2) / D
-        M = np.append(np.zeros(o), (1.0 / dr ** 2 - cr / (2.0 * dr)) / D[o:])
-        invD = np.divide(1.0, D, out=D)
-        if mode == "power_ut":  # |u_t|^p from u differences: predictor, corrector
-            return P, C, M, Bd, invD, invD / dt ** p, invD / (2.0 * dt) ** p
-        return P, C, M, Bd, invD
 
     # which coefficients the step reads, the ones it tiles: not C at the unit
     # step, where it is +0 off node 0, nor invD where no N or F term reads it
     reads = ((True, not even, True, True, mode == "power_u" or forcing is not None)
              + (True, True) * (mode == "power_ut"))
+
+    def coefficients(L):
+        # the rows the step reads of level L's folded coefficients of u+ =
+        # P u[i+1] + C u[i] + M u[i-1] - Bd u_prev + (N + F) invD on every
+        # node but the last, then for power_ut the scales of N; the origin
+        # rule has no u[i-1], so M[0] = +0
+        dr, dt, V, c = levels[L].dr, levels[L].dt, Vs[L][:-1], cs[L][:-1]
+        D = 1.0 / dt ** 2 + V / (2.0 * dt)
+        Bd = (1.0 / dt ** 2 - V / (2.0 * dt)) / D
+        P = np.append(2.0 * n / dr ** 2, 1.0 / dr ** 2 + c / (2.0 * dr)) / D
+        C = (2.0 / dt ** 2 - np.append(2.0 * n, np.full(c.size, 2.0)) / dr ** 2) / D
+        M = np.append(0.0, (1.0 / dr ** 2 - c / (2.0 * dr)) / D[1:])
+        invD = np.divide(1.0, D, out=D)
+        rows = [P, C, M, Bd, invD]
+        if mode == "power_ut":  # |u_t|^p from u differences: predictor, corrector
+            rows += [invD / dt ** p, invD / (2.0 * dt) ** p]
+        return np.array([x for x, read in zip(rows, reads) if read])
 
     snap_steps = [set() for _ in levels]
     for ts in () if snapshot_times is None else snapshot_times:
@@ -244,13 +243,13 @@ def run_block(params_list, grids, *,
     support_violation = np.zeros(k)
     max_hist = _fresh_zeros((k, n_max + 1))
 
-    def window(g, t):
-        # active nodes of grid g at time t: r <= t + 1 + 2dr, last node stays Dirichlet
-        m = int(math.floor((t + 1.0 + 2.0 * g.dr) / g.dr + 1e-9)) + 1
-        return min(m, g.r.size - 1)
-
-    def active(g, t):
-        return window(g, t) if enforce_support else g.r.size - 1
+    def window(L, i, enforce=enforce_support):
+        # level L's active nodes at step i, r <= t + 1 + 2dr with t = (i-1)dt
+        # + dt as the step loop forms it, or every node unless enforced; the
+        # last node stays Dirichlet
+        g = levels[L]
+        m = math.floor(((i - 1) * g.dt + g.dt + 1.0 + 2.0 * g.dr) / g.dr + 1e-9) + 1
+        return min(m, g.r.size - 1) if enforce else g.r.size - 1
 
     # The packed layout.  Row j holds its window at j*S.., then the gap
     # nodes up to (j+1)*S: +0 from node m on (the right neighbour of node
@@ -261,20 +260,20 @@ def run_block(params_list, grids, *,
     # are computed, then reset.  Each level's rows lie together, in level
     # order, with their own coefficients, window and step count.
     u_prev, u, u_next, lin_b, tmp_b = (_fresh_zeros((k * (nr + 1),)) for _ in range(5))
+    folded = [coefficients(L) for L in range(len(levels))]
     tiled = _fresh_zeros((sum(reads), k * (nr + 1)))
     gap = np.zeros(nr + 2)
     gap[-1] = -0.0
     # block and history row -> problem, live rows first, each level's together
     ids = owner = np.array(sorted(range(k), key=lev.__getitem__))
-    counts = [lev.count(L) for L in range(len(levels))]  # live rows per level
 
     def spans():
         # (level, its grid, first row, end row) of every level with live rows
         out, a = [], 0
-        for L, cnt in enumerate(counts):
-            if cnt:
-                out.append((L, levels[L], a, a + cnt))
-            a += cnt
+        for L, rows in itertools.groupby(map(lev.__getitem__, ids.tolist())):
+            b = a + sum(1 for _ in rows)
+            out.append((L, levels[L], a, b))
+            a = b
         return out
 
     def stride(m):
@@ -283,30 +282,30 @@ def run_block(params_list, grids, *,
     def as_rows(x):
         return x[:ids.size * S].reshape(ids.size, S)
 
-    def tile(lo):
-        # each level's coefficients at stride S on its rows from node lo on;
-        # nodes from the level's nr-1 on are gap, whatever theirs
+    def tile():
+        # each live level's coefficients on its rows at stride S; a row's
+        # nodes from its grid's last on are gap, whatever theirs
         for L, g, a, b in live_levels:
             w = min(S, g.r.size - 1)
-            coefs = [x for x, read in zip(coefficients(L, min(lo, w), w), reads) if read]
-            tiled[:, a * S:b * S].reshape(len(tiled), b - a, S)[:, :, min(lo, w):w] = \
-                np.array(coefs)[:, None]
+            tiled[:, a * S:b * S].reshape(len(tiled), b - a, S)[:, :, :w] = \
+                folded[L][:, None, :w]
 
     def row(x, j, m, size):  # row j of a state buffer as a full grid array
         full = np.zeros(size)
         full[:m] = x[j * S:j * S + m]
         return full
 
-    def check_support(x, g, a, b, t):  # for runs that do not zero the tail
-        tail = np.max(np.abs(as_rows(x)[a:b, window(g, t):g.r.size]), axis=-1)
+    def check_support(x, L, a, b, i):  # for runs that do not zero the tail
+        tail = np.max(np.abs(as_rows(x)[a:b, window(L, i, True):levels[L].r.size]),
+                      axis=-1)
         seen = support_violation[ids[a:b]]
         support_violation[ids[a:b]] = np.where(tail > seen, tail, seen)
 
     def leave(stop, older, newer, step):
         # the stopped rows leave at step, newer's, each but an unstable one
         # with its snapshot (backward velocity) if step is one; the live
-        # rows move up in the states, coefficients, histories and ids, the
-        # leavers' histories after
+        # rows move up in the states, histories and ids, the leavers'
+        # histories after
         nonlocal ids, live_levels, next_end
         for j in np.flatnonzero(stop):
             i = ids[j]
@@ -318,20 +317,17 @@ def run_block(params_list, grids, *,
         keep = np.count_nonzero(~stop)
         if stop[:keep].any():
             order = np.argsort(stop, kind="stable")
-            for x in (*map(as_rows, (older, newer, *tiled)),
-                      max_hist[:ids.size, :step + 1], ids):
+            for x in (as_rows(older), as_rows(newer), max_hist[:ids.size, :step + 1], ids):
                 x[...] = x[order]
-        for L, _, a, b in live_levels:
-            counts[L] -= int(np.count_nonzero(stop[a:b]))
-        ids, live_levels = ids[:keep], spans()
+        ids = ids[:keep]
+        live_levels = spans()
         next_end = min((g.n_steps for _, g, _, _ in live_levels), default=0)
 
     live_levels = spans()
-    S = stride(max(active(g, 2.0 * g.dt) for g in levels))
-    tile(0)
-    ms = [active(g, g.dt) for g in levels]  # each level's window at the last step
+    S = stride(max(window(L, 2) for L in range(len(levels))))
+    ms = [window(L, 1) for L in range(len(levels))]  # each level's window at the last step
     for L, g, a, b in live_levels:
-        r, dr, dt, m, m0 = g.r, g.dr, g.dt, ms[L], active(g, 0.0)
+        r, dr, dt, m, m0 = g.r, g.dr, g.dt, ms[L], window(L, 0)
         # the data, cut to the t = 0 window like every later level: u0 in
         # u_prev and v0 in lin_b, which is free until the first step
         u0, v0 = as_rows(u_prev)[a:b, :m], as_rows(lin_b)[a:b, :m]
@@ -357,7 +353,7 @@ def run_block(params_list, grids, *,
             u1[:, 0] = (4.0 * u1[:, 1] - u1[:, 2]) / 3.0
         max_hist[a:b, 1] = np.abs(u1).max(axis=1)
         if not enforce_support:
-            check_support(u, g, a, b, dt)
+            check_support(u, L, a, b, 1)
     for x in (u_prev, u, u_next):
         x[S - 1:k * S:S] = -0.0
 
@@ -375,22 +371,18 @@ def run_block(params_list, grids, *,
                   u_prev, u, step)
             if ids.size == 0:
                 break
-        m = 0  # each level's window at t + dt by window() written out, m the largest
-        for L, g, _, _ in live_levels:
-            dt, dr, cap = bounds[L]
-            ms[L] = w = (min(math.floor((step * dt + dt + 1.0 + 2.0 * dr) / dr + 1e-9) + 1,
-                             cap) if enforce_support else cap)
-            if w > m:
-                m = w
+        m = 0  # each level's window at t + dt, m the largest
+        for L, *_ in live_levels:
+            ms[L] = window(L, step + 1)
+            m = max(m, ms[L])
         if m > S - 2:  # grow the stride, moving the rows from the last
             S_old, S = S, stride(m)
-            for x in (u_prev, u, u_next, tiled):
-                for j in range(ids.size - 1, 0, -1):
-                    x[..., j * S:j * S + S_old] = x[..., j * S_old:(j + 1) * S_old]
             for x in (u_prev, u, u_next):
+                for j in range(ids.size - 1, 0, -1):
+                    x[j * S:j * S + S_old] = x[j * S_old:(j + 1) * S_old]
                 as_rows(x)[:, S_old - 1:] = gap[S_old - 1 - S:]
-            tile(S_old)
         if (ids.size, S) != live:
+            tile()
             live, span = (ids.size, S), ids.size * S - 1
             (tmp, _, _, tmp1, *_), (lin, _, _, lin1, *_) = map(views, (tmp_b, lin_b))
             coefs = iter(tiled[:, :span])
@@ -439,7 +431,7 @@ def run_block(params_list, grids, *,
             n0[:] = [(4.0 * x1 - x2) / 3.0 for x1, x2 in zip(n1.tolist(), n2.tolist())]
         for L, g, a, b in live_levels if watch else ():
             if not enforce_support:
-                check_support(u_next, g, a, b, step * g.dt + g.dt)
+                check_support(u_next, L, a, b, step + 1)
             for j in range(a, b) if step in snap_steps[L] else ():
                 size = g.r.size
                 snapshots[ids[j]].append(

@@ -18,7 +18,8 @@ polynomial bound.  Other bounds refuse the fit (verdict "not_applicable"): a
 critical bound is exponential, not measurable at desk scale, so a
 straight-line fit would only manufacture a meaningless number and the
 refusal points to the odelemma and verify subcommands instead;
-supercritical and linear cases have no finite-time blow-up bound to fit.
+supercritical and linear cases have no finite-time blow-up bound to fit, and
+damping with beta <= 2 lies outside the hypothesis beta > 2 of the bounds.
 
 CSV rules used everywhere: header row mandatory, floats at full round-trip
 precision (%.17g), NaN spelled literally, booleans as true/false, LF endings.
@@ -286,25 +287,26 @@ def fit_table(cfg: RunConfig, rows, tolerance: float = 0.3,
     bound.
 
     theory, which must be finite, overrides the bound's exponent and lifts a
-    non-polynomial refusal; fewer than FIT_MIN_POINTS clean rows (unflagged,
-    finite eps and T > 0, finite 1/eps) refuse the fit."""
+    non-polynomial refusal; clean rows (unflagged, finite eps and T > 0,
+    finite 1/eps) at fewer than FIT_MIN_POINTS distinct eps refuse the fit."""
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if theory is not None and not math.isfinite(theory):
         raise ValueError(f"theory exponent must be finite, got {theory}")
-    bound = theory_lifespan(cfg.n, cfg.p, cfg.nonlinearity)
+    bound = theory_lifespan(cfg.n, cfg.p, cfg.nonlinearity, cfg.mu, cfg.beta)
     exponent = bound.exponent if theory is None else theory
     clean = [(eps, T) for eps, T, _, censored, unreliable in rows
              if not (censored or unreliable)
              and 0.0 < eps < math.inf and math.isfinite(1.0 / eps)
              and 0.0 < T < math.inf]
     if theory is None and bound.kind != "polynomial":
-        hint = ("use the odelemma and verify subcommands for critical-case evidence"
-                if bound.kind == "exponential"
-                else "no finite-time blow-up bound exists to fit")
+        hints = {"exponential": "use the odelemma and verify subcommands for "
+                                "critical-case evidence",
+                 "infinite": "no finite-time blow-up bound exists to fit",
+                 "needs_beta_gt_2": f"the bounds assume beta > 2, got beta = {cfg.beta:g}"}
         refusal = (f"bound kind is {bound.kind} [{bound.branch}]: power-law fit "
-                   f"not applicable; {hint}")
-    elif len(clean) < FIT_MIN_POINTS:
+                   f"not applicable; {hints[bound.kind]}")
+    elif len({eps for eps, _ in clean}) < FIT_MIN_POINTS:
         refusal = f"fewer than {FIT_MIN_POINTS} clean points: fit not applicable"
     else:
         return fit_powerlaw(clean, exponent, tolerance)

@@ -57,9 +57,15 @@ MUTANTS = {
         "tests/test_solver.py::test_ladder_block_rows_match_single_runs"),
     "coefficients_left_behind": (
         "solver.py",
-        "(*map(as_rows, (older, newer, *tiled)),",
-        "(*map(as_rows, (older, newer)),",
+        "            tile()\n            live, span",
+        "            if live is None or S != live[1]:\n"
+        "                tile()\n            live, span",
         "tests/test_solver.py::test_ladder_block_rows_match_single_runs"),
+    "window_one_node_short": (
+        "solver.py",
+        "+ 2.0 * g.dr) / g.dr",
+        "+ 1.0 * g.dr) / g.dr",
+        "tests/test_solver.py::test_folded_step_matches_unfolded_arithmetic"),
     "origin_rule_at_unit_step": (
         "solver.py",
         "        if even:  # (4u_1 - u_2)/3",

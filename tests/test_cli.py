@@ -76,6 +76,15 @@ def test_exponents_linear_has_no_bound(tmp_path, capsys):
     assert row["bound_kind"] == "infinite" and row["bound_exponent"] == "NaN"
 
 
+def test_exponents_refuses_beta_at_most_2_with_damping(tmp_path, capsys):
+    out = tmp_path / "exp.csv"
+    assert main(["exponents", "--mu", "1", "--beta", "1.5", "--out", str(out)]) == 0
+    assert ("bound        = needs_beta_gt_2  no bound proved: the theorems assume "
+            "beta > 2, got beta = 1.5  [power_u_beta_le_2]\n") in capsys.readouterr().out
+    (row,) = _read_rows(out)
+    assert row["bound_kind"] == "needs_beta_gt_2" and row["bound_exponent"] == "NaN"
+
+
 # --- solve ---------------------------------------------------------------------
 
 def test_solve_blowup_artifacts(tmp_path, capsys):
@@ -407,6 +416,16 @@ def test_fit_too_few_clean_rows_is_refused(tmp_path, capfd):
         captured = capfd.readouterr()
         assert "fewer than 4 clean points: fit not applicable" in captured.out
         assert captured.err == ""
+
+
+@pytest.mark.parametrize("T", ["4,4,4,4", "4,5,6,7"])
+def test_fit_without_a_spread_in_eps_is_refused(T, tmp_path, capfd):
+    table = tmp_path / "one_eps.csv"
+    table.write_text("eps,T\n" + "".join(f"0.5,{t}\n" for t in T.split(",")))
+    assert main(["fit", "--in", str(table), "--theory-exponent", "1"]) == 0
+    captured = capfd.readouterr()
+    assert captured.out == "fewer than 4 clean points: fit not applicable\n"
+    assert captured.err == ""
 
 
 def test_linear_sweep_and_fit_are_refused(tmp_path, capsys):

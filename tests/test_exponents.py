@@ -92,6 +92,19 @@ def test_theory_lifespan_linear():
     assert math.isnan(linear.exponent)
 
 
+def test_theory_lifespan_needs_beta_above_2_with_damping():
+    # the bounds are proved for scattering damping, beta > 2, or for mu = 0
+    for nonlinearity, p in (("power_u", 2.0), ("power_ut", 1.5)):
+        for beta in (1.5, 2.0):
+            out = theory_lifespan(3, p, nonlinearity, mu=1.0, beta=beta)
+            assert (out.kind, out.branch) == ("needs_beta_gt_2", f"{nonlinearity}_beta_le_2")
+            assert math.isnan(out.exponent)
+        assert theory_lifespan(3, p, nonlinearity, mu=0.0, beta=1.5) == \
+            theory_lifespan(3, p, nonlinearity, mu=1.0, beta=3.0) == \
+            theory_lifespan(3, p, nonlinearity)
+    assert theory_lifespan(3, 2.0, "none", mu=1.0, beta=1.5).kind == "infinite"
+
+
 def test_theory_lifespan_validation():
     with pytest.raises(ValueError):
         theory_lifespan(3, 1.0, "power_u")

@@ -92,6 +92,16 @@ def test_build_grid_contract():
             build_grid(t_max, 0.1)
 
 
+def test_grids_compare_and_hash_by_value():
+    # r follows from (dr, dt, t_max), so equal grids built apart are equal
+    a, b = build_grid(1.0, 0.1), build_grid(1.0, 0.1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    for other in (replace(a, dr=0.05), replace(a, dt=0.1), replace(a, t_max=2.0),
+                  build_grid(1.0, 0.1, 1.0), build_grid(2.0, 0.1)):
+        assert other != a
+
+
 def test_parse_config_text_roundtrip():
     cfg = parse_config_text("""
         # comment line

@@ -457,6 +457,21 @@ def test_ladder_block_rows_match_single_runs(mode, p, amp, eps, t_max, dr, cfl,
         _assert_same_outcome(out, single)
 
 
+def test_block_groups_equal_grids_by_value():
+    # two equal grids built apart are one grid of the block, given eps by eps
+    base = ModelParams(n=3, p=2.0, mu=1.0, beta=3.0, nonlinearity="power_u",
+                       f_amp=20.0, g_amp=20.0)
+    params = [replace(base, eps=e) for e in (1.0, 0.7, 0.5, 0.9)]
+    grid, again = build_grid(6.0, 0.04), build_grid(6.0, 0.04)
+    kw = dict(threshold=1e4, snapshot_times=grid.dt * np.arange(grid.n_steps + 1))
+    apart = run_block(params, [grid, again, grid, again], **kw)
+    shared = run_block(params, grid, **kw)
+    assert [out.grid for out in apart] == [grid, again, grid, again]
+    assert apart[1].grid is again
+    for a, b in zip(apart, shared):
+        _assert_same_outcome(a, b)
+
+
 def test_support_window_holds_in_every_row():
     # run() is a block's last row, so the tests above cannot see a defect
     # there; here every row must hold +0 beyond r = t + 1 + 2dr.  eps = 1.1

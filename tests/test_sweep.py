@@ -359,6 +359,33 @@ def test_fit_table_skips_eps_with_infinite_reciprocal(capfd):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("T", [(4.0,) * 4, (4.0, 5.0, 6.0, 7.0)])
+def test_fit_table_needs_a_spread_in_eps(T, recwarn):
+    # one eps four times is one point: no line through it, whatever T does
+    rows = [(0.5, t, 0.0, False, False) for t in T]
+    fit = fit_table(_blowup_config(p=2.0), rows, theory=1.0)
+    assert fit.verdict == "not_applicable"
+    assert fit.refusal == f"fewer than {FIT_MIN_POINTS} clean points: fit not applicable"
+    # a repeated eps beside enough distinct ones is fitted with the rest
+    eps = np.geomspace(0.2, 1.0, FIT_MIN_POINTS)
+    spread = [(e, 3.0 * e**-2.0, 0.0, False, False) for e in eps]
+    assert len(fit_table(_blowup_config(p=2.0), spread + rows[:1]).points) == 5
+    assert fit_table(_blowup_config(p=2.0), spread[:2] + rows).verdict == "not_applicable"
+    assert not recwarn.list
+
+
+def test_fit_table_refused_outside_beta_above_2():
+    rows = [(e, 3.0 * e**-2.0, 0.0, False, False) for e in np.geomspace(0.2, 1.0, 6)]
+    cfg = _blowup_config(p=2.0, mu=1.0, beta=1.5)
+    fit = fit_table(cfg, rows)
+    assert fit.verdict == "not_applicable" and math.isnan(fit.theory_exponent)
+    assert fit.refusal == ("bound kind is needs_beta_gt_2 [power_u_beta_le_2]: power-law "
+                           "fit not applicable; the bounds assume beta > 2, got beta = 1.5")
+    # the theory exponent lifts it as it lifts the other refusals; mu = 0 has no damping
+    assert fit_table(cfg, rows, theory=2.0).verdict == "consistent"
+    assert fit_table(_blowup_config(p=2.0, beta=1.5), rows).verdict == "consistent"
+
+
 CRITICAL_HINT = "use the odelemma and verify subcommands for critical-case evidence"
 NO_BOUND_HINT = "no finite-time blow-up bound exists to fit"
 
