@@ -231,37 +231,121 @@ def cmd_bq(args) -> int:
     return 1 if failed else 0
 
 
-def _read_solution_csv(path: str):
-    """(t, r, u, ut) from a solve CSV of snapshot blocks, in time order."""
+SOLUTION_CHUNK_ROWS = 16384  # rows the solution reader parses at a time
+TEXT_FIELD = 32  # characters a t or r text field holds; a full one may be cut
+
+
+def _cell_values(texts: np.ndarray) -> np.ndarray:
+    """The float64 values of t or r cell texts, each parsed as np.loadtxt
+    parses a cell."""
+    cells = texts.astype(str).tolist()
+    if any(len(cell) >= TEXT_FIELD for cell in cells):
+        raise ValueError(f"a t or r cell is longer than {TEXT_FIELD - 1} characters")
+    values = np.loadtxt(cells, delimiter=",", ndmin=1)
+    if values.size != len(cells):  # loadtxt skips an empty cell as a blank line
+        raise ValueError("an empty t or r cell")
+    return values
+
+
+def _unlike(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows whose texts differ between two (rows, words) arrays of the
+    8-byte words of a text field."""
+    return np.logical_or.reduce([a[:, j] != b[:, j] for j in range(a.shape[1])])
+
+
+def _read_solution_csv(path: str, kind: str = "S"):
+    """(t, r, u, ut) from a solve CSV of snapshot blocks, in time order.
+
+    np.loadtxt reads SOLUTION_CHUNK_ROWS rows at a time and converts only u
+    and ut cell by cell; t and r come in as text.  Each distinct t text, the
+    first snapshot's r texts and each later r cell spelled unlike the first
+    snapshot's r at its place are parsed once, by np.loadtxt's conversion,
+    so the arrays are those of a whole-file float parse.  A t or r cell that
+    fills its TEXT_FIELD characters is refused, never cut; a cell np.loadtxt
+    cannot parse is refused with the whole-file parse's message, which
+    names its row and column.  kind "S" holds ASCII texts; a t or r cell
+    beyond ASCII has the file read again as kind "U".
+    """
+    cell = f"{kind}{TEXT_FIELD}"
+    row = np.dtype([("t", cell), ("r", cell), ("u", float), ("ut", float)])
+    k = np.dtype(cell).itemsize // 8  # words a text holds
+    uus, t_texts, t_lens = [], [], []  # uus: (2, rows) blocks of u and ut
+    t_of = {}  # t text -> value
+    first = [np.empty(0, cell)]  # the first snapshot's r texts so far
+    ref = None  # the first snapshot's r texts, tiled to span a chunk
+    odd_rows, odd_texts = [np.empty(0, int)], []  # r cells unlike ref's text
+    rows = 0
     try:
-        with warnings.catch_warnings():  # a file of no rows is refused below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        # np.loadtxt's own opener: .gz, .bz2 and .xz paths decompress
+        with (warnings.catch_warnings(),
+              np.lib.npyio.DataSource(os.curdir).open(path, "rt") as fh):
+            # neither an empty chunk nor a blank line is an event
+            warnings.filterwarnings("ignore", ".*contained no data")
+            fh.readline()
+            n = SOLUTION_CHUNK_ROWS
+            while n == SOLUTION_CHUNK_ROWS and (chunk := np.loadtxt(
+                    fh, row, delimiter=",", max_rows=n, ndmin=1)).size:
+                n, tt, rr = chunk.size, chunk["t"], chunk["r"]
+                words = chunk.view(np.uint64).reshape(n, -1)
+                tw, rw = words[:, :k], words[:, k:2 * k]
+                uus.append(np.stack((chunk["u"], chunk["ut"])))
+                starts = np.flatnonzero(np.r_[True, _unlike(tw[1:], tw[:-1])])
+                texts = tt[starts].tolist()
+                new = list(set(texts) - t_of.keys())
+                t_of.update(zip(new, _cell_values(np.array(new, cell))))
+                t_texts += texts
+                t_lens.append(np.diff(starts, append=n))
+                if ref is None:  # the first row whose t differs in value
+                    t0 = t_of[t_texts[0]]
+                    end = next((s for s, text in zip(starts.tolist(), texts)
+                                if rows + s and t_of[text] != t0), n)
+                    first.append(rr[:end].copy())
+                    if end < n:
+                        nr = rows + end
+                        ref = np.concatenate(first).view(np.uint64).reshape(nr, k)
+                        ref = np.tile(ref, (-(-SOLUTION_CHUNK_ROWS // nr) + 1, 1))
+                if ref is not None:
+                    lo = max(nr - rows, 0)
+                    at = (rows + lo) % nr
+                    odd = np.flatnonzero(_unlike(rw[lo:], ref[at:at + n - lo]))
+                    odd_rows.append(rows + lo + odd)
+                    odd_texts += rr[lo:][odd].tolist()
+                rows += n
+            r = _cell_values(np.concatenate(first))
+            odd_values = _cell_values(np.array(odd_texts, cell))
     except ValueError as exc:
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as whole:
+            raise ConfigError(f"{path}: {whole}") from whole
+        if data.shape[1] != 4:
+            raise ConfigError(f"{path}: expected 4 columns t,r,u,ut") from exc
+        if kind == "S":
+            return _read_solution_csv(path, "U")
         raise ConfigError(f"{path}: {exc}") from exc
-    if data.size == 0:
+    if rows == 0:
         raise ConfigError(f"{path}: no snapshot rows")
-    if data.shape[1] != 4:
-        raise ConfigError(f"{path}: expected 4 columns t,r,u,ut")
-    if not np.isfinite(data[:, :2]).all():
+    t_col = np.array([t_of[text] for text in t_texts])
+    if not (np.isfinite(t_col).all() and np.isfinite(r).all()
+            and np.isfinite(odd_values).all()):
         raise ConfigError(f"{path}: a t or r cell is not finite")
     # one snapshot is one run of equal t: a time that starts two runs is split
-    t_col = data[:, 0]
-    run_t = t_col[np.r_[True, t_col[1:] != t_col[:-1]]]
+    runs = np.flatnonzero(np.r_[True, t_col[1:] != t_col[:-1]])
+    run_t, run_len = t_col[runs], np.add.reduceat(np.concatenate(t_lens), runs)
     nt = run_t.size
     if len(set(run_t.tolist())) != nt:
         raise ConfigError(f"{path}: rows of one snapshot are not contiguous")
-    if data.shape[0] % nt != 0:
+    if rows % nt != 0:
         raise ConfigError(f"{path}: rows not a whole number of snapshots")
-    blocks = data.reshape(nt, data.shape[0] // nt, 4)
-    # r copied: a view would keep the whole parse buffer alive
-    t, r = blocks[:, 0, 0], blocks[0, :, 1].copy()
-    if np.any(blocks[:, :, 0] != t[:, None]):
+    if set(run_len.tolist()) != {rows // nt}:
         raise ConfigError(f"{path}: rows of one snapshot are not contiguous")
-    if np.any(blocks[:, :, 1] != r):
+    if np.any(odd_values != r[np.concatenate(odd_rows) % r.size]):
         raise ConfigError(f"{path}: snapshots do not share one r column")
-    order = np.argsort(t, kind="stable")
-    return t[order], r, blocks[order, :, 2], blocks[order, :, 3]
+    u, ut = np.concatenate(uus, axis=1).reshape(2, nt, -1)
+    if not np.all(run_t[1:] > run_t[:-1]):  # else no reordering copy
+        order = np.argsort(run_t, kind="stable")
+        return run_t[order], r, u[order], ut[order]
+    return run_t, r, u, ut
 
 
 def cmd_verify(args) -> int:

@@ -126,6 +126,16 @@ MUTANTS = {
         "(cols != 0) | np.signbit(cols)",
         "(cols != 0)",
         "tests/test_sweep.py::test_write_csv_array_cells_match_csv_text[zero_tail]"),
+    "t_runs_by_text": (
+        "cli.py",
+        "    runs = np.flatnonzero(np.r_[True, t_col[1:] != t_col[:-1]])\n",
+        "    runs = np.arange(t_col.size)\n",
+        "tests/test_cli.py::test_solution_spellings_read_as_their_values"),
+    "r_checked_first_chunk_only": (
+        "cli.py",
+        "                if ref is not None:\n",
+        "                if ref is not None and rows == 0:\n",
+        "tests/test_cli.py::test_r_change_in_a_later_chunk_exits_2"),
     "eager_pool_import": (
         "sweep.py",
         "from dataclasses import dataclass, replace\n",

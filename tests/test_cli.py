@@ -207,6 +207,28 @@ def test_every_config_key_has_a_flag(tmp_path):
     assert resolve_config(args) == RunConfig()
 
 
+VERIFY_5_1 = ["verify", "--checks", "5.1", "--solution"]
+# solution files that verify refuses, by test id
+BAD_SOLUTIONS = {
+    "verify-non-numeric": "t,r,u,ut\n0,0,x,1\n",
+    "verify-inf-t": "t,r,u,ut\ninf,0,1,1\n",
+    "verify-nan-t": "t,r,u,ut\nnan,0,1,1\n",
+    "verify-inf-r": "t,r,u,ut\n0,inf,1,1\n",
+    "verify-nan-r": "t,r,u,ut\n0,nan,1,1\n",
+    # two runs of t over three rows; then a second block that starts at t = 0
+    "verify-partial-snapshot": "t,r,u,ut\n0,0,1,1\n0,0.1,1,1\n1,0,1,1\n",
+    "verify-time-splits-block": "t,r,u,ut\n0,0,1,1\n0,0.1,1,1\n0,0,1,1\n1,0.1,1,1\n",
+    "verify-no-rows": "t,r,u,ut\n",
+    # a falling r column sent the eigen solve's graded tail away from r_ref,
+    # and verify never returned
+    "verify-falling-r": "t,r,u,ut\n10,0,0,0\n10,-0.05,0,0\n10,-0.1,0,0\n",
+    # a uniform r column that starts above 0 reached the eigen solve, which
+    # refused it as "r_out must start at 0", naming no file
+    "verify-offset-r": "t,r,u,ut\n0,0.05,0,0\n0,0.1,0,0\n0,0.15,0,0\n"
+                       "10,0.05,0,0\n10,0.1,0,0\n10,0.15,0,0\n",
+}
+
+
 @pytest.mark.parametrize("argv, text", [
     (["fit", "--in"], "eps,T\n0.5,abc\n"),
     (["fit", "--in"], "eps,uncertainty,T\n0.5,0.1\n"),
@@ -218,32 +240,10 @@ def test_every_config_key_has_a_flag(tmp_path):
     (["fit", "--in"], "eps,T,unreliable\n0.5,4,1\n"),
     (["fit", "--in"], "eps,T,censored\n0.5,4,\n"),
     (["fit", "--in"], "eps,T,T\n0.5,4,2\n"),
-    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n0,0,x,1\n"),
-    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\ninf,0,1,1\n"),
-    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\nnan,0,1,1\n"),
-    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n0,inf,1,1\n"),
-    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n0,nan,1,1\n"),
-    # two runs of t over three rows; then a second block that starts at t = 0
-    (["verify", "--checks", "5.1", "--solution"],
-     "t,r,u,ut\n0,0,1,1\n0,0.1,1,1\n1,0,1,1\n"),
-    (["verify", "--checks", "5.1", "--solution"],
-     "t,r,u,ut\n0,0,1,1\n0,0.1,1,1\n0,0,1,1\n1,0.1,1,1\n"),
-    (["verify", "--checks", "5.1", "--solution"], "t,r,u,ut\n"),
-    # a falling r column sent the eigen solve's graded tail away from r_ref,
-    # and verify never returned
-    (["verify", "--checks", "5.1", "--solution"],
-     "t,r,u,ut\n10,0,0,0\n10,-0.05,0,0\n10,-0.1,0,0\n"),
-    # a uniform r column that starts above 0 reached the eigen solve, which
-    # refused it as "r_out must start at 0", naming no file
-    (["verify", "--checks", "5.1", "--solution"],
-     "t,r,u,ut\n0,0.05,0,0\n0,0.1,0,0\n0,0.15,0,0\n"
-     "10,0.05,0,0\n10,0.1,0,0\n10,0.15,0,0\n"),
+    *((VERIFY_5_1, text) for text in BAD_SOLUTIONS.values()),
 ], ids=["fit-non-numeric", "fit-short-row", "fit-empty", "fit-bad-uncertainty",
         "fit-flag-TRUE", "fit-flag-yes", "fit-flag-1", "fit-flag-empty",
-        "fit-repeated-column", "verify-non-numeric", "verify-inf-t",
-        "verify-nan-t", "verify-inf-r", "verify-nan-r", "verify-partial-snapshot",
-        "verify-time-splits-block", "verify-no-rows", "verify-falling-r",
-        "verify-offset-r"])
+        "fit-repeated-column", *BAD_SOLUTIONS])
 def test_malformed_csv_exits_2(argv, text, tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -711,10 +711,8 @@ def _snapshots(draw):
             draw(st.permutations(range(len(t)))))
 
 
-@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(snap=_snapshots())
-def test_solution_csv_round_trip(tmp_path, snap):
-    # snapshots written in any time order read back bit for bit, in time order
+def _check_round_trip(tmp_path, snap):
+    """Snapshots written in any time order read back bit for bit, in time order."""
     t, r, u, ut, order = snap
     path = str(tmp_path / "sol.csv")
     write_csv(path, ("t", "r", "u", "ut"), ((t[i], r, u[i], ut[i]) for i in order))
@@ -722,6 +720,134 @@ def test_solution_csv_round_trip(tmp_path, snap):
     for got, want in zip(_read_solution_csv(path), (t[by_t], r, u[by_t], ut[by_t])):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(snap=_snapshots())
+def test_solution_csv_round_trip(tmp_path, snap):
+    _check_round_trip(tmp_path, snap)
+
+
+# --- the solution reader's text path: t and r parsed once per distinct text ---
+
+@pytest.fixture(params=[1, 2, 3], ids=["chunk1", "chunk2", "chunk3"])
+def small_chunks(request, monkeypatch):
+    """The solution reader parses 1, 2 or 3 rows at a time, so snapshots and
+    runs of equal t cross chunk boundaries."""
+    monkeypatch.setattr(cli, "SOLUTION_CHUNK_ROWS", request.param)
+
+
+def _float_parse(path, nt):
+    """(t, r, u, ut) of a well-formed solution file of nt snapshots, from
+    np.loadtxt's float parse of every cell."""
+    blocks = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).reshape(nt, -1, 4)
+    by_t = np.argsort(blocks[:, 0, 0], kind="stable")
+    return (blocks[by_t, 0, 0], blocks[0, :, 1], blocks[by_t, :, 2],
+            blocks[by_t, :, 3])
+
+
+def _assert_reads_as_float_parse(path, nt):
+    for got, want in zip(_read_solution_csv(str(path)), _float_parse(path, nt)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(snap=_snapshots())
+def test_solution_csv_round_trip_in_small_chunks(small_chunks, tmp_path, snap):
+    _check_round_trip(tmp_path, snap)
+
+
+@pytest.mark.parametrize("text", BAD_SOLUTIONS.values(), ids=BAD_SOLUTIONS)
+def test_malformed_solution_in_small_chunks(text, small_chunks, tmp_path, capsys,
+                                            monkeypatch):
+    # the same refusal, word for word, as when the file is one chunk
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+    monkeypatch.undo()  # back to the reader's own chunk size
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("text, nt", [
+    # one snapshot spells its t three ways, all the value 0.1
+    ("0.1,0,1,2\n0.10000000000000001,0.5,3,4\n1e-1,1,5,6\n"
+     "0.2,0,7,8\n0.2,0.5,9,10\n0.2,1,11,12\n", 2),
+    # two snapshots spell one r two ways
+    ("0,0,1,2\n0,0.05,3,4\n1,0,5,6\n1,5e-2,7,8\n", 2),
+    # padded, signed and exponent spellings of t and r
+    ("+1,-0,1,2\n 1.0 ,.5,3,4\n0,-0.0,5,6\n0e0,5E-1,7,8\n", 2),
+], ids=["t", "r", "mixed"])
+def test_solution_spellings_read_as_their_values(text, nt, tmp_path):
+    path = tmp_path / "sol.csv"
+    path.write_text("t,r,u,ut\n" + text)
+    _assert_reads_as_float_parse(path, nt)
+
+
+@pytest.mark.parametrize("text, message", [
+    # 0.10000000000000002 is not 0.1: the first snapshot is split
+    ("0.1,0,1,1\n0.10000000000000002,0.5,1,1\n0.1,1,1,1\n"
+     "0.2,0,1,1\n0.2,0.5,1,1\n0.2,1,1,1\n", "not contiguous"),
+    ("0,0,1,1\n0,0.05,1,1\n1,0,1,1\n1,0.05000000000000001,1,1\n", "r column"),
+], ids=["t", "r"])
+def test_solution_spellings_of_other_values_are_refused(text, message, tmp_path,
+                                                        capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,r,u,ut\n" + text)
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "0.1000000000000000055511151231257827021,0,1,1",
+    "0.1,0.1000000000000000055511151231257827021,1,1",
+], ids=["t", "r"])
+def test_solution_cell_longer_than_its_field_exits_2(row, tmp_path, capsys):
+    # a whole-file float parse reads this 0.1, but the text field would cut it
+    path = tmp_path / "long.csv"
+    path.write_text(f"t,r,u,ut\n{row}\n")
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    assert (f"longer than {cli.TEXT_FIELD - 1} characters"
+            in capsys.readouterr().err)
+
+
+def test_solution_times_alike_in_their_first_24_chars_stay_apart(tmp_path):
+    # 1e5 and 1e6, spelled alike in their first 25 characters: two snapshots
+    path = tmp_path / "long_t.csv"
+    path.write_text("t,r,u,ut\n1.00000000000000000000000e5,0,1,1\n"
+                    "1.00000000000000000000000e6,0,2,2\n")
+    _assert_reads_as_float_parse(path, 2)
+    np.testing.assert_array_equal(_read_solution_csv(str(path))[0], [1e5, 1e6])
+
+
+def test_solution_times_cut_alike_are_refused(tmp_path):
+    # 1e5 and 1e6 would read alike, both cut to TEXT_FIELD characters
+    zeros = "0" * cli.TEXT_FIELD
+    path = tmp_path / "cut_t.csv"
+    path.write_text(f"t,r,u,ut\n1.{zeros}e5,0,1,1\n1.{zeros}e6,0,2,2\n")
+    np.testing.assert_array_equal(_float_parse(path, 2)[0], [1e5, 1e6])
+    with pytest.raises(ConfigError, match=f"longer than {cli.TEXT_FIELD - 1}"):
+        _read_solution_csv(str(path))
+
+
+def test_first_snapshot_spans_chunks(small_chunks, tmp_path):
+    # 7 rows a snapshot: the first snapshot and each t run span several chunks
+    path = tmp_path / "sol.csv"
+    _snapshot_csv(path, [0.5, 0.0, 1.0], [0.1 * np.arange(7)] * 3)
+    _assert_reads_as_float_parse(path, 3)
+
+
+def test_r_change_in_a_later_chunk_exits_2(small_chunks, tmp_path, capsys):
+    # the last snapshot's last r differs from the first snapshot's, and only
+    # the file's last chunk holds it
+    path = tmp_path / "bad_r.csv"
+    r = [0.0, 0.1, 0.2, 0.3]
+    _snapshot_csv(path, [0.0, 0.5, 1.0], [r, r, [0.0, 0.1, 0.2, 0.35]])
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    assert "r column" in capsys.readouterr().err
 
 
 def test_verify_mismatched_r_blocks(tmp_path, capsys):
