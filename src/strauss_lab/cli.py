@@ -253,6 +253,18 @@ def _unlike(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.logical_or.reduce([a[:, j] != b[:, j] for j in range(a.shape[1])])
 
 
+def _refuse_nul(path: str) -> None:
+    """Refuse a file that holds a NUL byte, read through np.loadtxt's opener
+    in 1 MiB blocks: np.loadtxt drops the NULs that end a text field, so a t
+    or r cell 1\\0 would read as 1."""
+    with np.lib.npyio.DataSource(os.curdir).open(path, "rb") as fh:
+        offset = 0
+        while block := fh.read(1 << 20):
+            if (at := block.find(b"\0")) >= 0:
+                raise ConfigError(f"{path}: a NUL byte at byte {offset + at}")
+            offset += len(block)
+
+
 def _read_solution_csv(path: str, kind: str = "S"):
     """(t, r, u, ut) from a solve CSV of snapshot blocks, in time order.
 
@@ -264,8 +276,11 @@ def _read_solution_csv(path: str, kind: str = "S"):
     fills its TEXT_FIELD characters is refused, never cut; a cell np.loadtxt
     cannot parse is refused with the whole-file parse's message, which
     names its row and column.  kind "S" holds ASCII texts; a t or r cell
-    beyond ASCII has the file read again as kind "U".
+    beyond ASCII has the file read again as kind "U".  A file with a NUL
+    byte anywhere is refused before any parse.
     """
+    if kind == "S":  # the "U" re-read follows a scan that passed
+        _refuse_nul(path)
     cell = f"{kind}{TEXT_FIELD}"
     row = np.dtype([("t", cell), ("r", cell), ("u", float), ("ut", float)])
     k = np.dtype(cell).itemsize // 8  # words a text holds

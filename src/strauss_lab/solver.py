@@ -47,13 +47,19 @@ layout; run() is its one-row case.  The live rows' windows lie back to back
 in flat buffers at a row stride S >= m + 2 for the largest window m, so each
 array pass of a step is one contiguous ufunc call over rows*S - 1 nodes
 rather than one call on a (rows, m) strided view, which costs about three
-times as much.  Every row's gap nodes are computed with the rest and reset
-each step: +0 for the right neighbour of a row's last node and -0 for the
-left neighbour of the next row's origin, where M_0 = +0 makes the added term
--0, which changes no value.  So each row's numbers are bit for bit those of
-its own run().  The grids must share dt/dr, as the levels of a ladder do, so
-every window grows by the same nodes a step and a coarse row's window is a
-fixed count shorter than a fine row's: the shared stride wastes little.
+times as much.  The buffers start on fresh pages, and every out-of-place pass
+writes from a buffer's first node, so on a 64-byte line: an output that
+starts off one costs about twice as much a node with numpy's AVX-512 loops
+(0.74 against 0.33 ns at 14,000 nodes), where an input's offset or an
+in-place pass costs little.  So the M term's product u[i-1] M_i goes to the
+head of the scratch buffer and is added into nodes 1.. in place.  Every
+row's gap nodes are computed with the rest and reset each step: +0 for the
+right neighbour of a row's last node and -0 for the left neighbour of the
+next row's origin, where M_0 = +0 makes the added term -0, which changes no
+value.  So each row's numbers are bit for bit those of its own run().  The
+grids must share dt/dr, as the levels of a ladder do, so every window grows
+by the same nodes a step and a coarse row's window is a fixed count shorter
+than a fine row's: the shared stride wastes little.
 Grids are grouped by value, so equal grids built apart are one grid of the
 block.  Each grid's rows lie together with their own window, step count and
 time, and leave at their own blow-up or last step.  S grows with the largest
@@ -100,7 +106,9 @@ def _laplacian(u, m, dr, n, c):
 def _fresh_zeros(shape) -> np.ndarray:
     """Zeros on fresh anonymous pages, so only the pages a block writes (its
     rows' active windows) take memory; np.zeros may reuse a heap chunk and
-    clear all of it."""
+    clear all of it.  The pages also start the block's buffers on a 64-byte
+    line, which the step's out-of-place writes need at full speed; np.empty
+    memory is mostly 16 or 32 bytes into one."""
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
 
 
@@ -384,7 +392,11 @@ def run_block(params_list, grids, *,
         if (ids.size, S) != live:
             tile()
             live, span = (ids.size, S), ids.size * S - 1
-            (tmp, _, _, tmp1, *_), (lin, _, _, lin1, *_) = map(views, (tmp_b, lin_b))
+            # every out-of-place write starts on a 64-byte line: the M term
+            # lands on the head of the scratch buffer, and += adds it into
+            # nodes 1.. (in place, so its offset costs little)
+            tmp, tmp1 = tmp_b[:span], tmp_b[:span - 1]
+            lin, lin1 = lin_b[:span], lin_b[1:span]
             coefs = iter(tiled[:, :span])
             Pm, Cm, Mm, Bm, invDm, *scales = (next(coefs) if read else None
                                                for read in reads)

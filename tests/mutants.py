@@ -76,6 +76,11 @@ MUTANTS = {
         "        if not even:  # at the unit step C is +0",
         "        if False:  # at the unit step C is +0",
         "tests/test_solver.py::test_solver_second_order_against_oracle"),
+    "m_term_written_off_line": (
+        "solver.py",
+        "tmp, tmp1 = tmp_b[:span], tmp_b[:span - 1]",
+        "tmp, tmp1 = tmp_b[:span], tmp_b[1:span]",
+        "tests/test_solver.py::test_step_writes_start_on_64_byte_lines"),
     "low_branch_factor_2": (
         "exponents.py",
         "            expo = (p - 1.0) / (n + 1.0 - (n - 1.0) * p)\n",

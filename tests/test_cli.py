@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import gzip
 import hashlib
 import json
 import math
@@ -812,6 +813,22 @@ def test_solution_cell_longer_than_its_field_exits_2(row, tmp_path, capsys):
     assert main([*VERIFY_5_1, str(path)]) == 2
     assert (f"longer than {cli.TEXT_FIELD - 1} characters"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name, row, at", [
+    ("nul.csv", "0\0,1,1,1", 10),
+    ("nul.csv", "0,1\0,1,1", 12),
+    ("nul.csv.gz", "0,1\0,1,1", 12),  # counted in the decompressed text
+], ids=["t", "r", "r-gz"])
+def test_solution_nul_cell_exits_2(name, row, at, tmp_path, capsys):
+    # np.loadtxt drops the NULs that end a text field, so 1\0 would read as 1
+    path = tmp_path / name
+    data = f"t,r,u,ut\n{row}\n".encode()
+    path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    with pytest.raises(ConfigError, match=f"NUL byte at byte {at}$"):
+        _read_solution_csv(str(path))
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    assert "NUL byte" in capsys.readouterr().err
 
 
 def test_solution_times_alike_in_their_first_24_chars_stay_apart(tmp_path):

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from strauss_lab import solver
 from strauss_lab.model import ModelParams, RunConfig, build_grid, initial_data
 from strauss_lab.solver import _abs_power, exact_undamped_radial3d, mms_order, run, run_block
 from strauss_lab.sweep import lifespan_from_levels, run_sweep
@@ -470,6 +472,50 @@ def test_block_groups_equal_grids_by_value():
     assert apart[1].grid is again
     for a, b in zip(apart, shared):
         _assert_same_outcome(a, b)
+
+
+@pytest.mark.parametrize("mode, p, eps, f_amp, g_amp, threshold, lasts", [
+    # the linear rows "blow up" as u passes a low threshold
+    ("none", 2.0, 1.0, 0.0, 1.0, 0.15, (5, 10)),
+    ("power_u", 2.5, 1.0, 8.0, 8.0, 1e4, (52, 104)),
+    ("power_ut", 1.5, 3.0, 2.0, 2.0, 1e4, (93, 182)),
+])
+def test_step_writes_start_on_64_byte_lines(monkeypatch, mode, p, eps, f_amp, g_amp,
+                                            threshold, lasts):
+    # An out-of-place ufunc whose output starts off a 64-byte line costs
+    # about twice as much a node, so every such write into the block's
+    # buffers (fresh mmap pages) starts on one; in-place ops are exempt.
+    # The bits are the same either way: only the addresses can show it.
+    writes = []
+
+    def on_block_pages(x):
+        while isinstance(x, np.ndarray):
+            x = x.base
+        return isinstance(x, memoryview) and isinstance(x.obj, mmap.mmap)
+
+    def recorded(ufunc):
+        def call(*args, out=None, **kw):
+            if (out is not None and on_block_pages(out)
+                    and not any(x is out for x in args)):
+                writes.append((ufunc.__name__, out.ctypes.data % 64))
+            return ufunc(*args, out=out, **kw)
+        return call
+
+    wrapped = {name: recorded(getattr(np, name))
+               for name in ("multiply", "add", "subtract", "abs", "sqrt")}
+    proxy = type("NumpyProxy", (), {
+        "__getattr__": lambda self, name: wrapped.get(name) or getattr(np, name)})()
+    monkeypatch.setattr(solver, "np", proxy)
+    base = ModelParams(n=3, p=p, mu=1.0, beta=3.0, nonlinearity=mode, eps=eps,
+                       f_amp=f_amp, g_amp=g_amp)
+    grids = [build_grid(10.0 if mode == "power_ut" else 6.0, dr, 1.0)
+             for dr in (0.04, 0.02)]
+    block = run_block([base, base], grids, threshold=threshold)
+    assert [(out.status, out.max_abs_u.size - 1) for out in block] == \
+        [("blew_up", last) for last in lasts]
+    # the P, M and Bd products of every step were checked, at least
+    assert sum(name == "multiply" for name, _ in writes) >= 3 * (max(lasts) - 1)
+    assert [w for w in writes if w[1] != 0] == []
 
 
 def test_support_window_holds_in_every_row():
