@@ -15,7 +15,7 @@ the unit step dt = dr.  For n = 3 the interior stencil is the 1-d second
 difference of v = r*u, which leapfrog at dt = dr propagates without
 dispersion; only the origin rule caps dt/dr, at 0.8165.  So at the unit step
 node 0 takes the even second-order value u_0 = (4u_1 - u_2)/3 in place of
-the origin rule, after the Taylor start and after each step (node 1 never
+the origin rule after each step, the Taylor start included (node 1 never
 reads node 0 there: M_1 = 0 up to round-off).  Any other dt > dr/2 is refused.
 The outer boundary is exact Dirichlet zero by grid sizing: data start in the
 unit ball and travel at speed one, so r_max >= t_max + 1 + 2dr keeps the
@@ -62,12 +62,17 @@ by the same nodes a step and a coarse row's window is a fixed count shorter
 than a fine row's: the shared stride wastes little.
 Grids are grouped by value, so equal grids built apart are one grid of the
 block.  Each grid's rows lie together with their own window, step count and
-time, and leave at their own blow-up or last step.  S grows with the largest
-window, the rows moving inside the same buffers.  Each grid's coefficients
-are built once, on all its nodes, and the ones the step reads are tiled at
-stride S onto the grid's live rows; the span, its views and the tiled
-coefficients depend on the live rows and S alone, so they are rebuilt only
-as S grows or a row leaves.
+time.  S grows with the largest window, the rows moving inside the same
+buffers.  Each grid's coefficients are built once, on all its nodes, and the
+ones the step reads are tiled at stride S onto the grid's live rows; the
+span, its views and the tiled coefficients depend on the live rows and S
+alone, so they are rebuilt only as S grows or a row leaves.
+
+The Taylor start is step 0 of the one step loop: the gap reset, the even
+origin value, the support check, the max|u| history and the exit test follow
+it as they follow every leapfrog step.  Rows leave through that one exit,
+above the threshold or at their grid's last step, and each builds its
+SolveOutcome as it leaves.
 """
 from __future__ import annotations
 
@@ -176,13 +181,12 @@ def run_block(params_list, grids, *,
     grids is one RadialGrid for every problem or one per problem.  The
     problems share n, mu, beta, p and the nonlinearity, and the grids share
     dt/dr, as the levels of a dr ladder do (RunConfig.grid).  Each row keeps
-    its grid's coefficients, window, step count and time: it leaves at its
-    own blow-up or instability, or completed at its grid's last step, and
-    its numbers are bit for bit those of its own run() (the module docstring
-    gives the packed layout).  Snapshot times are read on each row's grid,
-    forcing(t, r) is called per grid with that grid's time and radii, and
-    initial is None or one (u0, v0) pair per problem on its grid, cut at the
-    t = 0 window like the model data.
+    its grid's coefficients, window, step count and time, leaves at its own
+    blow-up, instability or last step, and its numbers are bit for bit those
+    of its own run() (the module docstring gives the layout).  Snapshot
+    times are read on each row's grid, forcing(t, r) is called per grid with
+    that grid's time and radii, and initial is None or one (u0, v0) pair per
+    problem on its grid, cut at the t = 0 window like the model data.
     """
     params_list = list(params_list)
     if not params_list:
@@ -246,8 +250,7 @@ def run_block(params_list, grids, *,
                                  f"steps 0..{g.n_steps} of dt {g.dt:g}")
             steps.add(idx)
     snapshots = [[] for _ in range(k)]
-    status = ["completed"] * k
-    t_end, last = [g.n_steps * g.dt for g in grids], [g.n_steps for g in grids]
+    outcomes = [None] * k
     support_violation = np.zeros(k)
     max_hist = _fresh_zeros((k, n_max + 1))
 
@@ -272,8 +275,8 @@ def run_block(params_list, grids, *,
     tiled = _fresh_zeros((sum(reads), k * (nr + 1)))
     gap = np.zeros(nr + 2)
     gap[-1] = -0.0
-    # block and history row -> problem, live rows first, each level's together
-    ids = owner = np.array(sorted(range(k), key=lev.__getitem__))
+    # block and history row -> problem, each level's rows together
+    ids = np.array(sorted(range(k), key=lev.__getitem__))
 
     def spans():
         # (level, its grid, first row, end row) of every level with live rows
@@ -298,6 +301,11 @@ def run_block(params_list, grids, *,
             tiled[:, a * S:b * S].reshape(len(tiled), b - a, S)[:, :, :w] = \
                 folded[L][:, None, :w]
 
+    def views(x):
+        # span, right and left neighbours, nodes after the first, rows, nodes 0-2
+        rows = as_rows(x)
+        return x[:span], x[1:span + 1], x[:span - 1], x[1:span], rows, *rows[:, :3].T
+
     def row(x, j, m, size):  # row j of a state buffer as a full grid array
         full = np.zeros(size)
         full[:m] = x[j * S:j * S + m]
@@ -310,75 +318,52 @@ def run_block(params_list, grids, *,
         support_violation[ids[a:b]] = np.where(tail > seen, tail, seen)
 
     def leave(stop, older, newer, step):
-        # the stopped rows leave at step, newer's, each but an unstable one
-        # with its snapshot (backward velocity) if step is one; the live
-        # rows move up in the states, histories and ids, the leavers'
-        # histories after
-        nonlocal ids, live_levels, next_end
-        for j in np.flatnonzero(stop):
+        # the stopped rows leave after step, each with its outcome and its
+        # snapshot at step + 1 (backward velocity) if that is one: blown up
+        # (unstable if max|u| is not finite) or completed at its last step;
+        # the live rows move up in the states, histories and ids
+        nonlocal ids, live_levels
+        hist = max_hist[:ids.size, :step + 2]
+        for j in np.flatnonzero(stop).tolist():
             i = ids[j]
             g, m = grids[i], ms[lev[i]]
-            if status[i] != "unstable" and step in snap_steps[lev[i]]:
-                snapshots[i].append((t_end[i], row(newer, j, m, g.r.size),
-                                     (row(newer, j, m, g.r.size)
-                                      - row(older, j, m, g.r.size)) / g.dt))
+            status = ("completed" if hist[j, -1] <= threshold else
+                      "blew_up" if np.isfinite(hist[j, -1]) else "unstable")
+            t_end = g.n_steps * g.dt if status == "completed" else step * g.dt + g.dt
+            if status != "unstable" and step + 1 in snap_steps[lev[i]]:
+                new = row(newer, j, m, g.r.size)
+                snapshots[i].append((t_end, new, (new - row(older, j, m, g.r.size)) / g.dt))
+            outcomes[i] = SolveOutcome(status, t_end, hist[j].copy(), snapshots[i],
+                                       params_list[i], g, float(support_violation[i]))
         keep = np.count_nonzero(~stop)
-        if stop[:keep].any():
-            order = np.argsort(stop, kind="stable")
-            for x in (as_rows(older), as_rows(newer), max_hist[:ids.size, :step + 1], ids):
-                x[...] = x[order]
-        ids = ids[:keep]
+        if stop[:keep].any():  # a live row lies behind a leaver
+            for x in (as_rows(older), as_rows(newer), hist):
+                x[:keep] = x[~stop]
+        ids = ids[~stop]
         live_levels = spans()
-        next_end = min((g.n_steps for _, g, _, _ in live_levels), default=0)
 
     live_levels = spans()
     S = stride(max(window(L, 2) for L in range(len(levels))))
-    ms = [window(L, 1) for L in range(len(levels))]  # each level's window at the last step
     for L, g, a, b in live_levels:
-        r, dr, dt, m, m0 = g.r, g.dr, g.dt, ms[L], window(L, 0)
-        # the data, cut to the t = 0 window like every later level: u0 in
-        # u_prev and v0 in lin_b, which is free until the first step
-        u0, v0 = as_rows(u_prev)[a:b, :m], as_rows(lin_b)[a:b, :m]
-        for j, i in enumerate(owner[a:b].tolist()):
-            data = initial_data(params_list[i], r) if initial is None else initial[i]
-            u0[j, :m0], v0[j, :m0] = (x[:m0] for x in data)
+        # the data, cut to the t = 0 window like every later level (u0 in u,
+        # v0 in lin_b, which is free until step 1), and their exact record
+        m0 = window(L, 0)
+        u0, v0 = as_rows(u)[a:b, :m0], as_rows(lin_b)[a:b, :m0]
+        for j, i in enumerate(ids[a:b].tolist()):
+            data = initial_data(params_list[i], g.r) if initial is None else initial[i]
+            u0[j], v0[j] = (x[:m0] for x in data)
         max_hist[a:b, 0] = np.abs(u0).max(axis=1)
-        for j in range(a, b) if 0 in snap_steps[L] else ():
-            snapshots[owner[j]].append((0.0, row(u_prev, j, m, r.size),
-                                        row(lin_b, j, m, r.size)))
+        if 0 in snap_steps[L]:  # the step loop records steps 1 on
+            snap_steps[L].discard(0)
+            for j in range(a, b):
+                snapshots[ids[j]].append((0.0, row(u, j, m0, g.r.size),
+                                          row(lin_b, j, m0, g.r.size)))
 
-        # Taylor start: u1 = u0 + dt*v0 + dt^2/2 * (lap - V*v0 + N + F)
-        lap = _laplacian(as_rows(u_prev)[a:b], m, dr, n, cs[L]) - Vs[L][:m] * v0
-        if mode != "none":
-            nl = np.empty((b - a, m))
-            power(u0 if mode == "power_u" else v0, nl, np.empty((b - a, m)))
-            lap += nl
-        if forcing is not None:
-            lap += forcing(0.0, r[:m])
-        u1 = as_rows(u)[a:b, :m]
-        u1[...] = u0 + v0 * dt + lap * (0.5 * dt * dt)
-        if even:
-            u1[:, 0] = (4.0 * u1[:, 1] - u1[:, 2]) / 3.0
-        max_hist[a:b, 1] = np.abs(u1).max(axis=1)
-        if not enforce_support:
-            check_support(u, L, a, b, 1)
-    for x in (u_prev, u, u_next):
-        x[S - 1:k * S:S] = -0.0
-
-    def views(x):
-        # span, right and left neighbours, nodes after the first, rows, nodes 0-2
-        rows = as_rows(x)
-        return x[:span], x[1:span + 1], x[:span - 1], x[1:span], rows, *rows[:, :3].T
-
+    ms = [0] * len(levels)  # each live level's window at the step's end
     live = None  # the (rows, S) of the views and coefficient slices
     watch = any(snap_steps) or not enforce_support  # a step may record a row
-    next_end = min(g.n_steps for g in levels)  # the first last step of a live row
-    for step in range(1, n_max + 1):
-        if step == next_end:  # the rows of the grids that end here complete
-            leave(np.array([grids[i].n_steps == step for i in ids.tolist()]),
-                  u_prev, u, step)
-            if ids.size == 0:
-                break
+    ends = {g.n_steps for g in levels}  # the grids' last steps
+    for step in range(n_max):  # step 0 is the Taylor start, then leapfrog
         m = 0  # each level's window at t + dt, m the largest
         for L, *_ in live_levels:
             ms[L] = window(L, step + 1)
@@ -411,32 +396,46 @@ def run_block(params_list, grids, *,
                               vn[0], vn[3], *vn[4:]))
             ring = itertools.cycle(turns)
             u_prev, u, u_next, upm, um, ur, ul, un, un1, gn, n0, n1, n2 = next(ring)
-        # power_ut keeps the part without N for its predictor and corrector
-        out, out1 = (lin, lin1) if mode == "power_ut" else (un, un1)
-        np.multiply(ur, Pm, out=out)
-        if not even:  # at the unit step C is +0 off node 0, which the even write sets
-            np.multiply(um, Cm, out=tmp)
-            out += tmp
-        np.multiply(ul, Mm, out=tmp1)
-        out1 += tmp1
-        np.multiply(upm, Bm, out=tmp)
-        out -= tmp
-        if forcing is not None:
+        if step == 0:
+            # Taylor start: u1 = u0 + dt*v0 + dt^2/2 * (lap - V*v0 + N + F)
             for L, g, a, b in live_levels:
-                as_rows(lin_b if mode == "power_ut" else u_next)[a:b, :ms[L]] += \
-                    forcing(step * g.dt, g.r[:ms[L]]) * invDm[a * S:a * S + ms[L]]
-        if mode == "power_u":
-            power(um, tmp, lin)
-            tmp *= invDm
-            un += tmp
-        elif mode == "power_ut":
-            # backward-difference predictor, then one corrector pass with
-            # the centered velocity; un is free until the sum lands in it
-            for x, scale in zip((um, un), scales):
-                np.subtract(x, upm, out=tmp)
-                power(tmp, tmp, un)
-                tmp *= scale
-                np.add(lin, tmp, out=un)
+                dt, m = g.dt, ms[L]
+                u0, v0 = as_rows(u)[a:b, :m], as_rows(lin_b)[a:b, :m]
+                lap = _laplacian(as_rows(u)[a:b], m, g.dr, n, cs[L]) - Vs[L][:m] * v0
+                if mode != "none":
+                    nl = np.empty((b - a, m))
+                    power(u0 if mode == "power_u" else v0, nl, np.empty((b - a, m)))
+                    lap += nl
+                if forcing is not None:
+                    lap += forcing(0.0, g.r[:m])
+                gn[a:b, :m] = u0 + v0 * dt + lap * (0.5 * dt * dt)
+        else:
+            # power_ut keeps the part without N for its predictor and corrector
+            out, out1 = (lin, lin1) if mode == "power_ut" else (un, un1)
+            np.multiply(ur, Pm, out=out)
+            if not even:  # at the unit step C is +0 off node 0, which the even write sets
+                np.multiply(um, Cm, out=tmp)
+                out += tmp
+            np.multiply(ul, Mm, out=tmp1)
+            out1 += tmp1
+            np.multiply(upm, Bm, out=tmp)
+            out -= tmp
+            if forcing is not None:
+                for L, g, a, b in live_levels:
+                    as_rows(lin_b if mode == "power_ut" else u_next)[a:b, :ms[L]] += \
+                        forcing(step * g.dt, g.r[:ms[L]]) * invDm[a * S:a * S + ms[L]]
+            if mode == "power_u":
+                power(um, tmp, lin)
+                tmp *= invDm
+                un += tmp
+            elif mode == "power_ut":
+                # backward-difference predictor, then one corrector pass with
+                # the centered velocity; un is free until the sum lands in it
+                for x, scale in zip((um, un), scales):
+                    np.subtract(x, upm, out=tmp)
+                    power(tmp, tmp, un)
+                    tmp *= scale
+                    np.add(lin, tmp, out=un)
         for L, _, a, b in live_levels:
             gn[a:b, ms[L]:] = gap[ms[L] - S:]
         if even:  # (4u_1 - u_2)/3 in every row, with the same operations on floats
@@ -451,29 +450,20 @@ def run_block(params_list, grids, *,
                      (row(u_next, j, ms[L], size) - row(u_prev, j, ms[L], size))
                      / (2.0 * g.dt)))
 
+        # the one exit: rows above the threshold or at their grid's last step
         np.abs(un, out=tmp)
         mx = np.maximum.reduceat(tmp, starts, out=max_hist[:ids.size, step + 1])
         # the rounded sum of the maxima is at least each one; NaN fails it too
-        if not sum(mx.tolist()) <= threshold and not (mx <= threshold).all():
+        over = not sum(mx.tolist()) <= threshold and not (mx <= threshold).all()
+        if over or step + 1 in ends:
             stop = ~(mx <= threshold)
-            for j in np.flatnonzero(stop):
-                i = ids[j]
-                status[i] = "blew_up" if np.isfinite(mx[j]) else "unstable"
-                t_end[i], last[i] = step * grids[i].dt + grids[i].dt, step + 1
-            leave(stop, u, u_next, step + 1)
+            for L, g, a, b in live_levels:
+                stop[a:b] |= g.n_steps == step + 1
+            leave(stop, u, u_next, step)
             if ids.size == 0:
                 break
         u_prev, u, u_next, upm, um, ur, ul, un, un1, gn, n0, n1, n2 = next(ring)
-
-    return [SolveOutcome(
-        status=status[i],
-        t_end=t_end[i],
-        max_abs_u=max_hist[b, :last[i] + 1],
-        snapshots=snapshots[i],
-        params=params_list[i],
-        grid=grids[i],
-        support_violation=float(support_violation[i]),
-    ) for i, b in sorted(zip(owner.tolist(), range(k)))]  # problem i, history row b
+    return outcomes
 
 
 # --- exact solution of the undamped 3d problem (oracle) -----------------------

@@ -1,14 +1,15 @@
 """Lifespan sweeps, scaling-law fits and deterministic CSV/SVG output.
 
-run_sweep is the lifespan ladder: in one process every eps at every
-refinement level advances as one solver block, solver.run_block, so all rows
-share each array pass of a step and each step's fixed cost; with jobs > 1
-each level is one block in a worker process.  The process pool is imported
-when first used, so a one-process run never loads concurrent.futures or
+run_sweep is the lifespan ladder: the eps are dealt round-robin into
+min(jobs, eps count) parts, and each part's whole ladder, its every eps at
+every refinement level, is one solver block, solver.run_block, so its rows
+share each array pass of a step and each step's fixed cost.  One part runs
+in this process and more run in worker processes; the pool is imported when
+first used, so a one-process run never loads concurrent.futures or
 multiprocessing.  Every blow-up time is a pure function of (config, eps,
 level), bit for bit what a one-row run gives, and the pure
-lifespan_from_levels turns one eps's times into its T and flags, so the table
-is identical for any worker count.
+lifespan_from_levels turns one eps's times into its T (NaN if censored) and
+flags, so the table is identical for any worker count.
 
 sweep_rows builds the lifespan table, one SWEEP_HEADER row per eps, and
 read_sweep_csv reads its CSV back bit for bit.  fit_table alone picks the
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -144,12 +146,13 @@ def lifespan_from_levels(eps: float, T_levels) -> LifespanResult:
 
     The scheme is second order, so halving dr (with dt locked to it) gives
     T* ~ T_fine + (T_fine - T_prev)/3.  censored: some level reached t_max
-    without blow-up.  unreliable: consecutive levels moved by > 20%.
+    without blow-up, and T is NaN.  unreliable: consecutive levels moved by
+    > 20%, or only some levels blew up.
     """
     Ts = tuple(T_levels)
     censored = any(math.isnan(T) for T in Ts)
     if censored or len(Ts) == 1:
-        T_ext, unc = Ts[-1], math.nan
+        T_ext, unc = math.nan if censored else Ts[-1], math.nan
         unreliable = censored and not all(math.isnan(T) for T in Ts)
     else:
         T_ext, unc = Ts[-1] + (Ts[-1] - Ts[-2]) / 3.0, abs(Ts[-1] - Ts[-2])
@@ -158,48 +161,53 @@ def lifespan_from_levels(eps: float, T_levels) -> LifespanResult:
                           uncertainty=unc, censored=censored, unreliable=unreliable)
 
 
-def _blowup_times(params_list, grids, threshold: float) -> list[float]:
-    """Blow-up time of each problem on its grid (one grid for all, or one
-    per problem), NaN where it did not blow up."""
-    return [out.t_end if out.status == "blew_up" else math.nan
-            for out in run_block(params_list, grids, threshold=threshold)]
+def _blowup_times(params_list, grids, threshold: float) -> list[tuple]:
+    """Each problem's blow-up times on the ladder's grids, NaN where it did
+    not blow up, from one run_block.  A row whose max|u| overflowed before
+    it passed the threshold raises ArithmeticError: its lifespan is
+    unknown, not censored."""
+    outs = run_block([q for q in params_list for _ in grids], grids * len(params_list),
+                     threshold=threshold)
+    for out in outs:
+        if out.status == "unstable":
+            raise ArithmeticError(f"max|u| overflowed at eps = {out.params.eps!r}, "
+                                  f"dr = {out.grid.dr!r}, t = {out.t_end!r}")
+    times = [out.t_end if out.status == "blew_up" else math.nan for out in outs]
+    return [tuple(times[i:i + len(grids)]) for i in range(0, len(times), len(grids))]
 
 
 def run_sweep(cfg: RunConfig, eps_values, jobs: int = 1) -> list[LifespanResult]:
     """One LifespanResult per eps, in eps order, worker-count independent.
 
-    The ladder's cfg.refine_levels levels start at cfg.dr and halve it.  In
-    this process the whole ladder, every eps at every level, is one
-    run_block; with jobs > 1 each level is one run_block in one of
-    min(jobs, levels) worker processes, the one process pool of the lab,
-    imported only here, when it is first needed.
+    The ladder's cfg.refine_levels levels start at cfg.dr and halve it.
+    Each of the min(jobs, eps count) round-robin parts of the eps is one
+    whole-ladder run_block: one part in this process, more in at most the
+    CPU count of worker processes, the lab's one pool, imported only here.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     params_list = [replace(cfg, eps=float(eps)).model_params() for eps in eps_values]
-    if not params_list:
-        return []
-    levels, count = cfg.refine_levels, len(params_list)
-    grids = [cfg.grid(cfg.dr / 2 ** lev) for lev in range(levels)]
-    workers = min(jobs, levels)
-    if workers <= 1:
-        times = _blowup_times(params_list * levels,
-                              [grid for grid in grids for _ in params_list],
-                              cfg.u_threshold)
-        per_level = [times[i:i + count] for i in range(0, len(times), count)]
-    else:
+    grids = [cfg.grid(cfg.dr / 2 ** lev) for lev in range(cfg.refine_levels)]
+    parts = min(jobs, len(params_list))
+    dealt = [params_list[w::parts] for w in range(parts)]
+    if parts > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_level = list(pool.map(_blowup_times, [params_list] * levels, grids,
-                                      [cfg.u_threshold] * levels))
+        with ProcessPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
+            times = list(pool.map(_blowup_times, dealt, [grids] * parts,
+                                  [cfg.u_threshold] * parts))
+    else:
+        times = [_blowup_times(part, grids, cfg.u_threshold) for part in dealt]
+    per_eps = [None] * len(params_list)
+    for w, part_times in enumerate(times):
+        per_eps[w::parts] = part_times
     return [lifespan_from_levels(params.eps, Ts)
-            for params, Ts in zip(params_list, zip(*per_level))]
+            for params, Ts in zip(params_list, per_eps)]
 
 
 def sweep_rows(results: list[LifespanResult]) -> list[tuple]:
-    """The lifespan table: one SWEEP_HEADER row per result, T NaN if censored."""
-    return [(res.eps, math.nan if res.censored else res.T_extrapolated,
-             res.uncertainty, res.censored, res.unreliable) for res in results]
+    """The lifespan table: one SWEEP_HEADER row per result."""
+    return [(res.eps, res.T_extrapolated, res.uncertainty, res.censored,
+             res.unreliable) for res in results]
 
 
 def _flag_cell(row: dict, key: str) -> bool:

@@ -81,6 +81,11 @@ MUTANTS = {
         "tmp, tmp1 = tmp_b[:span], tmp_b[:span - 1]",
         "tmp, tmp1 = tmp_b[:span], tmp_b[1:span]",
         "tests/test_solver.py::test_step_writes_start_on_64_byte_lines"),
+    "taylor_step_exit_skipped": (
+        "solver.py",
+        "        if over or step + 1 in ends:",
+        "        if step and over or step + 1 in ends:",
+        "tests/test_solver.py::test_taylor_step_exit"),
     "low_branch_factor_2": (
         "exponents.py",
         "            expo = (p - 1.0) / (n + 1.0 - (n - 1.0) * p)\n",
@@ -116,6 +121,17 @@ MUTANTS = {
         "(tq.q + 1.0, tq.q + 2.0)",
         "(tq.q + 1.0, tq.q + 1.0)",
         "tests/test_testfunc.py::test_bq_identities_coarse"),
+    "eps_dealt_in_blocks": (
+        "sweep.py",
+        "dealt = [params_list[w::parts] for w in range(parts)]",
+        "dealt = [params_list[w * len(params_list) // parts:"
+        "(w + 1) * len(params_list) // parts] for w in range(parts)]",
+        "tests/test_sweep.py::test_run_sweep_deals_eps_into_whole_ladders"),
+    "pool_past_the_cpu_count": (
+        "sweep.py",
+        "max_workers=min(parts, os.cpu_count() or 1)",
+        "max_workers=parts",
+        "tests/test_sweep.py::test_run_sweep_deals_eps_into_whole_ladders"),
     "flagged_rows_fitted": (
         "sweep.py",
         "if not (censored or unreliable)",

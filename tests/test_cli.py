@@ -104,6 +104,18 @@ def test_solve_blowup_artifacts(tmp_path, capsys):
     assert data.shape[0] > 0
 
 
+def test_solve_leaves_at_the_taylor_step(tmp_path, capsys):
+    # max|u| is 1.9487 at t = dt = 0.05, past the threshold: the run blew up
+    # there, at the first step, not one step later
+    summary = tmp_path / "sum.csv"
+    assert main(["solve", "--t-max", "2", "--dr", "0.05", "--f-amp", "1",
+                 "--g-amp", "20", "--eps", "1", "--u-threshold", "1.5",
+                 "--summary", str(summary)]) == 0
+    assert "status=blew_up t_end=0.05 " in capsys.readouterr().out
+    (row,) = _read_rows(summary)
+    assert row["status"] == "blew_up" and row["t_end"] == "0.050000000000000003"
+
+
 # SHA-256 of two solve CSVs (t_max 3, dr 0.05, a snapshot every 0.1; n = 3,
 # so dt = dr): they pin the %.17g digits and the spelling of every zero
 @pytest.mark.parametrize("flags, digest", [
@@ -284,6 +296,45 @@ def test_lifespan_cmd(tmp_path, capsys):
     assert row["censored"] == "false"
     assert 0.0 < float(row["T"]) < 6.0
     assert "T_levels" in capsys.readouterr().out
+
+
+# the power_ut ladder at eps = 0.74869: the coarse level reaches t_max 12,
+# the fine one blows up at 11.98
+PARTLY_CENSORED = ["--mu", "1", "--beta", "3", "--p", "1.5", "--nonlinearity",
+                   "power_ut", "--f-amp", "2", "--g-amp", "2", "--t-max", "12",
+                   "--dr", "0.04"]
+
+
+def test_partly_censored_eps_reads_nan(tmp_path, capsys):
+    # a censored eps has no lifespan: T is NaN on stdout as in the table
+    out = tmp_path / "life.csv"
+    assert main(["lifespan", *PARTLY_CENSORED, "--eps", "0.74869",
+                 "--out", str(out)]) == 1  # unreliable
+    assert ("eps=0.74869 T_levels=(nan, 11.98) T=nan uncertainty=nan "
+            "censored=True unreliable=True") in capsys.readouterr().out
+    (row,) = _read_rows(out)
+    assert row["T"] == "NaN" and row["censored"] == "true"
+    main(["sweep", *PARTLY_CENSORED, "--eps-min", "0.74869", "--eps-max", "0.8",
+          "--eps-count", "4", "--out", str(tmp_path / "sweep.csv")])
+    assert "eps=0.74869 T=nan censored=True" in capsys.readouterr().out
+
+
+# max|u| overflows before it passes 1e300 (solve: unstable at t = 1.96)
+OVERFLOWING = ["--mu", "1", "--p", "2", "--f-amp", "20", "--g-amp", "20",
+               "--t-max", "6", "--dr", "0.04", "--u-threshold", "1e300"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lifespan", *OVERFLOWING, "--eps", "1"],
+    ["sweep", *OVERFLOWING, "--eps-min", "0.9", "--eps-max", "1", "--eps-count", "4"],
+], ids=["lifespan", "sweep"])
+def test_overflowing_ladder_keeps_its_traceback(argv, tmp_path, capsys):
+    # an unknown lifespan is a numerical fault, not a censored eps
+    table = tmp_path / "sweep.csv"
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ArithmeticError, match=r"overflowed at eps = .*, dr = 0\.04, t = "):
+        main([*argv, "--out", str(table)])
+    assert not table.exists() and capsys.readouterr().out == ""
 
 
 def test_sweep_csv_worker_invariant(tmp_path, capsys):

@@ -202,6 +202,18 @@ def test_lifespan_censored():
     assert math.isnan(res.T_extrapolated)
 
 
+def test_taylor_step_exit():
+    # max|u| at t = dt is 1.9487: the Taylor start is step 0 of the step
+    # loop, so the run leaves there through the exit every step takes
+    params = ModelParams(n=3, p=2.0, mu=1.0, beta=3.0, nonlinearity="power_u",
+                         eps=1.0, f_amp=1.0, g_amp=20.0)
+    grid = build_grid(2.0, 0.05, 1.0)
+    out = run(params, grid, threshold=1.5, snapshot_times=[0.0, grid.dt])
+    assert out.status == "blew_up" and out.t_end == grid.dt == 0.05
+    assert out.max_abs_u.tolist() == [1.0, pytest.approx(1.9487, abs=1e-4)]
+    assert [t for t, _, _ in out.snapshots] == [0.0, 0.05]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_stencil_spectrum_real_and_cfl_half_stable_up_to_n5(n):
     # leapfrog is stable iff every eigenvalue of the stencil is real and

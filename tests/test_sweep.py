@@ -1,8 +1,10 @@
 """Sweep orchestration, CSV cells, power-law fits, and SVG plots."""
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -15,8 +17,8 @@ from strauss_lab.exponents import critical_exponents, theory_lifespan
 from strauss_lab.model import RunConfig
 from strauss_lab.sweep import (FIT_MIN_POINTS, SWEEP_HEADER, LifespanResult,
                                ScalingFit, csv_text, emit_plot, fit_powerlaw,
-                               fit_table, format_value, read_sweep_csv,
-                               run_sweep, sweep_rows, write_csv)
+                               fit_table, format_value, lifespan_from_levels,
+                               read_sweep_csv, run_sweep, sweep_rows, write_csv)
 
 
 def _blowup_config(**kw):
@@ -195,6 +197,60 @@ def test_run_sweep_without_eps_solves_nothing(monkeypatch):
         assert run_sweep(_blowup_config(), [], jobs) == []
 
 
+@pytest.mark.parametrize("jobs, parts, workers", [
+    (1, ([0, 1, 2, 3],), None),
+    (2, ([0, 2], [1, 3]), 2),
+    (3, ([0, 3], [1], [2]), 2),
+    # one part per eps, in at most the CPU count (patched to 2) of processes
+    (64, ([0], [1], [2], [3]), 2),
+])
+def test_run_sweep_deals_eps_into_whole_ladders(monkeypatch, jobs, parts, workers):
+    # the eps are dealt round-robin into min(jobs, eps count) parts, and
+    # each part's whole ladder is one _blowup_times call; the pool's map
+    # runs in this process, so no worker process starts
+    cfg = _blowup_config(t_max=4.0, dr=0.1)
+    eps = np.geomspace(0.5, 1.0, 4)
+    table = csv_text(SWEEP_HEADER, sweep_rows(run_sweep(cfg, eps)))
+    calls, pools, solve = [], [], sweep._blowup_times
+
+    def spy(params_list, grids, threshold):
+        calls.append(([q.eps for q in params_list], grids))
+        return solve(params_list, grids, threshold)
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep, "_blowup_times", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    results = run_sweep(cfg, eps, jobs)
+    assert [got for got, _ in calls] == [[eps[i] for i in part] for part in parts]
+    assert all(grids == [cfg.grid(), cfg.grid(cfg.dr / 2)] for _, grids in calls)
+    assert pools == ([] if workers is None else [workers])
+    assert csv_text(SWEEP_HEADER, sweep_rows(results)) == table
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_overflowing_ladder_row_raises(jobs):
+    # max|u| overflows at t = 1.96 before it passes 1e300: that lifespan is
+    # unknown, so the sweep stops rather than call the eps censored
+    cfg = RunConfig(n=3, mu=1.0, beta=3.0, p=2.0, nonlinearity="power_u",
+                    f_amp=20.0, g_amp=20.0, t_max=6.0, dr=0.04, u_threshold=1e300)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ArithmeticError, match=r"eps = 1\.0, dr = 0\.04, t = 1\.96$"):
+        run_sweep(cfg, [1.0, 0.5], jobs)
+
+
 # SHA-256 of the sweep CSV text at the unit step dt = dr of n = 3, computed
 # with a one-row run per eps and level; the rows must not change by a bit
 @pytest.mark.parametrize("config, eps_min, eps_max, count, digest", [
@@ -234,12 +290,19 @@ def test_low_p_power_u_sweep_reads_consistent(n, p, t_max, exponent):
 
 
 def test_sweep_rows_censored_to_nan():
-    res = LifespanResult(eps=0.1, T_levels=(9.0, 9.5),
-                         T_extrapolated=9.7, uncertainty=0.5, censored=True,
-                         unreliable=False)
-    ((eps, T, unc, cen, unrel),) = sweep_rows([res])
-    assert math.isnan(T) and cen is True and unrel is False
-    assert eps == 0.1 and unc == 0.5
+    # lifespan_from_levels gives a censored eps T = NaN, whether one level
+    # or every level reached t_max, and sweep_rows copies the result
+    partly = lifespan_from_levels(0.1, (math.nan, 9.5))
+    wholly = lifespan_from_levels(0.2, (math.nan, math.nan))
+    for res, unreliable in ((partly, True), (wholly, False)):
+        assert res.censored is True and res.unreliable is unreliable
+        assert math.isnan(res.T_extrapolated) and math.isnan(res.uncertainty)
+    ((eps, T, unc, cen, unrel),) = sweep_rows([partly])
+    assert eps == 0.1 and math.isnan(T) and math.isnan(unc)
+    assert cen is True and unrel is True
+    res = LifespanResult(eps=0.1, T_levels=(9.0, 9.5), T_extrapolated=9.7,
+                         uncertainty=0.5, censored=False, unreliable=True)
+    assert sweep_rows([res]) == [(0.1, 9.7, 0.5, False, True)]
 
 
 def _same_cell(a, b) -> bool:
