@@ -253,42 +253,45 @@ def _unlike(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.logical_or.reduce([a[:, j] != b[:, j] for j in range(a.shape[1])])
 
 
-def _refuse_nul(path: str) -> None:
-    """Refuse a file that holds a NUL byte, read through np.loadtxt's opener
+def _refuse_bytes(path: str) -> None:
+    """Refuse a file that is not ASCII text, read through np.loadtxt's opener
     in 1 MiB blocks: np.loadtxt drops the NULs that end a text field, so a t
-    or r cell 1\\0 would read as 1."""
+    or r cell 1\\0 would read as 1, and the byte-string t and r fields
+    cannot hold every character beyond ASCII."""
     with np.lib.npyio.DataSource(os.curdir).open(path, "rb") as fh:
         offset = 0
         while block := fh.read(1 << 20):
             if (at := block.find(b"\0")) >= 0:
                 raise ConfigError(f"{path}: a NUL byte at byte {offset + at}")
+            if not block.isascii():
+                at = next(i for i, byte in enumerate(block) if byte > 127)
+                raise ConfigError(f"{path}: a byte beyond ASCII at byte {offset + at}")
             offset += len(block)
 
 
-def _read_solution_csv(path: str, kind: str = "S"):
+def _read_solution_csv(path: str):
     """(t, r, u, ut) from a solve CSV of snapshot blocks, in time order.
 
     np.loadtxt reads SOLUTION_CHUNK_ROWS rows at a time and converts only u
-    and ut cell by cell; t and r come in as text.  Each distinct t text, the
-    first snapshot's r texts and each later r cell spelled unlike the first
-    snapshot's r at its place are parsed once, by np.loadtxt's conversion,
-    so the arrays are those of a whole-file float parse.  A t or r cell that
-    fills its TEXT_FIELD characters is refused, never cut; a cell np.loadtxt
-    cannot parse is refused with the whole-file parse's message, which
-    names its row and column.  kind "S" holds ASCII texts; a t or r cell
-    beyond ASCII has the file read again as kind "U".  A file with a NUL
-    byte anywhere is refused before any parse.
+    and ut cell by cell; t and r come in as text.  Each distinct t text is
+    parsed once, by np.loadtxt's conversion, so any spelling of a time reads
+    as its value.  r is the first snapshot's texts, parsed the same way;
+    every later snapshot must repeat them text for text, as solve --out
+    writes them, or the file is refused.  A t or r cell that fills its
+    TEXT_FIELD characters is refused, never cut; a cell np.loadtxt cannot
+    parse is refused with the whole-file parse's message, which names its
+    row and column.  A file with a NUL byte or a byte beyond ASCII anywhere
+    is refused before any parse.
     """
-    if kind == "S":  # the "U" re-read follows a scan that passed
-        _refuse_nul(path)
-    cell = f"{kind}{TEXT_FIELD}"
+    _refuse_bytes(path)
+    cell = f"S{TEXT_FIELD}"
     row = np.dtype([("t", cell), ("r", cell), ("u", float), ("ut", float)])
-    k = np.dtype(cell).itemsize // 8  # words a text holds
+    k = TEXT_FIELD // 8  # words a text holds
     uus, t_texts, t_lens = [], [], []  # uus: (2, rows) blocks of u and ut
     t_of = {}  # t text -> value
     first = [np.empty(0, cell)]  # the first snapshot's r texts so far
     ref = None  # the first snapshot's r texts, tiled to span a chunk
-    odd_rows, odd_texts = [np.empty(0, int)], []  # r cells unlike ref's text
+    shared = True  # every later r text so far is the first snapshot's at its place
     rows = 0
     try:
         # np.loadtxt's own opener: .gz, .bz2 and .xz paths decompress
@@ -322,12 +325,9 @@ def _read_solution_csv(path: str, kind: str = "S"):
                 if ref is not None:
                     lo = max(nr - rows, 0)
                     at = (rows + lo) % nr
-                    odd = np.flatnonzero(_unlike(rw[lo:], ref[at:at + n - lo]))
-                    odd_rows.append(rows + lo + odd)
-                    odd_texts += rr[lo:][odd].tolist()
+                    shared = shared and np.array_equal(rw[lo:], ref[at:at + n - lo])
                 rows += n
             r = _cell_values(np.concatenate(first))
-            odd_values = _cell_values(np.array(odd_texts, cell))
     except ValueError as exc:
         try:
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -335,14 +335,11 @@ def _read_solution_csv(path: str, kind: str = "S"):
             raise ConfigError(f"{path}: {whole}") from whole
         if data.shape[1] != 4:
             raise ConfigError(f"{path}: expected 4 columns t,r,u,ut") from exc
-        if kind == "S":
-            return _read_solution_csv(path, "U")
         raise ConfigError(f"{path}: {exc}") from exc
     if rows == 0:
         raise ConfigError(f"{path}: no snapshot rows")
     t_col = np.array([t_of[text] for text in t_texts])
-    if not (np.isfinite(t_col).all() and np.isfinite(r).all()
-            and np.isfinite(odd_values).all()):
+    if not (np.isfinite(t_col).all() and np.isfinite(r).all()):
         raise ConfigError(f"{path}: a t or r cell is not finite")
     # one snapshot is one run of equal t: a time that starts two runs is split
     runs = np.flatnonzero(np.r_[True, t_col[1:] != t_col[:-1]])
@@ -354,7 +351,7 @@ def _read_solution_csv(path: str, kind: str = "S"):
         raise ConfigError(f"{path}: rows not a whole number of snapshots")
     if set(run_len.tolist()) != {rows // nt}:
         raise ConfigError(f"{path}: rows of one snapshot are not contiguous")
-    if np.any(odd_values != r[np.concatenate(odd_rows) % r.size]):
+    if not shared:
         raise ConfigError(f"{path}: snapshots do not share one r column")
     u, ut = np.concatenate(uus, axis=1).reshape(2, nt, -1)
     if not np.all(run_t[1:] > run_t[:-1]):  # else no reordering copy

@@ -44,9 +44,9 @@ import numpy as np
 from .model import sphere_area, uniform_step
 
 DEFAULT_DR_ODE = 1e-3
-# a propagator block holds at most CHUNK output intervals and CHUNK_STEPS
-# RK4 steps, so its memory is bounded for coarse output grids too
-CHUNK, CHUNK_STEPS = 64, 640
+# a propagator block holds at most CHUNK_STEPS RK4 steps, so its memory is
+# bounded for any output grid
+CHUNK_STEPS = 640
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,7 +173,7 @@ def _rk4_propagate(etas, mu, beta, n, edges, every, s, sp):
     n_int = (edges.size - 1) // every
     out = np.empty((n_int, 2, powers.shape[1]))  # the (s, s') rows
     state, prod = np.stack([s, sp]), np.empty((2, 2, powers.shape[1]))
-    per = max(1, min(CHUNK, CHUNK_STEPS // every))
+    per = max(1, CHUNK_STEPS // every)
     for lo in range(0, n_int, per):
         hi = min(lo + per, n_int)
         M = _interval_products(powers, mu, beta, n,

@@ -62,11 +62,13 @@ by the same nodes a step and a coarse row's window is a fixed count shorter
 than a fine row's: the shared stride wastes little.
 Grids are grouped by value, so equal grids built apart are one grid of the
 block.  Each grid's rows lie together with their own window, step count and
-time.  S grows with the largest window, the rows moving inside the same
-buffers.  Each grid's coefficients are built once, on all its nodes, and the
-ones the step reads are tiled at stride S onto the grid's live rows; the
-span, its views and the tiled coefficients depend on the live rows and S
-alone, so they are rebuilt only as S grows or a row leaves.
+time.  S grows with the largest window, the rows of u_prev and u, the two
+states the next step reads, moving inside the same buffers; the step writes
+all of u_next before anything reads it.  Each grid's coefficients are built
+once, on all its nodes, and the ones the step reads are tiled at stride S
+onto the grid's live rows; the span, its views and the tiled coefficients
+depend on the live rows and S alone, so they are rebuilt only as S grows or
+a row leaves.
 
 The Taylor start is step 0 of the one step loop: the gap reset, the even
 origin value, the support check, the max|u| history and the exit test follow
@@ -370,7 +372,7 @@ def run_block(params_list, grids, *,
             m = max(m, ms[L])
         if m > S - 2:  # grow the stride, moving the rows from the last
             S_old, S = S, stride(m)
-            for x in (u_prev, u, u_next):
+            for x in (u_prev, u):  # the states the step reads; it writes all of u_next
                 for j in range(ids.size - 1, 0, -1):
                     x[j * S:j * S + S_old] = x[j * S_old:(j + 1) * S_old]
                 as_rows(x)[:, S_old - 1:] = gap[S_old - 1 - S:]

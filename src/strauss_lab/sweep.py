@@ -16,9 +16,9 @@ read_sweep_csv reads its CSV back bit for bit.  fit_table alone picks the
 clean rows of a table (sweep and fit alike); fit_powerlaw regresses log T on
 log(1/eps) and compares the slope with the exponent of the proved
 polynomial bound.  Other bounds refuse the fit (verdict "not_applicable"): a
-critical bound is exponential, not measurable at desk scale, so a
-straight-line fit would only manufacture a meaningless number and the
-refusal points to the odelemma and verify subcommands instead;
+critical bound is exponential, T <= exp(C eps^-a), and ln T is linear in
+eps^-a, not in log(1/eps), so a power-law fit is the wrong form for it and
+the refusal points to the odelemma and verify subcommands instead;
 supercritical and linear cases have no finite-time blow-up bound to fit, and
 damping with beta <= 2 lies outside the hypothesis beta > 2 of the bounds.
 

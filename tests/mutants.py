@@ -86,6 +86,11 @@ MUTANTS = {
         "        if over or step + 1 in ends:",
         "        if step and over or step + 1 in ends:",
         "tests/test_solver.py::test_taylor_step_exit"),
+    "growth_skips_u_prev": (
+        "solver.py",
+        "for x in (u_prev, u):",
+        "for x in (u,):",
+        "tests/test_solver.py::test_ladder_block_rows_match_single_runs"),
     "low_branch_factor_2": (
         "exponents.py",
         "            expo = (p - 1.0) / (n + 1.0 - (n - 1.0) * p)\n",

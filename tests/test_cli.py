@@ -828,15 +828,37 @@ def test_malformed_solution_in_small_chunks(text, small_chunks, tmp_path, capsys
     # one snapshot spells its t three ways, all the value 0.1
     ("0.1,0,1,2\n0.10000000000000001,0.5,3,4\n1e-1,1,5,6\n"
      "0.2,0,7,8\n0.2,0.5,9,10\n0.2,1,11,12\n", 2),
-    # two snapshots spell one r two ways
-    ("0,0,1,2\n0,0.05,3,4\n1,0,5,6\n1,5e-2,7,8\n", 2),
-    # padded, signed and exponent spellings of t and r
-    ("+1,-0,1,2\n 1.0 ,.5,3,4\n0,-0.0,5,6\n0e0,5E-1,7,8\n", 2),
-], ids=["t", "r", "mixed"])
+    # padded, signed and exponent spellings of t; r spelled alike in both
+    ("+1,-0,1,2\n 1.0 ,.5,3,4\n0,-0,5,6\n0e0,.5,7,8\n", 2),
+], ids=["t", "t-mixed"])
 def test_solution_spellings_read_as_their_values(text, nt, tmp_path):
     path = tmp_path / "sol.csv"
     path.write_text("t,r,u,ut\n" + text)
     _assert_reads_as_float_parse(path, nt)
+
+
+@pytest.mark.parametrize("text, message", [
+    # two snapshots spell one r two ways
+    ("0,0,1,2\n0,0.05,3,4\n1,0,5,6\n1,5e-2,7,8\n", "r column"),
+    # padded, signed and exponent spellings of t and r
+    ("+1,-0,1,2\n 1.0 ,.5,3,4\n0,-0.0,5,6\n0e0,5E-1,7,8\n", "r column"),
+    # r cells padded with a space beyond ASCII, spelled alike in both snapshots
+    ("0,0\xa0,1,2\n0,0.5\xa0,3,4\n1,0\xa0,5,6\n1,0.5\xa0,7,8\n", "beyond ASCII"),
+    ("0,0\u2003,1,2\n0,0.5\u2003,3,4\n1,0\u2003,5,6\n1,0.5\u2003,7,8\n",
+     "beyond ASCII"),
+], ids=["r", "mixed", "r-nbsp", "r-em-space"])
+def test_solution_r_spelled_unlike_or_beyond_ascii_exits_2(
+        text, message, small_chunks, tmp_path, capsys, monkeypatch):
+    # r is the first snapshot's text, which every snapshot repeats as solve
+    # --out writes it; the refusal reads word for word as in one chunk
+    path = tmp_path / "bad.csv"
+    path.write_text("t,r,u,ut\n" + text, encoding="utf-8")
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    monkeypatch.undo()  # back to the reader's own chunk size
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("text, message", [

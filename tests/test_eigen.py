@@ -170,7 +170,6 @@ def test_psi_hat_batch_bits_independent_of_block_size(step, monkeypatch):
     eta, _ = eta_rule(0.5, 16)
     r_out = step * np.arange(int(round(5.0 / step)) + 1)
     default = psi_hat_batch(eta, 1.0, 2.5, 3, r_out, r_ref=5.0)
-    monkeypatch.setattr(eigen, "CHUNK", 1)
     monkeypatch.setattr(eigen, "CHUNK_STEPS", 1)
     for a, b in zip(default, psi_hat_batch(eta, 1.0, 2.5, 3, r_out, r_ref=5.0)):
         assert a.tobytes() == b.tobytes()
