@@ -197,7 +197,7 @@ def cmd_eigen(args) -> int:
     rows = []
     for eta in etas:
         # one eta per call, so no lambda depends on the other --etas values
-        psi_hat, _, (lam,) = psi_hat_batch([eta], cfg.mu, cfg.beta, cfg.n, r)
+        psi_hat, (lam,) = psi_hat_batch([eta], cfg.mu, cfg.beta, cfg.n, r)
         psi = psi_hat[0] * lam
         w = (1.0 + r) ** ((cfg.n - 1) / 2.0) * np.exp(-eta * r) * psi
         rows.append((eta, r, psi, w, lam))
@@ -254,11 +254,11 @@ def _unlike(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _refuse_bytes(path: str) -> None:
-    """Refuse a file that is not ASCII text, read through np.loadtxt's opener
-    in 1 MiB blocks: np.loadtxt drops the NULs that end a text field, so a t
-    or r cell 1\\0 would read as 1, and the byte-string t and r fields
-    cannot hold every character beyond ASCII."""
-    with np.lib.npyio.DataSource(os.curdir).open(path, "rb") as fh:
+    """Refuse a file that is not ASCII text, read in 1 MiB blocks:
+    np.loadtxt drops the NULs that end a text field, so a t or r cell 1\\0
+    would read as 1, and the byte-string t and r fields cannot hold every
+    character beyond ASCII."""
+    with open(path, "rb") as fh:
         offset = 0
         while block := fh.read(1 << 20):
             if (at := block.find(b"\0")) >= 0:
@@ -272,6 +272,8 @@ def _refuse_bytes(path: str) -> None:
 def _read_solution_csv(path: str):
     """(t, r, u, ut) from a solve CSV of snapshot blocks, in time order.
 
+    Only the named file is read, as ASCII text: no URL is fetched, no name
+    is decompressed, and no other file stands in for a missing one.
     np.loadtxt reads SOLUTION_CHUNK_ROWS rows at a time and converts only u
     and ut cell by cell; t and r come in as text.  Each distinct t text is
     parsed once, by np.loadtxt's conversion, so any spelling of a time reads
@@ -294,9 +296,7 @@ def _read_solution_csv(path: str):
     shared = True  # every later r text so far is the first snapshot's at its place
     rows = 0
     try:
-        # np.loadtxt's own opener: .gz, .bz2 and .xz paths decompress
-        with (warnings.catch_warnings(),
-              np.lib.npyio.DataSource(os.curdir).open(path, "rt") as fh):
+        with warnings.catch_warnings(), open(path, encoding="ascii") as fh:
             # neither an empty chunk nor a blank line is an event
             warnings.filterwarnings("ignore", ".*contained no data")
             fh.readline()
@@ -330,7 +330,8 @@ def _read_solution_csv(path: str):
             r = _cell_values(np.concatenate(first))
     except ValueError as exc:
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with open(path, encoding="ascii") as fh:
+                data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as whole:
             raise ConfigError(f"{path}: {whole}") from whole
         if data.shape[1] != 4:

@@ -207,7 +207,7 @@ def _rk4_tail(etas, mu, beta, n, edges, s, sp):
 
 
 def _shoot(etas, mu, beta, n, r_out, dr):
-    """(psi rows, psi' rows, last (s, s') state) on r_out for every eta.
+    """(psi rows, last (s, s') state) on r_out for every eta.
 
     RK4 steps of size h <= dr aligned with the output grid r_out (uniform,
     starting at 0); the state at r = h comes from the series
@@ -223,32 +223,27 @@ def _shoot(etas, mu, beta, n, r_out, dr):
     edges = np.maximum(np.arange((r_out.size - 1) * k + 1) * h, h)
     s, sp = _rk4_propagate(etas, mu, beta, n, edges, k,
                            e * p1, e * (c * h / n - etas * p1))
-    # psi = grow s and psi' = grow (s' + eta s) with grow = e^(eta r), each
-    # built in its own array below row 0
+    # psi = e^(eta r) s, built in place below row 0
     psi = np.empty((r_out.size, etas.size))
-    psip = np.empty_like(psi)
-    psi[0], psip[0] = 1.0, 0.0
+    psi[0] = 1.0
     grow = psi[1:]
     np.multiply(etas, edges[k::k, None], out=grow)
     np.exp(grow, out=grow)
-    np.multiply(etas, s, out=psip[1:])
-    psip[1:] += sp
-    psip[1:] *= grow
     grow *= s
     if np.any(psi <= 0.0):
         raise ArithmeticError("integration fault: psi lost positivity")
-    return psi, psip, (s[-1].copy(), sp[-1].copy())  # frees s and sp
+    return psi, (s[-1].copy(), sp[-1].copy())  # frees s and sp
 
 
 def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
                   dr: float = DEFAULT_DR_ODE, r_ref: float | None = None):
     """Normalized profiles psi_hat = psi/lambda for a family of eta >= 0.
 
-    Returns (psi_hat, psi_hat_prime, lam) with rows indexed like etas, on the
-    output grid r_out (rising and uniform by model.uniform_step, starting at
-    exactly 0).  All eta share one integration and one matching radius, by
-    default r_ref = 0.8 * max(30/max(eta_min, 0.1), 1.05 r_out[-1]), so that
-    lambda is a smooth function of eta -- required when the family feeds a
+    Returns (psi_hat, lam) with rows indexed like etas, on the output grid
+    r_out (rising and uniform by model.uniform_step, starting at exactly 0).
+    All eta share one integration and one matching radius, by default
+    r_ref = 0.8 * max(30/max(eta_min, 0.1), 1.05 r_out[-1]), so that lambda
+    is a smooth function of eta -- required when the family feeds a
     quadrature rule.  A row depends on the other rows only through eta_min
     (and, at round-off, the varphi node count).
     """
@@ -264,7 +259,7 @@ def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
     if r_ref is None:
         r_ref = 0.8 * max(30.0 / max(float(etas.min()), 0.1),
                           1.05 * float(r_out[-1]))
-    psi, psip, state = _shoot(etas, mu, beta, n, r_out, dr)
+    psi, state = _shoot(etas, mu, beta, n, r_out, dr)
     if r_ref <= r_out[-1] + 1e-12:
         i_ref = int(np.argmin(np.abs(r_out - r_ref)))
         r_ref = float(r_out[i_ref])
@@ -278,6 +273,4 @@ def psi_hat_batch(etas, mu: float, beta: float, n: int, r_out,
         s_ref = _rk4_tail(etas, mu, beta, n, np.array(edges), *state)[0]
     phi_ref = varphi(etas, r_ref, n)
     lam = s_ref / phi_ref
-    return (psi.T / lam[:, None],
-            psip.T / lam[:, None],
-            lam)
+    return psi.T / lam[:, None], lam

@@ -184,9 +184,9 @@ class SolutionSamples:
     # would add a whole (t, r) array to the b_q build's memory peak
 
     @cached_property
-    def phi(self) -> tuple[np.ndarray, np.ndarray]:
-        """phi_profile (phi, phi') on the sample radii."""
-        return tuple(_read_only(a) for a in phi_profile(self.params, self.r))
+    def phi(self) -> np.ndarray:
+        """phi_profile on the sample radii."""
+        return _read_only(phi_profile(self.params, self.r))
 
     @cached_property
     def u_pow_mass(self) -> np.ndarray:
@@ -232,11 +232,11 @@ def oracle_samples(params: ModelParams, t_grid, r_grid) -> SolutionSamples:
     return SolutionSamples(params=params, t=t_grid, r=r_grid, u=u, ut=ut)
 
 
-def phi_profile(params: ModelParams, r) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized eta = 1 eigenfunction (phi, phi') on the sample radii."""
-    ph, php, _ = psi_hat_batch(np.array([1.0]), params.mu, params.beta,
-                               params.n, np.asarray(r, dtype=float))
-    return ph[0], php[0]
+def phi_profile(params: ModelParams, r) -> np.ndarray:
+    """Normalized eta = 1 eigenfunction phi on the sample radii."""
+    ph, _ = psi_hat_batch(np.array([1.0]), params.mu, params.beta,
+                          params.n, np.asarray(r, dtype=float))
+    return ph[0]
 
 
 def data_constants(samples: SolutionSamples) -> tuple[float, float]:
@@ -248,7 +248,7 @@ def data_constants(samples: SolutionSamples) -> tuple[float, float]:
     r = samples.r
     u0, v0 = initial_data(params, r)
     f, g = u0 / params.eps, v0 / params.eps
-    phi, _ = samples.phi
+    phi = samples.phi
     V = potential(r, params.mu, params.beta)
     rw = sphere_area(params.n) * r ** (params.n - 1)
     C1 = float(np.trapezoid((g + V * f) * rw, r))
@@ -275,6 +275,7 @@ def weak_residual(samples: SolutionSamples, test_kind: str, T: float) -> float:
       eta2p_Phi: Psi = eta(t/T)^{2p'} e^{-t} phi(r)
       dtpsi:     Psi = d_t[ -eta(t/T)^{2p'} e^{-t} phi(r) ]
 
+    u_r and Psi_r are both taken by second-order differences along r.
     Returns |LHS - RHS| / max term magnitude; second-order small under grid
     refinement when the samples hold a true solution.
     """
@@ -290,9 +291,8 @@ def weak_residual(samples: SolutionSamples, test_kind: str, T: float) -> float:
     if test_kind == "eta2p":
         Psi = np.broadcast_to(eta_pow[:, None], samples.u.shape)
         Psi_t = np.broadcast_to(d_eta_pow[:, None], samples.u.shape)
-        Psi_r = np.zeros_like(samples.u)
     else:
-        phi, phi_prime = samples.phi
+        phi = samples.phi
         emt = np.exp(-t)
         if test_kind == "eta2p_Phi":
             c = eta_pow * emt
@@ -302,7 +302,7 @@ def weak_residual(samples: SolutionSamples, test_kind: str, T: float) -> float:
             ct = (2.0 * d_eta_pow - dd_eta_pow - eta_pow) * emt
         Psi = c[:, None] * phi[None, :]
         Psi_t = ct[:, None] * phi[None, :]
-        Psi_r = c[:, None] * phi_prime[None, :]
+    Psi_r = np.gradient(Psi, r, axis=1, edge_order=2)
 
     V = potential(r, params.mu, params.beta)
     rw = sphere_area(params.n) * r ** (params.n - 1)
@@ -425,8 +425,7 @@ def inequality_check(samples: SolutionSamples, which: str,
             rhs = series.Y_values ** p
         return RatioSeries(grid=grid, lhs=lhs, rhs=rhs)
 
-    phi, _ = samples.phi
-    Phi = np.exp(-t)[:, None] * phi[None, :]
+    Phi = np.exp(-t)[:, None] * samples.phi[None, :]
     if which == "ineq_5_1":
         margins = np.empty_like(grid)
         for i, M in enumerate(grid):

@@ -119,8 +119,8 @@ def bq_rules(qs, params: ModelParams, r_grid,
     """
     r_grid = np.asarray(r_grid, dtype=float)
     eta, w = zip(*(eta_rule(q, nodes) for q in qs))
-    psi_hat, _, _ = psi_hat_batch(np.concatenate(eta), params.mu,
-                                  params.beta, params.n, r_grid)
+    psi_hat, _ = psi_hat_batch(np.concatenate(eta), params.mu,
+                               params.beta, params.n, r_grid)
     return tuple(BqRule(q=q, n=params.n, mu=params.mu, beta=params.beta,
                         eta_nodes=e, weights=wk, psi_cache=rows, r_grid=r_grid)
                  for q, e, wk, rows in zip(qs, eta, w,

@@ -147,6 +147,11 @@ MUTANTS = {
         "(math.exp(math.log1p(a * s) / a) if a else math.exp(s))",
         "math.exp(s)",
         "tests/test_functionals.py::test_ode_escape_matches_scipy_oracle"),
+    "psi_r_along_t": (
+        "functionals.py",
+        "    Psi_r = np.gradient(Psi, r, axis=1, edge_order=2)\n",
+        "    Psi_r = np.gradient(Psi, t, axis=0, edge_order=2)\n",
+        "tests/test_functionals.py::test_weak_residual_second_order_on_oracle"),
     "zero_tail_takes_negative_zero": (
         "sweep.py",
         "(cols != 0) | np.signbit(cols)",
@@ -162,6 +167,11 @@ MUTANTS = {
         "                if ref is not None:\n",
         "                if ref is not None and rows == 0:\n",
         "tests/test_cli.py::test_r_change_in_a_later_chunk_exits_2"),
+    "reader_opens_through_numpy": (
+        "cli.py",
+        '    with open(path, "rb") as fh:\n',
+        '    with np.lib.npyio.DataSource(os.curdir).open(path, "rb") as fh:\n',
+        "tests/test_cli.py::test_solution_url_is_not_fetched"),
     "eager_pool_import": (
         "sweep.py",
         "from dataclasses import dataclass, replace\n",

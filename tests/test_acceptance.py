@@ -95,7 +95,7 @@ def test_criterion_2_eigenfunction_oracle(capsys):
     t0 = time.perf_counter()
     fails = []
     r = 0.01 * np.arange(4001)
-    psi_hat, _, lam = psi_hat_batch([1.0], 0.0, 3.0, 3, r)
+    psi_hat, lam = psi_hat_batch([1.0], 0.0, 3.0, 3, r)
     exact = np.ones_like(r)
     exact[1:] = np.sinh(r[1:]) / r[1:]
     rel = float(np.max(np.abs(psi_hat[0] * lam[0] - exact) / exact))
@@ -103,7 +103,7 @@ def test_criterion_2_eigenfunction_oracle(capsys):
     sups, gaps, lams = [], [], []
     for r_max in (40.0, 80.0):
         r = 0.01 * np.arange(int(round(r_max / 0.01)) + 1)
-        psi_hat, _, lam = psi_hat_batch([1.0], 1.0, 3.0, 3, r)
+        psi_hat, lam = psi_hat_batch([1.0], 1.0, 3.0, 3, r)
         w = (1.0 + r) * np.exp(-r) * psi_hat[0] * lam[0]
         sups.append(float(np.max(np.abs(w))))
         lams.append(float(lam[0]))

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import urllib.request
 from dataclasses import fields
 from pathlib import Path
 
@@ -543,7 +544,7 @@ def test_eigen_cmd(tmp_path, capsys):
     cells = []
     for eta in (1.0, 2.0):
         # one eta per call: lambda does not depend on the other --etas values
-        psi_hat, _, (lam,) = psi_hat_batch([eta], 1.0, 2.5, 3, r)
+        psi_hat, (lam,) = psi_hat_batch([eta], 1.0, 2.5, 3, r)
         psi = psi_hat[0] * lam
         w = (1.0 + r) * np.exp(-eta * r) * psi
         cells += [(eta, r[j], psi[j], w[j], lam) for j in range(r.size)]
@@ -888,20 +889,60 @@ def test_solution_cell_longer_than_its_field_exits_2(row, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("name, row, at", [
-    ("nul.csv", "0\0,1,1,1", 10),
-    ("nul.csv", "0,1\0,1,1", 12),
-    ("nul.csv.gz", "0,1\0,1,1", 12),  # counted in the decompressed text
-], ids=["t", "r", "r-gz"])
-def test_solution_nul_cell_exits_2(name, row, at, tmp_path, capsys):
+@pytest.mark.parametrize("row, at", [
+    ("0\0,1,1,1", 10),
+    ("0,1\0,1,1", 12),
+], ids=["t", "r"])
+def test_solution_nul_cell_exits_2(row, at, tmp_path, capsys):
     # np.loadtxt drops the NULs that end a text field, so 1\0 would read as 1
-    path = tmp_path / name
-    data = f"t,r,u,ut\n{row}\n".encode()
-    path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    path = tmp_path / "nul.csv"
+    path.write_bytes(f"t,r,u,ut\n{row}\n".encode())
     with pytest.raises(ConfigError, match=f"NUL byte at byte {at}$"):
         _read_solution_csv(str(path))
     assert main([*VERIFY_5_1, str(path)]) == 2
     assert "NUL byte" in capsys.readouterr().err
+
+
+SHORT_SOLVE = ["solve", "--t-max", "6", "--dr", "0.05", "--out"]
+SHORT_VERIFY = ["verify", "--checks", "3.4,5.1", "--points", "3", "--solution"]
+
+
+def test_solution_named_gz_reads_as_text(tmp_path, capsys):
+    # solve --out writes text whatever the name: verify reads it back as text
+    checks = []
+    for name in ("sol.csv", "sol.csv.gz"):
+        path = str(tmp_path / name)
+        assert main([*SHORT_SOLVE, path]) == 0
+        out = tmp_path / f"checks_{name}"
+        assert main([*SHORT_VERIFY, path, "--out", str(out)]) == 0
+        checks.append(out.read_bytes())
+    capsys.readouterr()
+    assert checks[0] == checks[1]
+
+
+def test_archive_does_not_stand_in_for_a_missing_solution(tmp_path, capsys):
+    # only sol.csv.gz, a gzip of a good solution, is there: sol.csv is missing
+    text = tmp_path / "text.csv"
+    assert main([*SHORT_SOLVE, str(text)]) == 0
+    capsys.readouterr()
+    (tmp_path / "sol.csv.gz").write_bytes(gzip.compress(text.read_bytes()))
+    text.unlink()
+    path = str(tmp_path / "sol.csv")
+    assert main([*SHORT_VERIFY, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and path in err
+
+
+def test_solution_url_is_not_fetched(tmp_path, monkeypatch, capsys):
+    # the path is a file name: no download, and nothing written beside it
+    def urlopen(*args, **kwargs):
+        pytest.fail("verify --solution opened a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.chdir(tmp_path)
+    assert main([*VERIFY_5_1, "http://example.invalid/sol.csv"]) == 2
+    assert capsys.readouterr().err.startswith("file error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solution_times_alike_in_their_first_24_chars_stay_apart(tmp_path):
