@@ -231,7 +231,7 @@ def cmd_bq(args) -> int:
     return 1 if failed else 0
 
 
-SOLUTION_CHUNK_ROWS = 16384  # rows the solution reader parses at a time
+SOLUTION_CHUNK_ROWS = 16384  # rows the solution reader aims to parse at a time
 TEXT_FIELD = 32  # characters a t or r text field holds; a full one may be cut
 
 
@@ -245,12 +245,6 @@ def _cell_values(texts: np.ndarray) -> np.ndarray:
     if values.size != len(cells):  # loadtxt skips an empty cell as a blank line
         raise ValueError("an empty t or r cell")
     return values
-
-
-def _unlike(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The rows whose texts differ between two (rows, words) arrays of the
-    8-byte words of a text field."""
-    return np.logical_or.reduce([a[:, j] != b[:, j] for j in range(a.shape[1])])
 
 
 def _refuse_bytes(path: str) -> None:
@@ -274,60 +268,63 @@ def _read_solution_csv(path: str):
 
     Only the named file is read, as ASCII text: no URL is fetched, no name
     is decompressed, and no other file stands in for a missing one.
-    np.loadtxt reads SOLUTION_CHUNK_ROWS rows at a time and converts only u
-    and ut cell by cell; t and r come in as text.  Each distinct t text is
-    parsed once, by np.loadtxt's conversion, so any spelling of a time reads
-    as its value.  r is the first snapshot's texts, parsed the same way;
-    every later snapshot must repeat them text for text, as solve --out
-    writes them, or the file is refused.  A t or r cell that fills its
-    TEXT_FIELD characters is refused, never cut; a cell np.loadtxt cannot
-    parse is refused with the whole-file parse's message, which names its
-    row and column.  A file with a NUL byte or a byte beyond ASCII anywhere
-    is refused before any parse.
+    np.loadtxt converts only u and ut cell by cell; t and r come in as text.
+    The first snapshot is the rows up to the first change of the t text,
+    searched SOLUTION_CHUNK_ROWS rows at a time; the next read completes the
+    snapshot the search cut off, and every later read holds whole snapshots.
+    Each snapshot spells its t one way and repeats the first snapshot's r
+    texts, as solve --out writes them, or the file is refused: both rules
+    are one comparison of 8-byte words per buffer of whole snapshots.  Each
+    distinct t text and the first snapshot's r texts are parsed once, by
+    np.loadtxt's conversion, so snapshots may spell their times any way.  A
+    t or r cell that fills its TEXT_FIELD characters is refused, never cut;
+    a cell np.loadtxt cannot parse is refused with the whole-file parse's
+    message, which names its row and column.  A file with a NUL byte or a
+    byte beyond ASCII anywhere is refused before any parse.
     """
     _refuse_bytes(path)
     cell = f"S{TEXT_FIELD}"
     row = np.dtype([("t", cell), ("r", cell), ("u", float), ("ut", float)])
     k = TEXT_FIELD // 8  # words a text holds
-    uus, t_texts, t_lens = [], [], []  # uus: (2, rows) blocks of u and ut
-    t_of = {}  # t text -> value
-    first = [np.empty(0, cell)]  # the first snapshot's r texts so far
-    ref = None  # the first snapshot's r texts, tiled to span a chunk
-    shared = True  # every later r text so far is the first snapshot's at its place
-    rows = 0
+    uus, t_texts = [], []  # uus: (2, rows) blocks of u and ut; one t text a snapshot
+    alike = shared = True  # each snapshot so far spells one t and the first's r
+    held = []  # reads not yet checked, together less than one snapshot
+    nr = 0  # rows a snapshot; 0 until the first snapshot ends, or in a file of no rows
+    n = SOLUTION_CHUNK_ROWS
     try:
         with warnings.catch_warnings(), open(path, encoding="ascii") as fh:
-            # neither an empty chunk nor a blank line is an event
+            # neither an empty read nor a blank line is an event
             warnings.filterwarnings("ignore", ".*contained no data")
             fh.readline()
-            n = SOLUTION_CHUNK_ROWS
-            while n == SOLUTION_CHUNK_ROWS and (chunk := np.loadtxt(
-                    fh, row, delimiter=",", max_rows=n, ndmin=1)).size:
-                n, tt, rr = chunk.size, chunk["t"], chunk["r"]
-                words = chunk.view(np.uint64).reshape(n, -1)
-                tw, rw = words[:, :k], words[:, k:2 * k]
-                uus.append(np.stack((chunk["u"], chunk["ut"])))
-                starts = np.flatnonzero(np.r_[True, _unlike(tw[1:], tw[:-1])])
-                texts = tt[starts].tolist()
-                new = list(set(texts) - t_of.keys())
-                t_of.update(zip(new, _cell_values(np.array(new, cell))))
-                t_texts += texts
-                t_lens.append(np.diff(starts, append=n))
-                if ref is None:  # the first row whose t differs in value
-                    t0 = t_of[t_texts[0]]
-                    end = next((s for s, text in zip(starts.tolist(), texts)
-                                if rows + s and t_of[text] != t0), n)
-                    first.append(rr[:end].copy())
-                    if end < n:
-                        nr = rows + end
-                        ref = np.concatenate(first).view(np.uint64).reshape(nr, k)
-                        ref = np.tile(ref, (-(-SOLUTION_CHUNK_ROWS // nr) + 1, 1))
-                if ref is not None:
-                    lo = max(nr - rows, 0)
-                    at = (rows + lo) % nr
-                    shared = shared and np.array_equal(rw[lo:], ref[at:at + n - lo])
-                rows += n
-            r = _cell_values(np.concatenate(first))
+            while (chunk := np.loadtxt(fh, row, delimiter=",", max_rows=n,
+                                       ndmin=1)).size or held:
+                if not nr:  # the first snapshot ends where the t text first changes
+                    t0 = held[0]["t"][0] if held else chunk["t"][0]
+                    ends = np.flatnonzero(chunk["t"] != t0)
+                    if not ends.size and chunk.size == n:
+                        held.append(chunk)
+                        continue
+                    nr = sum(map(len, held)) + (ends[0] if ends.size else chunk.size)
+                buf = np.concatenate([*held, chunk]) if held else chunk
+                if not t_texts:  # the first snapshot's r texts, from the first buffer
+                    r_texts = buf["r"][:nr].copy()
+                    ref = r_texts.view(np.uint64).reshape(nr, k)
+                full = buf.size - buf.size % nr
+                w = buf[:full].view(np.uint64).reshape(full // nr, nr,
+                                                        row.itemsize // 8)
+                alike = alike and (w[..., :k] == w[:, :1, :k]).all()
+                shared = shared and (w[..., k:2 * k] == ref).all()
+                t_texts.append(buf["t"][:full:nr].copy())
+                uus.append(np.stack((buf["u"][:full], buf["ut"][:full])))
+                held = [buf[full:].copy()] if full < buf.size else []
+                if chunk.size < n:
+                    break
+                n = (nr - held[0].size if held
+                     else max(1, SOLUTION_CHUNK_ROWS // nr) * nr)
+            chunk = buf = w = None  # free the last read before the joins
+        if nr:
+            texts, at = np.unique(np.concatenate(t_texts), return_inverse=True)
+            t, r = _cell_values(texts)[at], _cell_values(r_texts)
     except ValueError as exc:
         try:
             with open(path, encoding="ascii") as fh:
@@ -337,28 +334,21 @@ def _read_solution_csv(path: str):
         if data.shape[1] != 4:
             raise ConfigError(f"{path}: expected 4 columns t,r,u,ut") from exc
         raise ConfigError(f"{path}: {exc}") from exc
-    if rows == 0:
+    if not nr:
         raise ConfigError(f"{path}: no snapshot rows")
-    t_col = np.array([t_of[text] for text in t_texts])
-    if not (np.isfinite(t_col).all() and np.isfinite(r).all()):
+    if not (np.isfinite(t).all() and np.isfinite(r).all()):
         raise ConfigError(f"{path}: a t or r cell is not finite")
-    # one snapshot is one run of equal t: a time that starts two runs is split
-    runs = np.flatnonzero(np.r_[True, t_col[1:] != t_col[:-1]])
-    run_t, run_len = t_col[runs], np.add.reduceat(np.concatenate(t_lens), runs)
-    nt = run_t.size
-    if len(set(run_t.tolist())) != nt:
+    if not alike or len(set(t.tolist())) != t.size:
         raise ConfigError(f"{path}: rows of one snapshot are not contiguous")
-    if rows % nt != 0:
+    if held:
         raise ConfigError(f"{path}: rows not a whole number of snapshots")
-    if set(run_len.tolist()) != {rows // nt}:
-        raise ConfigError(f"{path}: rows of one snapshot are not contiguous")
     if not shared:
         raise ConfigError(f"{path}: snapshots do not share one r column")
-    u, ut = np.concatenate(uus, axis=1).reshape(2, nt, -1)
-    if not np.all(run_t[1:] > run_t[:-1]):  # else no reordering copy
-        order = np.argsort(run_t, kind="stable")
-        return run_t[order], r, u[order], ut[order]
-    return run_t, r, u, ut
+    u, ut = np.concatenate(uus, axis=1).reshape(2, t.size, nr)
+    if not np.all(t[1:] > t[:-1]):  # else no reordering copy
+        order = np.argsort(t, kind="stable")
+        return t[order], r, u[order], ut[order]
+    return t, r, u, ut
 
 
 def cmd_verify(args) -> int:

@@ -381,7 +381,9 @@ def inequality_check(samples: SolutionSamples, which: str,
     The grid is a geometric ladder of `count` (>= 2) T (resp. M) values
     between 2 (resp. 4) and GRID_CAP_FRAC * t_last, staying clear of
     under-resolved near-blow-up data.  lhs/rhs are oriented so the asserted
-    bound is a positive lower bound for lhs/rhs.
+    bound is a positive lower bound for lhs/rhs.  ineq_5_1 is a property of
+    the test function, (eta - eta')Phi >= eta Phi with eta' <= 0 and Phi > 0,
+    which holds on every run: the run supplies only its time grid.
     """
     if which not in CHECK_NAMES:
         raise ValueError(f"unknown check {which!r}; choose from {CHECK_NAMES}")
@@ -425,20 +427,20 @@ def inequality_check(samples: SolutionSamples, which: str,
             rhs = series.Y_values ** p
         return RatioSeries(grid=grid, lhs=lhs, rhs=rhs)
 
-    Phi = np.exp(-t)[:, None] * samples.phi[None, :]
     if which == "ineq_5_1":
+        # (eta - eta') Phi - eta Phi has the sign of -eta' since Phi =
+        # e^{-t} phi > 0: the margin is the cutoff's alone, along t
         margins = np.empty_like(grid)
         for i, M in enumerate(grid):
-            eta_pow, d_eta_pow, _ = _cutoff_power(t, M, p_conj)
-            dtpsi = (eta_pow - d_eta_pow)[:, None] * Phi
-            floor_term = eta_pow[:, None] * Phi
-            margins[i] = float(np.min(dtpsi - floor_term))
+            e, d, _ = _cutoff_power(t, M, p_conj)
+            margins[i] = float(np.min((e - d) - e))
         return RatioSeries(grid=grid, lhs=margins,
                            rhs=np.ones_like(grid), mode="sign")
 
     # ineq_5_11
     if params.nonlinearity != "power_ut":
         raise CheckNotApplicable("ineq_5_11 applies to power_ut runs")
+    Phi = np.exp(-t)[:, None] * samples.phi[None, :]
     series = y_series(Phi * np.abs(samples.ut) ** p, t, r, n, p_conj, grid)
     kappa = -(1.0 / (p - 1.0) - (n - 1.0) / 2.0) * (p - 1.0) + 1.0
     lhs = grid**kappa * series.dY_direct

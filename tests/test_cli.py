@@ -785,8 +785,9 @@ def test_solution_csv_round_trip(tmp_path, snap):
 
 @pytest.fixture(params=[1, 2, 3], ids=["chunk1", "chunk2", "chunk3"])
 def small_chunks(request, monkeypatch):
-    """The solution reader parses 1, 2 or 3 rows at a time, so snapshots and
-    runs of equal t cross chunk boundaries."""
+    """The solution reader searches for the end of the first snapshot 1, 2
+    or 3 rows at a time, so the first snapshot crosses read boundaries; each
+    later read holds whole snapshots, at least one."""
     monkeypatch.setattr(cli, "SOLUTION_CHUNK_ROWS", request.param)
 
 
@@ -826,11 +827,11 @@ def test_malformed_solution_in_small_chunks(text, small_chunks, tmp_path, capsys
 
 
 @pytest.mark.parametrize("text, nt", [
-    # one snapshot spells its t three ways, all the value 0.1
-    ("0.1,0,1,2\n0.10000000000000001,0.5,3,4\n1e-1,1,5,6\n"
-     "0.2,0,7,8\n0.2,0.5,9,10\n0.2,1,11,12\n", 2),
-    # padded, signed and exponent spellings of t; r spelled alike in both
-    ("+1,-0,1,2\n 1.0 ,.5,3,4\n0,-0,5,6\n0e0,.5,7,8\n", 2),
+    # three snapshots spell their times three ways, one text each
+    ("0.1,0,1,2\n0.1,0.5,3,4\n2e-1,0,5,6\n2e-1,0.5,7,8\n"
+     "+0.30,0,9,10\n+0.30,0.5,11,12\n", 3),
+    # padded, signed and exponent spellings of t, one a snapshot; r alike
+    ("+1,-0,1,2\n+1,.5,3,4\n 0e0 ,-0,5,6\n 0e0 ,.5,7,8\n", 2),
 ], ids=["t", "t-mixed"])
 def test_solution_spellings_read_as_their_values(text, nt, tmp_path):
     path = tmp_path / "sol.csv"
@@ -838,11 +839,34 @@ def test_solution_spellings_read_as_their_values(text, nt, tmp_path):
     _assert_reads_as_float_parse(path, nt)
 
 
+@pytest.mark.parametrize("text", [
+    # one snapshot spells its t three ways, all the value 0.1
+    "0.1,0,1,2\n0.10000000000000001,0.5,3,4\n1e-1,1,5,6\n"
+    "0.2,0,7,8\n0.2,0.5,9,10\n0.2,1,11,12\n",
+    # padded, signed and exponent spellings of t within each snapshot
+    "+1,-0,1,2\n 1.0 ,.5,3,4\n0,-0,5,6\n0e0,.5,7,8\n",
+    # only the last row spells its snapshot's t another way
+    "0,0,1,2\n0,0.5,3,4\n1,0,5,6\n1.0,0.5,7,8\n",
+], ids=["t", "t-mixed", "t-last"])
+def test_solution_t_respelled_within_a_snapshot_exits_2(
+        text, small_chunks, tmp_path, capsys, monkeypatch):
+    # solve --out writes one t text a snapshot; the refusal reads word for
+    # word as in one read
+    path = tmp_path / "bad.csv"
+    path.write_text("t,r,u,ut\n" + text)
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not contiguous" in err
+    monkeypatch.undo()  # back to the reader's own chunk size
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("text, message", [
     # two snapshots spell one r two ways
     ("0,0,1,2\n0,0.05,3,4\n1,0,5,6\n1,5e-2,7,8\n", "r column"),
-    # padded, signed and exponent spellings of t and r
-    ("+1,-0,1,2\n 1.0 ,.5,3,4\n0,-0.0,5,6\n0e0,5E-1,7,8\n", "r column"),
+    # padded, signed and exponent spellings of t and r; t alike in a snapshot
+    ("+1,-0,1,2\n+1,.5,3,4\n 0e0 ,-0.0,5,6\n 0e0 ,5E-1,7,8\n", "r column"),
     # r cells padded with a space beyond ASCII, spelled alike in both snapshots
     ("0,0\xa0,1,2\n0,0.5\xa0,3,4\n1,0\xa0,5,6\n1,0.5\xa0,7,8\n", "beyond ASCII"),
     ("0,0\u2003,1,2\n0,0.5\u2003,3,4\n1,0\u2003,5,6\n1,0.5\u2003,7,8\n",

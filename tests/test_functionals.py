@@ -11,11 +11,11 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from strauss_lab.functionals import (CheckNotApplicable, RatioSeries,
-                                     SolutionSamples, cutoff, data_constants,
-                                     inequality_check, ode_escape_logT,
-                                     ode_lemma_fit, oracle_samples,
-                                     samples_from_outcome, theta,
-                                     weak_residual, y_series, y_weight)
+                                     SolutionSamples, _cutoff_power, cutoff,
+                                     data_constants, inequality_check,
+                                     ode_escape_logT, ode_lemma_fit,
+                                     oracle_samples, samples_from_outcome,
+                                     theta, weak_residual, y_series, y_weight)
 from strauss_lab.model import ModelParams
 
 from helpers import bump_integral, y_weight_ceiling
@@ -237,6 +237,22 @@ def test_power_ut_chain_on_critical_run(glassey_crit_samples):
     series = inequality_check(glassey_crit_samples, "ineq_5_11")
     assert series.spread <= 20.0
     assert series.passed()
+
+
+@pytest.mark.parametrize("name", ["strauss_crit_samples", "glassey_crit_samples"])
+def test_ineq_5_1_margins_match_the_product_form(name, request):
+    # the margin min((eta - eta') Phi - eta Phi) over the (t, r) rectangle,
+    # taken along t alone: the same bytes, and no eigenfunction shoot
+    samples = request.getfixturevalue(name)
+    fresh = replace(samples)  # no cached phi
+    sign = inequality_check(fresh, "ineq_5_1")
+    assert "phi" not in vars(fresh)
+    Phi = np.exp(-samples.t)[:, None] * samples.phi[None, :]
+    want = []
+    for M in sign.grid:
+        e, d, _ = _cutoff_power(samples.t, M, samples.p_conj)
+        want.append(float(np.min((e - d)[:, None] * Phi - e[:, None] * Phi)))
+    assert sign.lhs.tobytes() == np.array(want).tobytes()
 
 
 def test_ratio_series_properties():
