@@ -237,10 +237,11 @@ TEXT_FIELD = 32  # characters a t or r text field holds; a full one may be cut
 
 def _cell_values(texts: np.ndarray) -> np.ndarray:
     """The float64 values of t or r cell texts, each parsed as np.loadtxt
-    parses a cell."""
-    cells = texts.astype(str).tolist()
-    if any(len(cell) >= TEXT_FIELD for cell in cells):
+    parses a cell.  A text that fills its TEXT_FIELD bytes, whose last byte
+    is not NUL, may have been cut, and is refused."""
+    if (texts.view(np.uint8).reshape(texts.size, TEXT_FIELD)[:, -1] != 0).any():
         raise ValueError(f"a t or r cell is longer than {TEXT_FIELD - 1} characters")
+    cells = texts.astype(str).tolist()
     values = np.loadtxt(cells, delimiter=",", ndmin=1)
     if values.size != len(cells):  # loadtxt skips an empty cell as a blank line
         raise ValueError("an empty t or r cell")

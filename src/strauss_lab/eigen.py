@@ -145,21 +145,37 @@ def _rk4_steps(powers, mu, beta, n, r, h):
     return P
 
 
-def _mul2(a, b):
-    """The 2x2 matrix products a b, the matrix entries on the first two axes."""
-    t = a[:, :, None] * b  # t[i, k, j] = a[i, k] b[k, j]
-    return np.add(t[:, 0], t[:, 1], out=t[:, 0])
+def _mul2(a, b, out=None, tmp=None):
+    """The 2x2 matrix products a b, the matrix entries on the first two axes.
+
+    a[:, 1:] b[1:] goes into tmp and a[:, :1] b[:1] into out, and out
+    takes their sum: each entry is a_i0 b_0j + a_i1 b_1j.  out and tmp are
+    buffers of the product's shape that overlap neither a nor b, or None
+    for new ones.
+    """
+    tmp = np.multiply(a[:, 1:], b[1:], out=tmp)
+    out = np.multiply(a[:, :1], b[:1], out=out)
+    return np.add(out, tmp, out=out)
 
 
 def _interval_products(powers, mu, beta, n, e, every):
     """The product of the RK4 step matrices over each run of `every` steps
     between consecutive `e`, later steps multiplying from the left: entries
-    first, (2, 2, runs, eta count).  The step matrices are freed on return."""
-    P = _rk4_steps(powers, mu, beta, n, e[:-1], np.diff(e)).reshape(
-        2, 2, (e.size - 1) // every, every, -1)
-    M = P[:, :, :, 0]
+    first, (2, 2, runs, eta count).
+
+    _rk4_steps gets the steps in (step of the run, run) order, so step j of
+    every run is one slab and each of its entries one contiguous (runs, eta
+    count) block; the products alternate between two buffers beside one
+    for _mul2's second term.  The step matrices are freed on return.
+    """
+    runs = (e.size - 1) // every
+    r, h = (x.reshape(runs, every).T.ravel() for x in (e[:-1], np.diff(e)))
+    P = _rk4_steps(powers, mu, beta, n, r, h).reshape(2, 2, every, runs, -1)
+    M = P[:, :, 0]
+    if every > 1:
+        bufs, tmp = (np.empty_like(M), np.empty_like(M)), np.empty_like(M)
     for j in range(1, every):
-        M = _mul2(P[:, :, :, j], M)
+        M = _mul2(P[:, :, j], M, bufs[j % 2], tmp)
     return M
 
 

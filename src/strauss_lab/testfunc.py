@@ -10,7 +10,7 @@ functionals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .model import ModelParams, potential, uniform_step
 
 DEFAULT_NODES = 64
 R = 2.0  # the shift of the decay weights t + R +- r; R > 1 keeps t + R - r > 0
+STRIP_ROWS = 16  # t-rows the identity residuals evaluate at a time
 
 
 def eta_rule(q: float, m: int):
@@ -90,7 +91,8 @@ class IdentityReport:
 
     @property
     def worst(self) -> float:
-        return max(self.res_dt, self.res_dtt, self.res_lap, self.res_wave)
+        """The largest residual, NaN when any is NaN."""
+        return float(np.max(astuple(self)))
 
 
 @dataclass(frozen=True)
@@ -152,22 +154,26 @@ def verify_bq_identities(tq: BqTable) -> IdentityReport:
     t-rows, each on its cone's columns plus the two radii the five-point
     stencil reads beyond them; so the boundary formulas of a window's last
     two columns reach no cone point short of the whole grid, and every
-    residual is that of a whole-rectangle evaluation, bit for bit.
+    residual is that of a whole-rectangle evaluation, bit for bit.  Within
+    a block the formulas run over strips of at most STRIP_ROWS rows on the
+    block's window, so their temporaries stay cache-sized; the strip and
+    block maxima combine by np.maximum, so a NaN residual anywhere on the
+    cone is its field's value and fails every threshold.
 
     tq's t_grid must pass model.uniform_step (the t differences use its step).
     The partners b_{q+1} and b_{q+2} are built here by one bq_rules call,
     on tq's radii and model with as many eta nodes, each with its own eta
     rule and the two shot together: the identities then test the
     quadrature, which partners taken from tq's rule (its weights times eta)
-    would satisfy by construction.  Each block
-    computes their rows by one GEMM, the block's rows plus one on either
-    side, so no whole partner table is built (a block GEMM may round an
-    entry 1 ulp away from build_bq's whole-table GEMM), and the block's
-    arrays are freed before the next block.  Those rows pass _check_rows,
-    the positivity and strict-decrease check of build_bq; consecutive
-    blocks share two rows, so every row and every pair of t-neighbours of a
-    partner, the first and last included, is checked as build_bq checks a
-    whole table (ArithmeticError otherwise).
+    would satisfy by construction.  Each block computes their rows by one
+    GEMM, the block's rows plus one on either side, so no whole partner
+    table is built (a block GEMM may round an entry 1 ulp away from
+    build_bq's whole-table GEMM), and the block's arrays are freed before
+    the next block.  Those rows pass _check_rows, the positivity and
+    strict-decrease check of build_bq; consecutive blocks share two rows,
+    so every row and every pair of t-neighbours of a partner, the first and
+    last included, is checked as build_bq checks a whole table
+    (ArithmeticError otherwise).
 
     The radial first derivative feeding the (n-1)/r term uses five-point
     (fourth-order) differences: V'(0) != 0 puts a genuine r^3 component into
@@ -186,31 +192,51 @@ def verify_bq_identities(tq: BqTable) -> IdentityReport:
     V = potential(r, tq.mu, tq.beta)
     res = np.zeros(4)
     for lo in range(1, t.size - 1, 64):
-        res = np.fmax(res, _block_residuals(tq, tq1, tq2, V, lo,
-                                            min(lo + 64, t.size - 1)))
+        res = np.maximum(res, _block_residuals(tq, tq1, tq2, V, lo,
+                                               min(lo + 64, t.size - 1)))
     return IdentityReport(res_dt=res[0], res_dtt=res[1], res_lap=res[2],
                           res_wave=res[3])
 
 
 def _block_residuals(tq: BqTable, tq1: BqRule, tq2: BqRule, V, lo: int,
-                     hi: int) -> tuple[float, float, float, float]:
+                     hi: int) -> np.ndarray:
     """The four identity residuals of verify_bq_identities over t-rows
-    lo..hi-1; its block arrays are freed on return, before the next block."""
+    lo..hi-1, a NaN one as NaN.
+
+    The partner rows come from one GEMM each and pass _check_rows; the
+    residuals are then evaluated on the block's window over strips of at
+    most STRIP_ROWS rows, so the temporaries of the formulas hold
+    (STRIP_ROWS, w) numbers, not (hi - lo, w).  Every formula acts entry by
+    entry along t, so a strip's entries are the block's, bit for bit.  The
+    block's arrays are freed on return, before the next block.
+    """
     t, r = tq.t_grid, tq.r_grid
-    dt = float(t[1] - t[0])
-    dr = float(r[1] - r[0])
     w = min(r.size, max(5, int(np.searchsorted(r, t[hi - 1], "right")) + 2))
-    sl = slice(lo, hi)
-    b = tq.values[sl, :w]
-    b_up = tq.values[lo + 1:hi + 1, :w]
-    b_dn = tq.values[lo - 1:hi - 1, :w]
     p1 = tq1.at(t[lo - 1:hi + 1])
     p2 = tq2.at(t[lo - 1:hi + 1])
     _check_rows(p1)
     _check_rows(p2)
-    b1 = p1[1:-1, :w]
-    b2 = p2[1:-1, :w]
-    Vw = V[:w]
+    res = np.zeros(4)
+    for top in range(lo, hi, STRIP_ROWS):
+        end = min(top + STRIP_ROWS, hi)
+        rows = slice(top - lo + 1, end - lo + 1)  # the strip's partner rows
+        res = np.maximum(res, _strip_residuals(tq, p1[rows, :w], p2[rows, :w],
+                                               V[:w], top, end))
+    return res
+
+
+def _strip_residuals(tq: BqTable, b1, b2, Vw, lo: int,
+                     hi: int) -> tuple[float, float, float, float]:
+    """The four identity residuals over t-rows lo..hi-1 on the window of
+    the partner rows b1, b2 and potential Vw, a NaN one as NaN."""
+    t, r = tq.t_grid, tq.r_grid
+    dt = float(t[1] - t[0])
+    dr = float(r[1] - r[0])
+    w = Vw.size
+    sl = slice(lo, hi)
+    b = tq.values[sl, :w]
+    b_up = tq.values[lo + 1:hi + 1, :w]
+    b_dn = tq.values[lo - 1:hi - 1, :w]
     bt = (b_up - b_dn) / (2.0 * dt)
     btt = (b_up - 2.0 * b + b_dn) / (dt * dt)
     br = np.empty_like(b)

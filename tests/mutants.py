@@ -111,6 +111,11 @@ MUTANTS = {
         "                pairs = np.concatenate([pairs, M[:, :, -1:]], axis=2)\n",
         "                pass\n",
         "tests/test_eigen.py::test_criterion3_family_pinned"),
+    "slab_steps_in_run_order": (
+        "eigen.py",
+        "x.reshape(runs, every).T.ravel()",
+        "x",
+        "tests/test_eigen.py::test_near_segment_rows_are_the_plain_product_chain"),
     "identity_window_narrowed": (
         "testfunc.py",
         '"right")) + 2))',
@@ -121,6 +126,11 @@ MUTANTS = {
         "    _check_rows(p1)\n    _check_rows(p2)\n",
         "",
         "tests/test_testfunc.py::test_identities_check_every_partner_row"),
+    "strip_drops_partial_rows": (
+        "testfunc.py",
+        "    for top in range(lo, hi, STRIP_ROWS):\n",
+        "    for top in range(lo, hi - (hi - lo) % STRIP_ROWS, STRIP_ROWS):\n",
+        "tests/test_testfunc.py::test_identities_bits_independent_of_strip_height"),
     "second_partner_at_q_plus_1": (
         "testfunc.py",
         "(tq.q + 1.0, tq.q + 2.0)",

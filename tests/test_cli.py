@@ -913,6 +913,21 @@ def test_solution_cell_longer_than_its_field_exits_2(row, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_solution_r_cell_of_31_characters_reads_and_32_are_refused(tmp_path):
+    # a text that fills its TEXT_FIELD bytes may have been cut: the last byte
+    # of the field decides, whatever the cell
+    for digits, refused in ((29, False), (30, True)):
+        text = "0." + "1" * digits
+        path = tmp_path / f"r{len(text)}.csv"
+        path.write_text(f"t,r,u,ut\n0,{text},1,1\n")
+        if refused:
+            with pytest.raises(ConfigError, match="longer than 31 characters"):
+                _read_solution_csv(str(path))
+        else:
+            assert len(text) == cli.TEXT_FIELD - 1
+            assert _read_solution_csv(str(path))[1].tolist() == [float(text)]
+
+
 @pytest.mark.parametrize("row, at", [
     ("0\0,1,1,1", 10),
     ("0,1\0,1,1", 12),

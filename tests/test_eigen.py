@@ -143,23 +143,26 @@ def test_psi_hat_batch_memory_bounded_on_a_coarse_grid():
     # interval) 64 eta peaked at 56.7 MB when a block held 64 intervals, and
     # at 9.6 MB with step matrices formed stage by stage for every eta; the
     # polynomial coefficients and one GEMM a block peak at 5.1 MB, and at
-    # 3.0 MB with each block's step matrices freed once multiplied
+    # 3.0 MB with each block's step matrices freed once multiplied (2.97 MB
+    # with the products on per-step slabs)
     eta, _ = eta_rule(0.5, 64)
-    assert _peak_bytes(eta, 0.1 * np.arange(51)) < 6e6
+    assert _peak_bytes(eta, 0.1 * np.arange(51)) < 3.2e6
 
 
 def test_psi_hat_batch_memory_bounded_on_the_criterion_3_grid():
     # 64 eta on r in [0, 20] at 0.01: 12.5 MB stage by stage, 7.9 MB with
-    # psi and psi' stacked from temporaries, 4.9 MB built in place
+    # psi and psi' stacked from temporaries, 4.9 MB built in place, 4.40 MB
+    # with each step's entries strided across the runs, 4.17 MB on per-step slabs
     eta, _ = eta_rule(0.5, 64)
-    assert _peak_bytes(eta, 0.01 * np.arange(2001)) < 6.5e6
+    assert _peak_bytes(eta, 0.01 * np.arange(2001)) < 4.3e6
 
 
 def test_psi_hat_batch_memory_bounded_for_both_partners():
     # the 128 eta of the b_{q+1} and b_{q+2} rules in one shoot on the same
-    # grid: 15.5 MB stacked from temporaries, 9.6 MB built in place
+    # grid: 15.5 MB stacked from temporaries, 9.6 MB built in place, 8.55 MB
+    # with each step's entries strided across the runs, 7.96 MB on per-step slabs
     eta = np.concatenate([eta_rule(q, 64)[0] for q in (1.5, 2.5)])
-    assert _peak_bytes(eta, 0.01 * np.arange(2001)) < 11.5e6
+    assert _peak_bytes(eta, 0.01 * np.arange(2001)) < 8.3e6
 
 
 @pytest.mark.parametrize("step", [0.01, 0.1])

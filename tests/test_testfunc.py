@@ -10,7 +10,7 @@ import pytest
 from dataclasses import astuple, dataclass
 from scipy.special import exp1, gammainc, hyp2f1
 
-from strauss_lab import testfunc
+from strauss_lab import cli, testfunc
 from strauss_lab.model import ModelParams, potential
 from strauss_lab.testfunc import (BqRule, BqTable, IdentityReport, _check_rows,
                                   bq_rules, build_bq, eta_rule, hyper2f1,
@@ -232,6 +232,42 @@ def test_identities_from_rules_match_tables():
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("rows", [1, 64])
+def test_identities_bits_independent_of_strip_height(rows, monkeypatch):
+    # strips only group a block's rows: one row or a whole block a strip gives
+    # the 16-row strips' residuals, bit for bit, on the grid of four full
+    # blocks and a partial one (its last strip is partial at 16 and 64 rows)
+    params = _params()
+    t = 1.0 + 0.02 * np.arange(301)
+    tq = build_bq(0.5, params, t, 0.02 * np.arange(351), nodes=32)
+    assert testfunc.STRIP_ROWS == 16
+    default = verify_bq_identities(tq)
+    monkeypatch.setattr(testfunc, "STRIP_ROWS", rows)
+    assert verify_bq_identities(tq) == default
+
+
+def test_identity_nan_residual_fails(monkeypatch, capsys):
+    # a NaN residual in one strip, the second of the second block, is the
+    # report's worst and fails bq; np.fmax would have read it as 0, a pass
+    strip = testfunc._strip_residuals
+
+    def nan_at_81(tq, b1, b2, Vw, lo, hi):
+        res = strip(tq, b1, b2, Vw, lo, hi)
+        return (res[0], math.nan, *res[2:]) if lo == 81 else res
+
+    monkeypatch.setattr(testfunc, "_strip_residuals", nan_at_81)
+    t = 1.0 + 0.02 * np.arange(130)  # two 64-row blocks: rows 1-64, 65-128
+    rep = verify_bq_identities(build_bq(0.5, _params(), t, 0.05 * np.arange(41),
+                                        nodes=16))
+    assert math.isnan(rep.res_dtt) and math.isnan(rep.worst)
+    assert np.isfinite([rep.res_dt, rep.res_lap, rep.res_wave]).all()
+    assert cli.main(["bq", "--q", "0.5", "--t-max", "3.58", "--dr", "0.02",
+                     "--nodes", "16"]) == 1
+    out = capsys.readouterr().out
+    assert "identity dtt: max residual nan FAIL" in out
+    assert out.count(" pass ") == 3
+
+
 def test_identities_shoot_both_partners_at_once(monkeypatch):
     # b_{q+1} and b_{q+2} come from one psi_hat_batch call over their nodes
     calls = []
@@ -283,7 +319,9 @@ def test_identities_build_no_whole_partner_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.isfinite(rep.worst)
-    assert peak < 12 * 64 * r.size * 8  # twelve (64, nr) float64 arrays
+    # two (66, nr) partner blocks and ten (16, nr) strip arrays: the walk
+    # peaked at 217,592 bytes with 16-row strips, 532,344 with whole blocks
+    assert peak < (2 * 66 + 10 * 16) * r.size * 8
 
 
 @dataclass(frozen=True)
