@@ -236,16 +236,16 @@ TEXT_FIELD = 32  # characters a t or r text field holds; a full one may be cut
 
 
 def _cell_values(texts: np.ndarray) -> np.ndarray:
-    """The float64 values of t or r cell texts, each parsed as np.loadtxt
-    parses a cell.  A text that fills its TEXT_FIELD bytes, whose last byte
-    is not NUL, may have been cut, and is refused."""
-    if (texts.view(np.uint8).reshape(texts.size, TEXT_FIELD)[:, -1] != 0).any():
+    """The float64 values of t or r cell texts, by numpy's cast, which parses
+    a cell as np.loadtxt does but reads _ as a digit separator (1_0 as 10), so
+    a text holding _ is refused.  A text that fills its TEXT_FIELD bytes,
+    whose last byte is not NUL, may have been cut, and is refused."""
+    chars = texts.view(np.uint8).reshape(texts.size, TEXT_FIELD)
+    if (chars[:, -1] != 0).any():
         raise ValueError(f"a t or r cell is longer than {TEXT_FIELD - 1} characters")
-    cells = texts.astype(str).tolist()
-    values = np.loadtxt(cells, delimiter=",", ndmin=1)
-    if values.size != len(cells):  # loadtxt skips an empty cell as a blank line
-        raise ValueError("an empty t or r cell")
-    return values
+    if (chars == ord("_")).any():
+        raise ValueError("a t or r cell holds _")
+    return texts.astype(float)
 
 
 def _refuse_bytes(path: str) -> None:
@@ -265,40 +265,43 @@ def _refuse_bytes(path: str) -> None:
 
 
 def _read_solution_csv(path: str):
-    """(t, r, u, ut) from a solve CSV of snapshot blocks, in time order.
+    """(t, r, u, ut) from the file solve --out writes: the header t,r,u,ut,
+    then one block of rows a snapshot, the snapshots in rising time.
 
     Only the named file is read, as ASCII text: no URL is fetched, no name
     is decompressed, and no other file stands in for a missing one.
-    np.loadtxt converts only u and ut cell by cell; t and r come in as text.
+    np.loadtxt converts only u and ut cell by cell; t and r come in as text,
+    and a # is part of its cell, not a comment.
     The first snapshot is the rows up to the first change of the t text,
     searched SOLUTION_CHUNK_ROWS rows at a time; the next read completes the
     snapshot the search cut off, and every later read holds whole snapshots.
     Each snapshot spells its t one way and repeats the first snapshot's r
     texts, as solve --out writes them, or the file is refused: both rules
     are one comparison of 8-byte words per buffer of whole snapshots.  Each
-    distinct t text and the first snapshot's r texts are parsed once, by
-    np.loadtxt's conversion, so snapshots may spell their times any way.  A
-    t or r cell that fills its TEXT_FIELD characters is refused, never cut;
-    a cell np.loadtxt cannot parse is refused with the whole-file parse's
-    message, which names its row and column.  A file with a NUL byte or a
-    byte beyond ASCII anywhere is refused before any parse.
+    read's snapshot times and the first snapshot's r texts are parsed by
+    _cell_values, so snapshots may spell their times any way; the times must
+    rise.  A t or r cell that fills its TEXT_FIELD characters is refused,
+    never cut; a cell np.loadtxt cannot parse is refused with the whole-file
+    parse's message, which names its row and column.  A file with a NUL byte
+    or a byte beyond ASCII anywhere is refused before any parse.
     """
     _refuse_bytes(path)
     cell = f"S{TEXT_FIELD}"
     row = np.dtype([("t", cell), ("r", cell), ("u", float), ("ut", float)])
     k = TEXT_FIELD // 8  # words a text holds
-    uus, t_texts = [], []  # uus: (2, rows) blocks of u and ut; one t text a snapshot
+    uus, ts = [], []  # uus: (2, rows) blocks of u and ut; ts: each read's times
     alike = shared = True  # each snapshot so far spells one t and the first's r
     held = []  # reads not yet checked, together less than one snapshot
     nr = 0  # rows a snapshot; 0 until the first snapshot ends, or in a file of no rows
     n = SOLUTION_CHUNK_ROWS
-    try:
-        with warnings.catch_warnings(), open(path, encoding="ascii") as fh:
-            # neither an empty read nor a blank line is an event
-            warnings.filterwarnings("ignore", ".*contained no data")
-            fh.readline()
-            while (chunk := np.loadtxt(fh, row, delimiter=",", max_rows=n,
-                                       ndmin=1)).size or held:
+    with warnings.catch_warnings(), open(path, encoding="ascii") as fh:
+        # neither an empty read nor a blank line is an event
+        warnings.filterwarnings("ignore", ".*contained no data")
+        if fh.readline().rstrip("\n") != "t,r,u,ut":
+            raise ConfigError(f"{path}: the first line is not the header t,r,u,ut")
+        try:
+            while (chunk := np.loadtxt(fh, row, delimiter=",", comments=None,
+                                       max_rows=n, ndmin=1)).size or held:
                 if not nr:  # the first snapshot ends where the t text first changes
                     t0 = held[0]["t"][0] if held else chunk["t"][0]
                     ends = np.flatnonzero(chunk["t"] != t0)
@@ -307,15 +310,15 @@ def _read_solution_csv(path: str):
                         continue
                     nr = sum(map(len, held)) + (ends[0] if ends.size else chunk.size)
                 buf = np.concatenate([*held, chunk]) if held else chunk
-                if not t_texts:  # the first snapshot's r texts, from the first buffer
+                if not ts:  # the first snapshot's r texts, from the first buffer
                     r_texts = buf["r"][:nr].copy()
-                    ref = r_texts.view(np.uint64).reshape(nr, k)
+                    r, ref = _cell_values(r_texts), r_texts.view(np.uint64).reshape(nr, k)
                 full = buf.size - buf.size % nr
                 w = buf[:full].view(np.uint64).reshape(full // nr, nr,
                                                         row.itemsize // 8)
                 alike = alike and (w[..., :k] == w[:, :1, :k]).all()
                 shared = shared and (w[..., k:2 * k] == ref).all()
-                t_texts.append(buf["t"][:full:nr].copy())
+                ts.append(_cell_values(buf["t"][:full:nr].copy()))
                 uus.append(np.stack((buf["u"][:full], buf["ut"][:full])))
                 held = [buf[full:].copy()] if full < buf.size else []
                 if chunk.size < n:
@@ -323,32 +326,29 @@ def _read_solution_csv(path: str):
                 n = (nr - held[0].size if held
                      else max(1, SOLUTION_CHUNK_ROWS // nr) * nr)
             chunk = buf = w = None  # free the last read before the joins
-        if nr:
-            texts, at = np.unique(np.concatenate(t_texts), return_inverse=True)
-            t, r = _cell_values(texts)[at], _cell_values(r_texts)
-    except ValueError as exc:
-        try:
-            with open(path, encoding="ascii") as fh:
-                data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as whole:
-            raise ConfigError(f"{path}: {whole}") from whole
-        if data.shape[1] != 4:
-            raise ConfigError(f"{path}: expected 4 columns t,r,u,ut") from exc
-        raise ConfigError(f"{path}: {exc}") from exc
+        except ValueError as exc:
+            try:
+                fh.seek(0)
+                data = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1,
+                                  ndmin=2)
+            except ValueError as whole:
+                raise ConfigError(f"{path}: {whole}") from whole
+            if data.shape[1] != 4:
+                raise ConfigError(f"{path}: expected 4 columns t,r,u,ut") from exc
+            raise ConfigError(f"{path}: {exc}") from exc
     if not nr:
         raise ConfigError(f"{path}: no snapshot rows")
+    t = np.concatenate(ts)
     if not (np.isfinite(t).all() and np.isfinite(r).all()):
         raise ConfigError(f"{path}: a t or r cell is not finite")
-    if not alike or len(set(t.tolist())) != t.size:
-        raise ConfigError(f"{path}: rows of one snapshot are not contiguous")
+    if not (alike and (t[1:] > t[:-1]).all()):
+        raise ConfigError(f"{path}: rows of one snapshot are not contiguous, "
+                          "or snapshots are not in rising time")
     if held:
         raise ConfigError(f"{path}: rows not a whole number of snapshots")
     if not shared:
         raise ConfigError(f"{path}: snapshots do not share one r column")
     u, ut = np.concatenate(uus, axis=1).reshape(2, t.size, nr)
-    if not np.all(t[1:] > t[:-1]):  # else no reordering copy
-        order = np.argsort(t, kind="stable")
-        return t[order], r, u[order], ut[order]
     return t, r, u, ut
 
 
@@ -383,6 +383,8 @@ def cmd_verify(args) -> int:
         print(f"check {tok}: {'pass' if ok else 'FAIL'} ({detail})")
         if not ok:
             failed.append(tok)
+    if not rows:  # every named check was skipped: no evidence either way
+        raise ConfigError("no check named in --checks applies to this run")
     if args.out:
         write_csv(args.out, ("check", "Tgrid_point", "lhs", "rhs", "ratio"),
                   rows)

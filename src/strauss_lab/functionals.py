@@ -393,6 +393,8 @@ def inequality_check(samples: SolutionSamples, which: str,
     t, r = samples.t, samples.r
     if count < 2:
         raise ValueError(f"a check needs at least 2 grid points, got {count}")
+    if t[0] != 0.0:  # the chain's integrals run from t = 0
+        raise ValueError("samples must start at t = 0")
     floor = 2.0 if which in ("ineq_3_4", "ineq_3_16") else 4.0
     top = GRID_CAP_FRAC * t[-1]
     if top <= floor * 1.01:

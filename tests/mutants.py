@@ -152,6 +152,12 @@ MUTANTS = {
         "if not (censored or unreliable)",
         "if True",
         "tests/test_sweep.py::test_fit_table_clean_rows_and_override"),
+    "late_start_verified": (
+        "functionals.py",
+        '    if t[0] != 0.0:  # the chain\'s integrals run from t = 0\n'
+        '        raise ValueError("samples must start at t = 0")\n',
+        "",
+        "tests/test_functionals.py::test_inequality_check_refuses_a_late_start"),
     "escape_at_p2_2_limit": (
         "functionals.py",
         "(math.exp(math.log1p(a * s) / a) if a else math.exp(s))",
@@ -180,8 +186,20 @@ MUTANTS = {
     "r_checked_first_read_only": (
         "cli.py",
         "                shared = shared and (w[..., k:2 * k] == ref).all()\n",
-        "                shared = shared and (bool(t_texts) or (w[..., k:2 * k] == ref).all())\n",
+        "                shared = shared and (bool(ts) or (w[..., k:2 * k] == ref).all())\n",
         "tests/test_cli.py::test_r_change_in_a_later_chunk_exits_2"),
+    "header_skipped": (
+        "cli.py",
+        '        if fh.readline().rstrip("\\n") != "t,r,u,ut":\n'
+        '            raise ConfigError(f"{path}: the first line is not the header t,r,u,ut")\n',
+        "        fh.readline()\n",
+        "tests/test_cli.py::test_solution_header_other_than_solves_exits_2"),
+    "skipped_run_passes": (
+        "cli.py",
+        "    if not rows:  # every named check was skipped: no evidence either way\n"
+        '        raise ConfigError("no check named in --checks applies to this run")\n',
+        "",
+        "tests/test_cli.py::test_verify_with_every_named_check_skipped_exits_2"),
     "reader_opens_through_numpy": (
         "cli.py",
         '    with open(path, "rb") as fh:\n',

@@ -240,6 +240,9 @@ BAD_SOLUTIONS = {
     # refused it as "r_out must start at 0", naming no file
     "verify-offset-r": "t,r,u,ut\n0,0.05,0,0\n0,0.1,0,0\n0,0.15,0,0\n"
                        "10,0.05,0,0\n10,0.1,0,0\n10,0.15,0,0\n",
+    # np.loadtxt's default comment rule would read this ut as 2
+    "verify-hash-cell": "t,r,u,ut\n0,0,1,2#junk\n0,0.05,3,4\n"
+                        "10,0,5,6\n10,0.05,7,8\n",
 }
 
 
@@ -683,6 +686,21 @@ def test_verify_no_check_named_exits_2(checks, crit_solution_csv, capsys):
     assert captured.err.startswith("config error: no check named")
 
 
+def test_verify_with_every_named_check_skipped_exits_2(crit_solution_csv, tmp_path,
+                                                       capsys):
+    # 5.11 does not apply to a power_u run: a run of skipped checks is no
+    # evidence either, and writes no --out
+    out = tmp_path / "checks.csv"
+    assert main(["verify", "--solution", crit_solution_csv, *VERIFY_FLAGS,
+                 "--checks", "5.11", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "check 5.11: skipped" in captured.out
+    assert "all checks passed" not in captured.out
+    assert captured.err == ("config error: no check named in --checks applies "
+                            "to this run\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("points", ["0", "-3", "1"])
 def test_verify_bad_points_exit_2(points, crit_solution_csv, capsys):
     # one point would pass every spread check vacuously (spread 1)
@@ -699,6 +717,16 @@ def test_verify_short_solution_exit_2(tmp_path, capsys):
     assert "too short" in capsys.readouterr().err
 
 
+def test_verify_late_start_exits_2(tmp_path, capsys):
+    # the chain's integrals run from t = 0: a run stored from t = 3 on is refused
+    path = str(tmp_path / "late.csv")
+    assert main(["solve", "--t-max", "6", "--dr", "0.05", "--snap-times",
+                 "3,4,5,6", "--out", path]) == 0
+    assert main(["verify", "--solution", path, "--checks", "5.1",
+                 "--points", "3"]) == 2
+    assert "t = 0" in capsys.readouterr().err
+
+
 def test_verify_malformed_solution(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,r,u\n0.0,0.0,1.0\n")
@@ -713,15 +741,28 @@ def _snapshot_csv(path, t_vals, r_blocks):
 
 
 def test_solution_csv_time_order(tmp_path):
-    # snapshot blocks stored out of time order read back like the sorted file
+    # solve --out writes its snapshots in rising time; any other order is refused
     r = [0.0, 0.1, 0.2]
     _snapshot_csv(tmp_path / "sorted.csv", [0.0, 0.5, 1.0], [r] * 3)
-    _snapshot_csv(tmp_path / "shuffled.csv", [1.0, 0.0, 0.5], [r] * 3)
-    ref = _read_solution_csv(str(tmp_path / "sorted.csv"))
-    got = _read_solution_csv(str(tmp_path / "shuffled.csv"))
-    for a, b in zip(ref, got):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(got[2][:, 1], [1.0, 1.5, 2.0])  # u = t + 10 r
+    np.testing.assert_array_equal(
+        _read_solution_csv(str(tmp_path / "sorted.csv"))[2][:, 1],
+        [1.0, 1.5, 2.0])  # u = t + 10 r
+    _snapshot_csv(tmp_path / "shuffled.csv", [0.5, 0.0, 1.0], [r] * 3)
+    with pytest.raises(ConfigError, match="snapshots are not in rising time"):
+        _read_solution_csv(str(tmp_path / "shuffled.csv"))
+
+
+@pytest.mark.parametrize("header", ["t,r,ut,u\n", "x,y,z,w\n", ""],
+                         ids=["swapped", "other", "none"])
+def test_solution_header_other_than_solves_exits_2(header, tmp_path, capsys):
+    # the columns are read by place: a read that skipped the header would take
+    # column 3 as u whatever the header says, and drop a headless first row
+    path = tmp_path / "sol.csv"
+    path.write_text(header + "0,0,1,2\n0,0.05,3,4\n0,0.1,5,6\n"
+                    "10,0,7,8\n10,0.05,9,10\n10,0.1,11,12\n")
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    assert capsys.readouterr().err == (f"config error: {path}: the first line "
+                                       "is not the header t,r,u,ut\n")
 
 
 def test_solution_csv_keeps_no_parse_buffer(tmp_path):
@@ -752,25 +793,23 @@ _cells = st.one_of(st.sampled_from(_EDGE_FLOATS),
 
 @st.composite
 def _snapshots(draw):
-    """(t, r, u, ut, order): distinct times, one r column, the rows of u and
-    ut per time, and the order in which the snapshots are written."""
-    t = draw(st.lists(_cells, min_size=1, max_size=6, unique=True))
+    """(t, r, u, ut): rising times, one r column, the rows of u and ut per
+    time."""
+    t = sorted(draw(st.lists(_cells, min_size=1, max_size=6, unique=True)))
     nr = draw(st.integers(1, 6))
 
     def grid(rows):
         return np.array(draw(st.lists(st.lists(_cells, min_size=nr, max_size=nr),
                                       min_size=rows, max_size=rows)))
-    return (np.array(t), grid(1)[0], grid(len(t)), grid(len(t)),
-            draw(st.permutations(range(len(t)))))
+    return np.array(t), grid(1)[0], grid(len(t)), grid(len(t))
 
 
 def _check_round_trip(tmp_path, snap):
-    """Snapshots written in any time order read back bit for bit, in time order."""
-    t, r, u, ut, order = snap
+    """Snapshots written in rising time read back bit for bit."""
+    t, r, u, ut = snap
     path = str(tmp_path / "sol.csv")
-    write_csv(path, ("t", "r", "u", "ut"), ((t[i], r, u[i], ut[i]) for i in order))
-    by_t = np.argsort(t)
-    for got, want in zip(_read_solution_csv(path), (t[by_t], r, u[by_t], ut[by_t])):
+    write_csv(path, ("t", "r", "u", "ut"), zip(t, (r,) * t.size, u, ut))
+    for got, want in zip(_read_solution_csv(path), snap):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -795,9 +834,7 @@ def _float_parse(path, nt):
     """(t, r, u, ut) of a well-formed solution file of nt snapshots, from
     np.loadtxt's float parse of every cell."""
     blocks = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).reshape(nt, -1, 4)
-    by_t = np.argsort(blocks[:, 0, 0], kind="stable")
-    return (blocks[by_t, 0, 0], blocks[0, :, 1], blocks[by_t, :, 2],
-            blocks[by_t, :, 3])
+    return blocks[:, 0, 0], blocks[0, :, 1], blocks[:, :, 2], blocks[:, :, 3]
 
 
 def _assert_reads_as_float_parse(path, nt):
@@ -831,12 +868,29 @@ def test_malformed_solution_in_small_chunks(text, small_chunks, tmp_path, capsys
     ("0.1,0,1,2\n0.1,0.5,3,4\n2e-1,0,5,6\n2e-1,0.5,7,8\n"
      "+0.30,0,9,10\n+0.30,0.5,11,12\n", 3),
     # padded, signed and exponent spellings of t, one a snapshot; r alike
-    ("+1,-0,1,2\n+1,.5,3,4\n 0e0 ,-0,5,6\n 0e0 ,.5,7,8\n", 2),
+    (" 0e0 ,-0,1,2\n 0e0 ,.5,3,4\n+1,-0,5,6\n+1,.5,7,8\n", 2),
 ], ids=["t", "t-mixed"])
 def test_solution_spellings_read_as_their_values(text, nt, tmp_path):
     path = tmp_path / "sol.csv"
     path.write_text("t,r,u,ut\n" + text)
     _assert_reads_as_float_parse(path, nt)
+
+
+def test_solution_cells_read_as_loadtxt_parses_them(tmp_path, capsys):
+    # numpy's cast of the t and r texts gives np.loadtxt's float parse, bit
+    # for bit: signed, padded, exponent, subnormal and -0 spellings
+    t = ["-1E+2", " -0 ", "4.9e-324", "+2.2250738585072014e-308", "00.5 ",
+         "1.", "+7e0"]
+    r = ["-0", " +0.0", "5e-324", "-4.9E-324", ".25", "1e-310 ", "-1.5e+300"]
+    path = tmp_path / "sol.csv"
+    path.write_text("t,r,u,ut\n" + "".join(f"{tt},{rr},1,2\n" for tt in t for rr in r))
+    _assert_reads_as_float_parse(path, len(t))
+    # the cast would read 1_0 as 10: the file gets np.loadtxt's refusal
+    path.write_text("t,r,u,ut\n0,0,1,2\n1_0,0,1,2\n")
+    with pytest.raises(ValueError) as whole:
+        np.loadtxt(path, delimiter=",", skiprows=1)
+    assert main([*VERIFY_5_1, str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {whole.value}\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -866,7 +920,7 @@ def test_solution_t_respelled_within_a_snapshot_exits_2(
     # two snapshots spell one r two ways
     ("0,0,1,2\n0,0.05,3,4\n1,0,5,6\n1,5e-2,7,8\n", "r column"),
     # padded, signed and exponent spellings of t and r; t alike in a snapshot
-    ("+1,-0,1,2\n+1,.5,3,4\n 0e0 ,-0.0,5,6\n 0e0 ,5E-1,7,8\n", "r column"),
+    (" 0e0 ,-0,1,2\n 0e0 ,.5,3,4\n+1,-0.0,5,6\n+1,5E-1,7,8\n", "r column"),
     # r cells padded with a space beyond ASCII, spelled alike in both snapshots
     ("0,0\xa0,1,2\n0,0.5\xa0,3,4\n1,0\xa0,5,6\n1,0.5\xa0,7,8\n", "beyond ASCII"),
     ("0,0\u2003,1,2\n0,0.5\u2003,3,4\n1,0\u2003,5,6\n1,0.5\u2003,7,8\n",
@@ -1006,7 +1060,7 @@ def test_solution_times_cut_alike_are_refused(tmp_path):
 def test_first_snapshot_spans_chunks(small_chunks, tmp_path):
     # 7 rows a snapshot: the first snapshot and each t run span several chunks
     path = tmp_path / "sol.csv"
-    _snapshot_csv(path, [0.5, 0.0, 1.0], [0.1 * np.arange(7)] * 3)
+    _snapshot_csv(path, [0.0, 0.5, 1.0], [0.1 * np.arange(7)] * 3)
     _assert_reads_as_float_parse(path, 3)
 
 

@@ -203,6 +203,18 @@ def test_inequality_check_short_trajectory():
         inequality_check(samples, "ineq_3_4")
 
 
+def test_inequality_check_refuses_a_late_start():
+    # the chain's integrals run from t = 0, as weak_residual's do
+    params = _params(nonlinearity="power_u")
+    t = np.linspace(0.5, 10.0, 96)
+    r = np.linspace(0.0, 3.0, 31)
+    zero = np.zeros((t.size, r.size))
+    samples = SolutionSamples(params=params, t=t, r=r, u=zero, ut=zero)
+    for which in ("ineq_3_4", "ineq_5_1"):
+        with pytest.raises(ValueError, match="start at t = 0"):
+            inequality_check(samples, which)
+
+
 def test_inequality_check_not_applicable(strauss_crit_samples,
                                          glassey_crit_samples):
     with pytest.raises(CheckNotApplicable):
