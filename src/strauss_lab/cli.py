@@ -18,6 +18,7 @@ import os
 import sys
 import warnings
 from dataclasses import replace
+from itertools import takewhile
 
 import numpy as np
 
@@ -212,6 +213,8 @@ def cmd_bq(args) -> int:
     dt = args.dt if args.dt is not None else cfg.dr
     if dt <= 0.0:
         raise ConfigError(f"dt must be > 0, got {dt}")
+    if args.threshold < 0.0:  # a residual is >= 0, so none could pass
+        raise ConfigError(f"threshold must be >= 0, got {args.threshold}")
     t_max = cfg.t_max
     r_max = args.r_max if args.r_max is not None else t_max
     t_grid = 1.0 + dt * np.arange(int(round((t_max - 1.0) / dt)) + 1)
@@ -270,20 +273,21 @@ def _read_solution_csv(path: str):
 
     Only the named file is read, as ASCII text: no URL is fetched, no name
     is decompressed, and no other file stands in for a missing one.
+    The first snapshot's rows, up to the first change of the t text, are
+    counted on the lines before any parse; then each np.loadtxt read holds
+    as many whole snapshots as fit in SOLUTION_CHUNK_ROWS rows, at least
+    one, so only the last read can end inside a snapshot.
     np.loadtxt converts only u and ut cell by cell; t and r come in as text,
-    and a # is part of its cell, not a comment.
-    The first snapshot is the rows up to the first change of the t text,
-    searched SOLUTION_CHUNK_ROWS rows at a time; the next read completes the
-    snapshot the search cut off, and every later read holds whole snapshots.
-    Each snapshot spells its t one way and repeats the first snapshot's r
-    texts, as solve --out writes them, or the file is refused: both rules
-    are one comparison of 8-byte words per buffer of whole snapshots.  Each
-    read's snapshot times and the first snapshot's r texts are parsed by
-    _cell_values, so snapshots may spell their times any way; the times must
-    rise.  A t or r cell that fills its TEXT_FIELD characters is refused,
-    never cut; a cell np.loadtxt cannot parse is refused with the whole-file
-    parse's message, which names its row and column.  A file with a NUL byte
-    or a byte beyond ASCII anywhere is refused before any parse.
+    and a # is part of its cell, not a comment.  Each snapshot spells its t
+    one way and repeats the first snapshot's r texts, as solve --out writes
+    them, or the file is refused: both rules are one comparison of 8-byte
+    words per read.  Each read's snapshot times and the first snapshot's r
+    texts are parsed by _cell_values, so snapshots may spell their times any
+    way; the times must rise.  A t or r cell that fills its TEXT_FIELD
+    characters is refused, never cut; a cell np.loadtxt cannot parse is
+    refused with the whole-file parse's message, which names its row and
+    column.  A file with a NUL byte or a byte beyond ASCII anywhere is
+    refused before any parse.
     """
     _refuse_bytes(path)
     cell = f"S{TEXT_FIELD}"
@@ -291,41 +295,33 @@ def _read_solution_csv(path: str):
     k = TEXT_FIELD // 8  # words a text holds
     uus, ts = [], []  # uus: (2, rows) blocks of u and ut; ts: each read's times
     alike = shared = True  # each snapshot so far spells one t and the first's r
-    held = []  # reads not yet checked, together less than one snapshot
-    nr = 0  # rows a snapshot; 0 until the first snapshot ends, or in a file of no rows
-    n = SOLUTION_CHUNK_ROWS
     with warnings.catch_warnings(), open(path, encoding="ascii") as fh:
         # neither an empty read nor a blank line is an event
         warnings.filterwarnings("ignore", ".*contained no data")
         if fh.readline().rstrip("\n") != "t,r,u,ut":
             raise ConfigError(f"{path}: the first line is not the header t,r,u,ut")
+        # each row's t text; np.loadtxt skips blank lines, so they are no rows
+        texts = (line.partition(",")[0] for line in fh if line != "\n")
+        if (t0 := next(texts, None)) is None:
+            raise ConfigError(f"{path}: no snapshot rows")
+        nr = 1 + sum(1 for _ in takewhile(t0.__eq__, texts))  # rows a snapshot
+        fh.seek(0)
+        fh.readline()
+        n = max(1, SOLUTION_CHUNK_ROWS // nr) * nr
         try:
-            while (chunk := np.loadtxt(fh, row, delimiter=",", comments=None,
-                                       max_rows=n, ndmin=1)).size or held:
-                if not nr:  # the first snapshot ends where the t text first changes
-                    t0 = held[0]["t"][0] if held else chunk["t"][0]
-                    ends = np.flatnonzero(chunk["t"] != t0)
-                    if not ends.size and chunk.size == n:
-                        held.append(chunk)
-                        continue
-                    nr = sum(map(len, held)) + (ends[0] if ends.size else chunk.size)
-                buf = np.concatenate([*held, chunk]) if held else chunk
-                if not ts:  # the first snapshot's r texts, from the first buffer
+            while (buf := np.loadtxt(fh, row, delimiter=",", comments=None,
+                                     max_rows=n, ndmin=1)).size:
+                if not ts:  # the first snapshot's r texts, from the first read
                     r_texts = buf["r"][:nr].copy()
                     r, ref = _cell_values(r_texts), r_texts.view(np.uint64).reshape(nr, k)
-                full = buf.size - buf.size % nr
-                w = buf[:full].view(np.uint64).reshape(full // nr, nr,
-                                                        row.itemsize // 8)
+                cut = buf.size % nr  # rows of a snapshot the file ends inside
+                full = buf.size - cut
+                w = buf[:full].view(np.uint64).reshape(full // nr, nr, row.itemsize // 8)
                 alike = alike and (w[..., :k] == w[:, :1, :k]).all()
                 shared = shared and (w[..., k:2 * k] == ref).all()
                 ts.append(_cell_values(buf["t"][:full:nr].copy()))
                 uus.append(np.stack((buf["u"][:full], buf["ut"][:full])))
-                held = [buf[full:].copy()] if full < buf.size else []
-                if chunk.size < n:
-                    break
-                n = (nr - held[0].size if held
-                     else max(1, SOLUTION_CHUNK_ROWS // nr) * nr)
-            chunk = buf = w = None  # free the last read before the joins
+            buf = w = None  # free the last read before the joins
         except ValueError as exc:
             try:
                 fh.seek(0)
@@ -336,15 +332,13 @@ def _read_solution_csv(path: str):
             if data.shape[1] != 4:
                 raise ConfigError(f"{path}: expected 4 columns t,r,u,ut") from exc
             raise ConfigError(f"{path}: {exc}") from exc
-    if not nr:
-        raise ConfigError(f"{path}: no snapshot rows")
     t = np.concatenate(ts)
     if not (np.isfinite(t).all() and np.isfinite(r).all()):
         raise ConfigError(f"{path}: a t or r cell is not finite")
     if not (alike and (t[1:] > t[:-1]).all()):
         raise ConfigError(f"{path}: rows of one snapshot are not contiguous, "
                           "or snapshots are not in rising time")
-    if held:
+    if cut:
         raise ConfigError(f"{path}: rows not a whole number of snapshots")
     if not shared:
         raise ConfigError(f"{path}: snapshots do not share one r column")
@@ -354,6 +348,8 @@ def _read_solution_csv(path: str):
 
 def cmd_verify(args) -> int:
     cfg = resolve_config(args)
+    if args.spread_tol < 1.0:  # a spread, max/min of positive ratios, is >= 1
+        raise ConfigError(f"spread tol must be >= 1, got {args.spread_tol}")
     tokens = [tok.strip() for tok in args.checks.split(",") if tok.strip()]
     if not tokens:
         raise ConfigError(f"no check named in --checks {args.checks!r}")
@@ -363,6 +359,8 @@ def cmd_verify(args) -> int:
                               f"{','.join(CHECK_TOKENS)}")
     t, r, u, ut = _read_solution_csv(args.solution)
     uniform_step(r, f"{args.solution}: the r column", start=0.0)
+    if t[0] != 0.0:  # the chain's integrals run from t = 0
+        raise ConfigError(f"{args.solution}: the t column must start at t = 0")
     samples = SolutionSamples(params=cfg.model_params(), t=t, r=r, u=u, ut=ut)
     rows = []
     failed = []
@@ -396,6 +394,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_odelemma(args) -> int:
+    if args.tol < 0.0:  # a deviation is >= 0, so none could pass
+        raise ConfigError(f"tol must be >= 0, got {args.tol}")
     deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_count)
     result = ode_lemma_fit(args.p1, args.p2, K1=args.k1, K2=args.k2,
                            delta_grid=deltas)

@@ -188,6 +188,16 @@ MUTANTS = {
         "                shared = shared and (w[..., k:2 * k] == ref).all()\n",
         "                shared = shared and (bool(ts) or (w[..., k:2 * k] == ref).all())\n",
         "tests/test_cli.py::test_r_change_in_a_later_chunk_exits_2"),
+    "first_snapshot_one_row_short": (
+        "cli.py",
+        "        fh.seek(0)\n        fh.readline()\n",
+        "        nr -= 1\n        fh.seek(0)\n        fh.readline()\n",
+        "tests/test_cli.py::test_first_snapshot_spans_chunks"),
+    "blank_line_counted": (
+        "cli.py",
+        ' for line in fh if line != "\\n")\n',
+        " for line in fh)\n",
+        "tests/test_cli.py::test_solution_blank_lines_are_no_rows"),
     "header_skipped": (
         "cli.py",
         '        if fh.readline().rstrip("\\n") != "t,r,u,ut":\n'

@@ -589,6 +589,7 @@ def test_bq_cmd(tmp_path, capsys):
     ["--nodes", "0"], ["--q", "0"], ["--q", "-1"],
     ["--t-max", "1.1"],  # two table times: no interior row to check
     ["--dt", "inf"], ["--r-max", "inf"], ["--threshold", "nan"],
+    ["--threshold", "-0.001"],  # a residual is >= 0, so none could pass
 ])
 def test_bq_bad_values_exit_2(flags, tmp_path, capsys):
     # the last occurrence of a flag wins, so each case overrides a good run
@@ -709,6 +710,16 @@ def test_verify_bad_points_exit_2(points, crit_solution_csv, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("spread_tol", ["0.99", "0", "-1"])
+def test_verify_bad_spread_tol_exit_2(spread_tol, tmp_path, capsys):
+    # a spread is max/min of positive ratios, at least 1: no check could pass;
+    # refused before the solution is read, so a missing file is never opened
+    assert main(["verify", "--solution", str(tmp_path / "missing.csv"),
+                 "--checks", "3.16", "--spread-tol", spread_tol]) == 2
+    assert capsys.readouterr().err == (f"config error: spread tol must be >= 1, "
+                                       f"got {float(spread_tol)}\n")
+
+
 def test_verify_short_solution_exit_2(tmp_path, capsys):
     # t_last = 1 leaves no room for the default T grid from 2 to 0.8 t_last
     path = str(tmp_path / "short.csv")
@@ -724,7 +735,8 @@ def test_verify_late_start_exits_2(tmp_path, capsys):
                  "3,4,5,6", "--out", path]) == 0
     assert main(["verify", "--solution", path, "--checks", "5.1",
                  "--points", "3"]) == 2
-    assert "t = 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"config error: {path}: the t column "
+                                       "must start at t = 0\n")
 
 
 def test_verify_malformed_solution(tmp_path, capsys):
@@ -824,9 +836,9 @@ def test_solution_csv_round_trip(tmp_path, snap):
 
 @pytest.fixture(params=[1, 2, 3], ids=["chunk1", "chunk2", "chunk3"])
 def small_chunks(request, monkeypatch):
-    """The solution reader searches for the end of the first snapshot 1, 2
-    or 3 rows at a time, so the first snapshot crosses read boundaries; each
-    later read holds whole snapshots, at least one."""
+    """The solution reader aims at 1, 2 or 3 rows a read, fewer than most
+    snapshots hold; each read still holds whole snapshots, at least one, and
+    only the last read can end inside one."""
     monkeypatch.setattr(cli, "SOLUTION_CHUNK_ROWS", request.param)
 
 
@@ -1058,10 +1070,21 @@ def test_solution_times_cut_alike_are_refused(tmp_path):
 
 
 def test_first_snapshot_spans_chunks(small_chunks, tmp_path):
-    # 7 rows a snapshot: the first snapshot and each t run span several chunks
+    # 7 rows a snapshot, more than a chunk: each read is one whole snapshot
     path = tmp_path / "sol.csv"
     _snapshot_csv(path, [0.0, 0.5, 1.0], [0.1 * np.arange(7)] * 3)
     _assert_reads_as_float_parse(path, 3)
+
+
+@pytest.mark.parametrize("text", [
+    "t,r,u,ut\n\n0,0,1,1\n0,0.5,1,1\n1,0,1,1\n1,0.5,1,1\n",
+    "t,r,u,ut\n0,0,1,1\n\n0,0.5,1,1\n1,0,1,1\n1,0.5,1,1\n",
+], ids=["after-header", "in-first-snapshot"])
+def test_solution_blank_lines_are_no_rows(text, small_chunks, tmp_path):
+    # np.loadtxt skips a blank line, so the first snapshot's count skips it too
+    path = tmp_path / "blank.csv"
+    path.write_text(text)
+    _assert_reads_as_float_parse(path, 2)
 
 
 def test_r_change_in_a_later_chunk_exits_2(small_chunks, tmp_path, capsys):
@@ -1142,6 +1165,7 @@ def test_odelemma_far_crossings_match_theory(flags, capsys):
     ["--p1", "2", "--p2", "2", "--delta-count", "1"],
     ["--p1", "2", "--p2", "2", "--delta-min", "inf"],
     ["--p1", "2", "--p2", "2", "--tol", "nan"],
+    ["--p1", "2", "--p2", "2", "--tol", "-0.1"],  # a deviation is >= 0
     # the slope crossing overflows float range
     ["--p1", "2", "--p2", "2.99"],
     # delta too large: no slope crossing after t0
